@@ -13,20 +13,23 @@ Eligibility of literals is decided per clause:
   only the literals binding maximally-deep variables (the top varials) are
   actually resolved.
 
-``s_res`` and ``p_res`` are reference implementations used by the test
-suite; the saturation loop runs ``t_res`` and ``factor``.
+:class:`ClauseIndex` computes these facts once per clause, when the clause
+is added, as a :class:`ClauseRecord`; :func:`resolvents` and
+:func:`factor` read the record.  The saturation loop and the tests reach
+them through :func:`guardedsat.qans.inferences`.  ``s_res`` and ``p_res``
+are reference implementations used by the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .orders import LPO, Cmp, maximal, select_nc
+from .qsep import is_icq
 from .terms import (
-    App, Clause, Literal, Subst, Term, Var, apply_clause, apply_lit,
-    apply_term, clause_vars, condense, is_ground, lit_vars, mgu_lits,
-    rename_apart, subsumes, term_depth,
+    App, Clause, Literal, Subst, Term, Var, apply_lit, apply_term,
+    clause_vars, is_ground, lit_vars, mgu_lits, rename_apart, term_depth,
 )
 
 
@@ -54,31 +57,6 @@ def dispatch(c: Clause) -> str:
     return "topvar"
 
 
-@dataclass(frozen=True, slots=True)
-class Eligibility:
-    kind: str  # "max" | "selected" | "topvar" | "all_negative"
-    literals: tuple[Literal, ...]
-
-
-def eligible(c: Clause, lpo: LPO,
-             n: Optional["ClauseIndex"] = None) -> Eligibility:
-    """Eligible literals of ``c``; for flat non-ground clauses this needs
-    the current clause set ``n`` to look for side premises."""
-    d = dispatch(c)
-    if d == "max":
-        return Eligibility("max", tuple(maximal(lpo, c)))
-    if d == "select":
-        sel = select_nc(c)
-        assert sel is not None
-        return Eligibility("selected", (sel,))
-    negs = tuple(l for l in c if not l.pos)
-    if n is not None:
-        tv = com_t(c, lpo, n)
-        if tv is not None:
-            return Eligibility("topvar", tv.top_literals)
-    return Eligibility("all_negative", negs)
-
-
 def side_literals(c: Clause, lpo: LPO) -> tuple[Literal, ...]:
     """Positive literals on which ``c`` may serve as a side premise.
 
@@ -93,29 +71,67 @@ def side_literals(c: Clause, lpo: LPO) -> tuple[Literal, ...]:
     return tuple(l for l in maximal(lpo, c, strict=True) if l.pos)
 
 
+@dataclass(frozen=True, slots=True)
+class ClauseRecord:
+    """What inference needs to know about a clause, computed once.
+
+    ``regime`` is the :func:`dispatch` regime, or ``"icq"`` for an
+    inseparable chained-only query clause.  ``main_literals`` are the
+    selected literals: the selected compound-term literal, the maximal
+    negative literals, or all negative literals of a flat non-ground
+    clause.  ``maximal`` holds the maximal literals of a ``"max"`` clause
+    (empty otherwise), which is all factoring needs; ``side_literals``
+    are those on which the clause serves as a side premise.
+    """
+    regime: str  # "max" | "select" | "topvar" | "icq"
+    main_literals: tuple[Literal, ...]
+    maximal: tuple[Literal, ...]
+    side_literals: tuple[Literal, ...]
+
+
+def clause_record(c: Clause, lpo: LPO) -> ClauseRecord:
+    """The record of ``c``; :meth:`ClauseIndex.add` calls this once."""
+    d = dispatch(c)
+    maxlits: tuple[Literal, ...] = ()
+    if d == "max":
+        maxlits = tuple(maximal(lpo, c))
+        main = tuple(l for l in maxlits if not l.pos)
+    elif d == "select":
+        sel = select_nc(c)
+        main = (sel,) if sel is not None else ()
+    else:
+        main = tuple(l for l in c if not l.pos)
+    return ClauseRecord("icq" if is_icq(c) else d, main, maxlits,
+                        side_literals(c, lpo))
+
+
 # ---------------------------------------------------------------------------
 # clause index
 
 
 class ClauseIndex:
-    """Clauses with stable ids plus a positive-literal side-premise index."""
+    """Clauses with stable ids, their records and a positive-literal
+    side-premise index."""
 
     def __init__(self, lpo: LPO) -> None:
         self.lpo = lpo
         self.by_id: dict[int, Clause] = {}
+        self.records: dict[int, ClauseRecord] = {}
         self._side_index: dict[str, list[tuple[int, Literal]]] = {}
 
     def add(self, cid: int, c: Clause) -> None:
+        rec = clause_record(c, self.lpo)
         self.by_id[cid] = c
-        for lit in side_literals(c, self.lpo):
+        self.records[cid] = rec
+        for lit in rec.side_literals:
             self._side_index.setdefault(lit.pred, []).append((cid, lit))
             self._side_index[lit.pred].sort(key=lambda e: e[0])
 
     def remove(self, cid: int) -> None:
-        c = self.by_id.pop(cid, None)
-        if c is None:
+        if self.by_id.pop(cid, None) is None:
             return
-        for lst in self._side_index.values():
+        for pred in {l.pred for l in self.records.pop(cid).side_literals}:
+            lst = self._side_index[pred]
             lst[:] = [(i, l) for (i, l) in lst if i != cid]
 
     def side_candidates(self, pred: str) -> list[tuple[int, Clause, Literal]]:
@@ -230,13 +246,13 @@ def _remove_one(c: Clause, lit: Literal) -> list[Literal]:
     return lits
 
 
-def factor(cid: int, c: Clause, lpo: LPO) -> list[Inference]:
+def factor(cid: int, c: Clause, rec: ClauseRecord) -> list[Inference]:
     """Positive factoring on clauses with no selected literal."""
-    if dispatch(c) != "max":
+    if rec.regime != "max":
         return []
     out: list[Inference] = []
     pos = [l for l in c if l.pos]
-    maxlits = set(maximal(lpo, c))
+    maxlits = set(rec.maximal)
     for i, a1 in enumerate(pos):
         if a1 not in maxlits:
             continue
@@ -271,16 +287,6 @@ def _binary_resolvents(main_id: int, main: Clause, neg: Literal,
         concl = Clause(dict.fromkeys(apply_lit(l, sigma) for l in lits))
         out.append(Inference("TRes2a", main_id, (cid,), _freeze(sigma), concl))
     return out
-
-
-def _main_negatives(c: Clause, lpo: LPO) -> list[Literal]:
-    d = dispatch(c)
-    if d == "select":
-        sel = select_nc(c)
-        return [sel] if sel else []
-    if d == "max":
-        return [l for l in maximal(lpo, c) if not l.pos]
-    return []
 
 
 def _topvar_resolvent(main_id: int, main: Clause, tv: TopVarResult,
@@ -318,40 +324,23 @@ def _topvar_resolvent(main_id: int, main: Clause, tv: TopVarResult,
                      concl, sres_mgu=_freeze(tv.sres_mgu))
 
 
-def t_res(given_id: int, n: ClauseIndex) -> list[Inference]:
-    """All top-variable resolution inferences involving the given clause.
-
-    The given clause acts as the main premise against the indexed sides,
-    and as a side premise against every possible main in the index.
-    """
-    lpo = n.lpo
-    given = n.by_id[given_id]
+def resolvents(main_id: int, n: ClauseIndex,
+               only_side: Optional[int]) -> list[Inference]:
+    """Binary (rule 2a) or top-variable (rule 2b) resolvents of the
+    indexed, non-ICQ clause ``main_id`` as the main premise; with
+    ``only_side``, only those using that side premise."""
+    main = n.by_id[main_id]
+    rec = n.records[main_id]
     out: list[Inference] = []
-    # given as main
-    out.extend(_main_inferences(given_id, given, n, only_side=None))
-    # given as side: redo mains that may use it
-    if side_literals(given, lpo):
-        for cid, c in n.clauses():
-            if cid == given_id:
-                continue
-            out.extend(_main_inferences(cid, c, n, only_side=given_id))
-    return out
-
-
-def _main_inferences(main_id: int, main: Clause, n: ClauseIndex,
-                     only_side: Optional[int]) -> list[Inference]:
-    lpo = n.lpo
-    d = dispatch(main)
-    out: list[Inference] = []
-    if d in ("select", "max"):
-        for neg in _main_negatives(main, lpo):
-            out.extend(_binary_resolvents(main_id, main, neg, n,
-                                          only_side=only_side))
-    else:  # topvar
-        for tv in com_t_all(main, lpo, n, must_include=only_side):
-            inf = _topvar_resolvent(main_id, main, tv, lpo)
+    if rec.regime == "topvar":
+        for tv in com_t_all(main, n.lpo, n, must_include=only_side):
+            inf = _topvar_resolvent(main_id, main, tv, n.lpo)
             if inf is not None:
                 out.append(inf)
+    else:
+        for neg in rec.main_literals:
+            out.extend(_binary_resolvents(main_id, main, neg, n,
+                                          only_side=only_side))
     return out
 
 
@@ -410,14 +399,3 @@ def p_res(main_id: int, main: Clause, n: ClauseIndex,
 def is_tautology(c: Clause) -> bool:
     pos = {(l.pred, l.args) for l in c if l.pos}
     return any((l.pred, l.args) in pos for l in c if not l.pos)
-
-
-def is_redundant(c: Clause, existing: Iterable[Clause]) -> bool:
-    """Tautology, or subsumed by (a condensation of) an existing clause."""
-    if is_tautology(c):
-        return True
-    cc = condense(c)
-    for d in existing:
-        if len(d) <= len(cc) and subsumes(d, cc):
-            return True
-    return False

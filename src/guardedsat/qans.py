@@ -4,7 +4,11 @@ Input clauses are the clausified rules and facts (loosely guarded clauses)
 plus the separated query clauses.  The loop keeps a *usable* set and a
 *worked-off* set; each round picks a given clause (one oldest pick for
 every four lightest picks, so old clauses cannot starve), moves it to
-worked-off and computes every inference between it and worked-off.
+worked-off and computes every inference between it and worked-off with
+:func:`inferences`, the one inference entry point (the tests call it
+too).  It reads each worked-off clause's
+:class:`~guardedsat.engine.ClauseRecord`, computed once when the clause
+entered worked-off.
 
 Inseparable chained-only query clauses take the special route: their
 top-variable resolvent is immediately re-abstracted (T-Trans) and
@@ -19,14 +23,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .clausify import TransOutput, trans
-from .engine import (
-    ClauseIndex, Inference, _main_inferences, factor, is_tautology,
-    side_literals,
-)
+from .engine import ClauseIndex, Inference, factor, is_tautology, resolvents
 from .orders import LPO, Precedence
 from .qic import q_ic_all
 from .qsep import DefinitionRegistry, q_sep
-from .qsep import is_icq
 from .syntax import Problem
 from .terms import (
     reset_rename_counter,
@@ -53,6 +53,8 @@ class SaturationState:
     seed: int = 0
     worked_off: ClauseIndex = None  # type: ignore[assignment]
     usable: dict[int, Clause] = field(default_factory=dict)
+    # clause_weight of each usable clause, kept alongside ``usable``
+    weights: dict[int, int] = field(default_factory=dict)
     trace: list[str] = field(default_factory=list)
     steps: int = 0
     next_id: int = 1
@@ -79,12 +81,14 @@ class SaturationState:
         for cid, d in list(self.usable.items()):
             if len(c) <= len(d) and subsumes(c, d):
                 del self.usable[cid]
+                del self.weights[cid]
         for cid, d in list(self.worked_off.clauses()):
             if len(c) <= len(d) and subsumes(c, d):
                 self.worked_off.remove(cid)
         cid = self.next_id
         self.next_id += 1
         self.usable[cid] = c
+        self.weights[cid] = clause_weight(c)
         self.trace.append(f"[{cid}] {reason} {c}")
         return cid
 
@@ -97,11 +101,12 @@ class SaturationState:
         if self.picks % 5 == 1:
             cid = min(self.usable)
         else:
-            best = min(clause_weight(c) for c in self.usable.values())
-            ties = sorted(cid for cid, c in self.usable.items()
-                          if clause_weight(c) == best)
+            best = min(self.weights.values())
+            ties = sorted(cid for cid, w in self.weights.items()
+                          if w == best)
             cid = ties[self.rng.randrange(len(ties))] if len(ties) > 1 \
                 else ties[0]
+        del self.weights[cid]
         return cid, self.usable.pop(cid)
 
 
@@ -124,50 +129,56 @@ def saturate(state: SaturationState) -> str:
         if given.is_empty():
             return "yes"
         state.worked_off.add(given_id, given)
-        derived = _inferences_with(state, given_id, given)
-        for concl, reason in derived:
-            new_id = state.insert(concl, reason)
-            if new_id is not None and concl.is_empty():
-                return "yes"
+        for rule, parents, conclusions in inferences(
+                state.worked_off, state.registry, given_id):
+            reason = f"{rule}({','.join(str(p) for p in parents)})"
+            for concl in conclusions:
+                new_id = state.insert(concl, reason)
+                if new_id is not None and concl.is_empty():
+                    return "yes"
     return "no"
 
 
-def _inferences_with(state: SaturationState, given_id: int,
-                     given: Clause) -> list[tuple[Clause, str]]:
-    n = state.worked_off
-    out: list[tuple[Clause, str]] = []
+# (rule, parent ids with the main premise first, conclusions)
+Derivation = tuple[str, tuple[int, ...], tuple[Clause, ...]]
 
-    def emit_inference(inf: Inference) -> None:
-        parents = ",".join(str(p) for p in (inf.main,) + inf.sides)
-        out.append((inf.conclusion, f"{inf.rule}({parents})"))
 
-    def emit_icq(main_id: int, must: Optional[int]) -> None:
-        for r in q_ic_all(main_id, n, state.registry, must_include=must):
-            assert r.inference is not None
-            parents = ",".join(
-                str(p) for p in (r.inference.main,) + r.inference.sides)
-            tag = f"QIC({parents})"
-            for c in r.lg_clauses + r.guarded + r.icq:
-                out.append((c, tag))
+def inferences(n: ClauseIndex, registry: DefinitionRegistry,
+               given_id: int) -> list[Derivation]:
+    """Every inference between the indexed clause ``given_id`` and the
+    clauses of ``n``, in the order the loop inserts their conclusions.
 
-    if is_icq(given):
-        emit_icq(given_id, None)
-    else:
-        for inf in _main_inferences(given_id, given, n, only_side=None):
-            emit_inference(inf)
-        for inf in factor(given_id, given, state.lpo):
-            emit_inference(inf)
-    # the given clause as a new side premise for existing mains
-    if side_literals(given, state.lpo):
-        for cid, c in n.clauses():
-            if cid == given_id:
-                continue
-            if is_icq(c):
-                emit_icq(cid, given_id)
-            else:
-                for inf in _main_inferences(cid, c, n, only_side=given_id):
-                    emit_inference(inf)
+    The given clause is first the main premise: an ICQ clause through
+    T-Res, T-Trans and Q-Sep (rule ``QIC``, definers from ``registry``),
+    any other clause through binary or top-variable resolution and then
+    factoring.  If it has side literals, it is then the side premise of
+    every other indexed clause as a main premise, in id order.
+    """
+    rec = n.records[given_id]
+    out = _as_main(n, registry, given_id, None)
+    out.extend(_derivation(inf)
+               for inf in factor(given_id, n.by_id[given_id], rec))
+    if rec.side_literals:
+        for cid, _ in n.clauses():
+            if cid != given_id:
+                out.extend(_as_main(n, registry, cid, given_id))
     return out
+
+
+def _as_main(n: ClauseIndex, registry: DefinitionRegistry, main_id: int,
+             only_side: Optional[int]) -> list[Derivation]:
+    if n.records[main_id].regime != "icq":
+        return [_derivation(inf) for inf in resolvents(main_id, n, only_side)]
+    out: list[Derivation] = []
+    for r in q_ic_all(main_id, n, registry, must_include=only_side):
+        assert r.inference is not None
+        out.append(("QIC", (r.inference.main,) + r.inference.sides,
+                    tuple(r.lg_clauses + r.guarded + r.icq)))
+    return out
+
+
+def _derivation(inf: Inference) -> Derivation:
+    return inf.rule, (inf.main,) + inf.sides, (inf.conclusion,)
 
 
 def answer(problem: Problem, step_budget: int = 10 ** 6,

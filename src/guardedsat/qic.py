@@ -110,9 +110,3 @@ def q_ic_all(main_id: int, n: ClauseIndex, reg: DefinitionRegistry,
                              inference=inf))
     return out
 
-
-def q_ic(main_id: int, n: ClauseIndex, reg: DefinitionRegistry,
-         must_include: int | None = None) -> QicResult | None:
-    """First-assignment variant of :func:`q_ic_all`."""
-    results = q_ic_all(main_id, n, reg, must_include=must_include)
-    return results[0] if results else None

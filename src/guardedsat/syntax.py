@@ -248,10 +248,17 @@ class Problem:
     mode: str = "answer"
 
 
+# Deepest nesting of formulas and terms the parser accepts.  The parser
+# and the later passes recurse once per level, so the cap keeps deep input
+# an input error instead of a RecursionError.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, toks: list[_Tok]) -> None:
         self.toks = toks
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Optional[_Tok]:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -275,16 +282,23 @@ class _Parser:
         tok = self.peek()
         return tok is not None and tok.text == text
 
+    def deeper(self, tok: _Tok) -> None:
+        """Enter one nesting level at ``tok``; the caller leaves it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             tok.line, tok.col)
+
     # formula := disjunction (('=>' | '<=>') formula)?
     def formula(self) -> Formula:
         left = self.disjunction()
-        if self.at("=>"):
-            self.next()
-            return Implies(left, self.formula())
-        if self.at("<=>"):
-            self.next()
-            return Iff(left, self.formula())
-        return left
+        if not (self.at("=>") or self.at("<=>")):
+            return left
+        op = self.next()
+        self.deeper(op)
+        right = self.formula()
+        self.depth -= 1
+        return Implies(left, right) if op.text == "=>" else Iff(left, right)
 
     def disjunction(self) -> Formula:
         items = [self.conjunction()]
@@ -304,6 +318,12 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input", 0, 0)
+        self.deeper(tok)
+        f = self._unary(tok)
+        self.depth -= 1
+        return f
+
+    def _unary(self, tok: _Tok) -> Formula:
         if tok.text == "~":
             self.next()
             return Not(self.unary())
@@ -364,12 +384,13 @@ class _Parser:
             raise ParseError(f"expected a term, found {tok.text!r}",
                              tok.line, tok.col)
         if self.at("("):
-            self.next()
+            self.deeper(self.next())
             args = [self.term()]
             while self.at(","):
                 self.next()
                 args.append(self.term())
             self.expect(")")
+            self.depth -= 1
             return App(tok.text, tuple(args))
         return Const(tok.text)
 

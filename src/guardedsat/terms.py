@@ -342,19 +342,6 @@ def apply_clause(c: Clause, sub: Subst) -> Clause:
                   label=c.label, parents=c.parents)
 
 
-def compose(sigma: Subst, theta: Subst) -> Subst:
-    """``x (compose(sigma, theta)) == (x sigma) theta``."""
-    out: Subst = {}
-    for x, t in sigma.items():
-        s = apply_term(t, theta)
-        if not (isinstance(s, Var) and s.name == x):
-            out[x] = s
-    for x, t in theta.items():
-        if x not in sigma:
-            out[x] = t
-    return out
-
-
 class UnifyFail(Enum):
     CLASH = "clash"
     OCCURS = "occurs"

@@ -18,7 +18,7 @@ from guardedsat.clausify import clausify_formula, trans
 from guardedsat.oracle import ground_entails, sat_enumerate
 from guardedsat.orders import LPO, Precedence, clause_gt
 from guardedsat.qans import answer, run, saturate
-from guardedsat.qic import q_ic
+from guardedsat.qic import q_ic_all
 from guardedsat.qrew import q_rew
 from guardedsat.qsep import DefinitionRegistry, is_icq, q_sep
 from guardedsat.syntax import Exists, Forall, Not, parse, print_formula, \
@@ -26,7 +26,7 @@ from guardedsat.syntax import Exists, Forall, Not, parse, print_formula, \
 from guardedsat.terms import (
     Clause, Literal, SymbolKind, Var, depth, membership, width,
 )
-from guardedsat.engine import ClauseIndex, factor, p_res, s_res, t_res
+from guardedsat.engine import p_res, s_res
 
 import test_qans
 import test_qic
@@ -95,8 +95,7 @@ def test_criterion_03_separation_of_cyclic_query():
 
 def test_criterion_04_cycle_resolution_and_repair():
     s, lpo, idx, clauses = test_qic._setup()
-    res = q_ic(5, idx, DefinitionRegistry(s))
-    assert res is not None
+    res = q_ic_all(5, idx, DefinitionRegistry(s))[0]
     assert depth(res.resolvent) <= max(depth(c) for c in clauses[:4]) == 1
     assert len(res.lg_clauses) == 1
     assert "LG" in membership(res.lg_clauses[0])

@@ -64,6 +64,20 @@ def test_parse_error_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.strip()
 
 
+@pytest.mark.parametrize("statement", [
+    "query: " + "(" * 300 + "? [X] : a0(X)" + ")" * 300,
+    "query: " + "~" * 1000 + "? [X] : a0(X)",
+    "formula: " + "a0(c1) => " * 1000 + "a0(c1)",
+    "rule: ! [X] : (a0(X) => b0(" + "f(" * 1000 + "X" + ")" * 1000 + "))",
+], ids=["parentheses", "negations", "implications", "terms"])
+def test_deep_nesting_is_an_input_error(tmp_path, capsys, statement):
+    deep = tmp_path / "deep.p"
+    deep.write_text("fact: a0(c1).\n" + statement + ".\n")
+    assert main(["answer", str(deep)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_unknown_subcommand_is_an_input_error(capsys):
     assert main(["frobnicate", _fx("trivial_yes.p")]) == EXIT_ERROR
     capsys.readouterr()

@@ -16,16 +16,19 @@ import time
 import pytest
 
 from guardedsat.engine import (
-    ClauseIndex, com_t, dispatch, eligible, factor, p_res, s_res,
-    side_literals, t_res,
+    ClauseIndex, clause_record, com_t, dispatch, factor, p_res, s_res,
+    side_literals,
 )
 from guardedsat.oracle import ground_entails
-from guardedsat.orders import LPO, Precedence, clause_gt
+from guardedsat.orders import LPO, Precedence, clause_gt, maximal, select_nc
+from guardedsat.qans import inferences
+from guardedsat.qsep import DefinitionRegistry, is_icq, q_sep
 from guardedsat.terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
     Var, depth, membership, width,
 )
 
+import test_qsep
 from util import CONSTS, make_symbols, preds, random_lg_set
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -76,16 +79,52 @@ def test_dispatch_flat_nonground():
 
 def test_eligible_selected_is_single_negative_compound():
     c = Clause([_lit(False, "A", App("f", (x,))), _lit(True, "B", x, y)])
-    el = eligible(c, _lpo())
-    assert el.kind == "selected"
-    assert len(el.literals) == 1 and not el.literals[0].pos
+    rec = clause_record(c, _lpo())
+    assert rec.regime == "select"
+    assert len(rec.main_literals) == 1 and not rec.main_literals[0].pos
 
 
 def test_eligible_all_negative_without_sides():
     c = Clause([_lit(False, "B", x, y), _lit(True, "A", x)])
-    el = eligible(c, _lpo())
-    assert el.kind == "all_negative"
-    assert el.literals == (_lit(False, "B", x, y),)
+    rec = clause_record(c, _lpo())
+    assert rec.regime == "topvar"
+    assert rec.main_literals == (_lit(False, "B", x, y),)
+    assert rec.side_literals == ()
+
+
+def _check_record(c, lpo):
+    rec = clause_record(c, lpo)
+    d = dispatch(c)
+    assert rec.regime == ("icq" if is_icq(c) else d), c
+    maxlits = tuple(maximal(lpo, c)) if d == "max" else ()
+    assert rec.maximal == maxlits, c
+    if d == "max":
+        assert rec.main_literals == tuple(l for l in maxlits if not l.pos)
+    elif d == "select":
+        assert rec.main_literals == (select_nc(c),), c
+    else:
+        assert rec.main_literals == tuple(l for l in c if not l.pos), c
+    assert rec.side_literals == side_literals(c, lpo), c
+    return rec
+
+
+def test_clause_record_matches_definitions():
+    symbols = make_symbols(n_preds=5, max_arity=3, n_funcs=2,
+                           rng=random.Random(7))
+    lpo = LPO(Precedence(symbols))
+    regimes = set()
+    for seed in range(30):
+        for c in random_lg_set(symbols, random.Random(seed), 8):
+            regimes.add(_check_record(c, lpo).regime)
+    for q, s in (test_qsep._chain_query(), test_qsep._cycle_query()):
+        res = q_sep(q, DefinitionRegistry(s))
+        for c in res.guarded + res.icq:
+            regimes.add(_check_record(c, LPO(Precedence(s))).regime)
+    # the generators never select a negative compound-term literal
+    sel = Clause([_lit(False, "A", App("f", (x,))), _lit(True, "B", x, y),
+                  _lit(False, "G", x, y)])
+    regimes.add(_check_record(sel, _lpo()).regime)
+    assert regimes == {"max", "select", "topvar", "icq"}
 
 
 def test_side_literals_only_strictly_maximal_positive():
@@ -127,8 +166,8 @@ def test_t_res_derives_empty_clause_from_units():
     n.add(1, Clause([_lit(True, "A", a)]))
     main = Clause([_lit(False, "A", a)])
     n.add(2, main)
-    infs = t_res(2, n)
-    assert any(len(i.conclusion) == 0 for i in infs)
+    derived = inferences(n, DefinitionRegistry(_symbols()), 2)
+    assert any(c.is_empty() for _, _, cs in derived for c in cs)
 
 
 def test_factor_positive_literals():
@@ -136,7 +175,7 @@ def test_factor_positive_literals():
     c = Clause([_lit(True, "B", App("f", (x,)), x),
                 _lit(True, "B", App("f", (x,)), y),
                 _lit(False, "G", x, y)])
-    infs = factor(1, c, lpo)
+    infs = factor(1, c, clause_record(c, lpo))
     assert infs
     for inf in infs:
         assert len(inf.conclusion) < len(c)
@@ -153,11 +192,12 @@ def _closure_steps(seed: int, symbols, allow_compound=True):
     n = ClauseIndex(lpo)
     for i, c in enumerate(clauses):
         n.add(i, c)
+    registry = DefinitionRegistry(symbols)
     steps = []
-    for cid, c in n.clauses():
-        for inf in t_res(cid, n) + factor(cid, c, lpo):
-            premises = [n.by_id[inf.main]] + [n.by_id[s] for s in inf.sides]
-            steps.append((premises, inf.conclusion))
+    for cid, _ in n.clauses():
+        for _, parents, conclusions in inferences(n, registry, cid):
+            premises = [n.by_id[p] for p in parents]
+            steps.extend((premises, concl) for concl in conclusions)
     return steps
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from guardedsat.engine import ClauseIndex, com_t
 from guardedsat.orders import LPO, Precedence
-from guardedsat.qic import closed_partition, q_ic
+from guardedsat.qic import closed_partition, q_ic_all
 from guardedsat.qsep import DefinitionRegistry
 from guardedsat.terms import (
     App, Clause, Literal, SymbolKind, SymbolOrigin, SymbolTable, Var,
@@ -62,8 +62,7 @@ def test_topvar_partition_on_cycle_query():
 def test_qic_golden_resolvent_and_repair():
     s, lpo, idx, clauses = _setup()
     premises = clauses[:4] + [clauses[4]]
-    res = q_ic(5, idx, DefinitionRegistry(s))
-    assert res is not None
+    res = q_ic_all(5, idx, DefinitionRegistry(s))[0]
     r = res.resolvent
     # resolvent depth stays within the premise depth bound
     assert depth(r) <= max(depth(c) for c in premises) == 1
@@ -86,9 +85,9 @@ def test_qic_golden_resolvent_and_repair():
 def test_qic_definers_are_reused_across_runs():
     s, lpo, idx, clauses = _setup()
     reg = DefinitionRegistry(s)
-    r1 = q_ic(5, idx, reg)
+    r1 = q_ic_all(5, idx, reg)[0]
     n_defs = len(reg)
-    r2 = q_ic(5, idx, reg)
+    r2 = q_ic_all(5, idx, reg)[0]
     assert len(reg) == n_defs
     for c1, c2 in zip(r1.lg_clauses, r2.lg_clauses):
         assert is_variant(c1, c2), (c1, c2)
