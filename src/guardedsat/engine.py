@@ -16,12 +16,21 @@ Eligibility of literals is decided per clause:
 :class:`ClauseIndex` computes these facts once per clause, when the clause
 is added, as a :class:`ClauseRecord`; :func:`resolvents` and
 :func:`factor` read the record.  The saturation loop and the tests reach
-them through :func:`guardedsat.qans.inferences`.  ``s_res`` and ``p_res``
-are reference implementations used by the test suite.
+them through :func:`guardedsat.qans.inferences`.
+
+The top-variable join (:func:`com_t_all`) is a backtracking search.  It
+fetches each selected literal's side candidates once, visits the literals
+from the fewest candidates up and extends one triangular unifier level by
+level, on level-local copies of the non-ground side literals.  When a
+new clause must take part, the search is seeded once at each literal
+where it can stand (semi-naive evaluation).  The tuples found are sorted
+into clause-id order, and only then are their sides renamed apart and the
+simultaneous unifier solved, once per tuple.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -30,6 +39,7 @@ from .qsep import is_icq
 from .terms import (
     App, Clause, Literal, Subst, Term, Var, apply_lit, apply_term,
     clause_vars, is_ground, lit_vars, mgu_lits, rename_apart, term_depth,
+    unify_into,
 )
 
 
@@ -117,19 +127,24 @@ class ClauseIndex:
         self.lpo = lpo
         self.by_id: dict[int, Clause] = {}
         self.records: dict[int, ClauseRecord] = {}
+        # ids arrive in pick order; the id list and the side-index lists
+        # are kept in id order as they grow
+        self._ids: list[int] = []
         self._side_index: dict[str, list[tuple[int, Literal]]] = {}
 
     def add(self, cid: int, c: Clause) -> None:
         rec = clause_record(c, self.lpo)
         self.by_id[cid] = c
         self.records[cid] = rec
+        insort(self._ids, cid)
         for lit in rec.side_literals:
-            self._side_index.setdefault(lit.pred, []).append((cid, lit))
-            self._side_index[lit.pred].sort(key=lambda e: e[0])
+            insort(self._side_index.setdefault(lit.pred, []), (cid, lit),
+                   key=lambda e: e[0])
 
     def remove(self, cid: int) -> None:
         if self.by_id.pop(cid, None) is None:
             return
+        del self._ids[bisect_left(self._ids, cid)]
         for pred in {l.pred for l in self.records.pop(cid).side_literals}:
             lst = self._side_index[pred]
             lst[:] = [(i, l) for (i, l) in lst if i != cid]
@@ -140,7 +155,8 @@ class ClauseIndex:
                 if cid in self.by_id]
 
     def clauses(self) -> list[tuple[int, Clause]]:
-        return sorted(self.by_id.items())
+        """The indexed clauses in id order."""
+        return [(cid, self.by_id[cid]) for cid in self._ids]
 
 
 # ---------------------------------------------------------------------------
@@ -156,70 +172,113 @@ class TopVarResult:
     side_assignment: tuple[tuple[Literal, int, Clause, Literal], ...]
 
 
-def _iter_assignments(
-        negs: Sequence[Literal], n: ClauseIndex, avoid: set[str],
-        must_include: Optional[int],
-) -> Iterator[tuple[list[tuple[Literal, int, Clause, Literal]], Subst]]:
-    """All side-premise tuples (in clause-id order) simultaneously
-    unifiable with all the selected literals."""
-    chosen: list[tuple[Literal, int, Clause, Literal]] = []
+# (position in the literal's candidate list, side clause id, side clause,
+#  side literal, side literal on this level's variable names)
+_Candidate = tuple[int, int, Clause, Literal, Literal]
 
-    def extend(i: int, pairs: list[tuple[Literal, Literal]],
-               used_must: bool):
-        if i == len(negs):
-            if must_include is not None and not used_must:
-                return
-            sigma = mgu_lits(pairs)
-            if sigma is not None:
-                yield list(chosen), sigma
+
+def _level_candidates(lit: Literal, n: ClauseIndex,
+                      level: int) -> list[_Candidate]:
+    """The side candidates of the selected literal ``lit``.  A non-ground
+    side literal is copied onto variables named ``.<level>.<name>``: no
+    other variable name starts with a dot, so the levels of the join share
+    no variable with each other or with the main premise."""
+    prefix = f".{level}."
+    out = []
+    for pos, (cid, side, pos_lit) in enumerate(n.side_candidates(lit.pred)):
+        if len(pos_lit.args) != len(lit.args):
+            continue
+        vs = lit_vars(pos_lit)
+        copy = apply_lit(pos_lit, {v: Var(prefix + v) for v in vs}) \
+            if vs else pos_lit
+        out.append((pos, cid, side, pos_lit, copy))
+    return out
+
+
+def _search(negs: Sequence[Literal], levels: list[list[_Candidate]],
+            found: list[tuple[_Candidate, ...]]) -> None:
+    """Append to ``found`` every tuple, one candidate per level, whose side
+    literals unify with ``negs`` simultaneously.  Levels are visited from
+    the fewest candidates up; each extends its own copy of the triangular
+    unifier of the levels before it."""
+    order = sorted(range(len(negs)), key=lambda i: len(levels[i]))
+    chosen: list = [None] * len(negs)
+
+    def extend(k: int, sub: Subst) -> None:
+        if k == len(order):
+            found.append(tuple(chosen))
             return
-        lit = negs[i]
-        for cid, side, pos_lit in n.side_candidates(lit.pred):
-            if len(pos_lit.args) != len(lit.args):
-                continue
-            side_r = rename_apart(side, avoid)
-            # recover the renamed positive literal by position
-            idx = side.literals.index(pos_lit)
-            pos_r = side_r.literals[idx]
-            new_pairs = pairs + [(pos_r, lit)]
-            if mgu_lits(new_pairs) is None:
-                continue
-            chosen.append((lit, cid, side_r, pos_r))
-            yield from extend(i + 1, new_pairs,
-                              used_must or cid == must_include)
-            chosen.pop()
+        i = order[k]
+        args = negs[i].args
+        for cand in levels[i]:
+            sub2 = dict(sub)
+            if unify_into(zip(cand[4].args, args), sub2) is None:
+                chosen[i] = cand
+                extend(k + 1, sub2)
 
-    yield from extend(0, [], must_include is None)
+    extend(0, {})
 
 
-def com_t(main: Clause, lpo: LPO, n: ClauseIndex,
-          must_include: Optional[int] = None) -> Optional[TopVarResult]:
-    """Compute the prospective simultaneous unifier and the top variables.
+def _join(negs: Sequence[Literal], n: ClauseIndex,
+          must_include: Optional[int]) -> list[tuple[_Candidate, ...]]:
+    """All side-premise tuples simultaneously unifiable with the selected
+    literals ``negs``, in clause-id order (lexicographic by candidate
+    position, literal by literal).
 
-    Returns ``None`` when no side premises exist for the selected literals
-    of ``main`` (the clause then stays passive).
+    With ``must_include``, only the tuples that use that clause: the join
+    is seeded once at each level ``p`` where it can stand, with earlier
+    levels excluding it and later levels open, so every such tuple is
+    found exactly once (semi-naive evaluation).
     """
-    for tv in com_t_all(main, lpo, n, must_include=must_include):
-        return tv
-    return None
+    levels = []
+    for i, lit in enumerate(negs):
+        levels.append(_level_candidates(lit, n, i))
+        if not levels[-1]:
+            return []
+    found: list[tuple[_Candidate, ...]] = []
+    if must_include is None:
+        _search(negs, levels, found)
+    else:
+        for p, level in enumerate(levels):
+            new = [c for c in level if c[1] == must_include]
+            if new:
+                _search(negs, [[c for c in lv if c[1] != must_include]
+                               for lv in levels[:p]]
+                        + [new] + levels[p + 1:], found)
+    found.sort(key=lambda chosen: tuple(c[0] for c in chosen))
+    return found
 
 
 def com_t_all(main: Clause, lpo: LPO, n: ClauseIndex,
               must_include: Optional[int] = None) -> Iterator[TopVarResult]:
     """All side-premise assignments for the selected literals of ``main``,
-    each with its simultaneous unifier and top variables."""
+    each with its simultaneous unifier and top variables.
+
+    The sides of each assignment are renamed apart from ``main`` and the
+    unifier is solved afresh on them, so the join's own variable copies
+    never reach a conclusion.
+    """
     negs = [l for l in main if not l.pos]
     if not negs:
         return
-    avoid = set(clause_vars(main))
     mvars = clause_vars(main)
-    for chosen, sigma in _iter_assignments(negs, n, avoid, must_include):
+    for chosen in _join(negs, n, must_include):
+        assignment = []
+        for lit, (_, cid, side, pos_lit, _) in zip(negs, chosen):
+            side_r = rename_apart(side, mvars)
+            # the renamed side literal is found by position, which only
+            # holds while renaming keeps the side's literal order
+            pos_r = side_r.literals[side.literals.index(pos_lit)]
+            assignment.append((lit, cid, side_r, pos_r))
+        sigma = mgu_lits([(pos_r, lit) for lit, _, _, pos_r in assignment])
+        if sigma is None:
+            continue
         depths = {v: term_depth(apply_term(Var(v), sigma)) for v in mvars}
         top_depth = max(depths.values(), default=0)
         top_vars = frozenset(v for v, d in depths.items()
                              if d == top_depth)
         top_literals = tuple(l for l in negs if lit_vars(l) & top_vars)
-        yield TopVarResult(sigma, top_vars, top_literals, tuple(chosen))
+        yield TopVarResult(sigma, top_vars, top_literals, tuple(assignment))
 
 
 # ---------------------------------------------------------------------------
@@ -342,54 +401,6 @@ def resolvents(main_id: int, n: ClauseIndex,
             out.extend(_binary_resolvents(main_id, main, neg, n,
                                           only_side=only_side))
     return out
-
-
-# ---------------------------------------------------------------------------
-# reference rules for the test suite
-
-
-def s_res(main_id: int, main: Clause, n: ClauseIndex) -> list[Inference]:
-    """Full simultaneous resolution: resolve *all* selected literals."""
-    negs = [l for l in main if not l.pos]
-    tvr = com_t(main, n.lpo, n)
-    if tvr is None:
-        return []
-    sigma = tvr.sres_mgu
-    lits = [l for l in main if l.pos]
-    side_ids = []
-    for (mlit, cid, side_r, pos_r) in tvr.side_assignment:
-        side_ids.append(cid)
-        lits.extend(_remove_one(side_r, pos_r))
-    concl = Clause(dict.fromkeys(apply_lit(l, sigma) for l in lits))
-    del negs
-    return [Inference("SRes", main_id, tuple(side_ids), _freeze(sigma),
-                      concl, sres_mgu=_freeze(sigma))]
-
-
-def p_res(main_id: int, main: Clause, n: ClauseIndex,
-          subset: Sequence[Literal]) -> list[Inference]:
-    """Partial resolution: resolve a chosen subset of the selected
-    literals, provided the full simultaneous unifier exists."""
-    tvr = com_t(main, n.lpo, n)
-    if tvr is None:
-        return []
-    pairs = []
-    side_ids = []
-    extra: list[Literal] = []
-    chosen = set(subset)
-    for (mlit, cid, side_r, pos_r) in tvr.side_assignment:
-        if mlit in chosen:
-            pairs.append((pos_r, mlit))
-            side_ids.append(cid)
-            extra.extend(_remove_one(side_r, pos_r))
-    sigma = mgu_lits(pairs)
-    if sigma is None:
-        return []
-    rest = [l for l in main if l not in chosen or l.pos]
-    concl = Clause(dict.fromkeys(
-        apply_lit(l, sigma) for l in rest + extra))
-    return [Inference("PRes", main_id, tuple(side_ids), _freeze(sigma),
-                      concl, sres_mgu=_freeze(tvr.sres_mgu))]
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,7 @@ class SaturationState:
         c = condense(c)
         if is_tautology(c):
             return None
+        # in id order, which fixes how many tests run before a subsumer
         for d in list(self.usable.values()) + \
                 [cl for _, cl in self.worked_off.clauses()]:
             if len(d) <= len(c) and subsumes(d, c):
@@ -82,7 +83,7 @@ class SaturationState:
             if len(c) <= len(d) and subsumes(c, d):
                 del self.usable[cid]
                 del self.weights[cid]
-        for cid, d in list(self.worked_off.clauses()):
+        for cid, d in list(self.worked_off.by_id.items()):
             if len(c) <= len(d) and subsumes(c, d):
                 self.worked_off.remove(cid)
         cid = self.next_id

@@ -362,15 +362,16 @@ def _occurs(name: str, t: Term, sub: Subst) -> bool:
     return False
 
 
-def mgu_ex(pairs: Sequence[tuple[Term, Term]]
-           ) -> tuple[Optional[Subst], Optional[UnifyFail]]:
-    """Simultaneous mgu of term pairs, or a failure reason.
+def unify_into(pairs: Iterable[tuple[Term, Term]],
+               sub: Subst) -> Optional[UnifyFail]:
+    """Extend the triangular substitution ``sub`` in place so that it
+    unifies every pair; ``None`` on success, else the failure reason
+    (``sub`` is then partly extended and should be dropped).
 
     When a variable meets a variable, the left one is bound; callers that
     care about binding orientation (the top-variable machinery does) should
     put the side-premise term on the left.
     """
-    sub: Subst = {}
     stack = list(pairs)
     while stack:
         s, t = stack.pop()
@@ -379,18 +380,29 @@ def mgu_ex(pairs: Sequence[tuple[Term, Term]]
             continue
         if isinstance(s, Var):
             if _occurs(s.name, t, sub):
-                return None, UnifyFail.OCCURS
+                return UnifyFail.OCCURS
             sub[s.name] = t
         elif isinstance(t, Var):
             if _occurs(t.name, s, sub):
-                return None, UnifyFail.OCCURS
+                return UnifyFail.OCCURS
             sub[t.name] = s
         elif isinstance(s, Const) or isinstance(t, Const):
-            return None, UnifyFail.CLASH
+            return UnifyFail.CLASH
         else:
             if s.fn != t.fn or len(s.args) != len(t.args):
-                return None, UnifyFail.CLASH
+                return UnifyFail.CLASH
             stack.extend(zip(s.args, t.args))
+    return None
+
+
+def mgu_ex(pairs: Sequence[tuple[Term, Term]]
+           ) -> tuple[Optional[Subst], Optional[UnifyFail]]:
+    """Simultaneous mgu of term pairs, or a failure reason (see
+    :func:`unify_into` for the binding orientation)."""
+    sub: Subst = {}
+    fail = unify_into(pairs, sub)
+    if fail is not None:
+        return None, fail
     return normalize(sub), None
 
 
@@ -511,8 +523,8 @@ def subsumes(c: Clause, d: Clause) -> bool:
     sig_d = {(l.pred, l.pos) for l in d}
     if any((l.pred, l.pos) not in sig_d for l in c):
         return False
-    # variables of c must be treated as pattern variables disjoint from d's
-    c = rename_apart(c, clause_vars(d))
+    # one-way matching never applies its substitution to d, so c and d
+    # may share variable names
     return _subsume_search(c.literals, d.literals, {}, 0, False) is not None
 
 
@@ -520,11 +532,10 @@ def is_variant(c: Clause, d: Clause) -> bool:
     """True if ``c`` and ``d`` differ only by a bijective variable renaming."""
     if len(c) != len(d) or width(c) != width(d):
         return False
-    d2 = rename_apart(d, clause_vars(c))
-    fwd = _subsume_search(c.literals, d2.literals, {}, 0, True)
+    fwd = _subsume_search(c.literals, d.literals, {}, 0, True)
     if fwd is None:
         return False
-    bwd = _subsume_search(d2.literals, c.literals, {}, 0, True)
+    bwd = _subsume_search(d.literals, c.literals, {}, 0, True)
     return bwd is not None
 
 

@@ -24,16 +24,15 @@ from guardedsat.qsep import DefinitionRegistry, is_icq, q_sep
 from guardedsat.syntax import Exists, Forall, Not, parse, print_formula, \
     parse_formula
 from guardedsat.terms import (
-    Clause, Literal, SymbolKind, Var, depth, membership, width,
+    Clause, Literal, SymbolKind, Var, depth, is_variant, membership, width,
 )
-from guardedsat.engine import p_res, s_res
 
 import test_qans
 import test_qic
 import test_qrew
 import test_qsep
 from test_engine import _closure_steps, _random_ground_sres
-from util import CONSTS, make_symbols, random_problem
+from util import CONSTS, make_symbols, p_res, random_problem, s_res
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -43,6 +42,7 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 def test_criterion_01_golden_derivation():
     state = test_qans._golden_state()
+    kept = test_qans.record_kept(state)
     t0 = time.monotonic()
     verdict = saturate(state)
     elapsed = time.monotonic() - t0
@@ -54,11 +54,12 @@ def test_criterion_01_golden_derivation():
         "[10] TRes2b(1,4,2) ~A2(z,z) | B(f(z),z,b) | D(g(z))"
         " | ~G1(z) | ~G3(z)",
         "[11] TRes2b(5,10) ~A2(y,y) | D(g(y)) | ~G1(y) | ~G3(y)",
-        "[12] TRes2b(6,11) ~A2(_v11,_v11) | ~G1(_v11) | ~G3(_v11)",
+        "[12] TRes2b(6,11) ~A2(_v4,_v4) | ~G1(_v4) | ~G3(_v4)",
         "[13] TRes2b(12,3,7,8) ~G2(a)",
         "[14] TRes2a(13,9) []",
     ):
         assert line in text, line
+    assert is_variant(kept[12], test_qans.golden_12_as_v11())
 
 
 # -- 2 ----------------------------------------------------------------------

@@ -16,8 +16,7 @@ import time
 import pytest
 
 from guardedsat.engine import (
-    ClauseIndex, clause_record, com_t, dispatch, factor, p_res, s_res,
-    side_literals,
+    ClauseIndex, clause_record, com_t_all, dispatch, factor, side_literals,
 )
 from guardedsat.oracle import ground_entails
 from guardedsat.orders import LPO, Precedence, clause_gt, maximal, select_nc
@@ -25,11 +24,14 @@ from guardedsat.qans import inferences
 from guardedsat.qsep import DefinitionRegistry, is_icq, q_sep
 from guardedsat.terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
-    Var, depth, membership, width,
+    Var, apply_lit, depth, is_variant, membership, width,
 )
 
 import test_qsep
-from util import CONSTS, make_symbols, preds, random_lg_set
+from util import (
+    CONSTS, com_t, make_symbols, p_res, preds, random_ground_atom,
+    random_lg_set, reference_com_t_all, s_res,
+)
 
 x, y, z = Var("x"), Var("y"), Var("z")
 a, b = Const("a"), Const("b")
@@ -158,6 +160,82 @@ def test_com_t_simultaneous_unifier_and_top_variables():
     assert all(l.pred == "A" or "x" in {v.name for v in l.args
                                         if isinstance(v, Var)}
                for l in tv.top_literals)
+
+
+# ---------------------------------------------------------------------------
+# the top-variable join against the nested-loop reference
+
+
+def _join_signature(tv):
+    """(main literal, side id, position of the side literal) per level."""
+    return [(mlit, cid, side_r.literals.index(pos_r))
+            for mlit, cid, side_r, pos_r in tv.side_assignment]
+
+
+def _assert_joins_agree(main, n):
+    """The engine's join and the reference join give the same assignments
+    in the same order, with and without each indexed clause required."""
+    negs = [l for l in main if not l.pos]
+    results = 0
+    for must in [None] + sorted(n.by_id):
+        got = list(com_t_all(main, n.lpo, n, must_include=must))
+        want = list(reference_com_t_all(main, n.lpo, n, must_include=must))
+        assert [_join_signature(tv) for tv in got] == \
+            [_join_signature(tv) for tv in want], (main, must)
+        for g, w in zip(got, want):
+            assert g.top_vars == w.top_vars
+            assert g.top_literals == w.top_literals
+            assert is_variant(
+                Clause([apply_lit(l, g.sres_mgu) for l in negs]),
+                Clause([apply_lit(l, w.sres_mgu) for l in negs])), (main, must)
+        results += len(got)
+    return results
+
+
+def _icq_join_index(rng):
+    """The ICQ main that q_sep makes from the cycle query, indexed with
+    random ground facts and guarded compound-term sides on its
+    predicates."""
+    q, s = test_qsep._cycle_query()
+    (icq,) = q_sep(q, DefinitionRegistry(s)).icq
+    for c in CONSTS:
+        s.declare(c, SymbolKind.CONSTANT, 0, SymbolOrigin.INPUT)
+    s.declare("f", SymbolKind.FUNCTION, 1, SymbolOrigin.SKOLEM)
+    s.declare("g", SymbolKind.PREDICATE, 1, SymbolOrigin.INPUT)
+    n = ClauseIndex(LPO(Precedence(s)))
+    n.add(0, icq)
+    fx = App("f", (x,))
+    cid = 0
+    for pred in sorted({l.pred for l in icq}):
+        for _ in range(rng.randint(0, 3)):
+            cid += 1
+            n.add(cid, Clause([_lit(True, pred, Const(rng.choice(CONSTS)),
+                                    Const(rng.choice(CONSTS)))]))
+        for _ in range(rng.randint(0, 2)):
+            cid += 1
+            args = rng.choice([(x, fx), (fx, x), (fx, fx)])
+            n.add(cid, Clause([_lit(True, pred, *args), _lit(False, "g", x)]))
+    return icq, n
+
+
+def test_join_agrees_with_nested_loop_reference():
+    symbols = make_symbols(n_preds=5, max_arity=3, n_funcs=2,
+                           rng=random.Random(7))
+    results = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        clauses = random_lg_set(symbols, rng, 8)
+        clauses += [Clause([random_ground_atom(symbols, rng)])
+                    for _ in range(6)]
+        n = ClauseIndex(LPO(Precedence(symbols)))
+        for i, c in enumerate(clauses):
+            n.add(i, c)
+        for cid, c in n.clauses():
+            if n.records[cid].regime == "topvar":
+                results += _assert_joins_agree(c, n)
+        icq, icq_index = _icq_join_index(rng)
+        results += _assert_joins_agree(icq, icq_index)
+    assert results >= 200, results
 
 
 def test_t_res_derives_empty_clause_from_units():

@@ -21,7 +21,7 @@ from guardedsat.orders import LPO, Precedence
 from guardedsat.syntax import parse
 from guardedsat.terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
-    Var,
+    Var, is_variant,
 )
 
 from util import random_problem
@@ -75,8 +75,35 @@ def _golden_state():
     return state
 
 
+def record_kept(state: SaturationState) -> dict[int, Clause]:
+    """From now on, map the id of every clause ``state`` keeps to the
+    clause as inserted (the clause may later leave both sets)."""
+    kept: dict[int, Clause] = {}
+    insert = state.insert
+
+    def recording(c: Clause, reason: str):
+        cid = insert(c, reason)
+        if cid is not None:
+            kept[cid] = state.usable[cid]
+        return cid
+
+    state.insert = recording
+    return kept
+
+
+def golden_12_as_v11() -> Clause:
+    """Conclusion [12] of the golden derivation with its fresh variable
+    named ``_v11``.  The number of a fresh variable depends on how many
+    renames came before it; the clause must stay this one up to
+    renaming."""
+    v = Var("_v11")
+    return Clause([Literal(False, "A2", (v, v)), Literal(False, "G1", (v,)),
+                   Literal(False, "G3", (v,))])
+
+
 def test_golden_derivation():
     state = _golden_state()
+    kept = record_kept(state)
     t0 = time.monotonic()
     verdict = saturate(state)
     elapsed = time.monotonic() - t0
@@ -88,8 +115,8 @@ def test_golden_derivation():
     assert "[10] TRes2b(1,4,2) ~A2(z,z) | B(f(z),z,b) | D(g(z))" \
            " | ~G1(z) | ~G3(z)" in text
     assert "[11] TRes2b(5,10) ~A2(y,y) | D(g(y)) | ~G1(y) | ~G3(y)" in text
-    assert "[12] TRes2b(6,11) ~A2(_v11,_v11) | ~G1(_v11) | ~G3(_v11)" \
-           in text
+    assert "[12] TRes2b(6,11) ~A2(_v4,_v4) | ~G1(_v4) | ~G3(_v4)" in text
+    assert is_variant(kept[12], golden_12_as_v11())
     assert "[13] TRes2b(12,3,7,8) ~G2(a)" in text
     assert "[14] TRes2a(13,9) []" in text
 

@@ -7,7 +7,7 @@ repaired into one loosely guarded clause plus a guarded definer chain.
 
 from __future__ import annotations
 
-from guardedsat.engine import ClauseIndex, com_t
+from guardedsat.engine import ClauseIndex
 from guardedsat.orders import LPO, Precedence
 from guardedsat.qic import closed_partition, q_ic_all
 from guardedsat.qsep import DefinitionRegistry
@@ -15,6 +15,8 @@ from guardedsat.terms import (
     App, Clause, Literal, SymbolKind, SymbolOrigin, SymbolTable, Var,
     depth, is_variant, membership,
 )
+
+from util import com_t
 
 
 def _setup():

@@ -1,20 +1,31 @@
-"""Shared random generators for the property suites.
+"""Shared random generators and reference rules for the test suites.
 
 The generators build clauses in the loosely guarded class by
 construction: a guard literal covers every variable pair, compound terms
 contain the full variable sequence (covering + strong compatibility).
+
+The reference rules are the nested-loop top-variable join
+(:func:`reference_com_t_all`), which the engine's join is checked
+against, and full and partial simultaneous resolution (:func:`s_res`,
+:func:`p_res`), which the redundancy tests compare.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Iterator, Optional, Sequence
 
+from guardedsat.engine import (
+    ClauseIndex, Inference, TopVarResult, _freeze, _remove_one, com_t_all,
+)
+from guardedsat.orders import LPO
 from guardedsat.syntax import (
     And, AtomF, Exists, Forall, Implies, Or, Problem,
 )
 from guardedsat.terms import (
-    App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
-    Var, membership,
+    App, Clause, Const, Literal, Subst, SymbolKind, SymbolOrigin,
+    SymbolTable, Var, apply_lit, apply_term, clause_vars, lit_vars,
+    membership, mgu_lits, rename_apart, term_depth,
 )
 
 CONSTS = ("c1", "c2", "c3")
@@ -155,3 +166,113 @@ def random_problem(rng: random.Random, n_preds: int = 6,
     body = atoms[0] if len(atoms) == 1 else And(tuple(atoms))
     prob.queries.append(Exists(qvars, body))
     return prob
+
+
+# ---------------------------------------------------------------------------
+# reference rules
+
+
+def _iter_assignments(
+        negs: Sequence[Literal], n: ClauseIndex, avoid: set[str],
+        must_include: Optional[int],
+) -> Iterator[tuple[list[tuple[Literal, int, Clause, Literal]], Subst]]:
+    """All side-premise tuples (in clause-id order) simultaneously
+    unifiable with all the selected literals."""
+    chosen: list[tuple[Literal, int, Clause, Literal]] = []
+
+    def extend(i: int, pairs: list[tuple[Literal, Literal]],
+               used_must: bool):
+        if i == len(negs):
+            if must_include is not None and not used_must:
+                return
+            sigma = mgu_lits(pairs)
+            if sigma is not None:
+                yield list(chosen), sigma
+            return
+        lit = negs[i]
+        for cid, side, pos_lit in n.side_candidates(lit.pred):
+            if len(pos_lit.args) != len(lit.args):
+                continue
+            side_r = rename_apart(side, avoid)
+            # recover the renamed positive literal by position
+            idx = side.literals.index(pos_lit)
+            pos_r = side_r.literals[idx]
+            new_pairs = pairs + [(pos_r, lit)]
+            if mgu_lits(new_pairs) is None:
+                continue
+            chosen.append((lit, cid, side_r, pos_r))
+            yield from extend(i + 1, new_pairs,
+                              used_must or cid == must_include)
+            chosen.pop()
+
+    yield from extend(0, [], must_include is None)
+
+
+def reference_com_t_all(main: Clause, lpo: LPO, n: ClauseIndex,
+                        must_include: Optional[int] = None
+                        ) -> Iterator[TopVarResult]:
+    """The top-variable join as a nested loop that renames every candidate
+    and re-solves the whole unifier at every level."""
+    negs = [l for l in main if not l.pos]
+    if not negs:
+        return
+    avoid = set(clause_vars(main))
+    mvars = clause_vars(main)
+    for chosen, sigma in _iter_assignments(negs, n, avoid, must_include):
+        depths = {v: term_depth(apply_term(Var(v), sigma)) for v in mvars}
+        top_depth = max(depths.values(), default=0)
+        top_vars = frozenset(v for v, d in depths.items()
+                             if d == top_depth)
+        top_literals = tuple(l for l in negs if lit_vars(l) & top_vars)
+        yield TopVarResult(sigma, top_vars, top_literals, tuple(chosen))
+
+
+def com_t(main: Clause, lpo: LPO, n: ClauseIndex,
+          must_include: Optional[int] = None) -> Optional[TopVarResult]:
+    """The first side-premise assignment of :func:`com_t_all`, or ``None``
+    when the selected literals of ``main`` have none."""
+    for tv in com_t_all(main, lpo, n, must_include=must_include):
+        return tv
+    return None
+
+
+def s_res(main_id: int, main: Clause, n: ClauseIndex) -> list[Inference]:
+    """Full simultaneous resolution: resolve *all* selected literals."""
+    tvr = com_t(main, n.lpo, n)
+    if tvr is None:
+        return []
+    sigma = tvr.sres_mgu
+    lits = [l for l in main if l.pos]
+    side_ids = []
+    for (mlit, cid, side_r, pos_r) in tvr.side_assignment:
+        side_ids.append(cid)
+        lits.extend(_remove_one(side_r, pos_r))
+    concl = Clause(dict.fromkeys(apply_lit(l, sigma) for l in lits))
+    return [Inference("SRes", main_id, tuple(side_ids), _freeze(sigma),
+                      concl, sres_mgu=_freeze(sigma))]
+
+
+def p_res(main_id: int, main: Clause, n: ClauseIndex,
+          subset: Sequence[Literal]) -> list[Inference]:
+    """Partial resolution: resolve a chosen subset of the selected
+    literals, provided the full simultaneous unifier exists."""
+    tvr = com_t(main, n.lpo, n)
+    if tvr is None:
+        return []
+    pairs = []
+    side_ids = []
+    extra: list[Literal] = []
+    chosen = set(subset)
+    for (mlit, cid, side_r, pos_r) in tvr.side_assignment:
+        if mlit in chosen:
+            pairs.append((pos_r, mlit))
+            side_ids.append(cid)
+            extra.extend(_remove_one(side_r, pos_r))
+    sigma = mgu_lits(pairs)
+    if sigma is None:
+        return []
+    rest = [l for l in main if l not in chosen or l.pos]
+    concl = Clause(dict.fromkeys(
+        apply_lit(l, sigma) for l in rest + extra))
+    return [Inference("PRes", main_id, tuple(side_ids), _freeze(sigma),
+                      concl, sres_mgu=_freeze(tvr.sres_mgu))]
