@@ -178,7 +178,7 @@ def q_sep(q: Clause, reg: DefinitionRegistry) -> SepResult:
     """
     res = SepResult()
     before = len(reg)
-    todo = [condense(q)]
+    todo = [q]
     while todo:
         cur = condense(todo.pop())
         if cur.is_empty():

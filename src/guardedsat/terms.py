@@ -7,6 +7,18 @@ multiset of literals stored in a deterministic order.
 
 Substitutions are plain ``dict[str, Term]`` mapping variable names to terms.
 ``mgu`` keeps them idempotent, so applying a substitution once is enough.
+
+The clause-redundancy kernels stay polynomial on cyclic queries.  The
+subsumption search (behind ``subsumes`` and ``is_variant``) visits the
+pattern literals in connected order: the first literal, then each time
+the one sharing the most variables with those already placed, ties by
+clause order.  ``condense`` first asks, with at most one search per
+literal, whether the clause maps into itself minus one literal; only a
+clause that can shrink runs a step of the pairwise scan.  ``membership``
+decides "LG" and "guarded" directly: covering only grows with the
+literal set, so a loose guard exists iff all negative flat literals
+together cover every variable and pair, and a guard of at most one
+literal exists iff one of them holds every variable.
 """
 
 from __future__ import annotations
@@ -180,7 +192,7 @@ class Clause:
     equality: two clauses are equal when their sorted literal tuples are.
     """
 
-    __slots__ = ("literals", "label", "parents", "_hash")
+    __slots__ = ("literals", "label", "parents", "_hash", "_order")
 
     def __init__(self, literals: Iterable[Literal], label: str = "",
                  parents: tuple[int, ...] = ()) -> None:
@@ -189,6 +201,14 @@ class Clause:
         self.label = label
         self.parents = parents
         self._hash = hash(self.literals)
+        self._order: Optional[Sequence[Literal]] = None
+
+    def search_order(self) -> Sequence[Literal]:
+        """The literals in the order the subsumption search visits them
+        (see :func:`_search_order`), worked out once per clause."""
+        if self._order is None:
+            self._order = _search_order(self.literals)
+        return self._order
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Clause) and self.literals == other.literals
@@ -497,6 +517,25 @@ def rename_apart(c: Clause, avoid: set[str] | None = None) -> Clause:
 # variants, subsumption, condensation
 
 
+def _search_order(lits: Sequence[Literal]) -> Sequence[Literal]:
+    """Pattern literals in connected order: the first literal, then each
+    time the one sharing the most variables with those already placed
+    (ties by clause order).  On a cycle every literal after the first
+    meets a bound variable, so the search follows the cycle instead of
+    guessing each literal afresh."""
+    if len(lits) <= 2:
+        return lits
+    rest = [(lit_vars(lit), lit) for lit in lits]
+    placed, first = rest.pop(0)
+    order = [first]
+    while rest:
+        k = max(range(len(rest)), key=lambda i: len(rest[i][0] & placed))
+        vs, lit = rest.pop(k)
+        placed |= vs
+        order.append(lit)
+    return order
+
+
 def _subsume_search(pat: Sequence[Literal], target: Sequence[Literal],
                     sub: Subst, i: int, bijective: bool) -> Optional[Subst]:
     if i == len(pat):
@@ -525,41 +564,68 @@ def subsumes(c: Clause, d: Clause) -> bool:
         return False
     # one-way matching never applies its substitution to d, so c and d
     # may share variable names
-    return _subsume_search(c.literals, d.literals, {}, 0, False) is not None
+    return _subsume_search(c.search_order(), d.literals, {}, 0,
+                           False) is not None
 
 
 def is_variant(c: Clause, d: Clause) -> bool:
     """True if ``c`` and ``d`` differ only by a bijective variable renaming."""
     if len(c) != len(d) or width(c) != width(d):
         return False
-    fwd = _subsume_search(c.literals, d.literals, {}, 0, True)
+    fwd = _subsume_search(c.search_order(), d.literals, {}, 0, True)
     if fwd is None:
         return False
-    bwd = _subsume_search(d.literals, c.literals, {}, 0, True)
+    bwd = _subsume_search(d.search_order(), c.literals, {}, 0, True)
     return bwd is not None
 
 
+def _is_condensed(lits: list[Literal]) -> bool:
+    """True if no ``theta`` maps the clause into itself minus one literal.
+
+    Only a literal that matches another literal can be left out, so this
+    takes at most one search per literal.
+    """
+    order = _search_order(lits)
+    for k, lk in enumerate(lits):
+        if all(match_lit(lk, l, {}) is None
+               for j, l in enumerate(lits) if j != k):
+            continue
+        if _subsume_search(order, lits[:k] + lits[k + 1:], {}, 0,
+                           False) is not None:
+            return False
+    return True
+
+
+def _condense_step(lits: list[Literal]) -> Optional[list[Literal]]:
+    """The first instance ``lits sigma`` (``sigma`` matching one literal
+    onto another) that is smaller and still subsumes ``lits``."""
+    for i, li in enumerate(lits):
+        for j, lj in enumerate(lits):
+            if i == j:
+                continue
+            sub = match_lit(li, lj, {})
+            if sub is None:
+                continue
+            cand = list(dict.fromkeys(apply_lit(l, sub) for l in lits))
+            if len(cand) < len(lits) and \
+                    subsumes(Clause(cand), Clause(lits)):
+                return cand
+    return None
+
+
 def condense(c: Clause) -> Clause:
-    """Smallest factor of ``c`` that subsumes ``c`` (unique up to renaming)."""
+    """Smallest factor of ``c`` that subsumes ``c`` (unique up to renaming).
+
+    The pair scan runs only while the clause can still shrink: a step
+    that succeeds maps the clause into itself minus some literal, which
+    :func:`_is_condensed` rules out first.
+    """
     lits = list(dict.fromkeys(c.literals))  # drop exact duplicates
-    changed = True
-    while changed:
-        changed = False
-        for i, li in enumerate(lits):
-            for j, lj in enumerate(lits):
-                if i == j:
-                    continue
-                sub = match_lit(li, lj, {})
-                if sub is None:
-                    continue
-                cand = list(dict.fromkeys(apply_lit(l, sub) for l in lits))
-                if len(cand) < len(lits) and \
-                        subsumes(Clause(cand), Clause(lits)):
-                    lits = cand
-                    changed = True
-                    break
-            if changed:
-                break
+    while not _is_condensed(lits):
+        step = _condense_step(lits)
+        if step is None:
+            break
+        lits = step
     return Clause(lits, label=c.label, parents=c.parents)
 
 
@@ -686,40 +752,32 @@ def variable_components(c: Clause) -> list[list[Literal]]:
     return list(groups.values())
 
 
-GROUND_GUARD = ()
+def _guards(c: Clause) -> tuple[bool, bool]:
+    """Whether the clause has a loose guard, and a guard of at most one
+    literal.
 
-
-def loose_guards(c: Clause) -> list[tuple[Literal, ...]]:
-    """All minimal loose guards of a clause.
-
-    A loose guard is a set of negative flat literals in which every variable
-    of the clause occurs and every pair of distinct variables co-occurs in
-    one literal.  A ground clause needs no guard: the distinguished witness
-    ``()`` is returned.  Clauses with no guard yield the empty list.
+    A loose guard is a set of negative flat non-equality literals in which
+    every variable of the clause occurs and every pair of distinct
+    variables co-occurs in one literal.  Covering only grows with the set,
+    so a loose guard exists iff all such literals together are one.  A
+    ground clause needs no guard.
     """
-    if is_ground(c):
-        return [GROUND_GUARD]
-    cvars = sorted(clause_vars(c))
-    need_pairs = {frozenset(p) for p in itertools.combinations(cvars, 2)}
-    candidates = [lit for lit in c
-                  if not lit.pos and not lit.is_eq
-                  and all(_is_flat_term(a) for a in lit.args)]
-    # BFS over subsets by size so only minimal guards are reported
-    found: list[tuple[Literal, ...]] = []
-    for size in range(1, len(candidates) + 1):
-        for combo in itertools.combinations(candidates, size):
-            if any(set(g) < set(combo) for g in found):
-                continue
-            covered_vars: set[str] = set()
-            covered_pairs: set[frozenset[str]] = set()
-            for lit in combo:
-                vs = lit_vars(lit)
-                covered_vars |= vs
-                covered_pairs |= {frozenset(p)
-                                  for p in itertools.combinations(sorted(vs), 2)}
-            if covered_vars >= set(cvars) and covered_pairs >= need_pairs:
-                found.append(combo)
-    return found
+    cvars = clause_vars(c)
+    if not cvars:
+        return True, True
+    covered: set[str] = set()
+    pairs: set[tuple[str, str]] = set()
+    single = False
+    for lit in c:
+        if lit.pos or lit.is_eq or \
+                not all(_is_flat_term(a) for a in lit.args):
+            continue
+        vs = lit_vars(lit)
+        single = single or vs == cvars
+        covered |= vs
+        pairs.update(itertools.combinations(sorted(vs), 2))
+    n = len(cvars)
+    return covered == cvars and len(pairs) == n * (n - 1) // 2, single
 
 
 def membership(c: Clause) -> set[str]:
@@ -734,11 +792,12 @@ def membership(c: Clause) -> set[str]:
         out.add("query")
     if any(lit.is_eq for lit in c):
         return out
-    guards = loose_guards(c)
-    if flags.simple and flags.covering and flags.strongly_compatible and guards:
-        out.add("LG")
-        if any(len(g) <= 1 for g in guards):
-            out.add("guarded")
-            if sum(1 for lit in c if lit.pos) <= 1:
-                out.add("horn_guarded")
+    if flags.simple and flags.covering and flags.strongly_compatible:
+        loose, single = _guards(c)
+        if loose:
+            out.add("LG")
+            if single:
+                out.add("guarded")
+                if sum(1 for lit in c if lit.pos) <= 1:
+                    out.add("horn_guarded")
     return out

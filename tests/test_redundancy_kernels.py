@@ -1,0 +1,160 @@
+"""The clause-redundancy kernels of ``terms`` against their references.
+
+``subsumes``, ``is_variant``, ``condense`` and ``membership`` must give
+exactly the answers of the clause-order search, the pairwise
+condensation loop and the minimal-loose-guard enumeration kept in
+``tests/util.py``; and condensing a long cycle must stay cheap whatever
+its variable names.
+"""
+
+from __future__ import annotations
+
+import random
+
+from guardedsat import terms
+from guardedsat.terms import (
+    App, Clause, Const, Literal, Var, apply_clause, clause_vars, condense,
+    is_variant, membership, subsumes,
+)
+
+from util import (
+    make_symbols, random_lg_clause, reference_condense,
+    reference_is_variant, reference_membership, reference_subsumes,
+)
+
+
+def _vars(rng: random.Random, n: int) -> list[Var]:
+    """``n`` distinct variables under a random naming, so the clause
+    order of the literals varies from clause to clause."""
+    return [Var(f"V{i}") for i in rng.sample(range(100), n)]
+
+
+def _flat_negative(rng: random.Random) -> Clause:
+    """A path, cycle or clique of binary negative literals on 1-5
+    variables, over one or two predicates."""
+    vs = _vars(rng, rng.randint(1, 5))
+    shape = rng.choice(["path", "cycle", "clique"])
+    if shape == "path":
+        edges = list(zip(vs, vs[1:])) or [(vs[0], vs[0])]
+    elif shape == "cycle":
+        edges = list(zip(vs, vs[1:] + vs[:1]))
+    else:
+        edges = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]] \
+            or [(vs[0], vs[0])]
+    preds = ["r"] if rng.random() < 0.5 else ["r", "s"]
+    return Clause(Literal(False, rng.choice(preds), e) for e in edges)
+
+
+def _ground_or_equality(rng: random.Random) -> Clause:
+    """A ground clause, or a clause with one equality literal."""
+    consts = [Const("a"), Const("b")]
+    lits = [Literal(rng.random() < 0.5, rng.choice(["p", "q"]),
+                    (rng.choice(consts),))
+            for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        x, y = _vars(rng, 2)
+        lits.append(Literal(False, "r", (x, y)))
+        lits.append(Literal(rng.random() < 0.5, terms.EQ,
+                            (x, rng.choice([y, consts[0]]))))
+    return Clause(lits)
+
+
+def _redundant(rng: random.Random) -> Clause:
+    """Few predicates, shared variables and Skolem terms; half the time
+    joined with an instance of itself, so that it can shrink."""
+    vs = _vars(rng, rng.randint(1, 3))
+
+    def arg() -> Var | Const | App:
+        r = rng.random()
+        if r < 0.15:
+            return App("f", (rng.choice(vs),))
+        if r < 0.25:
+            return Const("a")
+        return rng.choice(vs)
+
+    lits = [Literal(rng.random() < 0.4, rng.choice(["p", "q"]),
+                    tuple(arg() for _ in range(2)))
+            for _ in range(rng.randint(1, 4))]
+    c = Clause(lits)
+    if rng.random() < 0.5:
+        sigma = {v: rng.choice(vs + [Var("W")]) for v in clause_vars(c)}
+        c = Clause(lits + list(apply_clause(c, sigma)))
+    return c
+
+
+def _random_clauses(count: int, seed: int) -> list[Clause]:
+    rng = random.Random(seed)
+    symbols = make_symbols(n_preds=4, n_funcs=2, rng=rng)
+    makers = [lambda: random_lg_clause(symbols, rng),
+              lambda: _flat_negative(rng),
+              lambda: _ground_or_equality(rng),
+              lambda: _redundant(rng)]
+    return [makers[i % len(makers)]() for i in range(count)]
+
+
+def _partners(c: Clause, others: list[Clause],
+              rng: random.Random) -> list[Clause]:
+    """Clauses to test ``c`` against: a renamed variant, an instance with
+    an extra literal, ``c`` minus a literal, and an unrelated clause."""
+    cvars = sorted(clause_vars(c))
+    renamed = apply_clause(c, {v: Var(f"R{i}") for i, v in enumerate(cvars)})
+    pool = [Var(v) for v in cvars] + [Const("a")]
+    instance = Clause(list(apply_clause(
+        c, {v: rng.choice(pool) for v in cvars})) + [rng.choice(others)
+                                                     .literals[0]])
+    out = [renamed, instance, rng.choice(others)]
+    if len(c) > 1:
+        lits = list(c.literals)
+        del lits[rng.randrange(len(lits))]
+        out.append(Clause(lits))
+    return out
+
+
+def test_kernels_agree_with_references():
+    rng = random.Random(3)
+    clauses = _random_clauses(600, seed=11)
+    shrank = 0
+    lg = 0
+    subsumed = variants = pairs = 0
+    for c in clauses:
+        got = condense(c)
+        want = reference_condense(c)
+        assert got.literals == want.literals, (str(c), str(got), str(want))
+        shrank += len(got) < len(set(c.literals))
+        m = membership(c)
+        assert m == reference_membership(c), str(c)
+        lg += "LG" in m
+        for d in _partners(c, clauses, rng):
+            for p, q in ((c, d), (d, c)):
+                s = subsumes(p, q)
+                assert s == reference_subsumes(p, q), (str(p), str(q))
+                v = is_variant(p, q)
+                assert v == reference_is_variant(p, q), (str(p), str(q))
+                subsumed += s
+                variants += v
+                pairs += 1
+    assert shrank >= 20
+    assert 0 < lg < len(clauses)
+    assert 0 < variants < subsumed < pairs
+
+
+def test_condensing_a_cycle_takes_polynomial_work(monkeypatch):
+    # the 12-cycle ~r(V1,V2) | ... | ~r(V12,V1) is condensed; the clause
+    # order of its literals, and with it the search, depends on the names
+    calls = 0
+    match_lit = terms.match_lit
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return match_lit(*args)
+
+    monkeypatch.setattr(terms, "match_lit", counting)
+    rng = random.Random(12)
+    for _ in range(3):
+        vs = [Var(f"V{i}") for i in rng.sample(range(1000), 12)]
+        c = Clause(Literal(False, "r", (u, v))
+                   for u, v in zip(vs, vs[1:] + vs[:1]))
+        calls = 0
+        assert condense(c).literals == c.literals
+        assert calls <= 50_000, calls

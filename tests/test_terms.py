@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from guardedsat.terms import (
     App, Clause, Const, Literal, UnifyFail, Var, apply_clause, apply_lit,
     apply_term, canonical, clause_vars, compound_terms, condense, depth,
-    is_decomposable, is_ground, is_variant, loose_guards, membership, mgu,
+    is_decomposable, is_ground, is_variant, membership, mgu,
     mgu_lits, normalize, rename_apart, subsumes, width,
 )
+from util import loose_guards
 
 x, y, z = Var("x"), Var("y"), Var("z")
 a, b = Const("a"), Const("b")

@@ -8,10 +8,16 @@ The reference rules are the nested-loop top-variable join
 (:func:`reference_com_t_all`), which the engine's join is checked
 against, and full and partial simultaneous resolution (:func:`s_res`,
 :func:`p_res`), which the redundancy tests compare.
+
+The reference kernels are the clause-order subsumption search, the
+pairwise condensation loop, and membership read off the enumeration of
+every minimal loose guard (:func:`loose_guards`); the kernels in
+``terms`` must give the same answers.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Iterator, Optional, Sequence
 
@@ -24,8 +30,9 @@ from guardedsat.syntax import (
 )
 from guardedsat.terms import (
     App, Clause, Const, Literal, Subst, SymbolKind, SymbolOrigin,
-    SymbolTable, Var, apply_lit, apply_term, clause_vars, lit_vars,
-    membership, mgu_lits, rename_apart, term_depth,
+    SymbolTable, Var, _is_flat_term, apply_lit, apply_term, classify,
+    clause_vars, is_ground, lit_vars, match_lit, membership, mgu_lits,
+    rename_apart, term_depth, width,
 )
 
 CONSTS = ("c1", "c2", "c3")
@@ -276,3 +283,132 @@ def p_res(main_id: int, main: Clause, n: ClauseIndex,
         apply_lit(l, sigma) for l in rest + extra))
     return [Inference("PRes", main_id, tuple(side_ids), _freeze(sigma),
                       concl, sres_mgu=_freeze(tvr.sres_mgu))]
+
+
+# ---------------------------------------------------------------------------
+# reference clause-redundancy kernels
+
+
+def _reference_subsume_search(pat: Sequence[Literal],
+                              target: Sequence[Literal], sub: Subst, i: int,
+                              bijective: bool) -> Optional[Subst]:
+    """Backtracking search over the pattern literals in clause order."""
+    if i == len(pat):
+        return sub
+    for lit in target:
+        nxt = match_lit(pat[i], lit, sub)
+        if nxt is None:
+            continue
+        if bijective:
+            imgs = [t for t in nxt.values()]
+            if any(not isinstance(t, Var) for t in imgs):
+                continue
+            if len({t.name for t in imgs}) != len(imgs):  # type: ignore[union-attr]
+                continue
+        res = _reference_subsume_search(pat, target, nxt, i + 1, bijective)
+        if res is not None:
+            return res
+    return None
+
+
+def reference_subsumes(c: Clause, d: Clause) -> bool:
+    """Classic theta-subsumption: some ``c sigma`` is a subset of ``d``."""
+    # cheap filter: every predicate/polarity of c appears in d
+    sig_d = {(l.pred, l.pos) for l in d}
+    if any((l.pred, l.pos) not in sig_d for l in c):
+        return False
+    # one-way matching never applies its substitution to d, so c and d
+    # may share variable names
+    return _reference_subsume_search(c.literals, d.literals, {}, 0,
+                                     False) is not None
+
+
+def reference_is_variant(c: Clause, d: Clause) -> bool:
+    """True if ``c`` and ``d`` differ only by a bijective variable renaming."""
+    if len(c) != len(d) or width(c) != width(d):
+        return False
+    fwd = _reference_subsume_search(c.literals, d.literals, {}, 0, True)
+    if fwd is None:
+        return False
+    bwd = _reference_subsume_search(d.literals, c.literals, {}, 0, True)
+    return bwd is not None
+
+
+def reference_condense(c: Clause) -> Clause:
+    """Smallest factor of ``c`` that subsumes ``c``, by repeated pairwise
+    scans that each run a full subsumption search."""
+    lits = list(dict.fromkeys(c.literals))  # drop exact duplicates
+    changed = True
+    while changed:
+        changed = False
+        for i, li in enumerate(lits):
+            for j, lj in enumerate(lits):
+                if i == j:
+                    continue
+                sub = match_lit(li, lj, {})
+                if sub is None:
+                    continue
+                cand = list(dict.fromkeys(apply_lit(l, sub) for l in lits))
+                if len(cand) < len(lits) and \
+                        reference_subsumes(Clause(cand), Clause(lits)):
+                    lits = cand
+                    changed = True
+                    break
+            if changed:
+                break
+    return Clause(lits, label=c.label, parents=c.parents)
+
+
+GROUND_GUARD = ()
+
+
+def loose_guards(c: Clause) -> list[tuple[Literal, ...]]:
+    """All minimal loose guards of a clause.
+
+    A loose guard is a set of negative flat literals in which every variable
+    of the clause occurs and every pair of distinct variables co-occurs in
+    one literal.  A ground clause needs no guard: the distinguished witness
+    ``()`` is returned.  Clauses with no guard yield the empty list.
+    """
+    if is_ground(c):
+        return [GROUND_GUARD]
+    cvars = sorted(clause_vars(c))
+    need_pairs = {frozenset(p) for p in itertools.combinations(cvars, 2)}
+    candidates = [lit for lit in c
+                  if not lit.pos and not lit.is_eq
+                  and all(_is_flat_term(a) for a in lit.args)]
+    # BFS over subsets by size so only minimal guards are reported
+    found: list[tuple[Literal, ...]] = []
+    for size in range(1, len(candidates) + 1):
+        for combo in itertools.combinations(candidates, size):
+            if any(set(g) < set(combo) for g in found):
+                continue
+            covered_vars: set[str] = set()
+            covered_pairs: set[frozenset[str]] = set()
+            for lit in combo:
+                vs = lit_vars(lit)
+                covered_vars |= vs
+                covered_pairs |= {frozenset(p)
+                                  for p in itertools.combinations(sorted(vs), 2)}
+            if covered_vars >= set(cvars) and covered_pairs >= need_pairs:
+                found.append(combo)
+    return found
+
+
+def reference_membership(c: Clause) -> set[str]:
+    """:func:`guardedsat.terms.membership` read off every minimal loose
+    guard."""
+    out: set[str] = set()
+    flags = classify(c)
+    if flags.flat and all(not lit.pos and not lit.is_eq for lit in c):
+        out.add("query")
+    if any(lit.is_eq for lit in c):
+        return out
+    guards = loose_guards(c)
+    if flags.simple and flags.covering and flags.strongly_compatible and guards:
+        out.add("LG")
+        if any(len(g) <= 1 for g in guards):
+            out.add("guarded")
+            if sum(1 for lit in c if lit.pos) <= 1:
+                out.add("horn_guarded")
+    return out
