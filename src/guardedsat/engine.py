@@ -21,11 +21,20 @@ them through :func:`guardedsat.qans.inferences`.
 The top-variable join (:func:`com_t_all`) is a backtracking search.  It
 fetches each selected literal's side candidates once, visits the literals
 from the fewest candidates up and extends one triangular unifier level by
-level, on level-local copies of the non-ground side literals.  When a
-new clause must take part, the search is seeded once at each literal
-where it can stand (semi-naive evaluation).  The tuples found are sorted
-into clause-id order, and only then are their sides renamed apart and the
-simultaneous unifier solved, once per tuple.
+level, on level-local copies of the non-ground side literals.  Once an
+argument of a literal is ground under the unifier, the level tries only
+the candidates with that argument there or a non-ground one (an index by
+argument, built on the level's first such probe).  When a new clause must
+take part, the search is seeded once at each literal where it can stand
+(semi-naive evaluation).  The tuples found are sorted into clause-id
+order, and only then are their sides renamed apart and the simultaneous
+unifier solved, once per tuple.
+
+The index also maps each predicate to the clauses with a main literal on
+it (:meth:`ClauseIndex.mains_on`), so a new side premise meets only the
+mains it can resolve with, and each side literal's record lists the
+literals it does not dominate a priori, the only ones the side condition
+of rule 2b must re-check after unification.
 """
 
 from __future__ import annotations
@@ -37,9 +46,9 @@ from typing import Iterator, Optional, Sequence
 from .orders import LPO, Cmp, maximal, select_nc
 from .qsep import is_icq
 from .terms import (
-    App, Clause, Literal, Subst, Term, Var, apply_lit, apply_term,
-    clause_vars, is_ground, lit_vars, mgu_lits, rename_apart, term_depth,
-    unify_into,
+    App, Clause, Const, Literal, Subst, Term, Var, apply_clause, apply_lit,
+    apply_term, clause_vars, is_ground, is_ground_term, lit_vars, mgu_lits,
+    renaming, term_depth, unify_into,
 )
 
 
@@ -91,12 +100,17 @@ class ClauseRecord:
     negative literals, or all negative literals of a flat non-ground
     clause.  ``maximal`` holds the maximal literals of a ``"max"`` clause
     (empty otherwise), which is all factoring needs; ``side_literals``
-    are those on which the clause serves as a side premise.
+    are those on which the clause serves as a side premise.  ``rivals``
+    holds, for each side literal, the positions in the clause of the other
+    literals it does not strictly dominate a priori: the ordering is
+    stable under substitution, so only those can outgrow it after
+    unification.
     """
     regime: str  # "max" | "select" | "topvar" | "icq"
     main_literals: tuple[Literal, ...]
     maximal: tuple[Literal, ...]
     side_literals: tuple[Literal, ...]
+    rivals: tuple[tuple[int, ...], ...]
 
 
 def clause_record(c: Clause, lpo: LPO) -> ClauseRecord:
@@ -111,8 +125,13 @@ def clause_record(c: Clause, lpo: LPO) -> ClauseRecord:
         main = (sel,) if sel is not None else ()
     else:
         main = tuple(l for l in c if not l.pos)
-    return ClauseRecord("icq" if is_icq(c) else d, main, maxlits,
-                        side_literals(c, lpo))
+    sides = side_literals(c, lpo)
+    rivals = tuple(
+        tuple(k for k, other in enumerate(c.literals)
+              if other is not s and lpo.compare_lits(s, other) is not Cmp.GT)
+        for s in sides)
+    return ClauseRecord("icq" if is_icq(c) else d, main, maxlits, sides,
+                        rivals)
 
 
 # ---------------------------------------------------------------------------
@@ -120,17 +139,18 @@ def clause_record(c: Clause, lpo: LPO) -> ClauseRecord:
 
 
 class ClauseIndex:
-    """Clauses with stable ids, their records and a positive-literal
-    side-premise index."""
+    """Clauses with stable ids, their records, a positive-literal
+    side-premise index and the main premises by predicate."""
 
     def __init__(self, lpo: LPO) -> None:
         self.lpo = lpo
         self.by_id: dict[int, Clause] = {}
         self.records: dict[int, ClauseRecord] = {}
-        # ids arrive in pick order; the id list and the side-index lists
-        # are kept in id order as they grow
+        # ids arrive in pick order; the id list, the side-index lists and
+        # the main-index lists are kept in id order as they grow
         self._ids: list[int] = []
         self._side_index: dict[str, list[tuple[int, Literal]]] = {}
+        self._main_index: dict[str, list[int]] = {}
 
     def add(self, cid: int, c: Clause) -> None:
         rec = clause_record(c, self.lpo)
@@ -140,14 +160,29 @@ class ClauseIndex:
         for lit in rec.side_literals:
             insort(self._side_index.setdefault(lit.pred, []), (cid, lit),
                    key=lambda e: e[0])
+        for pred in {l.pred for l in rec.main_literals}:
+            insort(self._main_index.setdefault(pred, []), cid)
 
     def remove(self, cid: int) -> None:
         if self.by_id.pop(cid, None) is None:
             return
+        rec = self.records.pop(cid)
         del self._ids[bisect_left(self._ids, cid)]
-        for pred in {l.pred for l in self.records.pop(cid).side_literals}:
+        for pred in {l.pred for l in rec.side_literals}:
             lst = self._side_index[pred]
             lst[:] = [(i, l) for (i, l) in lst if i != cid]
+        for pred in {l.pred for l in rec.main_literals}:
+            ids = self._main_index[pred]
+            del ids[bisect_left(ids, cid)]
+
+    def mains_on(self, preds: set[str]) -> list[int]:
+        """The ids, in id order, of the clauses with a main literal on one
+        of ``preds``: no other clause can resolve against a side premise
+        whose side literals use only ``preds``."""
+        ids: set[int] = set()
+        for pred in preds:
+            ids.update(self._main_index.get(pred, ()))
+        return sorted(ids)
 
     def side_candidates(self, pred: str) -> list[tuple[int, Clause, Literal]]:
         return [(cid, self.by_id[cid], lit)
@@ -170,6 +205,9 @@ class TopVarResult:
     top_literals: tuple[Literal, ...]
     # (main literal, side clause id, renamed side clause, renamed side literal)
     side_assignment: tuple[tuple[Literal, int, Clause, Literal], ...]
+    # per assignment, the renamed literals of the side clause that the side
+    # literal does not dominate a priori (``ClauseRecord.rivals``)
+    rivals: tuple[tuple[Literal, ...], ...]
 
 
 # (position in the literal's candidate list, side clause id, side clause,
@@ -195,14 +233,66 @@ def _level_candidates(lit: Literal, n: ClauseIndex,
     return out
 
 
+def _ground_image(t: Term, sub: Subst) -> Optional[Term]:
+    """``t`` under the triangular unifier ``sub`` if that is ground, else
+    ``None``."""
+    while isinstance(t, Var):
+        if t.name not in sub:
+            return None
+        t = sub[t.name]
+    if isinstance(t, Const):
+        return t
+    args = []
+    for a in t.args:
+        g = _ground_image(a, sub)
+        if g is None:
+            return None
+        args.append(g)
+    return App(t.fn, tuple(args))
+
+
+# per argument position: the candidates by their ground argument there, and
+# the candidates with a non-ground argument there
+_ArgIndex = dict[int, tuple[dict[Term, list[_Candidate]], list[_Candidate]]]
+
+
+def _probed(level: list[_Candidate], args: Sequence[Term], sub: Subst,
+            index: _ArgIndex) -> Optional[list[_Candidate]]:
+    """The candidates of ``level`` that can still unify with a selected
+    literal over ``args`` under ``sub``, found through the first argument
+    that ``sub`` makes ground: the candidates with that very term there,
+    then those with a non-ground one.  ``None`` when no argument is
+    ground.  ``index`` is filled on the first probe of each position."""
+    for j, a in enumerate(args):
+        t = _ground_image(a, sub)
+        if t is None:
+            continue
+        if j not in index:
+            exact: dict[Term, list[_Candidate]] = {}
+            wild: list[_Candidate] = []
+            for cand in level:
+                b = cand[4].args[j]
+                if is_ground_term(b):
+                    exact.setdefault(b, []).append(cand)
+                else:
+                    wild.append(cand)
+            index[j] = exact, wild
+        exact, wild = index[j]
+        return exact.get(t, []) + wild
+    return None
+
+
 def _search(negs: Sequence[Literal], levels: list[list[_Candidate]],
             found: list[tuple[_Candidate, ...]]) -> None:
     """Append to ``found`` every tuple, one candidate per level, whose side
     literals unify with ``negs`` simultaneously.  Levels are visited from
     the fewest candidates up; each extends its own copy of the triangular
-    unifier of the levels before it."""
+    unifier of the levels before it, trying only the candidates that
+    :func:`_probed` lets through.  Candidates are tried out of their list
+    order; the caller sorts what is found."""
     order = sorted(range(len(negs)), key=lambda i: len(levels[i]))
     chosen: list = [None] * len(negs)
+    indexes: list[_ArgIndex] = [{} for _ in negs]
 
     def extend(k: int, sub: Subst) -> None:
         if k == len(order):
@@ -210,7 +300,8 @@ def _search(negs: Sequence[Literal], levels: list[list[_Candidate]],
             return
         i = order[k]
         args = negs[i].args
-        for cand in levels[i]:
+        cands = _probed(levels[i], args, sub, indexes[i])
+        for cand in levels[i] if cands is None else cands:
             sub2 = dict(sub)
             if unify_into(zip(cand[4].args, args), sub2) is None:
                 chosen[i] = cand
@@ -264,12 +355,17 @@ def com_t_all(main: Clause, lpo: LPO, n: ClauseIndex,
     mvars = clause_vars(main)
     for chosen in _join(negs, n, must_include):
         assignment = []
+        rivals = []
         for lit, (_, cid, side, pos_lit, _) in zip(negs, chosen):
-            side_r = rename_apart(side, mvars)
-            # the renamed side literal is found by position, which only
-            # holds while renaming keeps the side's literal order
-            pos_r = side_r.literals[side.literals.index(pos_lit)]
-            assignment.append((lit, cid, side_r, pos_r))
+            # one renaming for the clause and its literals: the renamed
+            # clause is re-sorted, so positions in ``side`` do not carry over
+            ren = renaming(side, mvars)
+            side_r = apply_clause(side, ren) if ren else side
+            assignment.append((lit, cid, side_r, apply_lit(pos_lit, ren)))
+            rec = n.records[cid]
+            rivals.append(tuple(
+                apply_lit(side.literals[k], ren)
+                for k in rec.rivals[rec.side_literals.index(pos_lit)]))
         sigma = mgu_lits([(pos_r, lit) for lit, _, _, pos_r in assignment])
         if sigma is None:
             continue
@@ -278,7 +374,8 @@ def com_t_all(main: Clause, lpo: LPO, n: ClauseIndex,
         top_vars = frozenset(v for v, d in depths.items()
                              if d == top_depth)
         top_literals = tuple(l for l in negs if lit_vars(l) & top_vars)
-        yield TopVarResult(sigma, top_vars, top_literals, tuple(assignment))
+        yield TopVarResult(sigma, top_vars, top_literals, tuple(assignment),
+                           tuple(rivals))
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +434,9 @@ def _binary_resolvents(main_id: int, main: Clause, neg: Literal,
             continue
         if len(pos_lit.args) != len(neg.args):
             continue
-        side_r = rename_apart(side, avoid)
-        pos_r = side_r.literals[side.literals.index(pos_lit)]
+        ren = renaming(side, avoid)
+        side_r = apply_clause(side, ren) if ren else side
+        pos_r = apply_lit(pos_lit, ren)
         sigma = mgu_lits([(pos_r, neg)])
         if sigma is None:
             continue
@@ -346,6 +444,14 @@ def _binary_resolvents(main_id: int, main: Clause, neg: Literal,
         concl = Clause(dict.fromkeys(apply_lit(l, sigma) for l in lits))
         out.append(Inference("TRes2a", main_id, (cid,), _freeze(sigma), concl))
     return out
+
+
+def stays_strictly_maximal(lit: Literal, rivals: Sequence[Literal],
+                           sigma: Subst, lpo: LPO) -> bool:
+    """No literal of ``rivals`` is greater than ``lit`` after ``sigma``."""
+    lit_s = apply_lit(lit, sigma)
+    return all(lpo.compare_lits(apply_lit(other, sigma), lit_s)
+               is not Cmp.GT for other in rivals)
 
 
 def _topvar_resolvent(main_id: int, main: Clause, tv: TopVarResult,
@@ -364,15 +470,10 @@ def _topvar_resolvent(main_id: int, main: Clause, tv: TopVarResult,
     if sigma is None:
         return None
     # side condition: the resolved positive literals stay strictly maximal
-    for (mlit, cid, side_r, pos_r) in tv.side_assignment:
-        if mlit not in top:
-            continue
-        pos_s = apply_lit(pos_r, sigma)
-        for other in side_r:
-            if other is pos_r:
-                continue
-            if lpo.compare_lits(apply_lit(other, sigma), pos_s) is Cmp.GT:
-                return None
+    for (mlit, _, _, pos_r), rivals in zip(tv.side_assignment, tv.rivals):
+        if mlit in top and \
+                not stays_strictly_maximal(pos_r, rivals, sigma, lpo):
+            return None
     rest = [l for l in main if l not in top or l.pos]
     # (multiset caveat: `in` over the sorted tuple is fine because query
     # literals are distinct after condensation)

@@ -10,6 +10,12 @@ too).  It reads each worked-off clause's
 :class:`~guardedsat.engine.ClauseRecord`, computed once when the clause
 entered worked-off.
 
+Forward and backward subsumption look up the ground unit clauses of
+usable and worked-off by their literal: a ground unit subsumes exactly
+the clauses that contain its literal, and only a non-ground unit or the
+empty clause can subsume it (an equal unit is caught going forward).
+Every other clause is tested one by one.
+
 Inseparable chained-only query clauses take the special route: their
 top-variable resolvent is immediately re-abstracted (T-Trans) and
 re-separated, so only loosely guarded clauses and query clauses are ever
@@ -59,6 +65,13 @@ class SaturationState:
     steps: int = 0
     next_id: int = 1
     picks: int = 0
+    # the kept clauses of usable and worked-off (a pick only moves a clause
+    # from one to the other): the literals of the ground units, the ground
+    # units by (polarity, predicate), and every other clause
+    ground_units: set[Literal] = field(default_factory=set, init=False)
+    units_by_sig: dict[tuple[bool, str], dict[int, Clause]] = field(
+        default_factory=dict, init=False)
+    others: dict[int, Clause] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
         if self.worked_off is None:
@@ -73,25 +86,51 @@ class SaturationState:
         c = condense(c)
         if is_tautology(c):
             return None
-        # in id order, which fixes how many tests run before a subsumer
-        for d in list(self.usable.values()) + \
-                [cl for _, cl in self.worked_off.clauses()]:
+        if any(l in self.ground_units for l in c):
+            return None
+        for d in self.others.values():
             if len(d) <= len(c) and subsumes(d, c):
                 return None
         # backward simplification: drop clauses the new one subsumes
-        for cid, d in list(self.usable.items()):
+        for cid, d in list(self.others.items()):
             if len(c) <= len(d) and subsumes(c, d):
-                del self.usable[cid]
-                del self.weights[cid]
-        for cid, d in list(self.worked_off.by_id.items()):
-            if len(c) <= len(d) and subsumes(c, d):
-                self.worked_off.remove(cid)
+                self._drop(cid, d)
+        if c.is_empty():  # subsumes every ground unit
+            units = [u for us in self.units_by_sig.values()
+                     for u in us.items()]
+        elif len(c) == 1 and not is_ground(c):
+            (lit,) = c
+            units = [(cid, d) for cid, d in self.units_by_sig.get(
+                (lit.pos, lit.pred), {}).items() if subsumes(c, d)]
+        else:
+            units = []
+        for cid, d in units:
+            self._drop(cid, d)
         cid = self.next_id
         self.next_id += 1
         self.usable[cid] = c
         self.weights[cid] = clause_weight(c)
+        if len(c) == 1 and is_ground(c):
+            (lit,) = c
+            self.ground_units.add(lit)
+            self.units_by_sig.setdefault((lit.pos, lit.pred), {})[cid] = c
+        else:
+            self.others[cid] = c
         self.trace.append(f"[{cid}] {reason} {c}")
         return cid
+
+    def _drop(self, cid: int, c: Clause) -> None:
+        """Remove the backward-subsumed clause ``c`` with id ``cid`` from
+        usable or worked-off."""
+        if self.others.pop(cid, None) is None:
+            (lit,) = c
+            self.ground_units.remove(lit)
+            del self.units_by_sig[(lit.pos, lit.pred)][cid]
+        if cid in self.usable:
+            del self.usable[cid]
+            del self.weights[cid]
+        else:
+            self.worked_off.remove(cid)
 
     # -- pick --------------------------------------------------------------
 
@@ -153,14 +192,16 @@ def inferences(n: ClauseIndex, registry: DefinitionRegistry,
     T-Res, T-Trans and Q-Sep (rule ``QIC``, definers from ``registry``),
     any other clause through binary or top-variable resolution and then
     factoring.  If it has side literals, it is then the side premise of
-    every other indexed clause as a main premise, in id order.
+    every other indexed clause as a main premise, in id order; only the
+    clauses with a main literal on a predicate of those side literals can
+    take it (:meth:`~guardedsat.engine.ClauseIndex.mains_on`).
     """
     rec = n.records[given_id]
     out = _as_main(n, registry, given_id, None)
     out.extend(_derivation(inf)
                for inf in factor(given_id, n.by_id[given_id], rec))
     if rec.side_literals:
-        for cid, _ in n.clauses():
+        for cid in n.mains_on({l.pred for l in rec.side_literals}):
             if cid != given_id:
                 out.extend(_as_main(n, registry, cid, given_id))
     return out

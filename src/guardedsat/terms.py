@@ -497,20 +497,29 @@ def reset_rename_counter() -> None:
     _rename_counter = itertools.count()
 
 
-def rename_apart(c: Clause, avoid: set[str] | None = None) -> Clause:
-    """Rename the variables of ``c`` to globally fresh ones."""
-    vs = sorted(clause_vars(c))
-    if not vs:
-        return c
+def renaming(c: Clause, avoid: set[str] | None = None) -> Subst:
+    """A substitution taking the variables of ``c`` to globally fresh ones.
+
+    Apply it to a literal of ``c`` to find that literal's image: the
+    renamed clause is re-sorted, and the sort breaks ties between
+    structurally equal literals by variable name, so positions in ``c``
+    do not carry over.
+    """
     avoid = avoid or set()
     sub: Subst = {}
-    for v in vs:
+    for v in sorted(clause_vars(c)):
         while True:
             fresh = f"_v{next(_rename_counter)}"
             if fresh not in avoid:
                 break
         sub[v] = Var(fresh)
-    return apply_clause(c, sub)
+    return sub
+
+
+def rename_apart(c: Clause, avoid: set[str] | None = None) -> Clause:
+    """Rename the variables of ``c`` to globally fresh ones."""
+    sub = renaming(c, avoid)
+    return apply_clause(c, sub) if sub else c
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +635,8 @@ def condense(c: Clause) -> Clause:
         if step is None:
             break
         lits = step
+    if len(lits) == len(c):  # nothing dropped: ``c`` is already condensed
+        return c
     return Clause(lits, label=c.label, parents=c.parents)
 
 

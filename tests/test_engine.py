@@ -15,16 +15,19 @@ import time
 
 import pytest
 
+from guardedsat import engine
 from guardedsat.engine import (
-    ClauseIndex, clause_record, com_t_all, dispatch, factor, side_literals,
+    ClauseIndex, _binary_resolvents, clause_record, com_t_all, dispatch,
+    factor, side_literals, stays_strictly_maximal,
 )
 from guardedsat.oracle import ground_entails
 from guardedsat.orders import LPO, Precedence, clause_gt, maximal, select_nc
-from guardedsat.qans import inferences
+from guardedsat.qans import _as_main, inferences
 from guardedsat.qsep import DefinitionRegistry, is_icq, q_sep
 from guardedsat.terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
-    Var, apply_lit, depth, is_variant, membership, width,
+    Var, apply_lit, clause_vars, depth, is_variant, membership,
+    rename_apart, reset_rename_counter, width,
 )
 
 import test_qsep
@@ -218,7 +221,17 @@ def _icq_join_index(rng):
     return icq, n
 
 
-def test_join_agrees_with_nested_loop_reference():
+def test_join_agrees_with_nested_loop_reference(monkeypatch):
+    probed = 0
+    probe = engine._probed
+
+    def counting(*args):
+        nonlocal probed
+        cands = probe(*args)
+        probed += cands is not None
+        return cands
+
+    monkeypatch.setattr(engine, "_probed", counting)
     symbols = make_symbols(n_preds=5, max_arity=3, n_funcs=2,
                            rng=random.Random(7))
     results = 0
@@ -236,6 +249,131 @@ def test_join_agrees_with_nested_loop_reference():
         icq, icq_index = _icq_join_index(rng)
         results += _assert_joins_agree(icq, icq_index)
     assert results >= 200, results
+    # levels extended through the argument index, not the full list
+    assert probed > 0
+
+
+def _renaming_flip_index():
+    """A side clause whose two side literals swap places when renamed
+    with the counter at 9: ``q(x,f(x)) | q(y,f(x))`` becomes
+    ``q(_v10,f(_v9)) | q(_v9,f(_v9))``, because the sort breaks the tie
+    between the structurally equal literals by variable name."""
+    s = SymbolTable()
+    for c in ("a", "b"):
+        s.declare(c, SymbolKind.CONSTANT, 0, SymbolOrigin.INPUT)
+    s.declare("f", SymbolKind.FUNCTION, 1, SymbolOrigin.SKOLEM)
+    s.declare("q", SymbolKind.PREDICATE, 2, SymbolOrigin.INPUT)
+    n = ClauseIndex(LPO(Precedence(s)))
+    fx = App("f", (x,))
+    side = Clause([_lit(True, "q", x, fx), _lit(True, "q", y, fx)])
+    n.add(1, side)
+    assert n.records[1].side_literals == side.literals
+    reset_rename_counter()
+    rename_apart(Clause([_lit(True, "q", Var(f"w{i}"), Var(f"w{i}"))
+                         for i in range(9)]))
+    return n
+
+
+def test_join_resolves_the_side_literal_it_picked():
+    """The join picks ``q(y,f(x))`` for ``~q(z,z)`` (``q(x,f(x))`` fails
+    the occurs check); the renamed side literal must be that one's image,
+    not whatever the renamed clause holds at its position."""
+    n = _renaming_flip_index()
+    main = Clause([_lit(False, "q", z, z)])
+    (tv,) = com_t_all(main, n.lpo, n)
+    ((_, cid, side_r, pos_r),) = tv.side_assignment
+    assert [str(l) for l in side_r] == ["q(_v10,f(_v9))", "q(_v9,f(_v9))"]
+    assert str(pos_r) == "q(_v10,f(_v9))"
+    assert tv.rivals == ((side_r.literals[1],),)
+
+
+def test_binary_resolution_resolves_the_side_literal_it_picked():
+    """Against ``~q(a,f(b))`` only ``q(y,f(x))`` resolves: one resolvent,
+    ``q(b,f(b))``."""
+    n = _renaming_flip_index()
+    main = Clause([_lit(False, "q", a, App("f", (b,)))])
+    n.add(2, main)
+    (inf,) = _binary_resolvents(2, main, main.literals[0], n)
+    assert str(inf.conclusion) == "q(b,f(b))"
+
+
+def _random_term(symbols, rng, nesting=2):
+    r = rng.random()
+    fns = [(sym.name, sym.arity) for sym in symbols
+           if sym.kind is SymbolKind.FUNCTION]
+    if nesting > 0 and r < 0.3:
+        f, k = rng.choice(fns)
+        return App(f, tuple(_random_term(symbols, rng, nesting - 1)
+                            for _ in range(k)))
+    if r < 0.6:
+        return Const(rng.choice(CONSTS))
+    return rng.choice((x, y, z))
+
+
+def test_side_condition_on_rivals_agrees_with_full_check():
+    """Re-checking only the literals a side literal does not dominate a
+    priori decides the side condition as re-checking all of them does."""
+    symbols = make_symbols(n_preds=5, max_arity=3, n_funcs=2,
+                           rng=random.Random(7))
+    lpo = LPO(Precedence(symbols))
+    checks = fails = skipped = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        sides = random_lg_set(symbols, rng, 8)
+        # and clauses outside the class, whose literals need not share
+        # their variables
+        for _ in range(8):
+            lits = []
+            for _ in range(rng.randint(2, 4)):
+                p, k = rng.choice(preds(symbols))
+                lits.append(Literal(rng.random() < 0.7, p, tuple(
+                    _random_term(symbols, rng, 1) for _ in range(k))))
+            sides.append(Clause(lits))
+        for c in sides:
+            rec = clause_record(c, lpo)
+            vs = sorted(clause_vars(c))
+            for lit, rivals in zip(rec.side_literals, rec.rivals):
+                others = [l for l in c if l is not lit]
+                skipped += len(others) - len(rivals)
+                for _ in range(5):
+                    sigma = {v: _random_term(symbols, rng) for v in vs}
+                    full = stays_strictly_maximal(lit, others, sigma, lpo)
+                    got = stays_strictly_maximal(
+                        lit, [c.literals[k] for k in rivals], sigma, lpo)
+                    assert got == full, (c, lit, sigma)
+                    checks += 1
+                    fails += not full
+    assert checks > 500 and fails > 50 and skipped > 50, \
+        (checks, fails, skipped)
+
+
+def test_mains_on_keeps_every_main_that_can_take_a_side():
+    """A clause left out of :meth:`ClauseIndex.mains_on` for a side
+    premise's predicates has no inference with that side premise."""
+    symbols = make_symbols(n_preds=5, max_arity=3, n_funcs=2,
+                           rng=random.Random(7))
+    left_out = kept = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        clauses = random_lg_set(symbols, rng, 8)
+        clauses += [Clause([random_ground_atom(symbols, rng)])
+                    for _ in range(4)]
+        n = ClauseIndex(LPO(Precedence(symbols)))
+        for i, c in enumerate(clauses):
+            n.add(i, c)
+        registry = DefinitionRegistry(symbols)
+        for gid, rec in n.records.items():
+            if not rec.side_literals:
+                continue
+            mains = n.mains_on({l.pred for l in rec.side_literals})
+            assert mains == sorted(mains)
+            for cid in sorted(n.by_id):
+                if cid == gid or cid in mains:
+                    kept += cid != gid
+                    continue
+                left_out += 1
+                assert _as_main(n, registry, cid, gid) == [], (gid, cid)
+    assert left_out > 100 and kept > 100, (left_out, kept)
 
 
 def test_t_res_derives_empty_clause_from_units():

@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import pytest
+
 from guardedsat.orders import (
     Cmp, LPO, Precedence, clause_gt, maximal, select_nc,
 )
@@ -116,3 +118,17 @@ def test_fresh_symbols_below_input():
     prec = Precedence(s)
     assert prec.gt("D", "q9"), "input predicates precede definers"
     assert prec.gt("a", "q9")
+
+
+def test_precedence_key_of_a_symbol_declared_later():
+    """A key is kept from its first lookup on; a symbol declared after the
+    precedence was built (a definer) gets the key a fresh precedence
+    would give it, and an undeclared name still raises."""
+    s = golden_symbols()
+    prec = Precedence(s)
+    assert prec.key("f") is prec.key("f")
+    with pytest.raises(KeyError):
+        prec.key("P0")
+    s.declare("P0", SymbolKind.PREDICATE, 2, SymbolOrigin.DEFINER)
+    assert prec.key("P0") == Precedence(s).key("P0")
+    assert prec.gt("B", "P0") and not prec.gt("P0", "G3")

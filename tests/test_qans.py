@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 
+from guardedsat import qans, terms
 from guardedsat.oracle import sat_enumerate
 from guardedsat.clausify import trans
 from guardedsat.qans import SaturationState, answer, run, saturate
@@ -24,7 +25,10 @@ from guardedsat.terms import (
     Var, is_variant,
 )
 
-from util import random_problem
+from util import (
+    CONSTS, ReferenceSaturationState, make_symbols, preds,
+    random_ground_atom, random_lg_set, random_problem,
+)
 
 x, y, z = Var("x"), Var("y"), Var("z")
 a, b = Const("a"), Const("b")
@@ -183,3 +187,82 @@ def test_random_function_free_agreement_with_model_search():
         assert res.verdict == expected, prob.source if hasattr(
             prob, "source") else prob
         n += 1
+
+
+# ---------------------------------------------------------------------------
+# indexed insertion
+
+
+def _random_clause(symbols, rng):
+    """A ground unit, a non-ground unit or a loosely guarded clause; the
+    units of either polarity, with a few repeats."""
+    r = rng.random()
+    if r < 0.45:
+        lit = random_ground_atom(symbols, rng)
+        return Clause([lit if rng.random() < 0.7 else lit.negate()])
+    if r < 0.7:
+        p, k = rng.choice(preds(symbols))
+        args = tuple(rng.choice((x, y, Const(rng.choice(CONSTS))))
+                     for _ in range(k))
+        return Clause([Literal(rng.random() < 0.7, p, args)])
+    return random_lg_set(symbols, rng, 1)[0]
+
+
+def test_indexed_insert_agrees_with_linear_scan():
+    """The same kept/rejected decisions and the same surviving clauses as
+    the linear scan, with clauses moving to worked-off along the way."""
+    symbols = make_symbols(n_preds=4, max_arity=2, n_funcs=1,
+                           rng=random.Random(3))
+    lpo = LPO(Precedence(symbols))
+    kept = rejected = dropped = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        new, ref = (cls(lpo=lpo, registry=DefinitionRegistry(symbols))
+                    for cls in (SaturationState, ReferenceSaturationState))
+        for step in range(61):
+            if step < 60 and rng.random() < 0.2 and ref.usable:
+                for st in (new, ref):
+                    cid, c = st.pick()
+                    st.worked_off.add(cid, c)
+                continue
+            # the empty clause last, in every other sequence
+            c = _random_clause(symbols, rng) if step < 60 else Clause(())
+            if c.is_empty() and seed % 2:
+                break
+            before = len(ref.usable) + len(ref.worked_off.by_id)
+            got, want = new.insert(c, "input"), ref.insert(c, "input")
+            assert got == want, (seed, c)
+            assert set(new.usable) == set(ref.usable)
+            assert set(new.worked_off.by_id) == set(ref.worked_off.by_id)
+            after = len(ref.usable) + len(ref.worked_off.by_id)
+            kept += want is not None
+            rejected += want is None
+            dropped += before + (want is not None) - after
+        assert new.trace == ref.trace
+    assert kept > 300 and rejected > 300 and dropped > 50, \
+        (kept, rejected, dropped)
+
+
+def test_inserting_ground_facts_is_not_quadratic(monkeypatch):
+    """N ground facts cost at most 5N subsumption tests (the linear scan
+    made N^2 - N: every earlier clause, forward and backward)."""
+    symbols = SymbolTable()
+    symbols.declare("r", SymbolKind.PREDICATE, 2, SymbolOrigin.INPUT)
+    consts = [Const(f"c{i}") for i in range(15)]
+    for c in consts:
+        symbols.declare(c.name, SymbolKind.CONSTANT, 0, SymbolOrigin.INPUT)
+    state = SaturationState(lpo=LPO(Precedence(symbols)),
+                            registry=DefinitionRegistry(symbols))
+    calls = 0
+
+    def counting(c, d):
+        nonlocal calls
+        calls += 1
+        return terms.subsumes(c, d)
+
+    facts = [Clause([Literal(True, "r", (s, t))])
+             for s in consts for t in consts][:200]
+    monkeypatch.setattr(qans, "subsumes", counting)
+    for c in facts:
+        assert state.insert(c, "input") is not None
+    assert calls <= 5 * len(facts), calls

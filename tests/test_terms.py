@@ -76,6 +76,12 @@ class TestSubsumption:
         got = condense(c)
         assert len(got) == 1
 
+    def test_condense_returns_a_condensed_clause_itself(self):
+        c = Clause([L("p", x, y), L("q", y, pos=False)])
+        assert condense(c) is c
+        d = condense(Clause([L("p", x, y), L("p", x, z)]))
+        assert condense(d) is d
+
     def test_canonical_variant_invariance(self):
         c = Clause([L("p", x, y), L("q", y, pos=False)])
         d = Clause([L("p", z, x), L("q", x, pos=False)])

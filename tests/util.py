@@ -12,7 +12,9 @@ against, and full and partial simultaneous resolution (:func:`s_res`,
 The reference kernels are the clause-order subsumption search, the
 pairwise condensation loop, and membership read off the enumeration of
 every minimal loose guard (:func:`loose_guards`); the kernels in
-``terms`` must give the same answers.
+``terms`` must give the same answers.  :class:`ReferenceSaturationState`
+inserts with the linear forward and backward subsumption scan, which the
+indexed :meth:`guardedsat.qans.SaturationState.insert` must agree with.
 """
 
 from __future__ import annotations
@@ -23,16 +25,18 @@ from typing import Iterator, Optional, Sequence
 
 from guardedsat.engine import (
     ClauseIndex, Inference, TopVarResult, _freeze, _remove_one, com_t_all,
+    is_tautology,
 )
 from guardedsat.orders import LPO
+from guardedsat.qans import SaturationState, clause_weight
 from guardedsat.syntax import (
     And, AtomF, Exists, Forall, Implies, Or, Problem,
 )
 from guardedsat.terms import (
     App, Clause, Const, Literal, Subst, SymbolKind, SymbolOrigin,
-    SymbolTable, Var, _is_flat_term, apply_lit, apply_term, classify,
-    clause_vars, is_ground, lit_vars, match_lit, membership, mgu_lits,
-    rename_apart, term_depth, width,
+    SymbolTable, Var, _is_flat_term, apply_clause, apply_lit, apply_term,
+    classify, clause_vars, condense, is_ground, lit_vars, match_lit,
+    membership, mgu_lits, renaming, subsumes, term_depth, width,
 )
 
 CONSTS = ("c1", "c2", "c3")
@@ -200,10 +204,9 @@ def _iter_assignments(
         for cid, side, pos_lit in n.side_candidates(lit.pred):
             if len(pos_lit.args) != len(lit.args):
                 continue
-            side_r = rename_apart(side, avoid)
-            # recover the renamed positive literal by position
-            idx = side.literals.index(pos_lit)
-            pos_r = side_r.literals[idx]
+            ren = renaming(side, avoid)
+            side_r = apply_clause(side, ren)
+            pos_r = apply_lit(pos_lit, ren)
             new_pairs = pairs + [(pos_r, lit)]
             if mgu_lits(new_pairs) is None:
                 continue
@@ -219,7 +222,9 @@ def reference_com_t_all(main: Clause, lpo: LPO, n: ClauseIndex,
                         must_include: Optional[int] = None
                         ) -> Iterator[TopVarResult]:
     """The top-variable join as a nested loop that renames every candidate
-    and re-solves the whole unifier at every level."""
+    and re-solves the whole unifier at every level.  Every other literal
+    of a side clause is a rival of its side literal (the full side
+    condition)."""
     negs = [l for l in main if not l.pos]
     if not negs:
         return
@@ -231,7 +236,10 @@ def reference_com_t_all(main: Clause, lpo: LPO, n: ClauseIndex,
         top_vars = frozenset(v for v, d in depths.items()
                              if d == top_depth)
         top_literals = tuple(l for l in negs if lit_vars(l) & top_vars)
-        yield TopVarResult(sigma, top_vars, top_literals, tuple(chosen))
+        rivals = tuple(tuple(l for l in side_r if l != pos_r)
+                       for _, _, side_r, pos_r in chosen)
+        yield TopVarResult(sigma, top_vars, top_literals, tuple(chosen),
+                           rivals)
 
 
 def com_t(main: Clause, lpo: LPO, n: ClauseIndex,
@@ -412,3 +420,37 @@ def reference_membership(c: Clause) -> set[str]:
             if sum(1 for lit in c if lit.pos) <= 1:
                 out.add("horn_guarded")
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference insertion
+
+
+class ReferenceSaturationState(SaturationState):
+    """A saturation state whose insert scans every clause of usable and
+    worked-off for forward and backward subsumption."""
+
+    def insert(self, c: Clause, reason: str) -> Optional[int]:
+        """Forward-simplify and add a clause to usable; None if redundant."""
+        c = condense(c)
+        if is_tautology(c):
+            return None
+        # in id order, which fixes how many tests run before a subsumer
+        for d in list(self.usable.values()) + \
+                [cl for _, cl in self.worked_off.clauses()]:
+            if len(d) <= len(c) and subsumes(d, c):
+                return None
+        # backward simplification: drop clauses the new one subsumes
+        for cid, d in list(self.usable.items()):
+            if len(c) <= len(d) and subsumes(c, d):
+                del self.usable[cid]
+                del self.weights[cid]
+        for cid, d in list(self.worked_off.by_id.items()):
+            if len(c) <= len(d) and subsumes(c, d):
+                self.worked_off.remove(cid)
+        cid = self.next_id
+        self.next_id += 1
+        self.usable[cid] = c
+        self.weights[cid] = clause_weight(c)
+        self.trace.append(f"[{cid}] {reason} {c}")
+        return cid
