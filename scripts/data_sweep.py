@@ -2,14 +2,15 @@
 """Time query answering on the dataset sweep, one size at a time.
 
 Each size N gets one No and one Yes instance of the benchmark's ``data``
-family, made by ``perfbench/workloads.data_instance``: the two ``until``
+family, made by ``perfbench/workloads.data_instance`` from a generator
+seeded with 1: the two ``until``
 rules, the triangle query, N ``r0`` facts over N/4 constants and N/4
 ``b0`` draws.  Each instance is parsed and answered, and its verdict is
 checked against the answer the generator works out in closed form
 (``data_answer``).  Prints the seconds per instance and exits 1 if any
 verdict is wrong.  Timing is reported, not gated.
 
-Usage: python scripts/data_sweep.py [--sizes 80,160,320,640] [--seed 1]
+Usage: python scripts/data_sweep.py [--sizes 80,160,320,640]
 """
 
 from __future__ import annotations
@@ -33,11 +34,9 @@ def main() -> int:
     ap.add_argument("--sizes", default="80,160,320,640",
                     help="comma-separated fact counts N "
                          "(default 80,160,320,640)")
-    ap.add_argument("--seed", type=int, default=1,
-                    help="generator seed (default 1)")
     args = ap.parse_args()
 
-    rng = random.Random(args.seed)
+    rng = random.Random(1)
     wrong = 0
     for n in (int(s) for s in args.sizes.split(",")):
         for yes in (False, True):

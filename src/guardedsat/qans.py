@@ -36,7 +36,8 @@ from .qsep import DefinitionRegistry, q_sep
 from .syntax import Problem
 from .terms import (
     reset_rename_counter,
-    App, Clause, Literal, Term, Var, condense, is_ground, subsumes,
+    App, Clause, Literal, Term, Var, condense, is_ground, match_lit,
+    subsumes,
 )
 
 
@@ -66,10 +67,9 @@ class SaturationState:
     next_id: int = 1
     picks: int = 0
     # the kept clauses of usable and worked-off (a pick only moves a clause
-    # from one to the other): the literals of the ground units, the ground
-    # units by (polarity, predicate), and every other clause
-    ground_units: set[Literal] = field(default_factory=set, init=False)
-    units_by_sig: dict[tuple[bool, str], dict[int, Clause]] = field(
+    # from one to the other): the ground units by (polarity, predicate),
+    # each as literal -> id, and every other clause
+    units_by_sig: dict[tuple[bool, str], dict[Literal, int]] = field(
         default_factory=dict, init=False)
     others: dict[int, Clause] = field(default_factory=dict, init=False)
 
@@ -86,7 +86,7 @@ class SaturationState:
         c = condense(c)
         if is_tautology(c):
             return None
-        if any(l in self.ground_units for l in c):
+        if any(l in self.units_by_sig.get((l.pos, l.pred), ()) for l in c):
             return None
         for d in self.others.values():
             if len(d) <= len(c) and subsumes(d, c):
@@ -94,43 +94,44 @@ class SaturationState:
         # backward simplification: drop clauses the new one subsumes
         for cid, d in list(self.others.items()):
             if len(c) <= len(d) and subsumes(c, d):
-                self._drop(cid, d)
+                self._drop(cid)
         if c.is_empty():  # subsumes every ground unit
-            units = [u for us in self.units_by_sig.values()
-                     for u in us.items()]
+            units = [cid for us in self.units_by_sig.values()
+                     for cid in us.values()]
         elif len(c) == 1 and not is_ground(c):
+            # one unit subsumes another iff its literal matches the other's
             (lit,) = c
-            units = [(cid, d) for cid, d in self.units_by_sig.get(
-                (lit.pos, lit.pred), {}).items() if subsumes(c, d)]
+            units = [cid for u, cid in self.units_by_sig.get(
+                (lit.pos, lit.pred), {}).items()
+                if match_lit(lit, u, {}) is not None]
         else:
             units = []
-        for cid, d in units:
-            self._drop(cid, d)
+        for cid in units:
+            self._drop(cid)
         cid = self.next_id
         self.next_id += 1
         self.usable[cid] = c
         self.weights[cid] = clause_weight(c)
         if len(c) == 1 and is_ground(c):
             (lit,) = c
-            self.ground_units.add(lit)
-            self.units_by_sig.setdefault((lit.pos, lit.pred), {})[cid] = c
+            self.units_by_sig.setdefault((lit.pos, lit.pred), {})[lit] = cid
         else:
             self.others[cid] = c
         self.trace.append(f"[{cid}] {reason} {c}")
         return cid
 
-    def _drop(self, cid: int, c: Clause) -> None:
-        """Remove the backward-subsumed clause ``c`` with id ``cid`` from
-        usable or worked-off."""
+    def _drop(self, cid: int) -> None:
+        """Remove the backward-subsumed clause with id ``cid`` from usable
+        or worked-off."""
+        c = self.usable.pop(cid, None)
+        if c is None:
+            c = self.worked_off.by_id[cid]
+            self.worked_off.remove(cid)
+        else:
+            del self.weights[cid]
         if self.others.pop(cid, None) is None:
             (lit,) = c
-            self.ground_units.remove(lit)
-            del self.units_by_sig[(lit.pos, lit.pred)][cid]
-        if cid in self.usable:
-            del self.usable[cid]
-            del self.weights[cid]
-        else:
-            self.worked_off.remove(cid)
+            del self.units_by_sig[(lit.pos, lit.pred)][lit]
 
     # -- pick --------------------------------------------------------------
 
