@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Answer and rewrite every problem in fixtures/, printing a summary line
 per file: verdict, steps, clause count, and (for rule-only problems) the
-size of the Skolem-free rewriting.
+size of the Skolem-free rewriting.  Exits 1 if any rewriting fails.
 
 Usage: python scripts/run_fixtures.py [dir]
 """
@@ -19,6 +19,7 @@ from guardedsat.syntax import parse, print_formula
 def main() -> int:
     root = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else \
         pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    failed = 0
     for path in sorted(root.glob("*.p")):
         text = path.read_text()
         prob = parse(text)
@@ -32,8 +33,9 @@ def main() -> int:
                 line += f" rewriting={len(print_formula(res.sigma_q))}ch"
             except RewriteError as e:
                 line += f" rewriting-error: {e}"
+                failed += 1
         print(line)
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -2,8 +2,12 @@
 
 The pipeline per rule: existentially close free variables, expand ``<=>``,
 negation normal form, miniscoping (which splits clique guards into per-atom
-universal blocks), definitional renaming of every universally quantified
-subformula, then per-conjunct prenexing, inner Skolemisation and CNF.
+universal blocks), definitional renaming of the nested universal
+subformulas, then per-conjunct prenexing, inner Skolemisation and CNF.
+
+A top-level universal (a rule, or a universal conjunct of a top-level
+conjunction) is at guard level already and is clausified as it stands,
+with no definer: only the universals nested below it are renamed.
 
 Renaming a universal subformula ``! [Xs] : H`` over free variables ``Ys``
 replaces it by a fresh definer atom ``P(Ys)`` and adds the definition
@@ -19,7 +23,7 @@ selection relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import (
     And, AtomF, Bottom, Exists, Forall, Formula, Iff, Implies, Not, Or,
@@ -38,8 +42,6 @@ MAX_DIRECT_CNF = 64
 class TransOutput:
     lg_clauses: list[Clause]
     query_clauses: list[Clause]
-    definitions: dict[str, Formula] = field(default_factory=dict)
-    skolem_map: dict[str, str] = field(default_factory=dict)
 
 
 class ClausifyError(ValueError):
@@ -170,12 +172,18 @@ class _Renamer:
         self.conjuncts: list[Formula] = []
 
     def run(self, f: Formula) -> list[Formula]:
-        """Split ``f`` into definitional conjuncts, each with at most one
-        universal quantifier block (at guard level)."""
-        top = self._replace(f)
-        self.conjuncts.insert(0, top)
-        out = [g for g in self.conjuncts if not isinstance(g, Top)]
-        return out
+        """Split ``f`` into conjuncts, each with at most one universal
+        quantifier block (at guard level).  Top-level universals stay in
+        place, each skolemised over its own universals only."""
+        top: list[Formula] = []
+        for g in f.items if isinstance(f, And) else (f,):
+            if isinstance(g, Forall):
+                g = _merge_block(g)
+                g = Forall(g.vars, self._replace(g.body))
+            else:
+                g = self._replace(g)
+            top.append(g)
+        return [g for g in top + self.conjuncts if not isinstance(g, Top)]
 
     def _replace(self, f: Formula) -> Formula:
         if isinstance(f, And):
@@ -189,8 +197,7 @@ class _Renamer:
         return f
 
     def _rename_universal(self, f: Forall) -> Formula:
-        while isinstance(f.body, Forall):
-            f = Forall(f.vars + f.body.vars, f.body.body)
+        f = _merge_block(f)
         fv = _ordered_free_vars(f)
         negative = isinstance(f.body, Not) and isinstance(f.body.body, AtomF)
         sym = self.symbols.fresh(
@@ -207,6 +214,13 @@ class _Renamer:
         self.definitions[sym.name] = definition
         self.conjuncts.append(definition)
         return Not(head) if negative else head
+
+
+def _merge_block(f: Forall) -> Forall:
+    """Merge directly nested universals into one quantifier block."""
+    while isinstance(f.body, Forall):
+        f = Forall(f.vars + f.body.vars, f.body.body)
+    return f
 
 
 def _ordered_free_vars(f: Formula) -> list[str]:
@@ -445,8 +459,9 @@ def clausify_formula(f: Formula, symbols: SymbolTable,
 
 
 def trans(problem: Problem, check: bool = True) -> TransOutput:
-    """Clausify a problem: rules and facts into LG clauses, negated query
-    disjuncts into query clauses."""
+    """Clausify a problem: rules and then facts into LG clauses (the last
+    ``len(problem.facts)`` of them are the facts), negated query disjuncts
+    into query clauses."""
     symbols = problem.symbols
     out = TransOutput([], [])
     for rule in problem.rules:
@@ -457,8 +472,7 @@ def trans(problem: Problem, check: bool = True) -> TransOutput:
                 raise ClausifyError(
                     f"rule outside the supported fragments: "
                     f"{print_formula(rule)} (offending part: {wit})")
-        out.lg_clauses.extend(
-            clausify_formula(rule, symbols, out.definitions, out.skolem_map))
+        out.lg_clauses.extend(clausify_formula(rule, symbols, {}, {}))
     for fact in problem.facts:
         out.lg_clauses.append(Clause([Literal(True, fact.pred, fact.args)]))
     for q in problem.queries:

@@ -75,8 +75,9 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
 def _cmd_clausify(args: argparse.Namespace) -> int:
     problem = _load(args.file)
     out = trans(problem)
-    for c in out.lg_clauses:
-        print(f"{c}  % origin: rule")
+    n_rule = len(out.lg_clauses) - len(problem.facts)
+    for i, c in enumerate(out.lg_clauses):
+        print(f"{c}  % origin: {'rule' if i < n_rule else 'fact'}")
     for c in out.query_clauses:
         print(f"{c}  % origin: query")
     return EXIT_NO

@@ -172,22 +172,3 @@ def select_nc(c: Clause) -> Optional[Literal]:
     if not cands:
         return None
     return min(cands, key=literal_key)
-
-
-def clause_gt(lpo: LPO, c: Clause, d: Clause) -> bool:
-    """Multiset extension of the literal order to clauses.
-
-    C > D iff after removing a maximal common sub-multiset, every leftover
-    literal of D is dominated by some leftover literal of C.  Total on
-    ground clauses.
-    """
-    cs = list(c.literals)
-    ds = list(d.literals)
-    for lit in list(ds):
-        if lit in cs:
-            cs.remove(lit)
-            ds.remove(lit)
-    if not ds:
-        return bool(cs)
-    return all(
-        any(lpo.compare_lits(lc, ld) is Cmp.GT for lc in cs) for ld in ds)

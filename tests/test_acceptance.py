@@ -9,6 +9,7 @@ criterion.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import pathlib
 import random
@@ -16,15 +17,16 @@ import time
 
 from guardedsat.clausify import clausify_formula, trans
 from guardedsat.oracle import ground_entails, sat_enumerate
-from guardedsat.orders import LPO, Precedence, clause_gt
+from guardedsat.orders import LPO, Precedence
 from guardedsat.qans import answer, run, saturate
 from guardedsat.qic import q_ic_all
 from guardedsat.qrew import q_rew
 from guardedsat.qsep import DefinitionRegistry, is_icq, q_sep
 from guardedsat.syntax import Exists, Forall, Not, parse, print_formula, \
-    parse_formula
+    declare_formula_symbols, parse_formula
 from guardedsat.terms import (
-    Clause, Literal, SymbolKind, Var, depth, is_variant, membership, width,
+    Clause, Literal, SymbolKind, SymbolTable, Var, depth, is_variant,
+    membership, width,
 )
 
 import test_qans
@@ -32,7 +34,9 @@ import test_qic
 import test_qrew
 import test_qsep
 from test_engine import _closure_steps, _random_ground_sres
-from util import CONSTS, make_symbols, p_res, random_problem, s_res
+from util import (
+    CONSTS, clause_gt, make_symbols, p_res, random_problem, s_res,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -243,6 +247,37 @@ def test_criterion_09_rewriting_agrees_with_direct_answering():
             assert got == expected, (path.name, facts, got, expected)
             checked += 1
     assert checked == 200
+
+
+def _declared_by_trans(prob):
+    """The symbols ``trans`` declares for ``prob``, read off a copy."""
+    probe = dataclasses.replace(prob, symbols=prob.symbols.copy())
+    before = {s.name for s in probe.symbols}
+    trans(probe)
+    return {s.name for s in probe.symbols} - before
+
+
+def test_rewriting_is_over_the_input_signature():
+    # Σ_q may mention the query-separation definers q_i, but no Skolem or
+    # definer symbol of the rules' clausal form
+    problems = [parse(p.read_text()) for p in sorted(FIXTURES.glob("*.p"))]
+    problems = [p for p in problems if not p.facts]
+    assert len(problems) == 13
+    rng = random.Random(11)
+    for _ in range(200):
+        prob = random_problem(rng)
+        prob.facts.clear()
+        problems.append(prob)
+    for prob in problems:
+        declared = _declared_by_trans(prob)
+        result, state = run(prob)
+        assert result.verdict == "no"
+        sigma_q = q_rew([c for _, c in state.worked_off.clauses()],
+                        prob.symbols).sigma_q
+        mentioned = SymbolTable()
+        declare_formula_symbols(mentioned, sigma_q)
+        assert not declared & {s.name for s in mentioned}, \
+            print_formula(sigma_q)
 
 
 # -- 10 ---------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from guardedsat.clausify import ClausifyError, trans
 from guardedsat.syntax import parse
 from guardedsat.terms import (
-    App, canonical, depth, is_ground, membership,
+    App, SymbolOrigin, canonical, depth, is_ground, membership,
 )
 
 
@@ -13,9 +13,15 @@ def names(clauses):
     return sorted(str(c) for c in clauses)
 
 
+def definers(symbols):
+    return {s.name: s.arity for s in symbols
+            if s.origin is SymbolOrigin.DEFINER}
+
+
 class TestGoldenUntil:
     """The loosely guarded rule with an existential body, conjoined with
-    ground facts, produces one definer clause and Skolem constants."""
+    ground facts, is clausified at guard level: no definer, one Skolem
+    function over the rule's universal variables."""
 
     def setup_method(self):
         self.prob = parse("""
@@ -46,15 +52,18 @@ class TestGoldenUntil:
                if isinstance(t, App)}
         assert len(fns) == 1 and set(fns.values()) == {2}
 
-    def test_definer_unit_ground(self):
-        units = [c for c in self.out.lg_clauses if len(c) == 1]
-        assert all(is_ground(c) for c in units)
+    def test_rule_gets_no_definer(self):
+        # a top-level universal is already at guard level: renaming it
+        # would only add a symbol, a unit and a literal per clause
+        assert not definers(self.prob.symbols)
+        assert all(l.args for c in self.out.lg_clauses for l in c)
 
 
 class TestGoldenClique:
     """Clausifying the clique guarded formula: miniscoping the clique
-    guard, negative renaming of the guard universal, and a Skolem function
-    over all three universal variables."""
+    guard, negative renaming of the guard universals, a definer for the
+    nested universal, and a Skolem function over all three universal
+    variables."""
 
     def setup_method(self):
         self.prob = parse("""
@@ -65,8 +74,17 @@ class TestGoldenClique:
         """)
         self.out = trans(self.prob)
 
-    def test_five_clauses(self):
-        assert len(self.out.lg_clauses) == 5
+    def test_four_clauses(self):
+        assert len(self.out.lg_clauses) == 4
+
+    def test_nested_universal_keeps_a_definer_with_arguments(self):
+        names = definers(self.prob.symbols)
+        [guard_clause] = [c for c in self.out.lg_clauses
+                          if any(l.pred == "g" for l in c)]
+        [head] = [l for l in guard_clause if l.pred in names]
+        assert head.pos and names[head.pred] == 2
+        # the others are the clique guard's negative renamings
+        assert len(names) == 3 and 0 not in names.values()
 
     def test_skolem_function_arity_three(self):
         fns = {t.fn: len(t.args)

@@ -118,6 +118,7 @@ def test_clausify_lists_origins(capsys):
     assert all("% origin:" in l for l in lines)
     assert any("% origin: query" in l for l in lines)
     assert any("% origin: rule" in l for l in lines)
+    assert "r0(c1,c2)  % origin: fact" in lines
 
 
 def test_classify_reports_query_structure(capsys):

@@ -21,7 +21,7 @@ from guardedsat.engine import (
     factor, side_literals, stays_strictly_maximal,
 )
 from guardedsat.oracle import ground_entails
-from guardedsat.orders import LPO, Precedence, clause_gt, maximal, select_nc
+from guardedsat.orders import LPO, Precedence, maximal, select_nc
 from guardedsat.qans import _as_main, inferences
 from guardedsat.qsep import DefinitionRegistry, is_icq, q_sep
 from guardedsat.terms import (
@@ -32,8 +32,8 @@ from guardedsat.terms import (
 
 import test_qsep
 from util import (
-    CONSTS, com_t, make_symbols, p_res, preds, random_ground_atom,
-    random_lg_set, reference_com_t_all, s_res,
+    CONSTS, clause_gt, com_t, make_symbols, p_res, preds,
+    random_ground_atom, random_lg_set, reference_com_t_all, s_res,
 )
 
 x, y, z = Var("x"), Var("y"), Var("z")

@@ -6,11 +6,13 @@ import random
 import pytest
 
 from guardedsat.orders import (
-    Cmp, LPO, Precedence, clause_gt, maximal, select_nc,
+    Cmp, LPO, Precedence, maximal, select_nc,
 )
 from guardedsat.terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable, Var,
 )
+
+from util import clause_gt
 
 x, y = Var("x"), Var("y")
 

@@ -6,8 +6,9 @@ contain the full variable sequence (covering + strong compatibility).
 
 The reference rules are the nested-loop top-variable join
 (:func:`reference_com_t_all`), which the engine's join is checked
-against, and full and partial simultaneous resolution (:func:`s_res`,
-:func:`p_res`), which the redundancy tests compare.
+against, full and partial simultaneous resolution (:func:`s_res`,
+:func:`p_res`), which the redundancy tests compare, and the multiset
+extension of the literal order to clauses (:func:`clause_gt`).
 
 The reference kernels are the clause-order subsumption search, the
 pairwise condensation loop, and membership read off the enumeration of
@@ -27,7 +28,7 @@ from guardedsat.engine import (
     ClauseIndex, Inference, TopVarResult, _freeze, _remove_one, com_t_all,
     is_tautology,
 )
-from guardedsat.orders import LPO
+from guardedsat.orders import Cmp, LPO
 from guardedsat.qans import SaturationState, clause_weight
 from guardedsat.syntax import (
     And, AtomF, Exists, Forall, Implies, Or, Problem,
@@ -291,6 +292,25 @@ def p_res(main_id: int, main: Clause, n: ClauseIndex,
         apply_lit(l, sigma) for l in rest + extra))
     return [Inference("PRes", main_id, tuple(side_ids), _freeze(sigma),
                       concl, sres_mgu=_freeze(tvr.sres_mgu))]
+
+
+def clause_gt(lpo: LPO, c: Clause, d: Clause) -> bool:
+    """Multiset extension of the literal order to clauses.
+
+    C > D iff after removing a maximal common sub-multiset, every leftover
+    literal of D is dominated by some leftover literal of C.  Total on
+    ground clauses.
+    """
+    cs = list(c.literals)
+    ds = list(d.literals)
+    for lit in list(ds):
+        if lit in cs:
+            cs.remove(lit)
+            ds.remove(lit)
+    if not ds:
+        return bool(cs)
+    return all(
+        any(lpo.compare_lits(lc, ld) is Cmp.GT for lc in cs) for ld in ds)
 
 
 # ---------------------------------------------------------------------------
