@@ -39,11 +39,12 @@ of rule 2b must re-check after unification.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .orders import LPO, Cmp, maximal, select_nc
+from .orders import LPO, Cmp, comparisons, select_nc
 from .qsep import is_icq
 from .terms import (
     App, Clause, Const, Literal, Subst, Term, Var, apply_clause, apply_lit,
@@ -76,20 +77,6 @@ def dispatch(c: Clause) -> str:
     return "topvar"
 
 
-def side_literals(c: Clause, lpo: LPO) -> tuple[Literal, ...]:
-    """Positive literals on which ``c`` may serve as a side premise.
-
-    Flat non-ground clauses never do; otherwise the strictly maximal
-    positive literals of an unselected clause qualify.
-    """
-    d = dispatch(c)
-    if d == "select":
-        return ()
-    if d == "topvar" and not is_ground(c):
-        return ()
-    return tuple(l for l in maximal(lpo, c, strict=True) if l.pos)
-
-
 @dataclass(frozen=True, slots=True)
 class ClauseRecord:
     """What inference needs to know about a clause, computed once.
@@ -114,24 +101,34 @@ class ClauseRecord:
 
 
 def clause_record(c: Clause, lpo: LPO) -> ClauseRecord:
-    """The record of ``c``; :meth:`ClauseIndex.add` calls this once."""
+    """The record of ``c``; :meth:`ClauseIndex.add` calls this once.
+
+    A ``"max"`` clause compares each pair of its literals once
+    (:func:`~guardedsat.orders.comparisons`).  A literal is maximal when
+    no other literal beats it; a positive one is a side literal when none
+    equals it either, and its rivals are the others it does not beat.
+    Only a flat all-negative clause, which is ``"topvar"``, can be an ICQ.
+    """
     d = dispatch(c)
-    maxlits: tuple[Literal, ...] = ()
-    if d == "max":
-        maxlits = tuple(maximal(lpo, c))
-        main = tuple(l for l in maxlits if not l.pos)
-    elif d == "select":
+    if d == "select":
         sel = select_nc(c)
-        main = (sel,) if sel is not None else ()
-    else:
+        return ClauseRecord(d, (sel,) if sel is not None else (), (), (), ())
+    if d == "topvar":
         main = tuple(l for l in c if not l.pos)
-    sides = side_literals(c, lpo)
-    rivals = tuple(
-        tuple(k for k, other in enumerate(c.literals)
-              if other is not s and lpo.compare_lits(s, other) is not Cmp.GT)
-        for s in sides)
-    return ClauseRecord("icq" if is_icq(c) else d, main, maxlits, sides,
-                        rivals)
+        icq = len(main) == len(c) and is_icq(c)
+        return ClauseRecord("icq" if icq else d, main, (), (), ())
+    maxlits, sides, rivals = [], [], []
+    for i, (lit, row) in enumerate(
+            zip(c.literals, comparisons(lpo, c.literals))):
+        others = [(k, r) for k, r in enumerate(row) if k != i]
+        if any(r is Cmp.LT for _, r in others):
+            continue
+        maxlits.append(lit)
+        if lit.pos and all(r is not Cmp.EQ for _, r in others):
+            sides.append(lit)
+            rivals.append(tuple(k for k, r in others if r is not Cmp.GT))
+    return ClauseRecord(d, tuple(l for l in maxlits if not l.pos),
+                        tuple(maxlits), tuple(sides), tuple(rivals))
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +137,12 @@ def clause_record(c: Clause, lpo: LPO) -> ClauseRecord:
 
 class ClauseIndex:
     """Clauses with stable ids, their records, a positive-literal
-    side-premise index and the main premises by predicate."""
+    side-premise index, the main premises by predicate, and the supply
+    of fresh variable numbers for renaming side premises apart."""
 
     def __init__(self, lpo: LPO) -> None:
         self.lpo = lpo
+        self.fresh: Iterator[int] = itertools.count()
         self.by_id: dict[int, Clause] = {}
         self.records: dict[int, ClauseRecord] = {}
         # ids arrive in pick order; the id list, the side-index lists and
@@ -340,7 +339,7 @@ def _join(negs: Sequence[Literal], n: ClauseIndex,
     return found
 
 
-def com_t_all(main: Clause, lpo: LPO, n: ClauseIndex,
+def com_t_all(main: Clause, n: ClauseIndex,
               must_include: Optional[int] = None) -> Iterator[TopVarResult]:
     """All side-premise assignments for the selected literals of ``main``,
     each with its simultaneous unifier and top variables.
@@ -359,7 +358,7 @@ def com_t_all(main: Clause, lpo: LPO, n: ClauseIndex,
         for lit, (_, cid, side, pos_lit, _) in zip(negs, chosen):
             # one renaming for the clause and its literals: the renamed
             # clause is re-sorted, so positions in ``side`` do not carry over
-            ren = renaming(side, mvars)
+            ren = renaming(side, mvars, n.fresh)
             side_r = apply_clause(side, ren) if ren else side
             assignment.append((lit, cid, side_r, apply_lit(pos_lit, ren)))
             rec = n.records[cid]
@@ -428,13 +427,13 @@ def _binary_resolvents(main_id: int, main: Clause, neg: Literal,
                        only_side: Optional[int] = None) -> list[Inference]:
     """Rule-2a resolution of ``neg`` in ``main`` against indexed sides."""
     out = []
-    avoid = set(clause_vars(main))
+    avoid = clause_vars(main)
     for cid, side, pos_lit in n.side_candidates(neg.pred):
         if only_side is not None and cid != only_side:
             continue
         if len(pos_lit.args) != len(neg.args):
             continue
-        ren = renaming(side, avoid)
+        ren = renaming(side, avoid, n.fresh)
         side_r = apply_clause(side, ren) if ren else side
         pos_r = apply_lit(pos_lit, ren)
         sigma = mgu_lits([(pos_r, neg)])
@@ -493,7 +492,7 @@ def resolvents(main_id: int, n: ClauseIndex,
     rec = n.records[main_id]
     out: list[Inference] = []
     if rec.regime == "topvar":
-        for tv in com_t_all(main, n.lpo, n, must_include=only_side):
+        for tv in com_t_all(main, n, must_include=only_side):
             inf = _topvar_resolvent(main_id, main, tv, n.lpo)
             if inf is not None:
                 out.append(inf)

@@ -11,7 +11,7 @@ was possible before.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 from .terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
@@ -136,6 +136,26 @@ class LPO:
         return Cmp.GT if not l1.pos else Cmp.LT
 
 
+_MIRROR = {Cmp.GT: Cmp.LT, Cmp.LT: Cmp.GT, Cmp.EQ: Cmp.EQ, Cmp.NC: Cmp.NC}
+
+
+def comparisons(lpo: LPO, lits: Sequence[Literal]) -> list[list[Cmp]]:
+    """The table ``t`` with ``t[i][j] = lpo.compare_lits(lits[i], lits[j])``
+    for ``i != j`` (the diagonal holds ``EQ``).
+
+    The literal ordering is antisymmetric, so each unordered pair is
+    compared once and the result mirrored.
+    """
+    n = len(lits)
+    table = [[Cmp.EQ] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = lpo.compare_lits(lits[i], lits[j])
+            table[i][j] = r
+            table[j][i] = _MIRROR[r]
+    return table
+
+
 def maximal(lpo: LPO, c: Clause, strict: bool = False) -> list[Literal]:
     """Maximal (or strictly maximal) literals of ``c`` under the ordering.
 
@@ -143,19 +163,10 @@ def maximal(lpo: LPO, c: Clause, strict: bool = False) -> list[Literal]:
     instance; on the clausal classes the pipeline produces the two notions
     coincide.
     """
-    out: list[Literal] = []
-    for i, lit in enumerate(c.literals):
-        dominated = False
-        for j, other in enumerate(c.literals):
-            if i == j:
-                continue
-            r = lpo.compare_lits(other, lit)
-            if r is Cmp.GT or (strict and r is Cmp.EQ):
-                dominated = True
-                break
-        if not dominated:
-            out.append(lit)
-    return out
+    beaten = (Cmp.LT, Cmp.EQ) if strict else (Cmp.LT,)
+    return [lit for i, (lit, row) in enumerate(
+                zip(c.literals, comparisons(lpo, c.literals)))
+            if not any(r in beaten for j, r in enumerate(row) if j != i)]
 
 
 def select_nc(c: Clause) -> Optional[Literal]:

@@ -35,7 +35,6 @@ from .qic import q_ic_all
 from .qsep import DefinitionRegistry, q_sep
 from .syntax import Problem
 from .terms import (
-    reset_rename_counter,
     App, Clause, Literal, Term, Var, condense, is_ground, match_lit,
     subsumes,
 )
@@ -77,7 +76,6 @@ class SaturationState:
         if self.worked_off is None:
             self.worked_off = ClauseIndex(self.lpo)
         self.rng = random.Random(self.seed)
-        reset_rename_counter()
 
     # -- insertion ---------------------------------------------------------
 

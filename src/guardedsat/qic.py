@@ -19,7 +19,7 @@ from .engine import ClauseIndex, Inference, TopVarResult, com_t_all, \
     _topvar_resolvent
 from .qsep import DefinitionRegistry, SepResult, q_sep
 from .terms import (
-    Clause, Literal, Subst, Var, apply_lit, clause_vars, lit_vars,
+    Clause, Literal, Subst, Var, apply_lit, connected_groups, lit_vars,
 )
 
 
@@ -39,24 +39,10 @@ def closed_partition(tv: TopVarResult) -> list[list[Literal]]:
     literal; a block is the set of top literals over one connected
     component of top variables.
     """
-    lits = list(tv.top_literals)
-    parent: dict[str, str] = {v: v for v in tv.top_vars}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for lit in lits:
-        tops = sorted(lit_vars(lit) & tv.top_vars)
-        for v in tops[1:]:
-            parent[find(v)] = find(tops[0])
-    blocks: dict[str, list[Literal]] = {}
-    for lit in lits:
-        tops = sorted(lit_vars(lit) & tv.top_vars)
-        blocks.setdefault(find(tops[0]), []).append(lit)
-    return list(blocks.values())
+    lits = tv.top_literals
+    return [[lits[i] for i in g]
+            for g in connected_groups([lit_vars(l) & tv.top_vars
+                                       for l in lits])]
 
 
 def t_trans(main: Clause, tv: TopVarResult, sigma: Subst,
@@ -98,7 +84,7 @@ def q_ic_all(main_id: int, n: ClauseIndex, reg: DefinitionRegistry,
     result per side-premise assignment."""
     main = n.by_id[main_id]
     out: list[QicResult] = []
-    for tv in com_t_all(main, n.lpo, n, must_include=must_include):
+    for tv in com_t_all(main, n, must_include=must_include):
         inf = _topvar_resolvent(main_id, main, tv, n.lpo)
         if inf is None:
             continue

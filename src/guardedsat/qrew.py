@@ -30,7 +30,7 @@ from .syntax import And, AtomF, Exists, Forall, Formula, Not, Or
 from .terms import (
     EQ, App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
     Subst, Term, Var, apply_clause, clause_funcs, clause_vars,
-    compound_terms, is_ground_term, term_vars,
+    compound_terms, connected_groups, is_ground_term, term_vars,
 )
 
 
@@ -57,7 +57,6 @@ class RewriteResult:
     sigma_q: Formula
     skolem_constants_internalized: list[str]
     equality_used: bool
-    closed_sets: list[ClosedSet] = field(default_factory=list)
     conjuncts: list[Formula] = field(default_factory=list)
 
 
@@ -94,7 +93,7 @@ def con_abs(c: Clause) -> AbstractedClause:
         y = _fresh_var("Yc", counter, avoid)
         lits = [_replace_const(l, target, y) for l in c]
         lits.append(Literal(False, EQ, (y, target)))
-        c = Clause(lits, label=c.label, parents=c.parents)
+        c = Clause(lits)
         added += 1
 
 
@@ -140,7 +139,7 @@ def var_abs(c: Clause) -> AbstractedClause:
         y = _fresh_var("Yd", counter, avoid)
         lits = [_replace_arg_pos(l, i, y) for l in c]
         lits.append(Literal(False, EQ, (y, x)))
-        c = Clause(lits, label=c.label, parents=c.parents)
+        c = Clause(lits)
         added += 1
 
 
@@ -193,42 +192,21 @@ def partition_closed(clauses: list[Clause],
     """
     keyed = [(c, clause_funcs(c), _skolem_consts(c, symbols))
              for c in clauses]
-    parent = list(range(len(keyed)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    by_token: dict[str, int] = {}
-    for i, (c, fns, sks) in enumerate(keyed):
-        for token in [f"f:{f}" for f in fns] + [f"c:{s}" for s in sks]:
-            if token in by_token:
-                parent[find(i)] = find(by_token[token])
-            else:
-                by_token[token] = i
-    buckets: dict[int, list[int]] = {}
-    plain_flat: list[int] = []
-    for i, (c, fns, sks) in enumerate(keyed):
-        if fns or sks:
-            buckets.setdefault(find(i), []).append(i)
-        else:
-            plain_flat.append(i)
     sets: list[ClosedSet] = []
-    for idxs in buckets.values():
-        fns: set[str] = set()
-        sks: set[str] = set()
-        cls = []
-        for i in idxs:
-            cls.append(keyed[i][0])
-            fns |= keyed[i][1]
-            sks |= keyed[i][2]
-        kind = "interconnected" if fns else "flat"
-        sets.append(ClosedSet(kind, cls, frozenset(fns), frozenset(sks)))
+    plain_flat: list[Clause] = []
+    for g in connected_groups([[f"f:{f}" for f in fns] +
+                               [f"c:{s}" for s in sks]
+                               for _, fns, sks in keyed]):
+        c, fns, sks = keyed[g[0]]
+        if not (fns or sks):  # a clause with no token stands alone
+            plain_flat.append(c)
+            continue
+        fns = frozenset().union(*(keyed[i][1] for i in g))
+        sks = frozenset().union(*(keyed[i][2] for i in g))
+        sets.append(ClosedSet("interconnected" if fns else "flat",
+                              [keyed[i][0] for i in g], fns, sks))
     if plain_flat:
-        sets.append(ClosedSet(
-            "flat", [keyed[i][0] for i in plain_flat]))
+        sets.append(ClosedSet("flat", plain_flat))
     return sets
 
 
@@ -341,7 +319,7 @@ def _internalize_consts(clauses: list[Clause], consts: Iterable[str]
     return out, names
 
 
-def unsko_in(s: ClosedSet) -> tuple[Formula, list[str]]:
+def unsko_in(s: ClosedSet) -> Formula:
     """Unskolemise an interconnected closed set.
 
     Prefix: one existential per Skolem constant, the shared universal
@@ -375,7 +353,7 @@ def unsko_in(s: ClosedSet) -> tuple[Formula, list[str]]:
         f = Forall(shared, f)
     if const_vars:
         f = Exists(tuple(const_vars), f)
-    return f, const_vars
+    return f
 
 
 def _replace_apps(lit: Literal, fn_vars: dict[str, str]) -> Literal:
@@ -389,12 +367,12 @@ def _replace_apps(lit: Literal, fn_vars: dict[str, str]) -> Literal:
     return Literal(lit.pos, lit.pred, tuple(rt(t) for t in lit.args))
 
 
-def unsko_ft(s: ClosedSet) -> tuple[Formula, list[str]]:
+def unsko_ft(s: ClosedSet) -> Formula:
     """Unskolemise a flat clausal set: one existential per Skolem
     constant, then universals for all clause variables."""
     if not s.clauses:
         from .syntax import Top
-        return Top(), []
+        return Top()
     clauses, const_vars = _internalize_consts(s.clauses, s.skolem_consts)
     vs: list[str] = []
     for c in clauses:
@@ -409,10 +387,10 @@ def unsko_ft(s: ClosedSet) -> tuple[Formula, list[str]]:
         f = Forall(tuple(vs), f)
     if const_vars:
         f = Exists(tuple(const_vars), f)
-    return f, const_vars
+    return f
 
 
-def unsko(s: ClosedSet) -> tuple[Formula, list[str]]:
+def unsko(s: ClosedSet) -> Formula:
     if s.kind == "flat":
         return unsko_ft(s)
     return unsko_in(s)
@@ -440,17 +418,14 @@ def q_rew(saturation: list[Clause], symbols: SymbolTable) -> RewriteResult:
     conjuncts: list[Formula] = []
     internalized: list[str] = []
     for s in sets:
-        f, const_vars = unsko(s)
-        conjuncts.append(f)
+        conjuncts.append(unsko(s))
         internalized.extend(sorted(s.skolem_consts))
-        del const_vars
     big: Formula = And(tuple(conjuncts)) if len(conjuncts) > 1 \
         else conjuncts[0]
     return RewriteResult(
         sigma_q=Not(big),
         skolem_constants_internalized=internalized,
         equality_used=equality_used,
-        closed_sets=sets,
         conjuncts=conjuncts,
     )
 

@@ -40,7 +40,6 @@ class QueryAnalysis:
     surface: tuple[Literal, ...]
     chained: frozenset[str]
     isolated: frozenset[str]
-    hyperedges: tuple[frozenset[str], ...]
     decomposable: bool
 
 
@@ -59,7 +58,6 @@ def analyze(q: Clause) -> QueryAnalysis:
         surface=surface,
         chained=frozenset(chained),
         isolated=frozenset(isolated),
-        hyperedges=tuple(frozenset(vs) for _, vs in varsets),
         decomposable=is_decomposable(q),
     )
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -188,18 +188,14 @@ def literal_key(lit: Literal) -> tuple:
 class Clause:
     """A multiset of literals kept in sorted order.
 
-    ``label`` and ``parents`` are bookkeeping for traces and play no role in
-    equality: two clauses are equal when their sorted literal tuples are.
+    Two clauses are equal when their sorted literal tuples are.
     """
 
-    __slots__ = ("literals", "label", "parents", "_hash", "_order")
+    __slots__ = ("literals", "_hash", "_order")
 
-    def __init__(self, literals: Iterable[Literal], label: str = "",
-                 parents: tuple[int, ...] = ()) -> None:
+    def __init__(self, literals: Iterable[Literal]) -> None:
         self.literals: tuple[Literal, ...] = tuple(
             sorted(literals, key=literal_key))
-        self.label = label
-        self.parents = parents
         self._hash = hash(self.literals)
         self._order: Optional[Sequence[Literal]] = None
 
@@ -358,8 +354,7 @@ def apply_lit(lit: Literal, sub: Subst) -> Literal:
 
 
 def apply_clause(c: Clause, sub: Subst) -> Clause:
-    return Clause((apply_lit(lit, sub) for lit in c),
-                  label=c.label, parents=c.parents)
+    return Clause(apply_lit(lit, sub) for lit in c)
 
 
 class UnifyFail(Enum):
@@ -488,37 +483,29 @@ def match_lit(pat: Literal, lit: Literal, sub: Subst) -> Optional[Subst]:
     return sub
 
 
-_rename_counter = itertools.count()
-
-
-def reset_rename_counter() -> None:
-    """Restart the fresh-variable counter (for reproducible traces)."""
-    global _rename_counter
-    _rename_counter = itertools.count()
-
-
-def renaming(c: Clause, avoid: set[str] | None = None) -> Subst:
-    """A substitution taking the variables of ``c`` to globally fresh ones.
+def renaming(c: Clause, avoid: set[str], fresh: Iterator[int]) -> Subst:
+    """A substitution taking the variables of ``c`` to fresh ones named
+    ``_v<n>``, drawing ``n`` from ``fresh`` and skipping names in
+    ``avoid``.
 
     Apply it to a literal of ``c`` to find that literal's image: the
     renamed clause is re-sorted, and the sort breaks ties between
     structurally equal literals by variable name, so positions in ``c``
     do not carry over.
     """
-    avoid = avoid or set()
     sub: Subst = {}
     for v in sorted(clause_vars(c)):
         while True:
-            fresh = f"_v{next(_rename_counter)}"
-            if fresh not in avoid:
+            name = f"_v{next(fresh)}"
+            if name not in avoid:
                 break
-        sub[v] = Var(fresh)
+        sub[v] = Var(name)
     return sub
 
 
-def rename_apart(c: Clause, avoid: set[str] | None = None) -> Clause:
-    """Rename the variables of ``c`` to globally fresh ones."""
-    sub = renaming(c, avoid)
+def rename_apart(c: Clause, avoid: set[str]) -> Clause:
+    """Rename the variables of ``c`` to ``_v<n>`` names not in ``avoid``."""
+    sub = renaming(c, avoid, itertools.count())
     return apply_clause(c, sub) if sub else c
 
 
@@ -637,7 +624,7 @@ def condense(c: Clause) -> Clause:
         lits = step
     if len(lits) == len(c):  # nothing dropped: ``c`` is already condensed
         return c
-    return Clause(lits, label=c.label, parents=c.parents)
+    return Clause(lits)
 
 
 def canonical(c: Clause) -> Clause:
@@ -675,10 +662,7 @@ class ClauseFlags:
     flat: bool
     simple: bool
     covering: bool
-    compatible: bool
     strongly_compatible: bool
-    ground: bool
-    decomposable: bool
 
 
 def _is_flat_term(t: Term) -> bool:
@@ -694,73 +678,51 @@ def _is_simple_arg(t: Term) -> bool:
 def classify(c: Clause) -> ClauseFlags:
     comps = compound_terms(c)
     cvars = clause_vars(c)
-    flat = not comps
-    simple = all(_is_simple_arg(a) for lit in c for a in lit.args)
-    covering = all(term_vars(t) == cvars for t in comps)
-    by_fn: dict[str, set[tuple[Term, ...]]] = {}
-    for t in comps:
-        by_fn.setdefault(t.fn, set()).add(t.args)
-    compatible = all(len(argsets) == 1 for argsets in by_fn.values())
-    strongly_compatible = len({t.args for t in comps}) <= 1
     return ClauseFlags(
-        flat=flat,
-        simple=simple,
-        covering=covering,
-        compatible=compatible,
-        strongly_compatible=strongly_compatible,
-        ground=is_ground(c),
-        decomposable=is_decomposable(c),
+        flat=not comps,
+        simple=all(_is_simple_arg(a) for lit in c for a in lit.args),
+        covering=all(term_vars(t) == cvars for t in comps),
+        strongly_compatible=len({t.args for t in comps}) <= 1,
     )
+
+
+def connected_groups(keys: Sequence[Iterable[Hashable]]) -> list[list[int]]:
+    """The indices ``0 .. len(keys)-1`` grouped by shared keys: ``i`` and
+    ``j`` meet when ``keys[i]`` and ``keys[j]`` share an element, and the
+    groups are the classes of the transitive closure.  The groups come in
+    the order of their first members, each in index order."""
+    parent = list(range(len(keys)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    home: dict[Hashable, int] = {}
+    for i, ks in enumerate(keys):
+        for k in ks:
+            if k in home:
+                parent[find(i)] = find(home[k])
+            else:
+                home[k] = i
+    groups: dict[int, list[int]] = {}
+    for i in range(len(keys)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def variable_components(c: Clause) -> list[list[Literal]]:
+    """Partition literals into maximal variable-connected components (a
+    ground literal is a component of its own)."""
+    lits = c.literals
+    return [[lits[i] for i in g]
+            for g in connected_groups([lit_vars(l) for l in lits])]
 
 
 def is_decomposable(c: Clause) -> bool:
     """True if the clause splits into two variable-disjoint subclauses."""
-    if len(c) < 2:
-        return False
-    lits = list(c)
-    # union-find over literal indices connected by shared variables; ground
-    # literals are isolated nodes, so any clause containing one (plus
-    # anything else) is decomposable.
-    parent = list(range(len(lits)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    var_home: dict[str, int] = {}
-    for i, lit in enumerate(lits):
-        for v in lit_vars(lit):
-            if v in var_home:
-                parent[find(i)] = find(var_home[v])
-            else:
-                var_home[v] = i
-    return len({find(i) for i in range(len(lits))}) > 1
-
-
-def variable_components(c: Clause) -> list[list[Literal]]:
-    """Partition literals into maximal variable-connected components."""
-    lits = list(c)
-    parent = list(range(len(lits)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    var_home: dict[str, int] = {}
-    for i, lit in enumerate(lits):
-        for v in lit_vars(lit):
-            if v in var_home:
-                parent[find(i)] = find(var_home[v])
-            else:
-                var_home[v] = i
-    groups: dict[int, list[Literal]] = {}
-    for i, lit in enumerate(lits):
-        groups.setdefault(find(i), []).append(lit)
-    return list(groups.values())
+    return len(variable_components(c)) > 1
 
 
 def _guards(c: Clause) -> tuple[bool, bool]:

@@ -10,6 +10,7 @@ Includes the two large randomized property suites:
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
@@ -18,16 +19,15 @@ import pytest
 from guardedsat import engine
 from guardedsat.engine import (
     ClauseIndex, _binary_resolvents, clause_record, com_t_all, dispatch,
-    factor, side_literals, stays_strictly_maximal,
+    factor, stays_strictly_maximal,
 )
 from guardedsat.oracle import ground_entails
-from guardedsat.orders import LPO, Precedence, maximal, select_nc
+from guardedsat.orders import LPO, Cmp, Precedence, maximal, select_nc
 from guardedsat.qans import _as_main, inferences
 from guardedsat.qsep import DefinitionRegistry, is_icq, q_sep
 from guardedsat.terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
-    Var, apply_lit, clause_vars, depth, is_variant, membership,
-    rename_apart, reset_rename_counter, width,
+    Var, apply_lit, clause_vars, depth, is_variant, membership, width,
 )
 
 import test_qsep
@@ -109,7 +109,13 @@ def _check_record(c, lpo):
         assert rec.main_literals == (select_nc(c),), c
     else:
         assert rec.main_literals == tuple(l for l in c if not l.pos), c
-    assert rec.side_literals == side_literals(c, lpo), c
+    sides = tuple(l for l in maximal(lpo, c, strict=True) if l.pos) \
+        if d == "max" else ()
+    assert rec.side_literals == sides, c
+    assert rec.rivals == tuple(
+        tuple(k for k, other in enumerate(c.literals)
+              if other is not s and lpo.compare_lits(s, other) is not Cmp.GT)
+        for s in sides), c
     return rec
 
 
@@ -132,19 +138,51 @@ def test_clause_record_matches_definitions():
     assert regimes == {"max", "select", "topvar", "icq"}
 
 
+def test_clause_record_compares_each_pair_once(monkeypatch):
+    """The record of an n-literal ``"max"`` clause makes at most
+    n(n-1)/2 literal comparisons."""
+    calls = 0
+    compare = LPO.compare_lits
+
+    def counting(self, l1, l2):
+        nonlocal calls
+        calls += 1
+        return compare(self, l1, l2)
+
+    monkeypatch.setattr(LPO, "compare_lits", counting)
+    symbols = make_symbols(n_preds=5, max_arity=3, n_funcs=2,
+                           rng=random.Random(7))
+    lpo = LPO(Precedence(symbols))
+    checked = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        clauses = random_lg_set(symbols, rng, 8)
+        clauses += [Clause([random_ground_atom(symbols, rng)
+                            for _ in range(rng.randint(2, 5))])]
+        for c in clauses:
+            if dispatch(c) != "max" or len(c) < 2:
+                continue
+            calls = 0
+            rec = clause_record(c, lpo)
+            n = len(c)
+            assert calls <= n * (n - 1) // 2, (c, calls)
+            checked += bool(rec.side_literals)
+    assert checked >= 30, checked
+
+
 def test_side_literals_only_strictly_maximal_positive():
     lpo = _lpo()
     c = Clause([_lit(True, "B", App("f", (x,)), x), _lit(True, "A", x)])
-    sides = side_literals(c, lpo)
+    sides = clause_record(c, lpo).side_literals
     assert sides == (_lit(True, "B", App("f", (x,)), x),)
 
 
 def test_side_literals_none_for_selected_or_flat_nonground():
     lpo = _lpo()
     sel = Clause([_lit(False, "A", App("f", (x,))), _lit(True, "A", x)])
-    assert side_literals(sel, lpo) == ()
+    assert clause_record(sel, lpo).side_literals == ()
     flat = Clause([_lit(True, "B", x, y)])
-    assert side_literals(flat, lpo) == ()
+    assert clause_record(flat, lpo).side_literals == ()
 
 
 def test_com_t_simultaneous_unifier_and_top_variables():
@@ -156,7 +194,7 @@ def test_com_t_simultaneous_unifier_and_top_variables():
                      _lit(False, "G", z, z)]))
     main = Clause([_lit(False, "A", x), _lit(False, "B", x, y),
                    _lit(True, "D", y)])
-    tv = com_t(main, lpo, n)
+    tv = com_t(main, n)
     assert tv is not None
     # x is unified with the compound term f(z); it dominates y
     assert tv.top_vars == frozenset({"x"})
@@ -181,8 +219,8 @@ def _assert_joins_agree(main, n):
     negs = [l for l in main if not l.pos]
     results = 0
     for must in [None] + sorted(n.by_id):
-        got = list(com_t_all(main, n.lpo, n, must_include=must))
-        want = list(reference_com_t_all(main, n.lpo, n, must_include=must))
+        got = list(com_t_all(main, n, must_include=must))
+        want = list(reference_com_t_all(main, n, must_include=must))
         assert [_join_signature(tv) for tv in got] == \
             [_join_signature(tv) for tv in want], (main, must)
         for g, w in zip(got, want):
@@ -255,7 +293,7 @@ def test_join_agrees_with_nested_loop_reference(monkeypatch):
 
 def _renaming_flip_index():
     """A side clause whose two side literals swap places when renamed
-    with the counter at 9: ``q(x,f(x)) | q(y,f(x))`` becomes
+    with the index's supply at 9: ``q(x,f(x)) | q(y,f(x))`` becomes
     ``q(_v10,f(_v9)) | q(_v9,f(_v9))``, because the sort breaks the tie
     between the structurally equal literals by variable name."""
     s = SymbolTable()
@@ -268,9 +306,7 @@ def _renaming_flip_index():
     side = Clause([_lit(True, "q", x, fx), _lit(True, "q", y, fx)])
     n.add(1, side)
     assert n.records[1].side_literals == side.literals
-    reset_rename_counter()
-    rename_apart(Clause([_lit(True, "q", Var(f"w{i}"), Var(f"w{i}"))
-                         for i in range(9)]))
+    n.fresh = itertools.count(9)
     return n
 
 
@@ -280,7 +316,7 @@ def test_join_resolves_the_side_literal_it_picked():
     not whatever the renamed clause holds at its position."""
     n = _renaming_flip_index()
     main = Clause([_lit(False, "q", z, z)])
-    (tv,) = com_t_all(main, n.lpo, n)
+    (tv,) = com_t_all(main, n)
     ((_, cid, side_r, pos_r),) = tv.side_assignment
     assert [str(l) for l in side_r] == ["q(_v10,f(_v9))", "q(_v9,f(_v9))"]
     assert str(pos_r) == "q(_v10,f(_v9))"
@@ -469,7 +505,7 @@ def _random_ground_sres(rng: random.Random, symbols):
                     cand.pred != atom.pred:
                 rest = [cand]
         side = Clause([atom] + rest)
-        if side_literals(side, lpo) != (atom,):
+        if clause_record(side, lpo).side_literals != (atom,):
             side = Clause([atom])
         idx.add(i, side)
         sides.append(side)

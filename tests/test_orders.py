@@ -6,13 +6,16 @@ import random
 import pytest
 
 from guardedsat.orders import (
-    Cmp, LPO, Precedence, maximal, select_nc,
+    Cmp, LPO, Precedence, comparisons, maximal, select_nc,
 )
 from guardedsat.terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable, Var,
+    apply_lit,
 )
 
-from util import clause_gt
+from util import (
+    CONSTS, clause_gt, funcs, make_symbols, random_ground_atom, random_lg_set,
+)
 
 x, y = Var("x"), Var("y")
 
@@ -94,6 +97,55 @@ def test_maximal_a_priori():
     c = Clause([L("B", A("f", x), x, Const("b")), L("D", A("g", x))])
     maxs = maximal(lpo, c, strict=True)
     assert L("B", A("f", x), x, Const("b")) in maxs
+
+
+def _random_literals(symbols, rng):
+    """The literals of random loosely guarded clauses and of ground atoms,
+    their instances under substitutions with nested Skolem terms, and the
+    complements of all of these."""
+    fns = funcs(symbols)
+
+    def term(nesting):
+        r = rng.random()
+        if nesting and r < 0.35:
+            f, k = rng.choice(fns)
+            return App(f, tuple(term(nesting - 1) for _ in range(k)))
+        if r < 0.6:
+            return Const(rng.choice(CONSTS))
+        return Var(rng.choice(("x1", "x2", "x3")))
+
+    lits = [l for c in random_lg_set(symbols, rng, 4) for l in c]
+    lits += [random_ground_atom(symbols, rng) for _ in range(3)]
+    sub = {v: term(2) for v in ("x1", "x2", "x3")}
+    lits += [apply_lit(l, sub) for l in lits]
+    return lits + [l.negate() for l in lits]
+
+
+def test_compare_lits_is_antisymmetric():
+    """``compare_lits(a, b)`` mirrors ``compare_lits(b, a)``: GT and LT
+    swap, EQ and NC stay.  :func:`comparisons` compares each pair once on
+    the strength of this, and must agree with comparing both ways."""
+    mirror = {Cmp.GT: Cmp.LT, Cmp.LT: Cmp.GT, Cmp.EQ: Cmp.EQ,
+              Cmp.NC: Cmp.NC}
+    symbols = make_symbols(n_preds=5, max_arity=3, n_funcs=2,
+                           rng=random.Random(7))
+    lpo = LPO(Precedence(symbols))
+    seen = {r: 0 for r in Cmp}
+    skolem = 0
+    for seed in range(8):
+        lits = _random_literals(symbols, random.Random(seed))
+        table = comparisons(lpo, lits)
+        for i, a in enumerate(lits):
+            for j, b in enumerate(lits):
+                if i == j:
+                    continue
+                r = lpo.compare_lits(a, b)
+                assert lpo.compare_lits(b, a) is mirror[r], (a, b)
+                assert table[i][j] is r, (a, b)
+                seen[r] += 1
+                skolem += any(isinstance(t, App) for t in a.args + b.args)
+    assert all(n > 100 for n in seen.values()), seen
+    assert skolem > 1000, skolem
 
 
 def test_clause_gt_ground_total():

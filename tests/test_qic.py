@@ -52,7 +52,7 @@ def _setup():
 
 def test_topvar_partition_on_cycle_query():
     s, lpo, idx, clauses = _setup()
-    tv = com_t(clauses[4], lpo, idx)
+    tv = com_t(clauses[4], idx)
     assert tv is not None
     # the cycle variables bound to compound terms dominate; x3 is unified
     # with g(...) and becomes the single top variable of its block

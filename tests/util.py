@@ -205,7 +205,7 @@ def _iter_assignments(
         for cid, side, pos_lit in n.side_candidates(lit.pred):
             if len(pos_lit.args) != len(lit.args):
                 continue
-            ren = renaming(side, avoid)
+            ren = renaming(side, avoid, n.fresh)
             side_r = apply_clause(side, ren)
             pos_r = apply_lit(pos_lit, ren)
             new_pairs = pairs + [(pos_r, lit)]
@@ -219,7 +219,7 @@ def _iter_assignments(
     yield from extend(0, [], must_include is None)
 
 
-def reference_com_t_all(main: Clause, lpo: LPO, n: ClauseIndex,
+def reference_com_t_all(main: Clause, n: ClauseIndex,
                         must_include: Optional[int] = None
                         ) -> Iterator[TopVarResult]:
     """The top-variable join as a nested loop that renames every candidate
@@ -243,18 +243,18 @@ def reference_com_t_all(main: Clause, lpo: LPO, n: ClauseIndex,
                            rivals)
 
 
-def com_t(main: Clause, lpo: LPO, n: ClauseIndex,
+def com_t(main: Clause, n: ClauseIndex,
           must_include: Optional[int] = None) -> Optional[TopVarResult]:
     """The first side-premise assignment of :func:`com_t_all`, or ``None``
     when the selected literals of ``main`` have none."""
-    for tv in com_t_all(main, lpo, n, must_include=must_include):
+    for tv in com_t_all(main, n, must_include=must_include):
         return tv
     return None
 
 
 def s_res(main_id: int, main: Clause, n: ClauseIndex) -> list[Inference]:
     """Full simultaneous resolution: resolve *all* selected literals."""
-    tvr = com_t(main, n.lpo, n)
+    tvr = com_t(main, n)
     if tvr is None:
         return []
     sigma = tvr.sres_mgu
@@ -272,7 +272,7 @@ def p_res(main_id: int, main: Clause, n: ClauseIndex,
           subset: Sequence[Literal]) -> list[Inference]:
     """Partial resolution: resolve a chosen subset of the selected
     literals, provided the full simultaneous unifier exists."""
-    tvr = com_t(main, n.lpo, n)
+    tvr = com_t(main, n)
     if tvr is None:
         return []
     pairs = []
@@ -384,7 +384,7 @@ def reference_condense(c: Clause) -> Clause:
                     break
             if changed:
                 break
-    return Clause(lits, label=c.label, parents=c.parents)
+    return Clause(lits)
 
 
 GROUND_GUARD = ()
