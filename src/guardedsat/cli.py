@@ -23,7 +23,7 @@ from .qans import answer, run
 from .qrew import RewriteError, q_rew
 from .qsep import DefinitionRegistry, analyze, q_sep
 from .syntax import ParseError, Problem, parse, print_formula
-from .terms import Clause
+from .terms import Clause, is_decomposable
 
 EXIT_NO = 0
 EXIT_UNKNOWN = 1
@@ -94,7 +94,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         print("  surface:", " | ".join(str(l) for l in a.surface))
         print("  chained:", " ".join(sorted(a.chained)) or "-")
         print("  isolated:", " ".join(sorted(a.isolated)) or "-")
-        print("  decomposable:", "yes" if a.decomposable else "no")
+        print("  decomposable:", "yes" if is_decomposable(q) else "no")
         print("  acyclic:", "yes" if sep.acyclic else "no")
     return EXIT_NO
 

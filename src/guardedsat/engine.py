@@ -18,17 +18,25 @@ is added, as a :class:`ClauseRecord`; :func:`resolvents` and
 :func:`factor` read the record.  The saturation loop and the tests reach
 them through :func:`guardedsat.qans.inferences`.
 
-The top-variable join (:func:`com_t_all`) is a backtracking search.  It
-fetches each selected literal's side candidates once, visits the literals
-from the fewest candidates up and extends one triangular unifier level by
-level, on level-local copies of the non-ground side literals.  Once an
-argument of a literal is ground under the unifier, the level tries only
-the candidates with that argument there or a non-ground one (an index by
-argument, built on the level's first such probe).  When a new clause must
-take part, the search is seeded once at each literal where it can stand
-(semi-naive evaluation).  The tuples found are sorted into clause-id
-order, and only then are their sides renamed apart and the simultaneous
-unifier solved, once per tuple.
+The top-variable join is a backtracking search.  It fetches each
+selected literal's side candidates once, visits the literals from the
+fewest candidates up and extends one triangular unifier level by level,
+on level-local copies of the non-ground side literals.  Once an argument
+of a literal is ground under the unifier, the level tries only the
+candidates with that argument there or a non-ground one; failing that,
+once an argument is bound to a compound term, only the candidates with
+its head symbol there or a variable (an index by argument, built on the
+level's first such probe).  When a new clause must take part, the search
+is seeded once at each literal where it can stand (semi-naive
+evaluation).  The tuples found are sorted into clause-id order.
+
+:func:`com_t_all` reads each tuple's top variables off the join's own
+unifier.  A conclusion of rule 2b depends only on the top variables and
+the sides of the top literals, so it keeps the first tuple of each such
+key: only that one has its sides renamed apart and becomes a
+:class:`TopVarResult`.  A later tuple with the same key would give a
+variant conclusion, which insertion rejects; it still draws its sides'
+fresh names, so the names of every later conclusion stay as they were.
 
 The index also maps each predicate to the clauses with a main literal on
 it (:meth:`ClauseIndex.mains_on`), so a new side premise meets only the
@@ -40,16 +48,17 @@ of rule 2b must re-check after unification.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .orders import LPO, Cmp, comparisons, select_nc
 from .qsep import is_icq
 from .terms import (
     App, Clause, Const, Literal, Subst, Term, Var, apply_clause, apply_lit,
-    apply_term, clause_vars, is_ground, is_ground_term, lit_vars, mgu_lits,
-    renaming, term_depth, unify_into,
+    clause_vars, is_ground, is_ground_term, lit_vars, mgu_lits, renaming,
+    unify_into,
 )
 
 
@@ -135,6 +144,9 @@ def clause_record(c: Clause, lpo: LPO) -> ClauseRecord:
 # clause index
 
 
+_entry_id = itemgetter(0)
+
+
 class ClauseIndex:
     """Clauses with stable ids, their records, a positive-literal
     side-premise index, the main premises by predicate, and the supply
@@ -158,7 +170,7 @@ class ClauseIndex:
         insort(self._ids, cid)
         for lit in rec.side_literals:
             insort(self._side_index.setdefault(lit.pred, []), (cid, lit),
-                   key=lambda e: e[0])
+                   key=_entry_id)
         for pred in {l.pred for l in rec.main_literals}:
             insort(self._main_index.setdefault(pred, []), cid)
 
@@ -169,7 +181,8 @@ class ClauseIndex:
         del self._ids[bisect_left(self._ids, cid)]
         for pred in {l.pred for l in rec.side_literals}:
             lst = self._side_index[pred]
-            lst[:] = [(i, l) for (i, l) in lst if i != cid]
+            del lst[bisect_left(lst, cid, key=_entry_id):
+                    bisect_right(lst, cid, key=_entry_id)]
         for pred in {l.pred for l in rec.main_literals}:
             ids = self._main_index[pred]
             del ids[bisect_left(ids, cid)]
@@ -185,8 +198,7 @@ class ClauseIndex:
 
     def side_candidates(self, pred: str) -> list[tuple[int, Clause, Literal]]:
         return [(cid, self.by_id[cid], lit)
-                for cid, lit in self._side_index.get(pred, ())
-                if cid in self.by_id]
+                for cid, lit in self._side_index.get(pred, ())]
 
     def clauses(self) -> list[tuple[int, Clause]]:
         """The indexed clauses in id order."""
@@ -199,7 +211,6 @@ class ClauseIndex:
 
 @dataclass(frozen=True, slots=True)
 class TopVarResult:
-    sres_mgu: Subst
     top_vars: frozenset[str]
     top_literals: tuple[Literal, ...]
     # (main literal, side clause id, renamed side clause, renamed side literal)
@@ -250,52 +261,96 @@ def _ground_image(t: Term, sub: Subst) -> Optional[Term]:
     return App(t.fn, tuple(args))
 
 
-# per argument position: the candidates by their ground argument there, and
-# the candidates with a non-ground argument there
-_ArgIndex = dict[int, tuple[dict[Term, list[_Candidate]], list[_Candidate]]]
+def _depth_under(t: Term, sub: Subst) -> int:
+    """The depth of ``t`` under the triangular unifier ``sub``."""
+    while isinstance(t, Var):
+        if t.name not in sub:
+            return 0
+        t = sub[t.name]
+    if isinstance(t, Const):
+        return 0
+    return 1 + max((_depth_under(a, sub) for a in t.args), default=0)
+
+
+# the candidates of a level by what they hold at one argument position: by
+# their ground argument there, those with a non-ground one there, by the
+# head symbol (name, arity) of a compound argument there, and those with a
+# variable there
+_PositionIndex = tuple[dict[Term, list[_Candidate]], list[_Candidate],
+                       dict[tuple[str, int], list[_Candidate]],
+                       list[_Candidate]]
+
+
+def _position_index(level: list[_Candidate], j: int) -> _PositionIndex:
+    exact: dict[Term, list[_Candidate]] = {}
+    wild: list[_Candidate] = []
+    heads: dict[tuple[str, int], list[_Candidate]] = {}
+    free: list[_Candidate] = []
+    for cand in level:
+        b = cand[4].args[j]
+        if is_ground_term(b):
+            exact.setdefault(b, []).append(cand)
+        else:
+            wild.append(cand)
+        if isinstance(b, App):
+            heads.setdefault((b.fn, len(b.args)), []).append(cand)
+        elif isinstance(b, Var):
+            free.append(cand)
+    return exact, wild, heads, free
 
 
 def _probed(level: list[_Candidate], args: Sequence[Term], sub: Subst,
-            index: _ArgIndex) -> Optional[list[_Candidate]]:
+            index: dict[int, _PositionIndex]) -> Optional[list[_Candidate]]:
     """The candidates of ``level`` that can still unify with a selected
     literal over ``args`` under ``sub``, found through the first argument
     that ``sub`` makes ground: the candidates with that very term there,
-    then those with a non-ground one.  ``None`` when no argument is
-    ground.  ``index`` is filled on the first probe of each position."""
+    then those with a non-ground one.  With no ground argument, through
+    the first argument that ``sub`` binds to a compound term: the
+    candidates with its head symbol there, then those with a variable
+    there.  ``None`` when there is neither.  ``index`` is filled on the
+    first probe of each position."""
+    head = None
     for j, a in enumerate(args):
         t = _ground_image(a, sub)
-        if t is None:
-            continue
-        if j not in index:
-            exact: dict[Term, list[_Candidate]] = {}
-            wild: list[_Candidate] = []
-            for cand in level:
-                b = cand[4].args[j]
-                if is_ground_term(b):
-                    exact.setdefault(b, []).append(cand)
-                else:
-                    wild.append(cand)
-            index[j] = exact, wild
-        exact, wild = index[j]
-        return exact.get(t, []) + wild
-    return None
+        if t is not None:
+            if j not in index:
+                index[j] = _position_index(level, j)
+            exact, wild, _, _ = index[j]
+            return exact.get(t, []) + wild
+        if head is None:
+            while isinstance(a, Var) and a.name in sub:
+                a = sub[a.name]
+            if isinstance(a, App):
+                head = j, (a.fn, len(a.args))
+    if head is None:
+        return None
+    j, symbol = head
+    if j not in index:
+        index[j] = _position_index(level, j)
+    _, _, heads, free = index[j]
+    return heads.get(symbol, []) + free
+
+
+# a join tuple: one candidate per selected literal, and the triangular
+# unifier of the candidates' level copies with the selected literals
+_JoinTuple = tuple[tuple[_Candidate, ...], Subst]
 
 
 def _search(negs: Sequence[Literal], levels: list[list[_Candidate]],
-            found: list[tuple[_Candidate, ...]]) -> None:
+            found: list[_JoinTuple]) -> None:
     """Append to ``found`` every tuple, one candidate per level, whose side
-    literals unify with ``negs`` simultaneously.  Levels are visited from
-    the fewest candidates up; each extends its own copy of the triangular
-    unifier of the levels before it, trying only the candidates that
-    :func:`_probed` lets through.  Candidates are tried out of their list
-    order; the caller sorts what is found."""
+    literals unify with ``negs`` simultaneously, with its unifier.  Levels
+    are visited from the fewest candidates up; each extends its own copy
+    of the triangular unifier of the levels before it, trying only the
+    candidates that :func:`_probed` lets through.  Candidates are tried
+    out of their list order; the caller sorts what is found."""
     order = sorted(range(len(negs)), key=lambda i: len(levels[i]))
     chosen: list = [None] * len(negs)
-    indexes: list[_ArgIndex] = [{} for _ in negs]
+    indexes: list[dict[int, _PositionIndex]] = [{} for _ in negs]
 
     def extend(k: int, sub: Subst) -> None:
         if k == len(order):
-            found.append(tuple(chosen))
+            found.append((tuple(chosen), sub))
             return
         i = order[k]
         args = negs[i].args
@@ -310,10 +365,10 @@ def _search(negs: Sequence[Literal], levels: list[list[_Candidate]],
 
 
 def _join(negs: Sequence[Literal], n: ClauseIndex,
-          must_include: Optional[int]) -> list[tuple[_Candidate, ...]]:
+          must_include: Optional[int]) -> list[_JoinTuple]:
     """All side-premise tuples simultaneously unifiable with the selected
-    literals ``negs``, in clause-id order (lexicographic by candidate
-    position, literal by literal).
+    literals ``negs``, each with its unifier, in clause-id order
+    (lexicographic by candidate position, literal by literal).
 
     With ``must_include``, only the tuples that use that clause: the join
     is seeded once at each level ``p`` where it can stand, with earlier
@@ -325,7 +380,7 @@ def _join(negs: Sequence[Literal], n: ClauseIndex,
         levels.append(_level_candidates(lit, n, i))
         if not levels[-1]:
             return []
-    found: list[tuple[_Candidate, ...]] = []
+    found: list[_JoinTuple] = []
     if must_include is None:
         _search(negs, levels, found)
     else:
@@ -335,24 +390,40 @@ def _join(negs: Sequence[Literal], n: ClauseIndex,
                 _search(negs, [[c for c in lv if c[1] != must_include]
                                for lv in levels[:p]]
                         + [new] + levels[p + 1:], found)
-    found.sort(key=lambda chosen: tuple(c[0] for c in chosen))
+    found.sort(key=lambda t: tuple(c[0] for c in t[0]))
     return found
 
 
 def com_t_all(main: Clause, n: ClauseIndex,
               must_include: Optional[int] = None) -> Iterator[TopVarResult]:
-    """All side-premise assignments for the selected literals of ``main``,
-    each with its simultaneous unifier and top variables.
+    """The side-premise assignments for the selected literals of ``main``,
+    one per distinct key: the top variables and, for each top literal,
+    the side candidate it takes.  Each is the first join tuple of its key
+    in clause-id order.
 
-    The sides of each assignment are renamed apart from ``main`` and the
-    unifier is solved afresh on them, so the join's own variable copies
-    never reach a conclusion.
+    The top variables are the variables of ``main`` that are deepest under
+    the join's unifier.  The sides of a kept tuple are renamed apart from
+    ``main``, so the join's own variable copies never reach a conclusion;
+    a skipped tuple draws the same fresh names and drops them.
     """
     negs = [l for l in main if not l.pos]
     if not negs:
         return
     mvars = clause_vars(main)
-    for chosen in _join(negs, n, must_include):
+    neg_vars = [lit_vars(l) for l in negs]
+    seen: set[tuple] = set()
+    for chosen, sub in _join(negs, n, must_include):
+        depths = {v: _depth_under(Var(v), sub) for v in mvars}
+        top_depth = max(depths.values(), default=0)
+        top_vars = frozenset(v for v, d in depths.items()
+                             if d == top_depth)
+        top = [i for i, vs in enumerate(neg_vars) if vs & top_vars]
+        key = (top_vars, tuple((i, chosen[i][0]) for i in top))
+        if key in seen:
+            for cand in chosen:
+                renaming(cand[2], mvars, n.fresh)
+            continue
+        seen.add(key)
         assignment = []
         rivals = []
         for lit, (_, cid, side, pos_lit, _) in zip(negs, chosen):
@@ -365,16 +436,8 @@ def com_t_all(main: Clause, n: ClauseIndex,
             rivals.append(tuple(
                 apply_lit(side.literals[k], ren)
                 for k in rec.rivals[rec.side_literals.index(pos_lit)]))
-        sigma = mgu_lits([(pos_r, lit) for lit, _, _, pos_r in assignment])
-        if sigma is None:
-            continue
-        depths = {v: term_depth(apply_term(Var(v), sigma)) for v in mvars}
-        top_depth = max(depths.values(), default=0)
-        top_vars = frozenset(v for v, d in depths.items()
-                             if d == top_depth)
-        top_literals = tuple(l for l in negs if lit_vars(l) & top_vars)
-        yield TopVarResult(sigma, top_vars, top_literals, tuple(assignment),
-                           tuple(rivals))
+        yield TopVarResult(top_vars, tuple(negs[i] for i in top),
+                           tuple(assignment), tuple(rivals))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +451,6 @@ class Inference:
     sides: tuple[int, ...]
     sigma: tuple[tuple[str, Term], ...]
     conclusion: Clause
-    sres_mgu: tuple[tuple[str, Term], ...] = ()
 
 
 def _freeze(sub: Subst) -> tuple[tuple[str, Term], ...]:
@@ -480,7 +542,7 @@ def _topvar_resolvent(main_id: int, main: Clause, tv: TopVarResult,
            [apply_lit(l, sigma) for l in extra]
     concl = Clause(dict.fromkeys(lits))
     return Inference("TRes2b", main_id, tuple(side_ids), _freeze(sigma),
-                     concl, sres_mgu=_freeze(tv.sres_mgu))
+                     concl)
 
 
 def resolvents(main_id: int, n: ClauseIndex,

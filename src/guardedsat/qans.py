@@ -8,7 +8,14 @@ worked-off and computes every inference between it and worked-off with
 :func:`inferences`, the one inference entry point (the tests call it
 too).  It reads each worked-off clause's
 :class:`~guardedsat.engine.ClauseRecord`, computed once when the clause
-entered worked-off.
+entered worked-off.  Usable keeps its ids in insertion order, which is
+the oldest pick, and grouped by weight under a heap of the weights, which
+is the lightest pick.
+
+Top-variable resolution yields one conclusion per distinct assignment of
+sides to the top literals (:func:`~guardedsat.engine.com_t_all`): the
+join tuples that differ only in a side of a non-top literal would give
+variants of that conclusion, which insertion would reject anyway.
 
 Forward and backward subsumption look up the ground unit clauses of
 usable and worked-off by their literal: a ground unit subsumes exactly
@@ -25,7 +32,9 @@ inserted.  The derivation of the empty clause means the query is entailed.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Optional
 
 from .clausify import TransOutput, trans
@@ -58,6 +67,7 @@ class SaturationState:
     step_budget: int = 10 ** 6
     seed: int = 0
     worked_off: ClauseIndex = None  # type: ignore[assignment]
+    # in insertion order, which is id order
     usable: dict[int, Clause] = field(default_factory=dict)
     # clause_weight of each usable clause, kept alongside ``usable``
     weights: dict[int, int] = field(default_factory=dict)
@@ -71,6 +81,10 @@ class SaturationState:
     units_by_sig: dict[tuple[bool, str], dict[Literal, int]] = field(
         default_factory=dict, init=False)
     others: dict[int, Clause] = field(default_factory=dict, init=False)
+    # the usable ids by weight, each list in id order, and a heap of the
+    # weights; a weight whose list has emptied leaves the heap lazily
+    by_weight: dict[int, list[int]] = field(default_factory=dict, init=False)
+    lightest: list[int] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if self.worked_off is None:
@@ -108,8 +122,7 @@ class SaturationState:
             self._drop(cid)
         cid = self.next_id
         self.next_id += 1
-        self.usable[cid] = c
-        self.weights[cid] = clause_weight(c)
+        self._add_usable(cid, c)
         if len(c) == 1 and is_ground(c):
             (lit,) = c
             self.units_by_sig.setdefault((lit.pos, lit.pred), {})[lit] = cid
@@ -121,32 +134,48 @@ class SaturationState:
     def _drop(self, cid: int) -> None:
         """Remove the backward-subsumed clause with id ``cid`` from usable
         or worked-off."""
-        c = self.usable.pop(cid, None)
-        if c is None:
+        if cid in self.usable:
+            c = self._remove_usable(cid)
+        else:
             c = self.worked_off.by_id[cid]
             self.worked_off.remove(cid)
-        else:
-            del self.weights[cid]
         if self.others.pop(cid, None) is None:
             (lit,) = c
             del self.units_by_sig[(lit.pos, lit.pred)][lit]
 
-    # -- pick --------------------------------------------------------------
+    # -- usable ------------------------------------------------------------
+
+    def _add_usable(self, cid: int, c: Clause) -> None:
+        """Add ``c`` to usable; ``cid`` must exceed every id there."""
+        self.usable[cid] = c
+        w = self.weights[cid] = clause_weight(c)
+        ids = self.by_weight.get(w)
+        if ids is None:
+            ids = self.by_weight[w] = []
+            heappush(self.lightest, w)
+        ids.append(cid)
+
+    def _remove_usable(self, cid: int) -> Clause:
+        w = self.weights.pop(cid)
+        ids = self.by_weight[w]
+        del ids[bisect_left(ids, cid)]
+        if not ids:
+            del self.by_weight[w]
+        return self.usable.pop(cid)
 
     def pick(self) -> tuple[int, Clause]:
         """1-in-5 oldest, otherwise lightest (ties broken by the seeded
         RNG for determinism under a fixed seed)."""
         self.picks += 1
         if self.picks % 5 == 1:
-            cid = min(self.usable)
+            cid = next(iter(self.usable))
         else:
-            best = min(self.weights.values())
-            ties = sorted(cid for cid, w in self.weights.items()
-                          if w == best)
+            while self.lightest[0] not in self.by_weight:
+                heappop(self.lightest)
+            ties = self.by_weight[self.lightest[0]]
             cid = ties[self.rng.randrange(len(ties))] if len(ties) > 1 \
                 else ties[0]
-        del self.weights[cid]
-        return cid, self.usable.pop(cid)
+        return cid, self._remove_usable(cid)
 
 
 @dataclass

@@ -81,7 +81,9 @@ def t_trans(main: Clause, tv: TopVarResult, sigma: Subst,
 def q_ic_all(main_id: int, n: ClauseIndex, reg: DefinitionRegistry,
              must_include: int | None = None) -> list[QicResult]:
     """T-Res on an ICQ main premise followed by T-Trans and Q-Sep, one
-    result per side-premise assignment."""
+    result per side-premise assignment that :func:`com_t_all` yields (one
+    per distinct assignment of sides to the top literals, the only sides
+    :func:`t_trans` reads)."""
     main = n.by_id[main_id]
     out: list[QicResult] = []
     for tv in com_t_all(main, n, must_include=must_include):

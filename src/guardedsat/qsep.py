@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 from .terms import (
     Clause, Literal, SymbolKind, SymbolOrigin, SymbolTable, Var, canonical,
-    clause_vars, condense, is_decomposable, lit_vars, literal_key,
-    membership, variable_components,
+    clause_vars, condense, lit_vars, literal_key, membership,
+    variable_components,
 )
 
 _MARK = "?def"
@@ -40,7 +40,6 @@ class QueryAnalysis:
     surface: tuple[Literal, ...]
     chained: frozenset[str]
     isolated: frozenset[str]
-    decomposable: bool
 
 
 def analyze(q: Clause) -> QueryAnalysis:
@@ -58,7 +57,6 @@ def analyze(q: Clause) -> QueryAnalysis:
         surface=surface,
         chained=frozenset(chained),
         isolated=frozenset(isolated),
-        decomposable=is_decomposable(q),
     )
 
 

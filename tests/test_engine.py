@@ -27,12 +27,13 @@ from guardedsat.qans import _as_main, inferences
 from guardedsat.qsep import DefinitionRegistry, is_icq, q_sep
 from guardedsat.terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
-    Var, apply_lit, clause_vars, depth, is_variant, membership, width,
+    Var, apply_lit, clause_vars, depth, is_variant, membership, normalize,
+    renaming, unify_into, width,
 )
 
 import test_qsep
 from util import (
-    CONSTS, clause_gt, com_t, make_symbols, p_res, preds,
+    CONSTS, _iter_assignments, clause_gt, com_t, make_symbols, p_res, preds,
     random_ground_atom, random_lg_set, reference_com_t_all, s_res,
 )
 
@@ -207,30 +208,74 @@ def test_com_t_simultaneous_unifier_and_top_variables():
 # the top-variable join against the nested-loop reference
 
 
-def _join_signature(tv):
-    """(main literal, side id, position of the side literal) per level."""
-    return [(mlit, cid, side_r.literals.index(pos_r))
-            for mlit, cid, side_r, pos_r in tv.side_assignment]
+def _side_literal(n, cid, side_r, pos_r):
+    """The literal of the indexed clause ``cid`` whose image under
+    renaming is ``pos_r``.  ``terms.renaming`` maps the clause's variables,
+    in name order, to fresh names in the order they are drawn."""
+    drawn = sorted(clause_vars(side_r), key=lambda v: int(v[2:]))
+    names = sorted(clause_vars(n.by_id[cid]))
+    back = {v: Var(w) for v, w in zip(drawn, names)}
+    return apply_lit(pos_r, back)
+
+
+def _signature(n, tv):
+    """(main literal, side id, side literal before renaming) per level."""
+    return tuple((mlit, cid, _side_literal(n, cid, side_r, pos_r))
+                 for mlit, cid, side_r, pos_r in tv.side_assignment)
 
 
 def _assert_joins_agree(main, n):
-    """The engine's join and the reference join give the same assignments
-    in the same order, with and without each indexed clause required."""
+    """With and without each indexed clause required:
+
+    * the join finds every tuple of the reference join, in the same order,
+      each with a unifier equivalent to the reference's;
+    * :func:`com_t_all` yields the reference's first tuple of each key (top
+      variables, side of each top literal), and nothing else, with the
+      same top literals and a variant resolvent;
+    * the fresh-name supply ends where renaming every tuple's sides leaves
+      it.
+
+    Returns the number of join tuples and of those skipped as repeats."""
     negs = [l for l in main if not l.pos]
-    results = 0
+    mvars = clause_vars(main)
+    lpo = n.lpo
+    tuples = skipped = 0
     for must in [None] + sorted(n.by_id):
-        got = list(com_t_all(main, n, must_include=must))
         want = list(reference_com_t_all(main, n, must_include=must))
-        assert [_join_signature(tv) for tv in got] == \
-            [_join_signature(tv) for tv in want], (main, must)
-        for g, w in zip(got, want):
+        found = engine._join(negs, n, must)
+        assert [tuple((neg, c[1], c[3]) for neg, c in zip(negs, chosen))
+                for chosen, _ in found] == \
+            [_signature(n, w) for w in want], (main, must)
+        for (_, sub), (_, sigma) in zip(
+                found, _iter_assignments(negs, n, mvars, must)):
+            sub = normalize(sub)
+            assert is_variant(Clause([apply_lit(l, sub) for l in negs]),
+                              Clause([apply_lit(l, sigma) for l in negs]))
+        first = {}
+        for w in want:
+            sig = _signature(n, w)
+            key = (w.top_vars, tuple(s for s in sig if s[0] in w.top_literals))
+            first.setdefault(key, w)
+        fresh = itertools.count(1000)
+        for chosen, _ in found:
+            for c in chosen:
+                renaming(c[2], mvars, fresh)
+        n.fresh = itertools.count(1000)
+        got = list(com_t_all(main, n, must_include=must))
+        assert next(n.fresh) == next(fresh), (main, must)
+        assert [_signature(n, g) for g in got] == \
+            [_signature(n, w) for w in first.values()], (main, must)
+        for g, w in zip(got, first.values()):
             assert g.top_vars == w.top_vars
             assert g.top_literals == w.top_literals
-            assert is_variant(
-                Clause([apply_lit(l, g.sres_mgu) for l in negs]),
-                Clause([apply_lit(l, w.sres_mgu) for l in negs])), (main, must)
-        results += len(got)
-    return results
+            r_got = engine._topvar_resolvent(0, main, g, lpo)
+            r_want = engine._topvar_resolvent(0, main, w, lpo)
+            assert (r_got is None) == (r_want is None), (main, must)
+            if r_got is not None:
+                assert is_variant(r_got.conclusion, r_want.conclusion)
+        tuples += len(found)
+        skipped += len(found) - len(got)
+    return tuples, skipped
 
 
 def _icq_join_index(rng):
@@ -272,7 +317,7 @@ def test_join_agrees_with_nested_loop_reference(monkeypatch):
     monkeypatch.setattr(engine, "_probed", counting)
     symbols = make_symbols(n_preds=5, max_arity=3, n_funcs=2,
                            rng=random.Random(7))
-    results = 0
+    tuples = skipped = 0
     for seed in range(40):
         rng = random.Random(seed)
         clauses = random_lg_set(symbols, rng, 8)
@@ -281,12 +326,13 @@ def test_join_agrees_with_nested_loop_reference(monkeypatch):
         n = ClauseIndex(LPO(Precedence(symbols)))
         for i, c in enumerate(clauses):
             n.add(i, c)
-        for cid, c in n.clauses():
-            if n.records[cid].regime == "topvar":
-                results += _assert_joins_agree(c, n)
+        joins = [_assert_joins_agree(c, n) for cid, c in n.clauses()
+                 if n.records[cid].regime == "topvar"]
         icq, icq_index = _icq_join_index(rng)
-        results += _assert_joins_agree(icq, icq_index)
-    assert results >= 200, results
+        joins.append(_assert_joins_agree(icq, icq_index))
+        tuples += sum(t for t, _ in joins)
+        skipped += sum(k for _, k in joins)
+    assert tuples >= 200 and skipped >= 20, (tuples, skipped)
     # levels extended through the argument index, not the full list
     assert probed > 0
 
@@ -381,6 +427,72 @@ def test_side_condition_on_rivals_agrees_with_full_check():
                     fails += not full
     assert checks > 500 and fails > 50 and skipped > 50, \
         (checks, fails, skipped)
+
+
+def test_probe_by_head_symbol():
+    """With no argument ground under the unifier but one bound to a
+    compound term, a level tries the candidates with that head symbol or
+    a variable there, and drops only candidates that cannot unify."""
+    n = ClauseIndex(_lpo())
+    fx, fa = App("f", (x,)), App("f", (a,))
+    for cid, args in enumerate([(fx, x), (x, fx), (a, b), (fa, b),
+                                (App("f", (fx,)), x), (b, fa)]):
+        n.add(cid, Clause([_lit(True, "B", *args)]))
+    main = _lit(False, "B", y, z)
+    level = engine._level_candidates(main, n, 1)
+    assert len(level) == 6
+    sub = {"y": App("f", (Var(".0.w"),))}
+    got = engine._probed(level, main.args, sub, {})
+    assert sorted(c[1] for c in got) == [0, 1, 3, 4]
+    for cand in level:
+        if cand not in got:
+            assert unify_into(zip(cand[4].args, main.args), dict(sub)) \
+                is not None
+
+
+def _index_contents(n):
+    return (n.by_id, n.records, n._ids,
+            {p: lst for p, lst in n._side_index.items() if lst},
+            {p: ids for p, ids in n._main_index.items() if ids})
+
+
+def test_remove_agrees_with_a_rebuilt_index():
+    """After random adds and removes, the index holds what adding the
+    remaining clauses afresh gives."""
+    symbols = make_symbols(n_preds=3, max_arity=3, n_funcs=2,
+                           rng=random.Random(7))
+    symbols.declare("q", SymbolKind.PREDICATE, 2, SymbolOrigin.INPUT)
+    symbols.declare("h", SymbolKind.FUNCTION, 1, SymbolOrigin.SKOLEM)
+    lpo = LPO(Precedence(symbols))
+    hx = App("h", (x,))
+    removed = shared = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        clauses = random_lg_set(symbols, rng, 12)
+        clauses += [Clause([random_ground_atom(symbols, rng)])
+                    for _ in range(8)]
+        # two side literals on one predicate
+        clauses += [Clause([_lit(True, "q", x, hx),
+                            _lit(True, "q", rng.choice((y, z)), hx)])
+                    for _ in range(4)]
+        rng.shuffle(clauses)
+        n = ClauseIndex(lpo)
+        live = {}
+        for cid, c in zip(rng.sample(range(100), len(clauses)), clauses):
+            n.add(cid, c)
+            live[cid] = c
+            if rng.random() < 0.4:
+                gone = rng.choice(sorted(live))
+                sides = [l.pred for l in n.records[gone].side_literals]
+                shared += len(sides) > len(set(sides))
+                n.remove(gone)
+                del live[gone]
+                removed += 1
+                rebuilt = ClauseIndex(lpo)
+                for k, d in live.items():
+                    rebuilt.add(k, d)
+                assert _index_contents(n) == _index_contents(rebuilt)
+    assert removed > 150 and shared > 5, (removed, shared)
 
 
 def test_mains_on_keeps_every_main_that_can_take_a_side():

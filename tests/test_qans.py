@@ -243,6 +243,38 @@ def test_indexed_insert_agrees_with_linear_scan():
         (kept, rejected, dropped)
 
 
+def test_pick_agrees_with_the_weight_scan():
+    """Random insert/pick sequences: the weight buckets pick the same ids
+    as the scan of every usable weight and draw the RNG alike."""
+    symbols = make_symbols(n_preds=3, max_arity=2, n_funcs=1,
+                           rng=random.Random(5))
+    lpo = LPO(Precedence(symbols))
+    picks = draws = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        new, ref = (cls(lpo=lpo, registry=DefinitionRegistry(symbols),
+                        seed=seed)
+                    for cls in (SaturationState, ReferenceSaturationState))
+        for _ in range(120):
+            if rng.random() < 0.4 and ref.usable:
+                got, want = new.pick(), ref.pick()
+                assert got == want, seed
+                new.worked_off.add(*got)
+                ref.worked_off.add(*want)
+                picks += 1
+            else:
+                c = _random_clause(symbols, rng)
+                assert new.insert(c, "input") == ref.insert(c, "input")
+            assert list(new.usable) == sorted(ref.usable)
+            assert new.weights == ref.weights
+            assert new.by_weight == {
+                w: sorted(cid for cid in ref.weights if ref.weights[cid] == w)
+                for w in set(ref.weights.values())}
+        assert new.rng.getstate() == ref.rng.getstate()
+        draws += new.rng.getstate() != random.Random(seed).getstate()
+    assert picks > 1000 and draws > 30, (picks, draws)
+
+
 def test_inserting_ground_facts_is_not_quadratic(monkeypatch):
     """N ground facts cost at most 5N subsumption tests (the linear scan
     made N^2 - N: every earlier clause, forward and backward)."""

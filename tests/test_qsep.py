@@ -14,7 +14,7 @@ from guardedsat.qsep import (
 )
 from guardedsat.terms import (
     Clause, Literal, SymbolKind, SymbolOrigin, SymbolTable, Var,
-    clause_vars, membership,
+    clause_vars, is_decomposable, membership,
 )
 
 from util import make_symbols, preds
@@ -53,7 +53,7 @@ def test_analyze_chain_query():
     assert sorted(l.pred for l in an.surface) == ["a1", "a2", "a3", "a4"]
     assert an.chained == frozenset({"x2", "x3", "x5"})
     assert an.isolated == frozenset({"x1", "x4", "x6"})
-    assert not an.decomposable
+    assert not is_decomposable(q)
 
 
 def test_qsep_chain_query_is_acyclic():

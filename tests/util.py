@@ -5,17 +5,20 @@ construction: a guard literal covers every variable pair, compound terms
 contain the full variable sequence (covering + strong compatibility).
 
 The reference rules are the nested-loop top-variable join
-(:func:`reference_com_t_all`), which the engine's join is checked
-against, full and partial simultaneous resolution (:func:`s_res`,
-:func:`p_res`), which the redundancy tests compare, and the multiset
-extension of the literal order to clauses (:func:`clause_gt`).
+(:func:`reference_com_t_all`), which the engine's join and its one
+result per top-literal assignment are checked against, full and partial
+simultaneous resolution (:func:`s_res`, :func:`p_res`), which the
+redundancy tests compare, and the multiset extension of the literal
+order to clauses (:func:`clause_gt`).
 
 The reference kernels are the clause-order subsumption search, the
 pairwise condensation loop, and membership read off the enumeration of
 every minimal loose guard (:func:`loose_guards`); the kernels in
 ``terms`` must give the same answers.  :class:`ReferenceSaturationState`
-inserts with the linear forward and backward subsumption scan, which the
-indexed :meth:`guardedsat.qans.SaturationState.insert` must agree with.
+inserts with the linear forward and backward subsumption scan and picks
+with a scan of every usable weight, which the indexed
+:meth:`guardedsat.qans.SaturationState.insert` and the weight buckets of
+:meth:`~guardedsat.qans.SaturationState.pick` must agree with.
 """
 
 from __future__ import annotations
@@ -239,8 +242,7 @@ def reference_com_t_all(main: Clause, n: ClauseIndex,
         top_literals = tuple(l for l in negs if lit_vars(l) & top_vars)
         rivals = tuple(tuple(l for l in side_r if l != pos_r)
                        for _, _, side_r, pos_r in chosen)
-        yield TopVarResult(sigma, top_vars, top_literals, tuple(chosen),
-                           rivals)
+        yield TopVarResult(top_vars, top_literals, tuple(chosen), rivals)
 
 
 def com_t(main: Clause, n: ClauseIndex,
@@ -257,7 +259,9 @@ def s_res(main_id: int, main: Clause, n: ClauseIndex) -> list[Inference]:
     tvr = com_t(main, n)
     if tvr is None:
         return []
-    sigma = tvr.sres_mgu
+    sigma = mgu_lits([(pos_r, mlit)
+                      for mlit, _, _, pos_r in tvr.side_assignment])
+    assert sigma is not None
     lits = [l for l in main if l.pos]
     side_ids = []
     for (mlit, cid, side_r, pos_r) in tvr.side_assignment:
@@ -265,7 +269,7 @@ def s_res(main_id: int, main: Clause, n: ClauseIndex) -> list[Inference]:
         lits.extend(_remove_one(side_r, pos_r))
     concl = Clause(dict.fromkeys(apply_lit(l, sigma) for l in lits))
     return [Inference("SRes", main_id, tuple(side_ids), _freeze(sigma),
-                      concl, sres_mgu=_freeze(sigma))]
+                      concl)]
 
 
 def p_res(main_id: int, main: Clause, n: ClauseIndex,
@@ -291,7 +295,7 @@ def p_res(main_id: int, main: Clause, n: ClauseIndex,
     concl = Clause(dict.fromkeys(
         apply_lit(l, sigma) for l in rest + extra))
     return [Inference("PRes", main_id, tuple(side_ids), _freeze(sigma),
-                      concl, sres_mgu=_freeze(tvr.sres_mgu))]
+                      concl)]
 
 
 def clause_gt(lpo: LPO, c: Clause, d: Clause) -> bool:
@@ -448,7 +452,9 @@ def reference_membership(c: Clause) -> set[str]:
 
 class ReferenceSaturationState(SaturationState):
     """A saturation state whose insert scans every clause of usable and
-    worked-off for forward and backward subsumption."""
+    worked-off for forward and backward subsumption, and whose pick scans
+    every usable weight.  It keeps ``usable`` and ``weights`` itself and
+    leaves the weight buckets empty."""
 
     def insert(self, c: Clause, reason: str) -> Optional[int]:
         """Forward-simplify and add a clause to usable; None if redundant."""
@@ -474,3 +480,18 @@ class ReferenceSaturationState(SaturationState):
         self.weights[cid] = clause_weight(c)
         self.trace.append(f"[{cid}] {reason} {c}")
         return cid
+
+    def pick(self) -> tuple[int, Clause]:
+        """1-in-5 the least id, otherwise one of the sorted ids of least
+        weight, drawn by the seeded RNG when there are several."""
+        self.picks += 1
+        if self.picks % 5 == 1:
+            cid = min(self.usable)
+        else:
+            best = min(self.weights.values())
+            ties = sorted(cid for cid, w in self.weights.items()
+                          if w == best)
+            cid = ties[self.rng.randrange(len(ties))] if len(ties) > 1 \
+                else ties[0]
+        del self.weights[cid]
+        return cid, self.usable.pop(cid)
