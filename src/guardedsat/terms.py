@@ -9,16 +9,26 @@ Substitutions are plain ``dict[str, Term]`` mapping variable names to terms.
 ``mgu`` keeps them idempotent, so applying a substitution once is enough.
 
 The clause-redundancy kernels stay polynomial on cyclic queries.  The
-subsumption search (behind ``subsumes`` and ``is_variant``) visits the
-pattern literals in connected order: the first literal, then each time
-the one sharing the most variables with those already placed, ties by
-clause order.  ``condense`` first asks, with at most one search per
-literal, whether the clause maps into itself minus one literal; only a
-clause that can shrink runs a step of the pairwise scan.  ``membership``
-decides "LG" and "guarded" directly: covering only grows with the
-literal set, so a loose guard exists iff all negative flat literals
-together cover every variable and pair, and a guard of at most one
-literal exists iff one of them holds every variable.
+subsumption search (behind ``subsumes``) visits the pattern literals in
+connected order: the first literal, then each time the one sharing the
+most variables with those already placed, ties by clause order.  It
+looks its candidates up instead of scanning the target: a clause keeps
+its literal positions by sign, predicate and arity, and where several
+share one, a pattern argument that is a constant or an already bound
+variable is probed in a lazily built map from the terms at that argument
+to positions, so only literals holding that very term are tried.  When
+a cycle is condensed, each literal after the first finds its one image
+by a single probe.  ``condense``
+first asks, with at most one search per literal, whether the clause maps
+into itself minus one literal; those searches all run on the one clause,
+skipping the left-out position, so they share its index.  Only a clause
+that can shrink runs a step of the pairwise scan.  ``condense`` flags
+its result, which it cannot shrink further, so condensing it again costs
+nothing.  ``membership`` decides "LG" and "guarded" directly: covering
+only grows with the literal set, so a loose guard exists iff all
+negative flat literals together cover every variable and pair, and a
+guard of at most one literal exists iff one of them holds every
+variable.
 """
 
 from __future__ import annotations
@@ -191,13 +201,18 @@ class Clause:
     Two clauses are equal when their sorted literal tuples are.
     """
 
-    __slots__ = ("literals", "_hash", "_order")
+    __slots__ = ("literals", "_hash", "_order", "_buckets", "_probes",
+                 "_condensed")
 
     def __init__(self, literals: Iterable[Literal]) -> None:
         self.literals: tuple[Literal, ...] = tuple(
             sorted(literals, key=literal_key))
         self._hash = hash(self.literals)
         self._order: Optional[Sequence[Literal]] = None
+        self._buckets: Optional[dict[tuple, list[int]]] = None
+        self._probes: Optional[dict[tuple, dict[Term, list[int]]]] = None
+        # set on a clause that :func:`condense` returned
+        self._condensed = False
 
     def search_order(self) -> Sequence[Literal]:
         """The literals in the order the subsumption search visits them
@@ -205,6 +220,47 @@ class Clause:
         if self._order is None:
             self._order = _search_order(self.literals)
         return self._order
+
+    def buckets(self) -> dict[tuple, list[int]]:
+        """Positions of the literals by (sign, predicate, arity), worked
+        out once per clause."""
+        if self._buckets is None:
+            self._buckets = {}
+            for j, lit in enumerate(self.literals):
+                self._buckets.setdefault(
+                    (lit.pos, lit.pred, len(lit.args)), []).append(j)
+        return self._buckets
+
+    def candidates(self, pat: Literal, sub: Subst) -> Sequence[int]:
+        """Positions, in clause order, of the literals that ``pat`` may
+        match under ``sub``.
+
+        These are the literals of ``pat``'s sign, predicate and arity.
+        When there are several, the first argument of ``pat`` that is a
+        constant, or a variable bound in ``sub``, narrows them to the
+        literals holding that very term there; the map from terms to
+        positions for that argument is built on its first probe.
+        """
+        key = (pat.pos, pat.pred, len(pat.args))
+        bucket = self.buckets().get(key, ())
+        if len(bucket) <= 1:
+            return bucket
+        for a, t in enumerate(pat.args):
+            if isinstance(t, Var):
+                t = sub.get(t.name)
+                if t is None:
+                    continue
+            elif not isinstance(t, Const):
+                continue
+            if self._probes is None:
+                self._probes = {}
+            probe = self._probes.get((key, a))
+            if probe is None:
+                probe = self._probes[key, a] = {}
+                for j in bucket:
+                    probe.setdefault(self.literals[j].args[a], []).append(j)
+            return probe.get(t, ())
+        return bucket
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Clause) and self.literals == other.literals
@@ -277,13 +333,6 @@ def depth(c: Clause | Literal | Term) -> int:
     if isinstance(c, Literal):
         return lit_depth(c)
     return max((lit_depth(lit) for lit in c), default=0)
-
-
-def width(c: Clause | Literal) -> int:
-    """Number of distinct variables."""
-    if isinstance(c, Literal):
-        return len(lit_vars(c))
-    return len(clause_vars(c))
 
 
 def is_ground_term(t: Term) -> bool:
@@ -532,69 +581,56 @@ def _search_order(lits: Sequence[Literal]) -> Sequence[Literal]:
     return order
 
 
-def _subsume_search(pat: Sequence[Literal], target: Sequence[Literal],
-                    sub: Subst, i: int, bijective: bool) -> Optional[Subst]:
+def _subsume_search(pat: Sequence[Literal], target: Clause, sub: Subst,
+                    i: int, skip: int = -1) -> bool:
+    """Whether ``sub`` extends to map ``pat[i:]`` into the literals of
+    ``target`` other than the one at position ``skip``."""
     if i == len(pat):
-        return sub
-    for lit in target:
-        nxt = match_lit(pat[i], lit, sub)
-        if nxt is None:
+        return True
+    lits = target.literals
+    for j in target.candidates(pat[i], sub):
+        if j == skip:
             continue
-        if bijective:
-            imgs = [t for t in nxt.values()]
-            if any(not isinstance(t, Var) for t in imgs):
-                continue
-            if len({t.name for t in imgs}) != len(imgs):  # type: ignore[union-attr]
-                continue
-        res = _subsume_search(pat, target, nxt, i + 1, bijective)
-        if res is not None:
-            return res
-    return None
+        nxt = match_lit(pat[i], lits[j], sub)
+        if nxt is not None and \
+                _subsume_search(pat, target, nxt, i + 1, skip):
+            return True
+    return False
 
 
 def subsumes(c: Clause, d: Clause) -> bool:
     """Classic theta-subsumption: some ``c sigma`` is a subset of ``d``."""
-    # cheap filter: every predicate/polarity of c appears in d
-    sig_d = {(l.pred, l.pos) for l in d}
-    if any((l.pred, l.pos) not in sig_d for l in c):
+    # cheap filter: every sign/predicate/arity of c appears in d
+    buckets = d.buckets()
+    if any((l.pos, l.pred, len(l.args)) not in buckets for l in c):
         return False
     # one-way matching never applies its substitution to d, so c and d
     # may share variable names
-    return _subsume_search(c.search_order(), d.literals, {}, 0,
-                           False) is not None
+    return _subsume_search(c.search_order(), d, {}, 0)
 
 
-def is_variant(c: Clause, d: Clause) -> bool:
-    """True if ``c`` and ``d`` differ only by a bijective variable renaming."""
-    if len(c) != len(d) or width(c) != width(d):
-        return False
-    fwd = _subsume_search(c.search_order(), d.literals, {}, 0, True)
-    if fwd is None:
-        return False
-    bwd = _subsume_search(d.search_order(), c.literals, {}, 0, True)
-    return bwd is not None
-
-
-def _is_condensed(lits: list[Literal]) -> bool:
+def _is_condensed(c: Clause) -> bool:
     """True if no ``theta`` maps the clause into itself minus one literal.
 
     Only a literal that matches another literal can be left out, so this
-    takes at most one search per literal.
+    takes at most one search per literal.  Every search runs on ``c``
+    itself, skipping the left-out position, so one index serves them all.
     """
-    order = _search_order(lits)
+    lits = c.literals
     for k, lk in enumerate(lits):
-        if all(match_lit(lk, l, {}) is None
-               for j, l in enumerate(lits) if j != k):
+        if all(j == k or match_lit(lk, lits[j], {}) is None
+               for j in c.candidates(lk, {})):
             continue
-        if _subsume_search(order, lits[:k] + lits[k + 1:], {}, 0,
-                           False) is not None:
+        if _subsume_search(c.search_order(), c, {}, 0, k):
             return False
     return True
 
 
-def _condense_step(lits: list[Literal]) -> Optional[list[Literal]]:
+def _condense_step(lits: list[Literal],
+                   c: Clause) -> Optional[list[Literal]]:
     """The first instance ``lits sigma`` (``sigma`` matching one literal
-    onto another) that is smaller and still subsumes ``lits``."""
+    onto another) that is smaller and still subsumes ``c``, the clause of
+    ``lits``."""
     for i, li in enumerate(lits):
         for j, lj in enumerate(lits):
             if i == j:
@@ -603,8 +639,7 @@ def _condense_step(lits: list[Literal]) -> Optional[list[Literal]]:
             if sub is None:
                 continue
             cand = list(dict.fromkeys(apply_lit(l, sub) for l in lits))
-            if len(cand) < len(lits) and \
-                    subsumes(Clause(cand), Clause(lits)):
+            if len(cand) < len(lits) and subsumes(Clause(cand), c):
                 return cand
     return None
 
@@ -614,17 +649,22 @@ def condense(c: Clause) -> Clause:
 
     The pair scan runs only while the clause can still shrink: a step
     that succeeds maps the clause into itself minus some literal, which
-    :func:`_is_condensed` rules out first.
+    :func:`_is_condensed` rules out first.  The result is flagged:
+    condensing is deterministic and cannot shrink its own result, so a
+    flagged clause is returned at once.
     """
+    if c._condensed:
+        return c
     lits = list(dict.fromkeys(c.literals))  # drop exact duplicates
-    while not _is_condensed(lits):
-        step = _condense_step(lits)
+    cur = c if len(lits) == len(c) else Clause(lits)
+    while not _is_condensed(cur):
+        step = _condense_step(lits, cur)
         if step is None:
             break
         lits = step
-    if len(lits) == len(c):  # nothing dropped: ``c`` is already condensed
-        return c
-    return Clause(lits)
+        cur = Clause(lits)
+    cur._condensed = True
+    return cur
 
 
 def canonical(c: Clause) -> Clause:
@@ -633,7 +673,8 @@ def canonical(c: Clause) -> Clause:
     Used as the identity of a clause: two clauses get the same canonical
     form iff they are variants modulo condensation (for the clause shapes
     the pipeline produces, first-occurrence numbering after literal sorting
-    is stable enough; ``is_variant`` remains the ground truth in tests).
+    is stable enough; the tests take a bijective renaming as the ground
+    truth).
     """
     c = condense(c)
     order: dict[str, int] = {}

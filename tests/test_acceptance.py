@@ -25,8 +25,7 @@ from guardedsat.qsep import DefinitionRegistry, is_icq, q_sep
 from guardedsat.syntax import Exists, Forall, Not, parse, print_formula, \
     declare_formula_symbols, parse_formula
 from guardedsat.terms import (
-    Clause, Literal, SymbolKind, SymbolTable, Var, depth, is_variant,
-    membership, width,
+    Clause, Literal, SymbolKind, SymbolTable, Var, depth, membership,
 )
 
 import test_qans
@@ -35,7 +34,8 @@ import test_qrew
 import test_qsep
 from test_engine import _closure_steps, _random_ground_sres
 from util import (
-    CONSTS, clause_gt, make_symbols, p_res, random_problem, s_res,
+    CONSTS, clause_gt, is_variant, make_symbols, p_res, random_problem,
+    s_res, width,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"

@@ -27,14 +27,15 @@ from guardedsat.qans import _as_main, inferences
 from guardedsat.qsep import DefinitionRegistry, is_icq, q_sep
 from guardedsat.terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
-    Var, apply_lit, clause_vars, depth, is_variant, membership, normalize,
-    renaming, unify_into, width,
+    Var, apply_lit, clause_vars, depth, membership, normalize,
+    renaming, unify_into,
 )
 
 import test_qsep
 from util import (
-    CONSTS, _iter_assignments, clause_gt, com_t, make_symbols, p_res, preds,
-    random_ground_atom, random_lg_set, reference_com_t_all, s_res,
+    CONSTS, _iter_assignments, clause_gt, com_t, is_variant, make_symbols,
+    p_res, preds, random_ground_atom, random_lg_set, reference_com_t_all,
+    s_res, width,
 )
 
 x, y, z = Var("x"), Var("y"), Var("z")

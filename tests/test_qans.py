@@ -22,11 +22,11 @@ from guardedsat.orders import LPO, Precedence
 from guardedsat.syntax import parse
 from guardedsat.terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
-    Var, is_variant,
+    Var,
 )
 
 from util import (
-    CONSTS, ReferenceSaturationState, make_symbols, preds,
+    CONSTS, ReferenceSaturationState, is_variant, make_symbols, preds,
     random_ground_atom, random_lg_set, random_problem,
 )
 

@@ -1,10 +1,11 @@
 """The clause-redundancy kernels of ``terms`` against their references.
 
-``subsumes``, ``is_variant``, ``condense`` and ``membership`` must give
-exactly the answers of the clause-order search, the pairwise
-condensation loop and the minimal-loose-guard enumeration kept in
-``tests/util.py``; and condensing a long cycle must stay cheap whatever
-its variable names.
+``subsumes``, ``condense`` and ``membership``, and the connected-order
+``is_variant`` of ``tests/util.py``, must give exactly the answers of the
+clause-order search, the pairwise condensation loop and the
+minimal-loose-guard enumeration kept there.  Condensing a long cycle
+must stay within k³ literal matches whatever its variable names, and
+condensing a clause a second time must cost nothing.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import random
 from guardedsat import terms
 from guardedsat.terms import (
     App, Clause, Const, Literal, Var, apply_clause, clause_vars, condense,
-    is_variant, membership, subsumes,
+    membership, subsumes,
 )
 
 from util import (
-    make_symbols, random_lg_clause, reference_condense,
+    is_variant, make_symbols, random_lg_clause, reference_condense,
     reference_is_variant, reference_membership, reference_subsumes,
 )
 
@@ -82,13 +83,36 @@ def _redundant(rng: random.Random) -> Clause:
     return c
 
 
+def _one_predicate(rng: random.Random) -> Clause:
+    """Two to five ternary literals of one sign and predicate over shared
+    variables, constants and Skolem terms, sometimes with one of the other
+    sign: the search looks these up by a constant or a bound variable."""
+    vs = _vars(rng, rng.randint(1, 3))
+
+    def arg() -> Var | Const | App:
+        r = rng.random()
+        if r < 0.2:
+            return App("f", (rng.choice(vs),))
+        if r < 0.45:
+            return Const(rng.choice("ab"))
+        return rng.choice(vs)
+
+    sign = rng.random() < 0.5
+    lits = [Literal(sign, "p", (arg(), arg(), arg()))
+            for _ in range(rng.randint(2, 5))]
+    if rng.random() < 0.3:
+        lits.append(Literal(not sign, "p", (arg(), arg(), arg())))
+    return Clause(lits)
+
+
 def _random_clauses(count: int, seed: int) -> list[Clause]:
     rng = random.Random(seed)
     symbols = make_symbols(n_preds=4, n_funcs=2, rng=rng)
     makers = [lambda: random_lg_clause(symbols, rng),
               lambda: _flat_negative(rng),
               lambda: _ground_or_equality(rng),
-              lambda: _redundant(rng)]
+              lambda: _redundant(rng),
+              lambda: _one_predicate(rng)]
     return [makers[i % len(makers)]() for i in range(count)]
 
 
@@ -110,7 +134,23 @@ def _partners(c: Clause, others: list[Clause],
     return out
 
 
-def test_kernels_agree_with_references():
+def test_kernels_agree_with_references(monkeypatch):
+    # which kinds of argument the search met in a target bucket of more
+    # than one literal: constants and bound variables are probed,
+    # compound terms never
+    met: set[str] = set()
+    candidates = Clause.candidates
+
+    def spying(self, pat, sub):
+        if len(self.buckets().get((pat.pos, pat.pred, len(pat.args)),
+                                  ())) > 1:
+            for t in pat.args:
+                met.add("compound" if isinstance(t, App)
+                        else "constant" if isinstance(t, Const)
+                        else "bound" if t.name in sub else "free")
+        return candidates(self, pat, sub)
+
+    monkeypatch.setattr(Clause, "candidates", spying)
     rng = random.Random(3)
     clauses = _random_clauses(600, seed=11)
     shrank = 0
@@ -133,28 +173,44 @@ def test_kernels_agree_with_references():
                 subsumed += s
                 variants += v
                 pairs += 1
+    # a clause shrinks only after a search that skips a position succeeds
     assert shrank >= 20
     assert 0 < lg < len(clauses)
     assert 0 < variants < subsumed < pairs
+    assert met == {"compound", "constant", "bound", "free"}
 
 
-def test_condensing_a_cycle_takes_polynomial_work(monkeypatch):
-    # the 12-cycle ~r(V1,V2) | ... | ~r(V12,V1) is condensed; the clause
-    # order of its literals, and with it the search, depends on the names
-    calls = 0
+def _counting_match_lit(monkeypatch) -> list[int]:
+    """Count the calls of ``terms.match_lit`` in the returned cell."""
+    calls = [0]
     match_lit = terms.match_lit
 
     def counting(*args):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return match_lit(*args)
 
     monkeypatch.setattr(terms, "match_lit", counting)
+    return calls
+
+
+def test_condensing_a_condensed_clause_is_free(monkeypatch):
+    condensed = [condense(c) for c in _random_clauses(600, seed=11)]
+    calls = _counting_match_lit(monkeypatch)
+    for d in condensed:
+        assert condense(d) is d
+    assert calls[0] == 0
+
+
+def test_condensing_a_cycle_takes_polynomial_work(monkeypatch):
+    # the k-cycle ~r(V1,V2) | ... | ~r(Vk,V1) is condensed; the clause
+    # order of its literals, and with it the search, depends on the names
+    calls = _counting_match_lit(monkeypatch)
     rng = random.Random(12)
-    for _ in range(3):
-        vs = [Var(f"V{i}") for i in rng.sample(range(1000), 12)]
-        c = Clause(Literal(False, "r", (u, v))
-                   for u, v in zip(vs, vs[1:] + vs[:1]))
-        calls = 0
-        assert condense(c).literals == c.literals
-        assert calls <= 50_000, calls
+    for k in (12, 24):
+        for _ in range(3):
+            vs = [Var(f"V{i}") for i in rng.sample(range(1000), k)]
+            c = Clause(Literal(False, "r", (u, v))
+                       for u, v in zip(vs, vs[1:] + vs[:1]))
+            calls[0] = 0
+            assert condense(c).literals == c.literals
+            assert calls[0] <= k ** 3, (k, calls[0])

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from guardedsat.terms import (
     App, Clause, Const, Literal, UnifyFail, Var, apply_clause, apply_lit,
     apply_term, canonical, clause_vars, compound_terms, condense, depth,
-    is_decomposable, is_ground, is_variant, membership, mgu,
-    mgu_lits, normalize, rename_apart, subsumes, width,
+    is_decomposable, is_ground, membership, mgu, mgu_lits, normalize,
+    rename_apart, subsumes,
 )
-from util import loose_guards
+from util import is_variant, loose_guards, width
 
 x, y, z = Var("x"), Var("y"), Var("z")
 a, b = Const("a"), Const("b")

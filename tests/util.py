@@ -14,11 +14,14 @@ order to clauses (:func:`clause_gt`).
 The reference kernels are the clause-order subsumption search, the
 pairwise condensation loop, and membership read off the enumeration of
 every minimal loose guard (:func:`loose_guards`); the kernels in
-``terms`` must give the same answers.  :class:`ReferenceSaturationState`
-inserts with the linear forward and backward subsumption scan and picks
-with a scan of every usable weight, which the indexed
-:meth:`guardedsat.qans.SaturationState.insert` and the weight buckets of
-:meth:`~guardedsat.qans.SaturationState.pick` must agree with.
+``terms`` must give the same answers.  :func:`is_variant`, the variant
+check the suites use as ground truth, runs the same search in connected
+order, and is checked against the clause-order one.
+:class:`ReferenceSaturationState` inserts with the linear forward and
+backward subsumption scan and picks with a scan of every usable weight,
+which the indexed :meth:`guardedsat.qans.SaturationState.insert` and
+the weight buckets of :meth:`~guardedsat.qans.SaturationState.pick`
+must agree with.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from guardedsat.terms import (
     App, Clause, Const, Literal, Subst, SymbolKind, SymbolOrigin,
     SymbolTable, Var, _is_flat_term, apply_clause, apply_lit, apply_term,
     classify, clause_vars, condense, is_ground, lit_vars, match_lit,
-    membership, mgu_lits, renaming, subsumes, term_depth, width,
+    membership, mgu_lits, renaming, subsumes, term_depth,
 )
 
 CONSTS = ("c1", "c2", "c3")
@@ -355,15 +358,37 @@ def reference_subsumes(c: Clause, d: Clause) -> bool:
                                      False) is not None
 
 
-def reference_is_variant(c: Clause, d: Clause) -> bool:
-    """True if ``c`` and ``d`` differ only by a bijective variable renaming."""
+def width(c: Clause | Literal) -> int:
+    """Number of distinct variables."""
+    if isinstance(c, Literal):
+        return len(lit_vars(c))
+    return len(clause_vars(c))
+
+
+def _variant(c: Clause, d: Clause, connected: bool) -> bool:
+    """True if ``c`` and ``d`` differ only by a bijective variable
+    renaming; each search visits its pattern in connected order
+    (:meth:`~guardedsat.terms.Clause.search_order`) or in clause order."""
     if len(c) != len(d) or width(c) != width(d):
         return False
-    fwd = _reference_subsume_search(c.literals, d.literals, {}, 0, True)
-    if fwd is None:
-        return False
-    bwd = _reference_subsume_search(d.literals, c.literals, {}, 0, True)
-    return bwd is not None
+    return all(
+        _reference_subsume_search(
+            p.search_order() if connected else p.literals, q.literals, {},
+            0, True) is not None
+        for p, q in ((c, d), (d, c)))
+
+
+def is_variant(c: Clause, d: Clause) -> bool:
+    """True if ``c`` and ``d`` differ only by a bijective variable renaming.
+
+    The searches run in connected order, which keeps long cyclic clauses
+    cheap; this is the variant check the other suites use."""
+    return _variant(c, d, True)
+
+
+def reference_is_variant(c: Clause, d: Clause) -> bool:
+    """:func:`is_variant` with the searches in clause order."""
+    return _variant(c, d, False)
 
 
 def reference_condense(c: Clause) -> Clause:
