@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .syntax import And, AtomF, Exists, Forall, Formula, Not, Or
+from .syntax import And, AtomF, Exists, Forall, Formula, Not, Or, Top
 from .terms import (
     EQ, App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
     Subst, Term, Var, apply_clause, clause_funcs, clause_vars,
@@ -420,8 +420,9 @@ def q_rew(saturation: list[Clause], symbols: SymbolTable) -> RewriteResult:
     for s in sets:
         conjuncts.append(unsko(s))
         internalized.extend(sorted(s.skolem_consts))
+    # an empty saturation rewrites to the empty conjunction
     big: Formula = And(tuple(conjuncts)) if len(conjuncts) > 1 \
-        else conjuncts[0]
+        else conjuncts[0] if conjuncts else Top()
     return RewriteResult(
         sigma_q=Not(big),
         skolem_constants_internalized=internalized,

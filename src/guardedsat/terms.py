@@ -18,10 +18,10 @@ share one, a pattern argument that is a constant or an already bound
 variable is probed in a lazily built map from the terms at that argument
 to positions, so only literals holding that very term are tried.  When
 a cycle is condensed, each literal after the first finds its one image
-by a single probe.  ``condense``
-first asks, with at most one search per literal, whether the clause maps
-into itself minus one literal; those searches all run on the one clause,
-skipping the left-out position, so they share its index.  Only a clause
+by a single probe.  A clause is condensed iff every map of it into
+itself is onto (Gottlob & Fermüller, "Removing redundancy from a
+clause", 1993).  ``condense`` first asks that with one search over those
+maps, which stops as soon as a map leaves a literal out; only a clause
 that can shrink runs a step of the pairwise scan.  ``condense`` flags
 its result, which it cannot shrink further, so condensing it again costs
 nothing.  ``membership`` decides "LG" and "guarded" directly: covering
@@ -582,18 +582,14 @@ def _search_order(lits: Sequence[Literal]) -> Sequence[Literal]:
 
 
 def _subsume_search(pat: Sequence[Literal], target: Clause, sub: Subst,
-                    i: int, skip: int = -1) -> bool:
-    """Whether ``sub`` extends to map ``pat[i:]`` into the literals of
-    ``target`` other than the one at position ``skip``."""
+                    i: int) -> bool:
+    """Whether ``sub`` extends to map ``pat[i:]`` into ``target``."""
     if i == len(pat):
         return True
     lits = target.literals
     for j in target.candidates(pat[i], sub):
-        if j == skip:
-            continue
         nxt = match_lit(pat[i], lits[j], sub)
-        if nxt is not None and \
-                _subsume_search(pat, target, nxt, i + 1, skip):
+        if nxt is not None and _subsume_search(pat, target, nxt, i + 1):
             return True
     return False
 
@@ -610,20 +606,48 @@ def subsumes(c: Clause, d: Clause) -> bool:
 
 
 def _is_condensed(c: Clause) -> bool:
-    """True if no ``theta`` maps the clause into itself minus one literal.
+    """True if every ``theta`` mapping the clause into itself is onto.
 
-    Only a literal that matches another literal can be left out, so this
-    takes at most one search per literal.  Every search runs on ``c``
-    itself, skipping the left-out position, so one index serves them all.
+    One search runs over the maps of ``c`` into itself and counts, for
+    each position, the literals mapped onto it.  A literal that matches
+    no other literal is its own only image, so its position counts as hit
+    from the start; only the other positions can be left out.  A branch
+    that would hit the last of those still unhit is cut, so a map the
+    search completes leaves one out, and ``c`` is not condensed.
     """
     lits = c.literals
+    hits = [1] * len(lits)
+    unhit = 0
     for k, lk in enumerate(lits):
-        if all(j == k or match_lit(lk, lits[j], {}) is None
-               for j in c.candidates(lk, {})):
-            continue
-        if _subsume_search(c.search_order(), c, {}, 0, k):
-            return False
-    return True
+        for j in c.candidates(lk, {}):
+            if j != k and match_lit(lk, lits[j], {}) is not None:
+                hits[k] = 0
+                unhit += 1
+                break
+    if not unhit:
+        return True
+    pat = c.search_order()
+
+    def search(sub: Subst, i: int) -> bool:
+        nonlocal unhit
+        if i == len(pat):
+            return True
+        for j in c.candidates(pat[i], sub):
+            if not hits[j] and unhit == 1:
+                continue
+            nxt = match_lit(pat[i], lits[j], sub)
+            if nxt is None:
+                continue
+            unhit -= not hits[j]
+            hits[j] += 1
+            found = search(nxt, i + 1)
+            hits[j] -= 1
+            unhit += not hits[j]
+            if found:
+                return True
+        return False
+
+    return not search({}, 0)
 
 
 def _condense_step(lits: list[Literal],

@@ -1,13 +1,20 @@
-"""Command-line interface: subcommands, exit codes, determinism."""
+"""Command-line interface: subcommands, exit codes, determinism, and a
+fuzz test that no input makes it raise."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from guardedsat.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, main
-from guardedsat.syntax import parse_formula
+from guardedsat.cli import (
+    EXIT_ERROR, EXIT_NO, EXIT_UNKNOWN, EXIT_YES, main,
+)
+from guardedsat.syntax import Not, Top, parse_formula
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -91,6 +98,23 @@ def test_rewrite_emits_parseable_formula(capsys):
     parse_formula(out[len("formula: "):].rstrip().rstrip("."))
 
 
+@pytest.mark.parametrize("text", [
+    "",
+    "% only a comment\n",
+    "fact: r0(c1,c2).\nfact: b0(c2).\n",
+], ids=["empty", "comment", "facts"])
+def test_rewrite_of_an_empty_saturation(tmp_path, capsys, text):
+    # no rule and no query: the conjunction of the closed sets is empty
+    src = tmp_path / "p.p"
+    src.write_text(text)
+    code = main(["rewrite", str(src)])
+    out = capsys.readouterr().out
+    assert code == EXIT_NO
+    assert out == "formula: ~$true.\n"
+    assert parse_formula(out[len("formula: "):].rstrip().rstrip(".")) \
+        == Not(Top())
+
+
 def test_rewrite_to_file(tmp_path, capsys):
     dest = tmp_path / "sigma_q.p"
     code = main(["rewrite", _fx("thm13_03.p"), "-o", str(dest)])
@@ -140,3 +164,55 @@ def test_saturate_streams_steps(capsys):
     assert code == EXIT_NO
     assert "[1] input" in out
     assert "% verdict: yes" in out
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every input ends in an exit code, never in an exception
+
+_TOKENS = ["fact:", "rule:", "query:", "formula:", "!", "?", "[", "]",
+           ":", "(", ")", ",", ".", "&", "|", "~", "=>", "<=>", "=", "!=",
+           "$true", "$false", "$nope", "X", "Y", "Z", "a", "c1", "r0", "b0",
+           "f", "p", "%", "\n", "#"]
+_STATEMENTS = sorted({
+    line for f in FIXTURES.glob("*.p")
+    for line in f.read_text().splitlines()
+    if line.strip() and not line.startswith("%")})
+_COMMANDS = ["answer", "rewrite", "clausify", "classify", "saturate"]
+
+
+@st.composite
+def _mutated_statements(draw) -> str:
+    """Fixture statements, each kept, cut short, missing one character or
+    with a token inserted."""
+    out = []
+    for line in draw(st.lists(st.sampled_from(_STATEMENTS), max_size=5)):
+        at = draw(st.integers(0, len(line)))
+        how = draw(st.sampled_from(["keep", "cut", "drop", "insert"]))
+        if how == "cut":
+            line = line[:at]
+        elif how == "drop":
+            line = line[:at] + line[at + 1:]
+        elif how == "insert":
+            line = f"{line[:at]} {draw(st.sampled_from(_TOKENS))} {line[at:]}"
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+_token_soups = st.lists(st.sampled_from(_TOKENS), max_size=40).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(text=st.one_of(_token_soups, _mutated_statements()),
+       command=st.sampled_from(_COMMANDS))
+def test_cli_never_raises(text, command):
+    argv = [command]
+    if command in ("answer", "rewrite", "saturate"):
+        argv += ["--max-steps", "30"]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        src = pathlib.Path(d) / "p.p"
+        src.write_text(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + [str(src)])
+    assert code in (EXIT_NO, EXIT_UNKNOWN, EXIT_ERROR, EXIT_YES), (code, text)
+    assert "Traceback" not in err.getvalue()
