@@ -35,8 +35,9 @@ unifier.  A conclusion of rule 2b depends only on the top variables and
 the sides of the top literals, so it keeps the first tuple of each such
 key: only that one has its sides renamed apart and becomes a
 :class:`TopVarResult`.  A later tuple with the same key would give a
-variant conclusion, which insertion rejects; it still draws its sides'
-fresh names, so the names of every later conclusion stay as they were.
+variant conclusion, which insertion rejects; it still draws as many
+fresh names as renaming its sides would, so the names of every later
+conclusion stay as they were.
 
 The index also maps each predicate to the clauses with a main literal on
 it (:meth:`ClauseIndex.mains_on`), so a new side premise meets only the
@@ -58,7 +59,7 @@ from .qsep import is_icq
 from .terms import (
     App, Clause, Const, Literal, Subst, Term, Var, apply_clause, apply_lit,
     clause_vars, is_ground, is_ground_term, lit_vars, mgu_lits, renaming,
-    unify_into,
+    skip_names, unify_into,
 )
 
 
@@ -100,13 +101,15 @@ class ClauseRecord:
     holds, for each side literal, the positions in the clause of the other
     literals it does not strictly dominate a priori: the ordering is
     stable under substitution, so only those can outgrow it after
-    unification.
+    unification.  ``n_vars`` counts the clause's variables, the names a
+    renaming of it draws.
     """
     regime: str  # "max" | "select" | "topvar" | "icq"
     main_literals: tuple[Literal, ...]
     maximal: tuple[Literal, ...]
     side_literals: tuple[Literal, ...]
     rivals: tuple[tuple[int, ...], ...]
+    n_vars: int
 
 
 def clause_record(c: Clause, lpo: LPO) -> ClauseRecord:
@@ -119,13 +122,15 @@ def clause_record(c: Clause, lpo: LPO) -> ClauseRecord:
     Only a flat all-negative clause, which is ``"topvar"``, can be an ICQ.
     """
     d = dispatch(c)
+    n_vars = len(clause_vars(c))
     if d == "select":
         sel = select_nc(c)
-        return ClauseRecord(d, (sel,) if sel is not None else (), (), (), ())
+        return ClauseRecord(d, (sel,) if sel is not None else (), (), (), (),
+                            n_vars)
     if d == "topvar":
         main = tuple(l for l in c if not l.pos)
         icq = len(main) == len(c) and is_icq(c)
-        return ClauseRecord("icq" if icq else d, main, (), (), ())
+        return ClauseRecord("icq" if icq else d, main, (), (), (), n_vars)
     maxlits, sides, rivals = [], [], []
     for i, (lit, row) in enumerate(
             zip(c.literals, comparisons(lpo, c.literals))):
@@ -137,7 +142,7 @@ def clause_record(c: Clause, lpo: LPO) -> ClauseRecord:
             sides.append(lit)
             rivals.append(tuple(k for k, r in others if r is not Cmp.GT))
     return ClauseRecord(d, tuple(l for l in maxlits if not l.pos),
-                        tuple(maxlits), tuple(sides), tuple(rivals))
+                        tuple(maxlits), tuple(sides), tuple(rivals), n_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -345,23 +350,27 @@ def _search(negs: Sequence[Literal], levels: list[list[_Candidate]],
     candidates that :func:`_probed` lets through.  Candidates are tried
     out of their list order; the caller sorts what is found."""
     order = sorted(range(len(negs)), key=lambda i: len(levels[i]))
-    chosen: list = [None] * len(negs)
-    indexes: list[dict[int, _PositionIndex]] = [{} for _ in negs]
+    _extend(0, {}, negs, levels, order, [None] * len(negs),
+            [{} for _ in negs], found)
 
-    def extend(k: int, sub: Subst) -> None:
-        if k == len(order):
-            found.append((tuple(chosen), sub))
-            return
-        i = order[k]
-        args = negs[i].args
-        cands = _probed(levels[i], args, sub, indexes[i])
-        for cand in levels[i] if cands is None else cands:
-            sub2 = dict(sub)
-            if unify_into(zip(cand[4].args, args), sub2) is None:
-                chosen[i] = cand
-                extend(k + 1, sub2)
 
-    extend(0, {})
+def _extend(k: int, sub: Subst, negs: Sequence[Literal],
+            levels: list[list[_Candidate]], order: list[int], chosen: list,
+            indexes: list[dict[int, _PositionIndex]],
+            found: list[_JoinTuple]) -> None:
+    """Extend the tuple ``chosen`` at the levels ``order[:k]``, unified by
+    ``sub``, by a candidate at each level of ``order[k:]``."""
+    if k == len(order):
+        found.append((tuple(chosen), sub))
+        return
+    i = order[k]
+    args = negs[i].args
+    cands = _probed(levels[i], args, sub, indexes[i])
+    for cand in levels[i] if cands is None else cands:
+        sub2 = dict(sub)
+        if unify_into(zip(cand[4].args, args), sub2) is None:
+            chosen[i] = cand
+            _extend(k + 1, sub2, negs, levels, order, chosen, indexes, found)
 
 
 def _join(negs: Sequence[Literal], n: ClauseIndex,
@@ -404,7 +413,7 @@ def com_t_all(main: Clause, n: ClauseIndex,
     The top variables are the variables of ``main`` that are deepest under
     the join's unifier.  The sides of a kept tuple are renamed apart from
     ``main``, so the join's own variable copies never reach a conclusion;
-    a skipped tuple draws the same fresh names and drops them.
+    a skipped tuple draws as many fresh names and drops them.
     """
     negs = [l for l in main if not l.pos]
     if not negs:
@@ -421,7 +430,7 @@ def com_t_all(main: Clause, n: ClauseIndex,
         key = (top_vars, tuple((i, chosen[i][0]) for i in top))
         if key in seen:
             for cand in chosen:
-                renaming(cand[2], mvars, n.fresh)
+                skip_names(n.records[cand[1]].n_vars, mvars, n.fresh)
             continue
         seen.add(key)
         assignment = []

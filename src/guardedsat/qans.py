@@ -49,15 +49,16 @@ from .terms import (
 )
 
 
+def _term_weight(t: Term) -> int:
+    if isinstance(t, App):
+        return 1 + sum(_term_weight(a) for a in t.args)
+    return 1
+
+
 def clause_weight(c: Clause) -> int:
     """Number of symbol occurrences (predicates, functions, constants,
     variables)."""
-    def tw(t: Term) -> int:
-        if isinstance(t, App):
-            return 1 + sum(tw(a) for a in t.args)
-        return 1
-
-    return sum(1 + sum(tw(a) for a in lit.args) for lit in c)
+    return sum(1 + sum(_term_weight(a) for a in lit.args) for lit in c)
 
 
 @dataclass

@@ -98,14 +98,16 @@ def con_abs(c: Clause) -> AbstractedClause:
 
 
 def _replace_const(lit: Literal, a: Const, y: Var) -> Literal:
-    def rt(t: Term) -> Term:
-        if t == a:
-            return y
-        if isinstance(t, App):
-            return App(t.fn, tuple(rt(x) for x in t.args))
-        return t
+    return Literal(lit.pos, lit.pred,
+                   tuple(_const_to_var(t, a, y) for t in lit.args))
 
-    return Literal(lit.pos, lit.pred, tuple(rt(t) for t in lit.args))
+
+def _const_to_var(t: Term, a: Const, y: Var) -> Term:
+    if t == a:
+        return y
+    if isinstance(t, App):
+        return App(t.fn, tuple(_const_to_var(x, a, y) for x in t.args))
+    return t
 
 
 def var_abs(c: Clause) -> AbstractedClause:
@@ -144,13 +146,15 @@ def var_abs(c: Clause) -> AbstractedClause:
 
 
 def _replace_arg_pos(lit: Literal, i: int, y: Var) -> Literal:
-    def rt(t: Term) -> Term:
-        if isinstance(t, App):
-            args = tuple(y if j == i else rt(a) for j, a in enumerate(t.args))
-            return App(t.fn, args)
-        return t
+    return Literal(lit.pos, lit.pred,
+                   tuple(_arg_pos_to_var(t, i, y) for t in lit.args))
 
-    return Literal(lit.pos, lit.pred, tuple(rt(t) for t in lit.args))
+
+def _arg_pos_to_var(t: Term, i: int, y: Var) -> Term:
+    if isinstance(t, App):
+        return App(t.fn, tuple(y if j == i else _arg_pos_to_var(a, i, y)
+                               for j, a in enumerate(t.args)))
+    return t
 
 
 def abstract(c: Clause) -> AbstractedClause:
@@ -164,21 +168,21 @@ def abstract(c: Clause) -> AbstractedClause:
 
 
 def _skolem_consts(c: Clause, symbols: SymbolTable) -> frozenset[str]:
-    out = set()
-
-    def walk(t: Term) -> None:
-        if isinstance(t, Const):
-            sym = symbols.get(t.name)
-            if sym is not None and sym.origin is SymbolOrigin.SKOLEM:
-                out.add(t.name)
-        elif isinstance(t, App):
-            for a in t.args:
-                walk(a)
-
+    out: set[str] = set()
     for lit in c:
         for a in lit.args:
-            walk(a)
+            _add_skolem_consts(a, symbols, out)
     return frozenset(out)
+
+
+def _add_skolem_consts(t: Term, symbols: SymbolTable, out: set[str]) -> None:
+    if isinstance(t, Const):
+        sym = symbols.get(t.name)
+        if sym is not None and sym.origin is SymbolOrigin.SKOLEM:
+            out.add(t.name)
+    elif isinstance(t, App):
+        for a in t.args:
+            _add_skolem_consts(a, symbols, out)
 
 
 def partition_closed(clauses: list[Clause],
@@ -357,14 +361,16 @@ def unsko_in(s: ClosedSet) -> Formula:
 
 
 def _replace_apps(lit: Literal, fn_vars: dict[str, str]) -> Literal:
-    def rt(t: Term) -> Term:
-        if isinstance(t, App):
-            if t.fn in fn_vars:
-                return Var(fn_vars[t.fn])
-            return App(t.fn, tuple(rt(a) for a in t.args))
-        return t
+    return Literal(lit.pos, lit.pred,
+                   tuple(_apps_to_vars(t, fn_vars) for t in lit.args))
 
-    return Literal(lit.pos, lit.pred, tuple(rt(t) for t in lit.args))
+
+def _apps_to_vars(t: Term, fn_vars: dict[str, str]) -> Term:
+    if isinstance(t, App):
+        if t.fn in fn_vars:
+            return Var(fn_vars[t.fn])
+        return App(t.fn, tuple(_apps_to_vars(a, fn_vars) for a in t.args))
+    return t
 
 
 def unsko_ft(s: ClosedSet) -> Formula:

@@ -12,13 +12,20 @@ else names constants, functions or predicates.  ``query`` statements are
 the disjuncts of a union of Boolean conjunctive queries.  The grammar also
 accepts ``formula:`` statements with ``=`` / ``!=`` atoms so that rewriting
 output can be parsed back.
+
+The parser reads token texts, not token objects: one compiled regex's
+``findall`` turns the text into a list of strings, and a recursive
+descent walks that list by index, reading a token's kind off its first
+character.  Line and column are worked out only when a ``ParseError`` is
+raised, by scanning the text again up to the offending token.
 """
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from .terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
@@ -177,65 +184,21 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True, slots=True)
-class _Tok:
-    kind: str  # 'id', 'var', 'punct', 'dollar'
-    text: str
-    line: int
-    col: int
-
-
-_PUNCT = ("<=>", "=>", "!=", "(", ")", "[", "]", ",", ".", ":",
-          "&", "|", "~", "!", "?", "=")
-_ID_CHARS = set(string.ascii_letters + string.digits + "_")
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "$":
-            j = i + 1
-            while j < n and text[j] in _ID_CHARS:
-                j += 1
-            toks.append(_Tok("dollar", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _ID_CHARS:
-            j = i
-            while j < n and text[j] in _ID_CHARS:
-                j += 1
-            word = text[i:j]
-            kind = "var" if word[0].isupper() else "id"
-            toks.append(_Tok(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(_Tok("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    return toks
+# A token is a word, a ``$`` keyword, a two- or three-character connective
+# or any other single character but a blank.  ``findall`` skips the blanks
+# between tokens.  Comments are cut out before it runs; the error path
+# scans the text as it was, and skips them.
+_TOKEN = re.compile(
+    r"%[^\n]*|[A-Za-z0-9_]+|\$[A-Za-z0-9_]*|<=>|=>|!=|[^ \t\r\n]")
+_COMMENT = re.compile(r"%[^\n]*")
+_WORD = frozenset(string.ascii_letters + string.digits + "_")
+_UPPER = frozenset(string.ascii_uppercase)
+_NAME = _WORD - _UPPER
+# the one-character tokens the grammar has; any other is a character no
+# token may hold
+_ONE_CHAR = _WORD | frozenset("$()[],.:&|~!?=")
+# put after the last token: no token is a blank, so no rule takes it
+_END = " "
 
 
 @dataclass
@@ -255,144 +218,194 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok]) -> None:
-        self.toks = toks
+    """Recursive descent over the token texts of ``text``, by index.
+
+    A token's kind is read off its first character: an upper-case letter
+    starts a variable, another word character a name, ``$`` a keyword.
+    Positions are worked out only for an error, by scanning the text again.
+    """
+
+    __slots__ = ("text", "toks", "i", "depth")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.toks = _TOKEN.findall(_COMMENT.sub("", text))
+        self.toks.append(_END)
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> Optional[_Tok]:
-        return self.toks[self.i] if self.i < len(self.toks) else None
+    def error(self, msg: str, i: Optional[int]) -> ParseError:
+        """``msg`` at token ``i``, or at line 0, column 0 when ``i`` is None.
 
-    def next(self) -> _Tok:
-        tok = self.peek()
-        if tok is None:
-            last = self.toks[-1] if self.toks else _Tok("punct", "", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.col)
-        self.i += 1
-        return tok
+        A character no token may hold is reported first, wherever it is:
+        the parser stops at it or earlier, since no rule takes it.
+        """
+        toks = self.toks
+        for j in range(len(toks) - 1):
+            if len(toks[j]) == 1 and toks[j] not in _ONE_CHAR:
+                msg, i = f"unexpected character {toks[j]!r}", j
+                break
+        if i is None:
+            return ParseError(msg, 0, 0)
+        pos = 0  # with no token at all, line 1, column 1
+        k = -1
+        for m in _TOKEN.finditer(self.text):
+            if m.group()[0] != "%":
+                k += 1
+                if k == i:
+                    pos = m.start()
+                    break
+        return ParseError(msg, self.text.count("\n", 0, pos) + 1,
+                          pos - self.text.rfind("\n", 0, pos))
 
-    def expect(self, text: str) -> _Tok:
-        tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}",
-                             tok.line, tok.col)
-        return tok
+    def unexpected(self, expected: str, i: int) -> ParseError:
+        """``expected``, found token ``i``, or the end of the input."""
+        tok = self.toks[i]
+        if tok == _END:
+            return self.error("unexpected end of input", i - 1)
+        return self.error(f"{expected}, found {tok!r}", i)
 
-    def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.text == text
+    def expect(self, text: str) -> None:
+        i = self.i
+        if self.toks[i] != text:
+            raise self.unexpected(f"expected {text!r}", i)
+        self.i = i + 1
 
-    def deeper(self, tok: _Tok) -> None:
-        """Enter one nesting level at ``tok``; the caller leaves it."""
+    def deeper(self, i: int) -> None:
+        """Enter one nesting level at token ``i``; the caller leaves it."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
-                             tok.line, tok.col)
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels", i)
 
     # formula := disjunction (('=>' | '<=>') formula)?
     def formula(self) -> Formula:
         left = self.disjunction()
-        if not (self.at("=>") or self.at("<=>")):
+        i = self.i
+        op = self.toks[i]
+        if op != "=>" and op != "<=>":
             return left
-        op = self.next()
-        self.deeper(op)
+        self.i = i + 1
+        self.deeper(i)
         right = self.formula()
         self.depth -= 1
-        return Implies(left, right) if op.text == "=>" else Iff(left, right)
+        return Implies(left, right) if op == "=>" else Iff(left, right)
 
     def disjunction(self) -> Formula:
-        items = [self.conjunction()]
-        while self.at("|"):
-            self.next()
+        f = self.conjunction()
+        if self.toks[self.i] != "|":
+            return f
+        items = [f]
+        while self.toks[self.i] == "|":
+            self.i += 1
             items.append(self.conjunction())
-        return items[0] if len(items) == 1 else Or(tuple(items))
+        return Or(tuple(items))
 
     def conjunction(self) -> Formula:
-        items = [self.unary()]
-        while self.at("&"):
-            self.next()
+        f = self.unary()
+        if self.toks[self.i] != "&":
+            return f
+        items = [f]
+        while self.toks[self.i] == "&":
+            self.i += 1
             items.append(self.unary())
-        return items[0] if len(items) == 1 else And(tuple(items))
+        return And(tuple(items))
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", 0, 0)
-        self.deeper(tok)
-        f = self._unary(tok)
-        self.depth -= 1
-        return f
-
-    def _unary(self, tok: _Tok) -> Formula:
-        if tok.text == "~":
-            self.next()
-            return Not(self.unary())
-        if tok.text in ("!", "?"):
-            self.next()
+        i = self.i
+        tok = self.toks[i]
+        if tok == _END:
+            raise self.error("unexpected end of input", None)
+        self.deeper(i)
+        if tok == "~":
+            self.i = i + 1
+            f = Not(self.unary())
+        elif tok == "!" or tok == "?":
+            self.i = i + 1
             self.expect("[")
-            vs = [self._variable()]
-            while self.at(","):
-                self.next()
-                vs.append(self._variable())
+            vs = [self.variable()]
+            while self.toks[self.i] == ",":
+                self.i += 1
+                vs.append(self.variable())
             self.expect("]")
             self.expect(":")
             body = self.unary()
-            return Forall(tuple(vs), body) if tok.text == "!" \
+            f = Forall(tuple(vs), body) if tok == "!" \
                 else Exists(tuple(vs), body)
-        if tok.text == "(":
-            self.next()
+        elif tok == "(":
+            self.i = i + 1
             f = self.formula()
             self.expect(")")
-            return f
-        if tok.kind == "dollar":
-            self.next()
-            if tok.text == "$true":
-                return Top()
-            if tok.text == "$false":
-                return Bottom()
-            raise ParseError(f"unknown token {tok.text!r}", tok.line, tok.col)
-        return self.atom()
+        elif tok[0] == "$":
+            self.i = i + 1
+            if tok == "$true":
+                f = Top()
+            elif tok == "$false":
+                f = Bottom()
+            else:
+                raise self.error(f"unknown token {tok!r}", i)
+        else:
+            f = self.atom()
+        self.depth -= 1
+        return f
 
-    def _variable(self) -> str:
-        tok = self.next()
-        if tok.kind != "var":
-            raise ParseError(
-                f"expected a variable (upper-case), found {tok.text!r}",
-                tok.line, tok.col)
-        return tok.text
+    def variable(self) -> str:
+        i = self.i
+        tok = self.toks[i]
+        if tok[0] not in _UPPER:
+            raise self.unexpected("expected a variable (upper-case)", i)
+        self.i = i + 1
+        return tok
 
     def atom(self) -> Formula:
-        t = self.term()
-        if self.at("=") or self.at("!="):
-            op = self.next().text
-            rhs = self.term()
-            eq = AtomF(EQ_PRED, (t, rhs))
+        toks = self.toks
+        i = self.i
+        tok = toks[i]
+        if tok[0] in _NAME and toks[i + 1] == "(":
+            # read a predicate's arguments here: its atom needs no App
+            self.deeper(i + 1)
+            args = self.arguments(i + 2)
+            op = toks[self.i]
+            if op != "=" and op != "!=":
+                return AtomF(tok, args)
+            t: Term = App(tok, args)
+        else:
+            t = self.term()
+            op = toks[self.i]
+        if op == "=" or op == "!=":
+            self.i += 1
+            eq = AtomF(EQ_PRED, (t, self.term()))
             return eq if op == "=" else Not(eq)
         # reinterpret the parsed term as a predicate atom
         if isinstance(t, Const):
             return AtomF(t.name)
-        if isinstance(t, App):
-            return AtomF(t.fn, t.args)
-        tok = self.toks[self.i - 1]
-        raise ParseError("a variable is not a formula", tok.line, tok.col)
+        raise self.error("a variable is not a formula", self.i - 1)
 
     def term(self) -> Term:
-        tok = self.next()
-        if tok.kind == "var":
-            return Var(tok.text)
-        if tok.kind != "id":
-            raise ParseError(f"expected a term, found {tok.text!r}",
-                             tok.line, tok.col)
-        if self.at("("):
-            self.deeper(self.next())
-            args = [self.term()]
-            while self.at(","):
-                self.next()
-                args.append(self.term())
-            self.expect(")")
-            self.depth -= 1
-            return App(tok.text, tuple(args))
-        return Const(tok.text)
+        toks = self.toks
+        i = self.i
+        tok = toks[i]
+        if tok[0] in _UPPER:
+            self.i = i + 1
+            return Var(tok)
+        if tok[0] not in _NAME:
+            raise self.unexpected("expected a term", i)
+        if toks[i + 1] != "(":
+            self.i = i + 1
+            return Const(tok)
+        self.deeper(i + 1)
+        return App(tok, self.arguments(i + 2))
+
+    def arguments(self, i: int) -> tuple[Term, ...]:
+        """The terms from token ``i`` to the ``)`` that leaves the level
+        the caller entered at the ``(``."""
+        self.i = i
+        args = [self.term()]
+        while self.toks[self.i] == ",":
+            self.i += 1
+            args.append(self.term())
+        self.expect(")")
+        self.depth -= 1
+        return tuple(args)
 
 
 _STATEMENT_KINDS = ("rule", "fact", "query", "formula")
@@ -400,43 +413,40 @@ _STATEMENT_KINDS = ("rule", "fact", "query", "formula")
 
 def parse(text: str) -> Problem:
     """Parse a problem file into rules, facts and query disjuncts."""
-    toks = _tokenize(text)
-    p = _Parser(toks)
+    p = _Parser(text)
+    toks = p.toks
     prob = Problem()
-    while p.peek() is not None:
-        head = p.next()
-        if head.kind != "id" or head.text not in _STATEMENT_KINDS:
-            raise ParseError(
-                f"expected one of {_STATEMENT_KINDS}, found {head.text!r}",
-                head.line, head.col)
+    while toks[p.i] != _END:
+        i = p.i
+        head = toks[i]
+        if head not in _STATEMENT_KINDS:
+            raise p.unexpected(f"expected one of {_STATEMENT_KINDS}", i)
+        p.i = i + 1
         p.expect(":")
         f = p.formula()
-        dot = p.expect(".")
-        if head.text == "fact":
-            if not isinstance(f, AtomF) or free_vars(f) or \
-                    any(isinstance(a, App) for a in f.args) or \
-                    f.pred == EQ_PRED:
-                raise ParseError("a fact must be a ground function-free atom",
-                                 head.line, head.col)
+        p.expect(".")
+        if head == "fact":
+            if not isinstance(f, AtomF) or f.pred == EQ_PRED or \
+                    not all(isinstance(a, Const) for a in f.args):
+                raise p.error("a fact must be a ground function-free atom", i)
             prob.facts.append(f)
-        elif head.text == "rule":
+        elif head == "rule":
             prob.rules.append(f)
-        elif head.text == "query":
+        elif head == "query":
             prob.queries.append(f)
         else:
             prob.formulas.append(f)
-        del dot
     _declare_symbols(prob)
     return prob
 
 
 def parse_formula(text: str) -> Formula:
     """Parse a single bare formula (no statement keyword, no final dot)."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     f = p.formula()
-    tok = p.peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    tok = p.toks[p.i]
+    if tok != _END:
+        raise p.error(f"trailing input {tok!r}", p.i)
     return f
 
 
@@ -453,7 +463,10 @@ def declare_formula_symbols(symbols: SymbolTable, f: Formula) -> None:
             kind = SymbolKind.PREDICATE if f.args else SymbolKind.PROPOSITIONAL
             symbols.declare(f.pred, kind, len(f.args))
         for t in f.args:
-            _declare_term_symbols(symbols, t)
+            if isinstance(t, Const):
+                symbols.declare(t.name, SymbolKind.CONSTANT, 0)
+            elif isinstance(t, App):
+                _declare_term_symbols(symbols, t)
     elif isinstance(f, Not):
         declare_formula_symbols(symbols, f.body)
     elif isinstance(f, (And, Or)):

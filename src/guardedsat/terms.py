@@ -369,18 +369,18 @@ def clause_funcs(c: Clause) -> set[str]:
     return acc
 
 
+def _compound_subterms(t: Term, out: list[App]) -> None:
+    if isinstance(t, App):
+        out.append(t)
+        for a in t.args:
+            _compound_subterms(a, out)
+
+
 def compound_terms(c: Clause) -> list[App]:
     out: list[App] = []
-
-    def walk(t: Term) -> None:
-        if isinstance(t, App):
-            out.append(t)
-            for a in t.args:
-                walk(a)
-
     for lit in c:
         for a in lit.args:
-            walk(a)
+            _compound_subterms(a, out)
     return out
 
 
@@ -552,6 +552,14 @@ def renaming(c: Clause, avoid: set[str], fresh: Iterator[int]) -> Subst:
     return sub
 
 
+def skip_names(count: int, avoid: set[str], fresh: Iterator[int]) -> None:
+    """Draw from ``fresh`` the numbers :func:`renaming` draws for a clause
+    of ``count`` variables, without building the renaming."""
+    while count:
+        if f"_v{next(fresh)}" not in avoid:
+            count -= 1
+
+
 def rename_apart(c: Clause, avoid: set[str]) -> Clause:
     """Rename the variables of ``c`` to ``_v<n>`` names not in ``avoid``."""
     sub = renaming(c, avoid, itertools.count())
@@ -626,28 +634,30 @@ def _is_condensed(c: Clause) -> bool:
                 break
     if not unhit:
         return True
-    pat = c.search_order()
+    return not _map_leaving_one_out(c, c.search_order(), hits, unhit, {}, 0)
 
-    def search(sub: Subst, i: int) -> bool:
-        nonlocal unhit
-        if i == len(pat):
+
+def _map_leaving_one_out(c: Clause, pat: Sequence[Literal], hits: list[int],
+                         unhit: int, sub: Subst, i: int) -> bool:
+    """Can ``sub``, a map of ``pat[:i]`` into ``c`` hitting the positions
+    counted in ``hits`` (``unhit`` of them still zero), be extended over
+    the rest of ``pat`` while some position stays unhit?"""
+    if i == len(pat):
+        return True
+    lits = c.literals
+    for j in c.candidates(pat[i], sub):
+        h = hits[j]
+        if not h and unhit == 1:
+            continue
+        nxt = match_lit(pat[i], lits[j], sub)
+        if nxt is None:
+            continue
+        hits[j] = h + 1
+        found = _map_leaving_one_out(c, pat, hits, unhit - (not h), nxt, i + 1)
+        hits[j] = h
+        if found:
             return True
-        for j in c.candidates(pat[i], sub):
-            if not hits[j] and unhit == 1:
-                continue
-            nxt = match_lit(pat[i], lits[j], sub)
-            if nxt is None:
-                continue
-            unhit -= not hits[j]
-            hits[j] += 1
-            found = search(nxt, i + 1)
-            hits[j] -= 1
-            unhit += not hits[j]
-            if found:
-                return True
-        return False
-
-    return not search({}, 0)
+    return False
 
 
 def _condense_step(lits: list[Literal],
@@ -702,20 +712,22 @@ def canonical(c: Clause) -> Clause:
     """
     c = condense(c)
     order: dict[str, int] = {}
-
-    def number(t: Term) -> None:
-        if isinstance(t, Var):
-            if t.name not in order:
-                order[t.name] = len(order)
-        elif isinstance(t, App):
-            for a in t.args:
-                number(a)
-
     for lit in c:
         for a in lit.args:
-            number(a)
+            _number_vars(a, order)
     sub = {v: Var(f"X{i}") for v, i in order.items()}
     return apply_clause(c, sub)
+
+
+def _number_vars(t: Term, order: dict[str, int]) -> None:
+    """Number the variables of ``t`` not in ``order`` from ``len(order)``
+    on, by first occurrence."""
+    if isinstance(t, Var):
+        if t.name not in order:
+            order[t.name] = len(order)
+    elif isinstance(t, App):
+        for a in t.args:
+            _number_vars(a, order)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Parser, printer and fragment-classification tests."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from guardedsat.syntax import (
-    And, AtomF, Exists, Forall, Implies, Not, Or, ParseError,
-    check_fragment, negate_query, parse, parse_formula, print_formula,
+    MAX_NESTING, And, AtomF, Exists, Forall, Implies, Not, Or, ParseError,
+    Problem, check_fragment, negate_query, parse, parse_formula,
+    print_formula,
 )
 from guardedsat.terms import membership
+from test_cli import _mutated_statements, _token_soups
+from util import reference_parse, reference_parse_formula
 
 
 def roundtrip(text: str) -> str:
@@ -45,6 +49,67 @@ class TestParser:
     def test_variable_alone_is_not_a_formula(self):
         with pytest.raises(ParseError):
             parse_formula("X")
+
+
+# ---------------------------------------------------------------------------
+# the parser against the reference parser
+
+_ODD = ["\t", "\r\n", "% note\n", "%", "  ", "\x0c", "é", "Ω", "<", "<=",
+        ">", "!=>", "$", "_x", "9"]
+
+
+@st.composite
+def _odd_layouts(draw) -> str:
+    """Token soups and fixture statements with tabs, comments, form
+    feeds, non-ASCII characters or a lone ``<`` put in, CRLF line
+    endings and trailing blanks."""
+    text = draw(st.one_of(_token_soups, _mutated_statements()))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_ODD)) + text[at:]
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    return text + draw(st.sampled_from(["", " ", "\t", "\n\n", "% end"]))
+
+
+@st.composite
+def _deep_nestings(draw) -> str:
+    """A statement nested ``MAX_NESTING`` levels deep, give or take two."""
+    n = MAX_NESTING + draw(st.integers(-2, 2))
+    body = draw(st.sampled_from([
+        "~" * n + "p",
+        "(" * n + "p" + ")" * n,
+        "p(" + "f(" * n + "c" + ")" * (n + 1),
+        " => ".join(["p"] * n),
+        " <=> ".join(["p"] * n),
+        "! [X] : " * n + "p(X)",
+    ]))
+    return draw(st.sampled_from(["query: ", "rule: ", ""])) + body + \
+        draw(st.sampled_from([".", "", ". x"]))
+
+
+def _outcome(parse_fn, text):
+    """The statements of each kind and the symbol table in order, or the
+    error's type, text, line and column."""
+    try:
+        prob = parse_fn(text)
+    except ParseError as e:
+        return ("error", str(e), e.line, e.col)
+    except ValueError as e:  # a symbol used with two kinds or arities
+        return ("invalid", str(e))
+    if not isinstance(prob, Problem):  # a bare formula
+        return print_formula(prob), prob
+    return (prob.rules, prob.facts, prob.queries, prob.formulas,
+            list(prob.symbols))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=st.one_of(_token_soups, _mutated_statements(), _odd_layouts(),
+                      _deep_nestings()))
+def test_parser_agrees_with_reference(text):
+    assert _outcome(parse, text) == _outcome(reference_parse, text), text
+    assert _outcome(parse_formula, text) == \
+        _outcome(reference_parse_formula, text), text
 
 
 class TestFragments:

@@ -1,5 +1,6 @@
 """Unit and property tests for terms, unification and clause classes."""
 
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from guardedsat.terms import (
     App, Clause, Const, Literal, UnifyFail, Var, apply_clause, apply_lit,
     apply_term, canonical, clause_vars, compound_terms, condense, depth,
     is_decomposable, is_ground, membership, mgu, mgu_lits, normalize,
-    rename_apart, subsumes,
+    rename_apart, renaming, skip_names, subsumes,
 )
 from util import is_variant, loose_guards, width
 
@@ -165,6 +166,16 @@ def test_rename_apart_is_variant(c):
     r = rename_apart(c, clause_vars(c))
     assert is_variant(c, r)
     assert subsumes(c, r) and subsumes(r, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(clauses, st.integers(0, 4), st.sets(st.integers(0, 12)))
+def test_skip_names_draws_what_renaming_draws(c, start, taken):
+    avoid = {f"_v{k}" for k in taken} | clause_vars(c)
+    drawn, skipped = itertools.count(start), itertools.count(start)
+    renaming(c, avoid, drawn)
+    skip_names(len(clause_vars(c)), avoid, skipped)
+    assert next(drawn) == next(skipped)
 
 
 @settings(max_examples=100, deadline=None)

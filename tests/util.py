@@ -22,12 +22,20 @@ backward subsumption scan and picks with a scan of every usable weight,
 which the indexed :meth:`guardedsat.qans.SaturationState.insert` and
 the weight buckets of :meth:`~guardedsat.qans.SaturationState.pick`
 must agree with.
+
+:func:`reference_parse` and :func:`reference_parse_formula` are the
+parser that walked the text one character at a time into token objects
+carrying their line and column; ``syntax.parse`` and
+``syntax.parse_formula`` must give the same statements, symbol table and
+errors.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import string
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from guardedsat.engine import (
@@ -37,13 +45,15 @@ from guardedsat.engine import (
 from guardedsat.orders import Cmp, LPO
 from guardedsat.qans import SaturationState, clause_weight
 from guardedsat.syntax import (
-    And, AtomF, Exists, Forall, Implies, Or, Problem,
+    EQ_PRED, MAX_NESTING, And, AtomF, Bottom, Exists, Forall, Formula,
+    Iff, Implies, Not, Or, ParseError, Problem, Top, _declare_symbols,
+    free_vars,
 )
 from guardedsat.terms import (
     App, Clause, Const, Literal, Subst, SymbolKind, SymbolOrigin,
-    SymbolTable, Var, _is_flat_term, apply_clause, apply_lit, apply_term,
-    classify, clause_vars, condense, is_ground, lit_vars, match_lit,
-    membership, mgu_lits, renaming, subsumes, term_depth,
+    SymbolTable, Term, Var, _is_flat_term, apply_clause, apply_lit,
+    apply_term, classify, clause_vars, condense, is_ground, lit_vars,
+    match_lit, membership, mgu_lits, renaming, subsumes, term_depth,
 )
 
 CONSTS = ("c1", "c2", "c3")
@@ -520,3 +530,255 @@ class ReferenceSaturationState(SaturationState):
                 else ties[0]
         del self.weights[cid]
         return cid, self.usable.pop(cid)
+
+
+# ---------------------------------------------------------------------------
+# reference parser: a character-by-character tokenizer and a parser over
+# token objects that carry their line and column
+
+
+@dataclass(frozen=True, slots=True)
+class _Tok:
+    kind: str  # 'id', 'var', 'punct', 'dollar'
+    text: str
+    line: int
+    col: int
+
+
+_PUNCT = ("<=>", "=>", "!=", "(", ")", "[", "]", ",", ".", ":",
+          "&", "|", "~", "!", "?", "=")
+_ID_CHARS = set(string.ascii_letters + string.digits + "_")
+
+
+def _tokenize(text: str) -> list[_Tok]:
+    toks: list[_Tok] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == "$":
+            j = i + 1
+            while j < n and text[j] in _ID_CHARS:
+                j += 1
+            toks.append(_Tok("dollar", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch in _ID_CHARS:
+            j = i
+            while j < n and text[j] in _ID_CHARS:
+                j += 1
+            word = text[i:j]
+            kind = "var" if word[0].isupper() else "id"
+            toks.append(_Tok(kind, word, line, col))
+            col += j - i
+            i = j
+            continue
+        for p in _PUNCT:
+            if text.startswith(p, i):
+                toks.append(_Tok("punct", p, line, col))
+                i += len(p)
+                col += len(p)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    return toks
+
+
+class _Parser:
+    def __init__(self, toks: list[_Tok]) -> None:
+        self.toks = toks
+        self.i = 0
+        self.depth = 0
+
+    def peek(self) -> Optional[_Tok]:
+        return self.toks[self.i] if self.i < len(self.toks) else None
+
+    def next(self) -> _Tok:
+        tok = self.peek()
+        if tok is None:
+            last = self.toks[-1] if self.toks else _Tok("punct", "", 1, 1)
+            raise ParseError("unexpected end of input", last.line, last.col)
+        self.i += 1
+        return tok
+
+    def expect(self, text: str) -> _Tok:
+        tok = self.next()
+        if tok.text != text:
+            raise ParseError(f"expected {text!r}, found {tok.text!r}",
+                             tok.line, tok.col)
+        return tok
+
+    def at(self, text: str) -> bool:
+        tok = self.peek()
+        return tok is not None and tok.text == text
+
+    def deeper(self, tok: _Tok) -> None:
+        """Enter one nesting level at ``tok``; the caller leaves it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             tok.line, tok.col)
+
+    # formula := disjunction (('=>' | '<=>') formula)?
+    def formula(self) -> Formula:
+        left = self.disjunction()
+        if not (self.at("=>") or self.at("<=>")):
+            return left
+        op = self.next()
+        self.deeper(op)
+        right = self.formula()
+        self.depth -= 1
+        return Implies(left, right) if op.text == "=>" else Iff(left, right)
+
+    def disjunction(self) -> Formula:
+        items = [self.conjunction()]
+        while self.at("|"):
+            self.next()
+            items.append(self.conjunction())
+        return items[0] if len(items) == 1 else Or(tuple(items))
+
+    def conjunction(self) -> Formula:
+        items = [self.unary()]
+        while self.at("&"):
+            self.next()
+            items.append(self.unary())
+        return items[0] if len(items) == 1 else And(tuple(items))
+
+    def unary(self) -> Formula:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", 0, 0)
+        self.deeper(tok)
+        f = self._unary(tok)
+        self.depth -= 1
+        return f
+
+    def _unary(self, tok: _Tok) -> Formula:
+        if tok.text == "~":
+            self.next()
+            return Not(self.unary())
+        if tok.text in ("!", "?"):
+            self.next()
+            self.expect("[")
+            vs = [self._variable()]
+            while self.at(","):
+                self.next()
+                vs.append(self._variable())
+            self.expect("]")
+            self.expect(":")
+            body = self.unary()
+            return Forall(tuple(vs), body) if tok.text == "!" \
+                else Exists(tuple(vs), body)
+        if tok.text == "(":
+            self.next()
+            f = self.formula()
+            self.expect(")")
+            return f
+        if tok.kind == "dollar":
+            self.next()
+            if tok.text == "$true":
+                return Top()
+            if tok.text == "$false":
+                return Bottom()
+            raise ParseError(f"unknown token {tok.text!r}", tok.line, tok.col)
+        return self.atom()
+
+    def _variable(self) -> str:
+        tok = self.next()
+        if tok.kind != "var":
+            raise ParseError(
+                f"expected a variable (upper-case), found {tok.text!r}",
+                tok.line, tok.col)
+        return tok.text
+
+    def atom(self) -> Formula:
+        t = self.term()
+        if self.at("=") or self.at("!="):
+            op = self.next().text
+            rhs = self.term()
+            eq = AtomF(EQ_PRED, (t, rhs))
+            return eq if op == "=" else Not(eq)
+        # reinterpret the parsed term as a predicate atom
+        if isinstance(t, Const):
+            return AtomF(t.name)
+        if isinstance(t, App):
+            return AtomF(t.fn, t.args)
+        tok = self.toks[self.i - 1]
+        raise ParseError("a variable is not a formula", tok.line, tok.col)
+
+    def term(self) -> Term:
+        tok = self.next()
+        if tok.kind == "var":
+            return Var(tok.text)
+        if tok.kind != "id":
+            raise ParseError(f"expected a term, found {tok.text!r}",
+                             tok.line, tok.col)
+        if self.at("("):
+            self.deeper(self.next())
+            args = [self.term()]
+            while self.at(","):
+                self.next()
+                args.append(self.term())
+            self.expect(")")
+            self.depth -= 1
+            return App(tok.text, tuple(args))
+        return Const(tok.text)
+
+
+_STATEMENT_KINDS = ("rule", "fact", "query", "formula")
+
+
+def reference_parse(text: str) -> Problem:
+    """Parse a problem file into rules, facts and query disjuncts."""
+    toks = _tokenize(text)
+    p = _Parser(toks)
+    prob = Problem()
+    while p.peek() is not None:
+        head = p.next()
+        if head.kind != "id" or head.text not in _STATEMENT_KINDS:
+            raise ParseError(
+                f"expected one of {_STATEMENT_KINDS}, found {head.text!r}",
+                head.line, head.col)
+        p.expect(":")
+        f = p.formula()
+        dot = p.expect(".")
+        if head.text == "fact":
+            if not isinstance(f, AtomF) or free_vars(f) or \
+                    any(isinstance(a, App) for a in f.args) or \
+                    f.pred == EQ_PRED:
+                raise ParseError("a fact must be a ground function-free atom",
+                                 head.line, head.col)
+            prob.facts.append(f)
+        elif head.text == "rule":
+            prob.rules.append(f)
+        elif head.text == "query":
+            prob.queries.append(f)
+        else:
+            prob.formulas.append(f)
+        del dot
+    _declare_symbols(prob)
+    return prob
+
+
+def reference_parse_formula(text: str) -> Formula:
+    """Parse a single bare formula (no statement keyword, no final dot)."""
+    p = _Parser(_tokenize(text))
+    f = p.formula()
+    tok = p.peek()
+    if tok is not None:
+        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    return f
