@@ -1,5 +1,8 @@
 """Clausification of guarded formulas into the loosely guarded clausal class.
 
+``trans`` checks each rule and ``formula:`` statement against the guarded
+fragments and clausifies it.
+
 The pipeline per rule: existentially close free variables, expand ``<=>``,
 negation normal form, miniscoping (which splits clique guards into per-atom
 universal blocks), definitional renaming of the nested universal
@@ -10,11 +13,12 @@ conjunction) is at guard level already and is clausified as it stands,
 with no definer: only the universals nested below it are renamed.
 
 Renaming a universal subformula ``! [Xs] : H`` over free variables ``Ys``
-replaces it by a fresh definer atom ``P(Ys)`` and adds the definition
-``! [Ys] : (~P(Ys) | ! [Xs] : H)``.  When ``H`` is a single negated atom
-(the shape clique guards take after miniscoping) the renaming is negative:
-the occurrence becomes ``~P(Ys)`` and the definition ``! [Ys] : (P(Ys) |
-! [Xs] : H)``, which keeps the produced clauses Horn-friendly and guarded.
+(in order of first free occurrence) replaces it by a fresh definer atom
+``P(Ys)`` and adds the definition ``! [Ys] : (~P(Ys) | ! [Xs] : H)``.
+When ``H`` is a single negated atom (the shape clique guards take after
+miniscoping) the renaming is negative: the occurrence becomes ``~P(Ys)``
+and the definition ``! [Ys] : (P(Ys) | ! [Xs] : H)``, which keeps the
+produced clauses Horn-friendly and guarded.
 
 The output clauses are simple, covering and strongly compatible by
 construction, which is what the resolution engine's a-priori literal
@@ -26,13 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    And, AtomF, Bottom, Exists, Forall, Formula, Iff, Implies, Not, Or,
+    And, AtomF, Bottom, Exists, Forall, Formula, Implies, Not, Or,
     Problem, Top, check_fragment, expand_iff, free_vars, negate_query,
     print_formula,
 )
 from .terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
-    Term, Var,
+    Term, Var, apply_term,
 )
 
 MAX_DIRECT_CNF = 64
@@ -198,7 +202,7 @@ class _Renamer:
 
     def _rename_universal(self, f: Forall) -> Formula:
         f = _merge_block(f)
-        fv = _ordered_free_vars(f)
+        fv = list(free_vars(f))
         negative = isinstance(f.body, Not) and isinstance(f.body.body, AtomF)
         sym = self.symbols.fresh(
             "p", SymbolKind.PREDICATE if fv else SymbolKind.PROPOSITIONAL,
@@ -221,38 +225,6 @@ def _merge_block(f: Forall) -> Forall:
     while isinstance(f.body, Forall):
         f = Forall(f.vars + f.body.vars, f.body.body)
     return f
-
-
-def _ordered_free_vars(f: Formula) -> list[str]:
-    """Free variables in first-occurrence order."""
-    fv = free_vars(f)
-    order: list[str] = []
-
-    def walk(g: Formula, bound: frozenset[str]) -> None:
-        if isinstance(g, AtomF):
-            for t in g.args:
-                _walk_term(t, bound)
-        elif isinstance(g, Not):
-            walk(g.body, bound)
-        elif isinstance(g, (And, Or)):
-            for h in g.items:
-                walk(h, bound)
-        elif isinstance(g, (Implies, Iff)):
-            walk(g.left, bound)
-            walk(g.right, bound)
-        elif isinstance(g, (Forall, Exists)):
-            walk(g.body, bound | frozenset(g.vars))
-
-    def _walk_term(t: Term, bound: frozenset[str]) -> None:
-        if isinstance(t, Var):
-            if t.name in fv and t.name not in bound and t.name not in order:
-                order.append(t.name)
-        elif isinstance(t, App):
-            for a in t.args:
-                _walk_term(a, bound)
-
-    walk(f, frozenset())
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +295,7 @@ def _subst_formula(f: Formula, sub: dict[str, Term]) -> Formula:
     if not sub:
         return f
     if isinstance(f, AtomF):
-        return AtomF(f.pred, tuple(_subst_term(t, sub) for t in f.args))
+        return AtomF(f.pred, tuple(apply_term(t, sub) for t in f.args))
     if isinstance(f, Not):
         return Not(_subst_formula(f.body, sub))
     if isinstance(f, (And, Or)):
@@ -334,14 +306,6 @@ def _subst_formula(f: Formula, sub: dict[str, Term]) -> Formula:
         cls = Forall if isinstance(f, Forall) else Exists
         return cls(f.vars, _subst_formula(f.body, inner))
     return f
-
-
-def _subst_term(t: Term, sub: dict[str, Term]) -> Term:
-    if isinstance(t, Var):
-        return sub.get(t.name, t)
-    if isinstance(t, App):
-        return App(t.fn, tuple(_subst_term(a, sub) for a in t.args))
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +361,7 @@ def _bounded_rename(f: Formula, symbols: SymbolTable) -> Formula:
         g = items[idx]
         if not isinstance(g, And):
             return f
-        fv = _ordered_free_vars(g)
+        fv = list(free_vars(g))
         sym = symbols.fresh(
             "p", SymbolKind.PREDICATE if fv else SymbolKind.PROPOSITIONAL,
             len(fv), SymbolOrigin.DEFINER)
@@ -458,21 +422,22 @@ def clausify_formula(f: Formula, symbols: SymbolTable,
     return out
 
 
-def trans(problem: Problem, check: bool = True) -> TransOutput:
-    """Clausify a problem: rules and then facts into LG clauses (the last
-    ``len(problem.facts)`` of them are the facts), negated query disjuncts
-    into query clauses."""
+def trans(problem: Problem) -> TransOutput:
+    """Clausify a problem: rules, then ``formula:`` statements, then facts
+    into LG clauses (the last ``len(problem.facts)`` of them are the
+    facts), negated query disjuncts into query clauses.  Rules and
+    formulas must lie in one of the guarded fragments."""
     symbols = problem.symbols
     out = TransOutput([], [])
-    for rule in problem.rules:
-        if check:
-            res = check_fragment(rule)
+    for kind, fs in (("rule", problem.rules), ("formula", problem.formulas)):
+        for f in fs:
+            res = check_fragment(f)
             if res.fragment == "none":
                 wit = print_formula(res.witness) if res.witness else "?"
                 raise ClausifyError(
-                    f"rule outside the supported fragments: "
-                    f"{print_formula(rule)} (offending part: {wit})")
-        out.lg_clauses.extend(clausify_formula(rule, symbols, {}, {}))
+                    f"{kind} outside the supported fragments: "
+                    f"{print_formula(f)} (offending part: {wit})")
+            out.lg_clauses.extend(clausify_formula(f, symbols, {}, {}))
     for fact in problem.facts:
         out.lg_clauses.append(Clause([Literal(True, fact.pred, fact.args)]))
     for q in problem.queries:

@@ -9,15 +9,22 @@ Problem files are sequences of statements::
 
 Identifiers starting with an upper-case letter are variables, everything
 else names constants, functions or predicates.  ``query`` statements are
-the disjuncts of a union of Boolean conjunctive queries.  The grammar also
-accepts ``formula:`` statements with ``=`` / ``!=`` atoms so that rewriting
-output can be parsed back.
+the disjuncts of a union of Boolean conjunctive queries.  ``formula``
+statements are clausified with the rules; the grammar accepts ``=`` /
+``!=`` atoms so that rewriting output can be parsed back, though
+equality lies outside the guarded fragments.
 
 The parser reads token texts, not token objects: one compiled regex's
 ``findall`` turns the text into a list of strings, and a recursive
 descent walks that list by index, reading a token's kind off its first
-character.  Line and column are worked out only when a ``ParseError`` is
-raised, by scanning the text again up to the offending token.
+character.  It declares each symbol where it reads it, so a symbol used
+with two kinds or arities is a ``ParseError`` at its second use.  Line
+and column are worked out only when a ``ParseError`` is raised, by
+scanning the text again up to the offending token.
+
+The fragment check is one walk: the fragments nest (GF in LGF in CGF),
+so each quantifier gets the smallest fragment whose guard conditions it
+meets, and a formula the largest over its quantifiers.
 """
 
 from __future__ import annotations
@@ -25,11 +32,10 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import KeysView, Optional
 
 from .terms import (
-    App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
-    Term, Var,
+    App, Clause, Const, Literal, SymbolKind, SymbolTable, Term, Var,
 )
 
 
@@ -97,30 +103,34 @@ Formula = Top | Bottom | AtomF | Not | And | Or | Implies | Iff | Forall | Exist
 EQ_PRED = "="
 
 
-def free_vars(f: Formula, bound: frozenset[str] = frozenset()) -> set[str]:
+def free_vars(f: Formula, bound: frozenset[str] = frozenset()
+              ) -> KeysView[str]:
+    """The free variables of ``f``, in order of first free occurrence."""
+    out: dict[str, None] = {}
+    _free(f, bound, out)
+    return out.keys()
+
+
+def _free(f: Formula, bound: frozenset[str], out: dict[str, None]) -> None:
     if isinstance(f, AtomF):
-        out: set[str] = set()
         for t in f.args:
             _term_free(t, bound, out)
-        return out
-    if isinstance(f, Not):
-        return free_vars(f.body, bound)
-    if isinstance(f, (And, Or)):
-        out = set()
+    elif isinstance(f, Not):
+        _free(f.body, bound, out)
+    elif isinstance(f, (And, Or)):
         for g in f.items:
-            out |= free_vars(g, bound)
-        return out
-    if isinstance(f, (Implies, Iff)):
-        return free_vars(f.left, bound) | free_vars(f.right, bound)
-    if isinstance(f, (Forall, Exists)):
-        return free_vars(f.body, bound | frozenset(f.vars))
-    return set()
+            _free(g, bound, out)
+    elif isinstance(f, (Implies, Iff)):
+        _free(f.left, bound, out)
+        _free(f.right, bound, out)
+    elif isinstance(f, (Forall, Exists)):
+        _free(f.body, bound | frozenset(f.vars), out)
 
 
-def _term_free(t: Term, bound: frozenset[str], out: set[str]) -> None:
+def _term_free(t: Term, bound: frozenset[str], out: dict[str, None]) -> None:
     if isinstance(t, Var):
         if t.name not in bound:
-            out.add(t.name)
+            out[t.name] = None
     elif isinstance(t, App):
         for a in t.args:
             _term_free(a, bound, out)
@@ -223,16 +233,22 @@ class _Parser:
     A token's kind is read off its first character: an upper-case letter
     starts a variable, another word character a name, ``$`` a keyword.
     Positions are worked out only for an error, by scanning the text again.
+
+    Each name is declared in ``symbols`` where it is read: a constant at
+    once, a function or predicate once its arguments are read, so that its
+    arity is known.  A symbol used with two kinds or arities is an error at
+    the name's token.
     """
 
-    __slots__ = ("text", "toks", "i", "depth")
+    __slots__ = ("text", "toks", "i", "depth", "symbols")
 
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str, symbols: SymbolTable) -> None:
         self.text = text
         self.toks = _TOKEN.findall(_COMMENT.sub("", text))
         self.toks.append(_END)
         self.i = 0
         self.depth = 0
+        self.symbols = symbols
 
     def error(self, msg: str, i: Optional[int]) -> ParseError:
         """``msg`` at token ``i``, or at line 0, column 0 when ``i`` is None.
@@ -270,6 +286,13 @@ class _Parser:
         if self.toks[i] != text:
             raise self.unexpected(f"expected {text!r}", i)
         self.i = i + 1
+
+    def declare(self, kind: SymbolKind, arity: int, i: int) -> None:
+        """Declare the name at token ``i``."""
+        try:
+            self.symbols.declare(self.toks[i], kind, arity)
+        except ValueError as e:
+            raise self.error(str(e), i) from None
 
     def deeper(self, i: int) -> None:
         """Enter one nesting level at token ``i``; the caller leaves it."""
@@ -360,25 +383,34 @@ class _Parser:
         toks = self.toks
         i = self.i
         tok = toks[i]
-        if tok[0] in _NAME and toks[i + 1] == "(":
-            # read a predicate's arguments here: its atom needs no App
-            self.deeper(i + 1)
-            args = self.arguments(i + 2)
+        t: Term
+        if tok[0] in _NAME:
+            # a name heads an atom unless ``=`` or ``!=`` follows its term
+            if toks[i + 1] == "(":
+                self.deeper(i + 1)
+                args = self.arguments(i + 2)
+            else:
+                self.i = i + 1
+                args = ()
             op = toks[self.i]
             if op != "=" and op != "!=":
+                self.declare(SymbolKind.PREDICATE if args
+                             else SymbolKind.PROPOSITIONAL, len(args), i)
                 return AtomF(tok, args)
-            t: Term = App(tok, args)
+            if args:
+                self.declare(SymbolKind.FUNCTION, len(args), i)
+                t = App(tok, args)
+            else:
+                self.declare(SymbolKind.CONSTANT, 0, i)
+                t = Const(tok)
         else:
             t = self.term()
             op = toks[self.i]
-        if op == "=" or op == "!=":
-            self.i += 1
-            eq = AtomF(EQ_PRED, (t, self.term()))
-            return eq if op == "=" else Not(eq)
-        # reinterpret the parsed term as a predicate atom
-        if isinstance(t, Const):
-            return AtomF(t.name)
-        raise self.error("a variable is not a formula", self.i - 1)
+            if op != "=" and op != "!=":
+                raise self.error("a variable is not a formula", self.i - 1)
+        self.i += 1
+        eq = AtomF(EQ_PRED, (t, self.term()))
+        return eq if op == "=" else Not(eq)
 
     def term(self) -> Term:
         toks = self.toks
@@ -391,9 +423,12 @@ class _Parser:
             raise self.unexpected("expected a term", i)
         if toks[i + 1] != "(":
             self.i = i + 1
+            self.declare(SymbolKind.CONSTANT, 0, i)
             return Const(tok)
         self.deeper(i + 1)
-        return App(tok, self.arguments(i + 2))
+        args = self.arguments(i + 2)
+        self.declare(SymbolKind.FUNCTION, len(args), i)
+        return App(tok, args)
 
     def arguments(self, i: int) -> tuple[Term, ...]:
         """The terms from token ``i`` to the ``)`` that leaves the level
@@ -412,10 +447,12 @@ _STATEMENT_KINDS = ("rule", "fact", "query", "formula")
 
 
 def parse(text: str) -> Problem:
-    """Parse a problem file into rules, facts and query disjuncts."""
-    p = _Parser(text)
-    toks = p.toks
+    """Parse a problem file into rules, facts, query disjuncts and
+    formulas, declaring their symbols in the order the text first uses
+    them (a function's or predicate's arguments before it)."""
     prob = Problem()
+    p = _Parser(text, prob.symbols)
+    toks = p.toks
     while toks[p.i] != _END:
         i = p.i
         head = toks[i]
@@ -436,56 +473,20 @@ def parse(text: str) -> Problem:
             prob.queries.append(f)
         else:
             prob.formulas.append(f)
-    _declare_symbols(prob)
     return prob
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse a single bare formula (no statement keyword, no final dot)."""
-    p = _Parser(text)
+    """Parse a single bare formula (no statement keyword, no final dot).
+
+    Its symbols are declared in a table of its own, so a symbol used with
+    two kinds or arities is an error here too."""
+    p = _Parser(text, SymbolTable())
     f = p.formula()
     tok = p.toks[p.i]
     if tok != _END:
         raise p.error(f"trailing input {tok!r}", p.i)
     return f
-
-
-def _declare_symbols(prob: Problem) -> None:
-    for f in prob.rules + prob.queries + prob.formulas:
-        declare_formula_symbols(prob.symbols, f)
-    for a in prob.facts:
-        declare_formula_symbols(prob.symbols, a)
-
-
-def declare_formula_symbols(symbols: SymbolTable, f: Formula) -> None:
-    if isinstance(f, AtomF):
-        if f.pred != EQ_PRED:
-            kind = SymbolKind.PREDICATE if f.args else SymbolKind.PROPOSITIONAL
-            symbols.declare(f.pred, kind, len(f.args))
-        for t in f.args:
-            if isinstance(t, Const):
-                symbols.declare(t.name, SymbolKind.CONSTANT, 0)
-            elif isinstance(t, App):
-                _declare_term_symbols(symbols, t)
-    elif isinstance(f, Not):
-        declare_formula_symbols(symbols, f.body)
-    elif isinstance(f, (And, Or)):
-        for g in f.items:
-            declare_formula_symbols(symbols, g)
-    elif isinstance(f, (Implies, Iff)):
-        declare_formula_symbols(symbols, f.left)
-        declare_formula_symbols(symbols, f.right)
-    elif isinstance(f, (Forall, Exists)):
-        declare_formula_symbols(symbols, f.body)
-
-
-def _declare_term_symbols(symbols: SymbolTable, t: Term) -> None:
-    if isinstance(t, Const):
-        symbols.declare(t.name, SymbolKind.CONSTANT, 0)
-    elif isinstance(t, App):
-        symbols.declare(t.fn, SymbolKind.FUNCTION, len(t.args))
-        for a in t.args:
-            _declare_term_symbols(symbols, a)
 
 
 # ---------------------------------------------------------------------------
@@ -540,146 +541,124 @@ def _conj_atoms(f: Formula) -> Optional[list[AtomF]]:
     return None
 
 
-def _atom_vars(a: AtomF) -> set[str]:
-    out: set[str] = set()
-    for t in a.args:
-        _term_free(t, frozenset(), out)
-    return out
-
-
-def _cooccur_ok(pairs_left: set[str], guard_atoms: list[AtomF],
-                all_guard_vars: set[str]) -> bool:
-    """Each variable in ``pairs_left`` co-occurs with every other guard
-    variable in some single guard atom."""
-    for x in pairs_left:
-        for y in all_guard_vars:
-            if y == x:
-                continue
-            if not any({x, y} <= _atom_vars(a) for a in guard_atoms):
-                return False
-    return True
-
-
-def _guard_split(f: Formula) -> Optional[tuple[Formula, Formula]]:
-    """Split a quantifier body into (guard part, guarded part)."""
-    if isinstance(f, Implies):
-        return f.left, f.right
-    return None
+# The fragments nest, GF in LGF in CGF, so a formula's fragment is a rank
+# into _FRAGMENTS, or _NONE outside all three.
+_FRAGMENTS = ("GF", "LGF", "CGF")
+_GF, _LGF, _CGF, _NONE = range(4)
 
 
 def check_fragment(f: Formula) -> FragmentResult:
     """Smallest guarded fragment containing ``f`` (after expanding ``<=>``).
 
-    Function symbols and equality are outside all three fragments.  The
-    result is monotone: membership in GF implies LGF implies CGF.
+    Function symbols and equality are outside all three fragments.  One
+    walk gives each quantifier the smallest fragment whose guard
+    conditions it meets; the formula's fragment is the largest of these.
     """
-    f = expand_iff(f)
-    bad = _fragment_violation(f, "GF")
-    if bad is None:
-        return FragmentResult("GF")
-    bad = _fragment_violation(f, "LGF")
-    if bad is None:
-        return FragmentResult("LGF")
-    bad = _fragment_violation(f, "CGF")
-    if bad is None:
-        return FragmentResult("CGF")
-    return FragmentResult("none", witness=bad)
+    rank, witness = _rank(expand_iff(f))
+    if rank == _NONE:
+        return FragmentResult("none", witness=witness)
+    return FragmentResult(_FRAGMENTS[rank])
 
 
 def _atom_ok(a: AtomF) -> bool:
     return a.pred != EQ_PRED and not any(isinstance(t, App) for t in a.args)
 
 
-def _fragment_violation(f: Formula, frag: str) -> Optional[Formula]:
-    """The first subformula breaking the rules of ``frag``, if any."""
-    if isinstance(f, (Top, Bottom)):
-        return None
+def _rank(f: Formula) -> tuple[int, Optional[Formula]]:
+    """The rank of the smallest fragment containing ``f``; when that is
+    ``_NONE``, also the first subformula breaking the rules of CGF."""
     if isinstance(f, AtomF):
-        return None if _atom_ok(f) else f
+        return (_GF, None) if _atom_ok(f) else (_NONE, f)
     if isinstance(f, Not):
-        return _fragment_violation(f.body, frag)
-    if isinstance(f, (And, Or)):
-        for g in f.items:
-            bad = _fragment_violation(g, frag)
+        return _rank(f.body)
+    if isinstance(f, (And, Or, Implies)):
+        rank = _GF
+        for g in (f.left, f.right) if isinstance(f, Implies) else f.items:
+            r, bad = _rank(g)
             if bad is not None:
-                return bad
-        return None
-    if isinstance(f, Implies):
-        bad = _fragment_violation(f.left, frag)
-        if bad is not None:
-            return bad
-        return _fragment_violation(f.right, frag)
-    if isinstance(f, (Forall, Exists)):
-        return _check_quantified(_merge_quant(f), frag)
-    return f
-
-
-def _guard_ok(frag: str, outer: set[str], guard_f: Formula,
-              sub: Formula) -> bool:
-    """Do ``guard_f`` and ``sub`` satisfy the guard conditions of ``frag``?"""
-    inner_ex: tuple[str, ...] = ()
-    g = guard_f
-    if isinstance(g, Exists):
-        if frag != "CGF":
-            return False
-        g = _merge_quant(g)
-        inner_ex = g.vars  # type: ignore[union-attr]
-        g = g.body  # type: ignore[union-attr]
-    atoms = _conj_atoms(g)
-    if atoms is None or not all(_atom_ok(a) for a in atoms):
-        return False
-    if frag == "GF" and len(atoms) != 1:
-        return False
-
-    guard_vars: set[str] = set()
-    for a in atoms:
-        guard_vars |= _atom_vars(a)
-    fv_sub = free_vars(sub)
-
-    # (a) free variables of the guarded part occur (free) in the guard
-    if not fv_sub <= guard_vars - set(inner_ex):
-        return False
-    if frag == "CGF":
-        # (b) each guard-existential variable occurs in only one guard atom
-        for x in inner_ex:
-            if sum(1 for a in atoms if x in _atom_vars(a)) != 1:
-                return False
-    if frag in ("LGF", "CGF"):
-        # (b)/(c) each quantified variable co-occurs with every other guard
-        # variable in a single guard atom
-        if not _cooccur_ok(outer & guard_vars, atoms, guard_vars):
-            return False
-    return True
-
-
-def _check_quantified(f: Forall | Exists, frag: str) -> Optional[Formula]:
-    body = f.body
-    outer = set(f.vars)
+                return r, bad
+            rank = max(rank, r)
+        return rank, None
     if isinstance(f, Forall):
-        split = _guard_split(body)
-        if split is None:
-            return f
-        guard_f, sub = split
-        if not _guard_ok(frag, outer, guard_f, sub):
-            return f
-        return _fragment_violation(sub, frag)
-    # existential: try every split of the conjunction into guard & rest
+        f = _merge_quant(f)
+        body = f.body
+        if not isinstance(body, Implies):
+            return _NONE, f
+        guard = _guard_rank(set(f.vars), body.left, body.right)
+        if guard == _NONE:
+            return _NONE, f
+        r, bad = _rank(body.right)
+        return max(guard, r), bad
+    if isinstance(f, Exists):
+        return _exists_rank(_merge_quant(f))
+    if isinstance(f, (Top, Bottom)):
+        return _GF, None
+    return _NONE, f
+
+
+def _exists_rank(f: Exists) -> tuple[int, Optional[Formula]]:
+    """The best split of the body's conjuncts into guard and rest: the
+    least, over splits, of the larger of the two ranks.  With no split in
+    a fragment, ``f`` itself is the witness."""
+    outer = set(f.vars)
+    body = f.body
     items = body.items if isinstance(body, And) else (body,)
+    # rest_rank[k]: the rank of the conjunction of items[k:]
+    rest_rank = [_GF] * (len(items) + 1)
+    for k in range(len(items) - 1, 0, -1):
+        rest_rank[k] = max(rest_rank[k + 1], _rank(items[k])[0])
+    best = _NONE
     for k in range(1, len(items) + 1):
-        head = items[:k]
-        guard_f: Formula
-        if len(head) == 1:
-            guard_f = head[0]
-        elif all(isinstance(h, AtomF) for h in head):
-            guard_f = And(head)
+        guard: Formula
+        if k == 1:
+            guard = items[0]
+        elif all(isinstance(h, AtomF) for h in items[:k]):
+            guard = And(items[:k])
         else:
             break
         rest = items[k:]
-        sub = Top() if not rest else (rest[0] if len(rest) == 1 else And(rest))
-        if _guard_ok(frag, outer, guard_f, sub) and \
-                _fragment_violation(sub, frag) is None:
-            return None
-    return f
+        sub = Top() if not rest else (rest[0] if len(rest) == 1
+                                      else And(rest))
+        best = min(best, max(_guard_rank(outer, guard, sub), rest_rank[k]))
+        if best == _GF:
+            break
+    return best, (f if best == _NONE else None)
+
+
+def _guard_rank(outer: set[str], guard: Formula, sub: Formula) -> int:
+    """The smallest fragment whose guard conditions ``guard`` and ``sub``
+    meet, for a quantifier over ``outer``."""
+    inner_ex: tuple[str, ...] = ()
+    least = _GF
+    if isinstance(guard, Exists):
+        # an existentially closed conjunction is a clique guard only
+        guard = _merge_quant(guard)
+        inner_ex = guard.vars  # type: ignore[union-attr]
+        guard = guard.body  # type: ignore[union-attr]
+        least = _CGF
+    atoms = _conj_atoms(guard)
+    if atoms is None or not all(_atom_ok(a) for a in atoms):
+        return _NONE
+    atom_vars = [set(free_vars(a)) for a in atoms]
+    guard_vars = set().union(*atom_vars)
+    # (a) free variables of the guarded part occur (free) in the guard
+    if not free_vars(sub) <= guard_vars.difference(inner_ex):
+        return _NONE
+    if least == _GF:
+        if len(atoms) == 1:
+            return _GF
+        least = _LGF
+    # (b) each guard-existential variable occurs in only one guard atom
+    for x in inner_ex:
+        if sum(1 for vs in atom_vars if x in vs) != 1:
+            return _NONE
+    # (b)/(c) each quantified variable co-occurs with every other guard
+    # variable in a single guard atom
+    for x in outer & guard_vars:
+        for y in guard_vars:
+            if y != x and not any(x in vs and y in vs for vs in atom_vars):
+                return _NONE
+    return least
 
 
 # ---------------------------------------------------------------------------

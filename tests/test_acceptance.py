@@ -23,9 +23,9 @@ from guardedsat.qic import q_ic_all
 from guardedsat.qrew import q_rew
 from guardedsat.qsep import DefinitionRegistry, is_icq, q_sep
 from guardedsat.syntax import Exists, Forall, Not, parse, print_formula, \
-    declare_formula_symbols, parse_formula
+    parse_formula
 from guardedsat.terms import (
-    Clause, Literal, SymbolKind, SymbolTable, Var, depth, membership,
+    Clause, Literal, SymbolKind, Var, depth, membership,
 )
 
 import test_qans
@@ -274,10 +274,10 @@ def test_rewriting_is_over_the_input_signature():
         assert result.verdict == "no"
         sigma_q = q_rew([c for _, c in state.worked_off.clauses()],
                         prob.symbols).sigma_q
-        mentioned = SymbolTable()
-        declare_formula_symbols(mentioned, sigma_q)
-        assert not declared & {s.name for s in mentioned}, \
-            print_formula(sigma_q)
+        # Σ_q's symbols, read off parsing it back
+        text = f"formula: {print_formula(sigma_q)}."
+        mentioned = {s.name for s in parse(text).symbols}
+        assert not declared & mentioned, text
 
 
 # -- 10 ---------------------------------------------------------------------

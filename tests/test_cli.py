@@ -71,6 +71,33 @@ def test_parse_error_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.strip()
 
 
+def test_redeclared_symbol_is_an_input_error_with_its_position(
+        tmp_path, capsys):
+    bad = tmp_path / "bad.p"
+    bad.write_text("fact: p(c1).\nfact: p(c1,c2).\n")
+    assert main(["answer", str(bad)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: symbol 'p' redeclared")
+    assert "at line 2, column 7" in err
+
+
+def test_formula_statements_take_part_in_answering(tmp_path, capsys):
+    src = tmp_path / "p.p"
+    src.write_text("formula: ? [X] : a(X).\nquery: ? [X] : a(X).\n")
+    assert main(["answer", str(src)]) == EXIT_YES
+    assert capsys.readouterr().out.strip() == "Yes"
+
+
+def test_formula_with_equality_is_an_input_error(tmp_path, capsys):
+    # a rewriting with equality is outside the guarded fragments
+    src = tmp_path / "p.p"
+    src.write_text("formula: ! [X,Y] : (r(X,Y) => X = Y).\n"
+                   "query: ? [X] : a(X).\n")
+    assert main(["answer", str(src)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: formula outside the supported fragments")
+
+
 @pytest.mark.parametrize("statement", [
     "query: " + "(" * 300 + "? [X] : a0(X)" + ")" * 300,
     "query: " + "~" * 1000 + "? [X] : a0(X)",

@@ -1,7 +1,9 @@
 """Parser, printer and fragment-classification tests."""
 
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from guardedsat.syntax import (
     MAX_NESTING, And, AtomF, Exists, Forall, Implies, Not, Or, ParseError,
@@ -10,7 +12,10 @@ from guardedsat.syntax import (
 )
 from guardedsat.terms import membership
 from test_cli import _mutated_statements, _token_soups
-from util import reference_parse, reference_parse_formula
+from util import (
+    random_formula, reference_check_fragment, reference_parse,
+    reference_parse_formula,
+)
 
 
 def roundtrip(text: str) -> str:
@@ -49,6 +54,23 @@ class TestParser:
     def test_variable_alone_is_not_a_formula(self):
         with pytest.raises(ParseError):
             parse_formula("X")
+
+    def test_symbols_in_text_order(self):
+        prob = parse("rule: ! [X] : (r(X,f(c2)) => a).\nfact: b(c1).")
+        assert [s.name for s in prob.symbols] == \
+            ["c2", "f", "r", "a", "c1", "b"]
+
+    def test_redeclared_symbol_is_reported_where_it_is_used(self):
+        with pytest.raises(ParseError) as e:
+            parse("fact: p(c1).\nfact: p(c1,c2).")
+        assert (e.value.line, e.value.col) == (2, 7)
+        assert "'p' redeclared as predicate/2, was predicate/1" in \
+            str(e.value)
+
+    def test_redeclared_symbol_in_a_bare_formula(self):
+        with pytest.raises(ParseError) as e:
+            parse_formula("a(c) & c = a")
+        assert (e.value.line, e.value.col) == (1, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +117,6 @@ def _outcome(parse_fn, text):
         prob = parse_fn(text)
     except ParseError as e:
         return ("error", str(e), e.line, e.col)
-    except ValueError as e:  # a symbol used with two kinds or arities
-        return ("invalid", str(e))
     if not isinstance(prob, Problem):  # a bare formula
         return print_formula(prob), prob
     return (prob.rules, prob.facts, prob.queries, prob.formulas,
@@ -106,6 +126,7 @@ def _outcome(parse_fn, text):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(text=st.one_of(_token_soups, _mutated_statements(), _odd_layouts(),
                       _deep_nestings()))
+@example(text="fact: p(c1).\nfact: p(c1,c2).")
 def test_parser_agrees_with_reference(text):
     assert _outcome(parse, text) == _outcome(reference_parse, text), text
     assert _outcome(parse_formula, text) == \
@@ -145,6 +166,20 @@ class TestFragments:
         # every GF formula is also accepted when testing LGF directly
         f = parse_formula("! [X,Y] : (g(X,Y) => a(X))")
         assert check_fragment(f).fragment == "GF"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fragment_agrees_with_reference(seed):
+    # the one-walk checker against one pass per fragment, on formulas
+    # mixing <=>, nested and clique guards, equality and function terms
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(1500):
+        f = random_formula(rng, rng.randint(1, 4))
+        want = reference_check_fragment(f)
+        assert check_fragment(f) == want, print_formula(f)
+        seen.add(want.fragment)
+    assert seen == {"GF", "LGF", "CGF", "none"}
 
 
 class TestQueries:

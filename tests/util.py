@@ -25,9 +25,12 @@ must agree with.
 
 :func:`reference_parse` and :func:`reference_parse_formula` are the
 parser that walked the text one character at a time into token objects
-carrying their line and column; ``syntax.parse`` and
-``syntax.parse_formula`` must give the same statements, symbol table and
-errors.
+carrying their line and column, declaring each symbol at the same point
+as the parser does; ``syntax.parse`` and ``syntax.parse_formula`` must
+give the same statements, symbol table and errors.
+:func:`reference_check_fragment` decides the fragment with one pass per
+fragment (GF, then LGF, then CGF); ``syntax.check_fragment`` must give
+the same fragment and witness.
 """
 
 from __future__ import annotations
@@ -46,14 +49,15 @@ from guardedsat.orders import Cmp, LPO
 from guardedsat.qans import SaturationState, clause_weight
 from guardedsat.syntax import (
     EQ_PRED, MAX_NESTING, And, AtomF, Bottom, Exists, Forall, Formula,
-    Iff, Implies, Not, Or, ParseError, Problem, Top, _declare_symbols,
-    free_vars,
+    FragmentResult, Iff, Implies, Not, Or, ParseError, Problem, Top,
+    _atom_ok, _conj_atoms, _merge_quant, expand_iff, free_vars,
 )
 from guardedsat.terms import (
     App, Clause, Const, Literal, Subst, SymbolKind, SymbolOrigin,
     SymbolTable, Term, Var, _is_flat_term, apply_clause, apply_lit,
     apply_term, classify, clause_vars, condense, is_ground, lit_vars,
     match_lit, membership, mgu_lits, renaming, subsumes, term_depth,
+    term_vars,
 )
 
 CONSTS = ("c1", "c2", "c3")
@@ -194,6 +198,72 @@ def random_problem(rng: random.Random, n_preds: int = 6,
     body = atoms[0] if len(atoms) == 1 else And(tuple(atoms))
     prob.queries.append(Exists(qvars, body))
     return prob
+
+
+_FORMULA_VARS = ("X", "Y", "Z", "U", "V")
+
+
+def random_formula(rng: random.Random, depth: int = 3) -> Formula:
+    """A random formula near the guarded fragments: quantifiers over
+    guards of one or more atoms, sometimes existentially closed (clique
+    guards), with ``<=>``, equality and function terms mixed in, and the
+    guarded part mostly over the guard's variables."""
+
+    def term(pool: Sequence[str]) -> Term:
+        r = rng.random()
+        if r < 0.06:
+            return App("f", (term(pool),))
+        if r < 0.12 or not pool:
+            return Const(rng.choice(CONSTS))
+        return Var(rng.choice(pool))
+
+    def atom(pool: Sequence[str]) -> Formula:
+        if rng.random() < 0.06:
+            return AtomF(EQ_PRED, (term(pool), term(pool)))
+        n = rng.choice((0, 1, 2, 2, 3))
+        return AtomF(f"p{n}", tuple(term(pool) for _ in range(n)))
+
+    def guard(pool: Sequence[str]) -> Formula:
+        atoms = [atom(pool) for _ in range(rng.choice((1, 1, 2, 3)))]
+        g = atoms[0] if len(atoms) == 1 else And(tuple(atoms))
+        vs = sorted(free_vars(g))
+        if vs and rng.random() < 0.25:
+            g = Exists(tuple(rng.sample(vs, rng.randint(1, len(vs)))), g)
+        return g
+
+    def quantified(d: int, pool: Sequence[str]) -> Formula:
+        qvars = rng.sample(_FORMULA_VARS, rng.randint(1, 2))
+        g = guard(list(pool) + qvars)
+        inner = sorted(free_vars(g))
+        if rng.random() < 0.1:
+            inner.append(rng.choice(_FORMULA_VARS))
+        sub = formula(d - 1, inner)
+        if rng.random() < 0.5:
+            if rng.random() < 0.08:
+                return Forall(tuple(qvars), sub)
+            return Forall(tuple(qvars), Implies(g, sub))
+        items = list(g.items) if isinstance(g, And) else [g]
+        items.extend(formula(d - 1, inner) for _ in range(rng.randint(0, 2)))
+        body = items[0] if len(items) == 1 else And(tuple(items))
+        return Exists(tuple(qvars), body)
+
+    def formula(d: int, pool: Sequence[str]) -> Formula:
+        r = rng.random()
+        if d <= 0 or r < 0.15:
+            return Top() if r < 0.01 else atom(pool)
+        if r < 0.25:
+            return Not(formula(d - 1, pool))
+        if r < 0.35:
+            cls = And if rng.random() < 0.5 else Or
+            return cls(tuple(formula(d - 1, pool)
+                             for _ in range(rng.randint(2, 3))))
+        if r < 0.42:
+            return Implies(formula(d - 1, pool), formula(d - 1, pool))
+        if r < 0.48:
+            return Iff(formula(d - 1, pool), formula(d - 1, pool))
+        return quantified(d, pool)
+
+    return formula(depth, ())
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +669,11 @@ def _tokenize(text: str) -> list[_Tok]:
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok]) -> None:
+    def __init__(self, toks: list[_Tok], symbols: SymbolTable) -> None:
         self.toks = toks
         self.i = 0
         self.depth = 0
+        self.symbols = symbols
 
     def peek(self) -> Optional[_Tok]:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -625,6 +696,12 @@ class _Parser:
     def at(self, text: str) -> bool:
         tok = self.peek()
         return tok is not None and tok.text == text
+
+    def declare(self, tok: _Tok, kind: SymbolKind, arity: int) -> None:
+        try:
+            self.symbols.declare(tok.text, kind, arity)
+        except ValueError as e:
+            raise ParseError(str(e), tok.line, tok.col) from None
 
     def deeper(self, tok: _Tok) -> None:
         """Enter one nesting level at ``tok``; the caller leaves it."""
@@ -706,21 +783,30 @@ class _Parser:
         return tok.text
 
     def atom(self) -> Formula:
-        t = self.term()
+        head = self.peek()
+        # the head symbol is declared once it is known to head a term or
+        # an atom
+        t = self.term(declare_head=False)
         if self.at("=") or self.at("!="):
+            if isinstance(t, Const):
+                self.declare(head, SymbolKind.CONSTANT, 0)
+            elif isinstance(t, App):
+                self.declare(head, SymbolKind.FUNCTION, len(t.args))
             op = self.next().text
             rhs = self.term()
             eq = AtomF(EQ_PRED, (t, rhs))
             return eq if op == "=" else Not(eq)
         # reinterpret the parsed term as a predicate atom
         if isinstance(t, Const):
+            self.declare(head, SymbolKind.PROPOSITIONAL, 0)
             return AtomF(t.name)
         if isinstance(t, App):
+            self.declare(head, SymbolKind.PREDICATE, len(t.args))
             return AtomF(t.fn, t.args)
         tok = self.toks[self.i - 1]
         raise ParseError("a variable is not a formula", tok.line, tok.col)
 
-    def term(self) -> Term:
+    def term(self, declare_head: bool = True) -> Term:
         tok = self.next()
         if tok.kind == "var":
             return Var(tok.text)
@@ -735,7 +821,11 @@ class _Parser:
                 args.append(self.term())
             self.expect(")")
             self.depth -= 1
+            if declare_head:
+                self.declare(tok, SymbolKind.FUNCTION, len(args))
             return App(tok.text, tuple(args))
+        if declare_head:
+            self.declare(tok, SymbolKind.CONSTANT, 0)
         return Const(tok.text)
 
 
@@ -744,9 +834,8 @@ _STATEMENT_KINDS = ("rule", "fact", "query", "formula")
 
 def reference_parse(text: str) -> Problem:
     """Parse a problem file into rules, facts and query disjuncts."""
-    toks = _tokenize(text)
-    p = _Parser(toks)
     prob = Problem()
+    p = _Parser(_tokenize(text), prob.symbols)
     while p.peek() is not None:
         head = p.next()
         if head.kind != "id" or head.text not in _STATEMENT_KINDS:
@@ -770,15 +859,153 @@ def reference_parse(text: str) -> Problem:
         else:
             prob.formulas.append(f)
         del dot
-    _declare_symbols(prob)
     return prob
 
 
 def reference_parse_formula(text: str) -> Formula:
     """Parse a single bare formula (no statement keyword, no final dot)."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(_tokenize(text), SymbolTable())
     f = p.formula()
     tok = p.peek()
     if tok is not None:
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    return f
+
+
+# ---------------------------------------------------------------------------
+# reference fragment checker: one pass per fragment, GF, then LGF, then CGF
+
+
+def reference_check_fragment(f: Formula) -> FragmentResult:
+    """Smallest guarded fragment containing ``f`` (after expanding
+    ``<=>``), by one pass per fragment, smallest first."""
+    f = expand_iff(f)
+    bad = _fragment_violation(f, "GF")
+    if bad is None:
+        return FragmentResult("GF")
+    bad = _fragment_violation(f, "LGF")
+    if bad is None:
+        return FragmentResult("LGF")
+    bad = _fragment_violation(f, "CGF")
+    if bad is None:
+        return FragmentResult("CGF")
+    return FragmentResult("none", witness=bad)
+
+
+def _atom_vars(a: AtomF) -> set[str]:
+    out: set[str] = set()
+    for t in a.args:
+        term_vars(t, out)
+    return out
+
+
+def _cooccur_ok(pairs_left: set[str], guard_atoms: list[AtomF],
+                all_guard_vars: set[str]) -> bool:
+    """Each variable in ``pairs_left`` co-occurs with every other guard
+    variable in some single guard atom."""
+    for x in pairs_left:
+        for y in all_guard_vars:
+            if y == x:
+                continue
+            if not any({x, y} <= _atom_vars(a) for a in guard_atoms):
+                return False
+    return True
+
+
+def _guard_split(f: Formula) -> Optional[tuple[Formula, Formula]]:
+    """Split a quantifier body into (guard part, guarded part)."""
+    if isinstance(f, Implies):
+        return f.left, f.right
+    return None
+
+
+def _fragment_violation(f: Formula, frag: str) -> Optional[Formula]:
+    """The first subformula breaking the rules of ``frag``, if any."""
+    if isinstance(f, (Top, Bottom)):
+        return None
+    if isinstance(f, AtomF):
+        return None if _atom_ok(f) else f
+    if isinstance(f, Not):
+        return _fragment_violation(f.body, frag)
+    if isinstance(f, (And, Or)):
+        for g in f.items:
+            bad = _fragment_violation(g, frag)
+            if bad is not None:
+                return bad
+        return None
+    if isinstance(f, Implies):
+        bad = _fragment_violation(f.left, frag)
+        if bad is not None:
+            return bad
+        return _fragment_violation(f.right, frag)
+    if isinstance(f, (Forall, Exists)):
+        return _check_quantified(_merge_quant(f), frag)
+    return f
+
+
+def _guard_ok(frag: str, outer: set[str], guard_f: Formula,
+              sub: Formula) -> bool:
+    """Do ``guard_f`` and ``sub`` satisfy the guard conditions of ``frag``?"""
+    inner_ex: tuple[str, ...] = ()
+    g = guard_f
+    if isinstance(g, Exists):
+        if frag != "CGF":
+            return False
+        g = _merge_quant(g)
+        inner_ex = g.vars  # type: ignore[union-attr]
+        g = g.body  # type: ignore[union-attr]
+    atoms = _conj_atoms(g)
+    if atoms is None or not all(_atom_ok(a) for a in atoms):
+        return False
+    if frag == "GF" and len(atoms) != 1:
+        return False
+
+    guard_vars: set[str] = set()
+    for a in atoms:
+        guard_vars |= _atom_vars(a)
+    fv_sub = free_vars(sub)
+
+    # (a) free variables of the guarded part occur (free) in the guard
+    if not fv_sub <= guard_vars - set(inner_ex):
+        return False
+    if frag == "CGF":
+        # (b) each guard-existential variable occurs in only one guard atom
+        for x in inner_ex:
+            if sum(1 for a in atoms if x in _atom_vars(a)) != 1:
+                return False
+    if frag in ("LGF", "CGF"):
+        # (b)/(c) each quantified variable co-occurs with every other guard
+        # variable in a single guard atom
+        if not _cooccur_ok(outer & guard_vars, atoms, guard_vars):
+            return False
+    return True
+
+
+def _check_quantified(f: Forall | Exists, frag: str) -> Optional[Formula]:
+    body = f.body
+    outer = set(f.vars)
+    if isinstance(f, Forall):
+        split = _guard_split(body)
+        if split is None:
+            return f
+        guard_f, sub = split
+        if not _guard_ok(frag, outer, guard_f, sub):
+            return f
+        return _fragment_violation(sub, frag)
+    # existential: try every split of the conjunction into guard & rest
+    items = body.items if isinstance(body, And) else (body,)
+    for k in range(1, len(items) + 1):
+        head = items[:k]
+        guard_f: Formula
+        if len(head) == 1:
+            guard_f = head[0]
+        elif all(isinstance(h, AtomF) for h in head):
+            guard_f = And(head)
+        else:
+            break
+        rest = items[k:]
+        sub = Top() if not rest else (rest[0] if len(rest) == 1 else And(rest))
+        if _guard_ok(frag, outer, guard_f, sub) and \
+                _fragment_violation(sub, frag) is None:
+            return None
     return f
