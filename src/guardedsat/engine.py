@@ -18,17 +18,22 @@ is added, as a :class:`ClauseRecord`; :func:`resolvents` and
 :func:`factor` read the record.  The saturation loop and the tests reach
 them through :func:`guardedsat.qans.inferences`.
 
-The top-variable join is a backtracking search.  It fetches each
-selected literal's side candidates once, visits the literals from the
-fewest candidates up and extends one triangular unifier level by level,
-on level-local copies of the non-ground side literals.  Once an argument
-of a literal is ground under the unifier, the level tries only the
-candidates with that argument there or a non-ground one; failing that,
-once an argument is bound to a compound term, only the candidates with
-its head symbol there or a variable (an index by argument, built on the
-level's first such probe).  When a new clause must take part, the search
-is seeded once at each literal where it can stand (semi-naive
-evaluation).  The tuples found are sorted into clause-id order.
+The index keeps the side literals of each (predicate, arity) in one
+list in clause-id order and, per argument position, indexes them by
+ground term, non-ground term, head symbol and variable; a position's
+index is built on its first probe and kept up by ``add`` and ``remove``.
+The top-variable join is a backtracking search over it that extends one
+triangular unifier level by level, always at the most constrained level
+under the current unifier: the open level whose probe holds the fewest
+candidates.  A probe reads the first argument of the selected literal
+that the unifier makes ground (the candidates with that term there or a
+non-ground one), failing that the first one bound to a compound term
+(the candidates with its head symbol there or a variable).  A non-ground
+side literal is copied onto a level's variables when the level first
+tries it, and the copy is kept.  When a new clause must take part, the
+search is seeded once at each literal where it can stand with that
+clause's own side literals (semi-naive evaluation).  The tuples found are
+sorted into clause-id order.
 
 :func:`com_t_all` reads each tuple's top variables off the join's own
 unifier.  A conclusion of rule 2b depends only on the top variables and
@@ -51,15 +56,15 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter
 from typing import Iterator, Optional, Sequence
 
 from .orders import LPO, Cmp, comparisons, select_nc
 from .qsep import is_icq
 from .terms import (
     App, Clause, Const, Literal, Subst, Term, Var, apply_clause, apply_lit,
-    clause_vars, is_ground, is_ground_term, lit_vars, mgu_lits, renaming,
-    skip_names, unify_into,
+    clause_vars, is_ground, is_ground_lit, is_ground_term, lit_vars,
+    mgu_lits, renaming, skip_names, unify_into,
 )
 
 
@@ -149,23 +154,117 @@ def clause_record(c: Clause, lpo: LPO) -> ClauseRecord:
 # clause index
 
 
-_entry_id = itemgetter(0)
+class _Side:
+    """The ``k``-th side literal ``lit`` of the indexed clause ``cid``,
+    with its copies onto the variables of join levels, each made when the
+    level first tries it.  A copy at level ``i`` renames every variable
+    ``v`` to ``.<i>.v``: no other variable name starts with a dot, so the
+    levels of a join share no variable with each other or with the main
+    premise.  ``copies`` is ``None`` for a ground literal, its own copy."""
+    __slots__ = ("key", "cid", "clause", "lit", "copies")
+
+    def __init__(self, cid: int, k: int, clause: Clause, lit: Literal):
+        self.key = (cid, k)
+        self.cid = cid
+        self.clause = clause
+        self.lit = lit
+        self.copies: Optional[dict[int, Literal]] = \
+            None if is_ground_lit(lit) else {}
+
+    def at(self, level: int) -> Literal:
+        """The side literal on the variables of join level ``level``."""
+        copies = self.copies
+        if copies is None:
+            return self.lit
+        copy = copies.get(level)
+        if copy is None:
+            prefix = f".{level}."
+            copy = copies[level] = apply_lit(
+                self.lit, {v: Var(prefix + v) for v in lit_vars(self.lit)})
+        return copy
+
+
+_key = attrgetter("key")
+_cid = attrgetter("cid")
+
+# the side literals of a list by what they hold at one argument position:
+# by their ground argument there, those with a non-ground one there, by
+# the head symbol (name, arity) of a compound argument there, and those
+# with a variable there; each bucket in key order
+_PositionIndex = tuple[dict[Term, list[_Side]], list[_Side],
+                       dict[tuple[str, int], list[_Side]], list[_Side]]
+
+
+def _buckets(index: _PositionIndex, t: Term) -> list[list[_Side]]:
+    """The buckets of ``index`` that hold a side literal with ``t`` at the
+    index's position, made if missing."""
+    exact, wild, heads, free = index
+    out = [exact.setdefault(t, []) if is_ground_term(t) else wild]
+    if isinstance(t, App):
+        out.append(heads.setdefault((t.fn, len(t.args)), []))
+    elif isinstance(t, Var):
+        out.append(free)
+    return out
+
+
+class _SideList:
+    """The side literals on one (predicate, arity) in key order, (clause
+    id, position among the clause's side literals), and for each argument
+    position probed so far the same literals by what they hold there
+    (:data:`_PositionIndex`), built on the first probe and kept since."""
+    __slots__ = ("entries", "positions")
+
+    def __init__(self) -> None:
+        self.entries: list[_Side] = []
+        self.positions: dict[int, _PositionIndex] = {}
+
+    def add(self, side: _Side) -> None:
+        insort(self.entries, side, key=_key)
+        for j, index in self.positions.items():
+            for bucket in _buckets(index, side.lit.args[j]):
+                insort(bucket, side, key=_key)
+
+    def remove(self, cid: int) -> None:
+        lo = bisect_left(self.entries, cid, key=_cid)
+        hi = bisect_right(self.entries, cid, key=_cid)
+        gone = self.entries[lo:hi]
+        del self.entries[lo:hi]
+        for j, index in self.positions.items():
+            exact, _, heads, _ = index
+            for side in gone:
+                t = side.lit.args[j]
+                for bucket in _buckets(index, t):
+                    del bucket[bisect_left(bucket, side.key, key=_key)]
+                if is_ground_term(t) and not exact[t]:
+                    del exact[t]
+                if isinstance(t, App) and not heads[t.fn, len(t.args)]:
+                    del heads[t.fn, len(t.args)]
+
+    def position(self, j: int) -> _PositionIndex:
+        index = self.positions.get(j)
+        if index is None:
+            index = self.positions[j] = ({}, [], {}, [])
+            for side in self.entries:
+                for bucket in _buckets(index, side.lit.args[j]):
+                    bucket.append(side)
+        return index
 
 
 class ClauseIndex:
-    """Clauses with stable ids, their records, a positive-literal
-    side-premise index, the main premises by predicate, and the supply
-    of fresh variable numbers for renaming side premises apart."""
+    """Clauses with stable ids, their records, the side literals by
+    (predicate, arity) (:class:`_SideList`), the main premises by
+    predicate, and the supply of fresh variable numbers for renaming side
+    premises apart."""
 
     def __init__(self, lpo: LPO) -> None:
         self.lpo = lpo
         self.fresh: Iterator[int] = itertools.count()
         self.by_id: dict[int, Clause] = {}
         self.records: dict[int, ClauseRecord] = {}
-        # ids arrive in pick order; the id list, the side-index lists and
-        # the main-index lists are kept in id order as they grow
+        # ids arrive in pick order; the id list, the side lists and the
+        # main-index lists are kept in id order as they grow
         self._ids: list[int] = []
-        self._side_index: dict[str, list[tuple[int, Literal]]] = {}
+        self._sides: dict[str, dict[int, _SideList]] = {}
         self._main_index: dict[str, list[int]] = {}
 
     def add(self, cid: int, c: Clause) -> None:
@@ -173,9 +272,12 @@ class ClauseIndex:
         self.by_id[cid] = c
         self.records[cid] = rec
         insort(self._ids, cid)
-        for lit in rec.side_literals:
-            insort(self._side_index.setdefault(lit.pred, []), (cid, lit),
-                   key=_entry_id)
+        for k, lit in enumerate(rec.side_literals):
+            by_arity = self._sides.setdefault(lit.pred, {})
+            sides = by_arity.get(len(lit.args))
+            if sides is None:
+                sides = by_arity[len(lit.args)] = _SideList()
+            sides.add(_Side(cid, k, c, lit))
         for pred in {l.pred for l in rec.main_literals}:
             insort(self._main_index.setdefault(pred, []), cid)
 
@@ -184,10 +286,9 @@ class ClauseIndex:
             return
         rec = self.records.pop(cid)
         del self._ids[bisect_left(self._ids, cid)]
-        for pred in {l.pred for l in rec.side_literals}:
-            lst = self._side_index[pred]
-            del lst[bisect_left(lst, cid, key=_entry_id):
-                    bisect_right(lst, cid, key=_entry_id)]
+        for pred, arity in {(l.pred, len(l.args))
+                            for l in rec.side_literals}:
+            self._sides[pred][arity].remove(cid)
         for pred in {l.pred for l in rec.main_literals}:
             ids = self._main_index[pred]
             del ids[bisect_left(ids, cid)]
@@ -201,9 +302,18 @@ class ClauseIndex:
             ids.update(self._main_index.get(pred, ()))
         return sorted(ids)
 
+    def side_list(self, lit: Literal) -> Optional[_SideList]:
+        """The side literals with the predicate and arity of ``lit``."""
+        return self._sides.get(lit.pred, {}).get(len(lit.args))
+
     def side_candidates(self, pred: str) -> list[tuple[int, Clause, Literal]]:
-        return [(cid, self.by_id[cid], lit)
-                for cid, lit in self._side_index.get(pred, ())]
+        """The side literals on ``pred`` with their clauses, in key
+        order."""
+        lists = self._sides.get(pred, {}).values()
+        sides = [side for lst in lists for side in lst.entries]
+        if len(lists) > 1:
+            sides.sort(key=_key)
+        return [(side.cid, side.clause, side.lit) for side in sides]
 
     def clauses(self) -> list[tuple[int, Clause]]:
         """The indexed clauses in id order."""
@@ -223,29 +333,6 @@ class TopVarResult:
     # per assignment, the renamed literals of the side clause that the side
     # literal does not dominate a priori (``ClauseRecord.rivals``)
     rivals: tuple[tuple[Literal, ...], ...]
-
-
-# (position in the literal's candidate list, side clause id, side clause,
-#  side literal, side literal on this level's variable names)
-_Candidate = tuple[int, int, Clause, Literal, Literal]
-
-
-def _level_candidates(lit: Literal, n: ClauseIndex,
-                      level: int) -> list[_Candidate]:
-    """The side candidates of the selected literal ``lit``.  A non-ground
-    side literal is copied onto variables named ``.<level>.<name>``: no
-    other variable name starts with a dot, so the levels of the join share
-    no variable with each other or with the main premise."""
-    prefix = f".{level}."
-    out = []
-    for pos, (cid, side, pos_lit) in enumerate(n.side_candidates(lit.pred)):
-        if len(pos_lit.args) != len(lit.args):
-            continue
-        vs = lit_vars(pos_lit)
-        copy = apply_lit(pos_lit, {v: Var(prefix + v) for v in vs}) \
-            if vs else pos_lit
-        out.append((pos, cid, side, pos_lit, copy))
-    return out
 
 
 def _ground_image(t: Term, sub: Subst) -> Optional[Term]:
@@ -277,129 +364,122 @@ def _depth_under(t: Term, sub: Subst) -> int:
     return 1 + max((_depth_under(a, sub) for a in t.args), default=0)
 
 
-# the candidates of a level by what they hold at one argument position: by
-# their ground argument there, those with a non-ground one there, by the
-# head symbol (name, arity) of a compound argument there, and those with a
-# variable there
-_PositionIndex = tuple[dict[Term, list[_Candidate]], list[_Candidate],
-                       dict[tuple[str, int], list[_Candidate]],
-                       list[_Candidate]]
+# an empty bucket, never written to
+_NONE: list[_Side] = []
 
 
-def _position_index(level: list[_Candidate], j: int) -> _PositionIndex:
-    exact: dict[Term, list[_Candidate]] = {}
-    wild: list[_Candidate] = []
-    heads: dict[tuple[str, int], list[_Candidate]] = {}
-    free: list[_Candidate] = []
-    for cand in level:
-        b = cand[4].args[j]
-        if is_ground_term(b):
-            exact.setdefault(b, []).append(cand)
-        else:
-            wild.append(cand)
-        if isinstance(b, App):
-            heads.setdefault((b.fn, len(b.args)), []).append(cand)
-        elif isinstance(b, Var):
-            free.append(cand)
-    return exact, wild, heads, free
-
-
-def _probed(level: list[_Candidate], args: Sequence[Term], sub: Subst,
-            index: dict[int, _PositionIndex]) -> Optional[list[_Candidate]]:
-    """The candidates of ``level`` that can still unify with a selected
-    literal over ``args`` under ``sub``, found through the first argument
-    that ``sub`` makes ground: the candidates with that very term there,
-    then those with a non-ground one.  With no ground argument, through
-    the first argument that ``sub`` binds to a compound term: the
-    candidates with its head symbol there, then those with a variable
-    there.  ``None`` when there is neither.  ``index`` is filled on the
-    first probe of each position."""
+def _probe(sides: _SideList, args: Sequence[Term],
+           sub: Subst) -> tuple[list[_Side], list[_Side]]:
+    """Two buckets of ``sides`` that together hold every side literal
+    that can still unify with a selected literal over ``args`` under
+    ``sub``.  Through the first argument that ``sub`` makes ground: the
+    side literals with that very term there, then those with a non-ground
+    one.  With no ground argument, through the first argument that
+    ``sub`` binds to a compound term: those with its head symbol there,
+    then those with a variable there.  With neither, all of them."""
     head = None
     for j, a in enumerate(args):
         t = _ground_image(a, sub)
         if t is not None:
-            if j not in index:
-                index[j] = _position_index(level, j)
-            exact, wild, _, _ = index[j]
-            return exact.get(t, []) + wild
+            exact, wild, _, _ = sides.position(j)
+            return exact.get(t, _NONE), wild
         if head is None:
             while isinstance(a, Var) and a.name in sub:
                 a = sub[a.name]
             if isinstance(a, App):
                 head = j, (a.fn, len(a.args))
     if head is None:
-        return None
+        return sides.entries, _NONE
     j, symbol = head
-    if j not in index:
-        index[j] = _position_index(level, j)
-    _, _, heads, free = index[j]
-    return heads.get(symbol, []) + free
+    _, _, heads, free = sides.position(j)
+    return heads.get(symbol, _NONE), free
 
 
-# a join tuple: one candidate per selected literal, and the triangular
-# unifier of the candidates' level copies with the selected literals
-_JoinTuple = tuple[tuple[_Candidate, ...], Subst]
+# a join tuple: one side literal per selected literal, and the triangular
+# unifier of their level copies with the selected literals
+_JoinTuple = tuple[tuple[_Side, ...], Subst]
 
 
-def _search(negs: Sequence[Literal], levels: list[list[_Candidate]],
-            found: list[_JoinTuple]) -> None:
-    """Append to ``found`` every tuple, one candidate per level, whose side
-    literals unify with ``negs`` simultaneously, with its unifier.  Levels
-    are visited from the fewest candidates up; each extends its own copy
-    of the triangular unifier of the levels before it, trying only the
-    candidates that :func:`_probed` lets through.  Candidates are tried
-    out of their list order; the caller sorts what is found."""
-    order = sorted(range(len(negs)), key=lambda i: len(levels[i]))
-    _extend(0, {}, negs, levels, order, [None] * len(negs),
-            [{} for _ in negs], found)
+# what the join reads at one level: the selected literal's arguments, its
+# side list, a fixed candidate list in place of the list's probe (the seed
+# level of a semi-naive join) or None, and the clause id the level skips
+_Level = tuple[tuple[Term, ...], _SideList, Optional[list[_Side]],
+               Optional[int]]
 
 
-def _extend(k: int, sub: Subst, negs: Sequence[Literal],
-            levels: list[list[_Candidate]], order: list[int], chosen: list,
-            indexes: list[dict[int, _PositionIndex]],
-            found: list[_JoinTuple]) -> None:
-    """Extend the tuple ``chosen`` at the levels ``order[:k]``, unified by
-    ``sub``, by a candidate at each level of ``order[k:]``."""
-    if k == len(order):
+def _extend(open_: list[int], sub: Subst, levels: list[_Level],
+            chosen: list, found: list[_JoinTuple]) -> None:
+    """Extend the tuple ``chosen``, unified by ``sub``, by a side literal
+    at each level of ``open_``.  The next level is the most constrained:
+    the open level whose probe (:func:`_probe`) under ``sub`` holds the
+    fewest candidates, the first in ``open_`` on a tie, and the scan stops
+    at a level with at most one.  The candidates are tried out of key
+    order; the caller sorts what is found."""
+    if not open_:
         found.append((tuple(chosen), sub))
         return
-    i = order[k]
-    args = negs[i].args
-    cands = _probed(levels[i], args, sub, indexes[i])
-    for cand in levels[i] if cands is None else cands:
-        sub2 = dict(sub)
-        if unify_into(zip(cand[4].args, args), sub2) is None:
-            chosen[i] = cand
-            _extend(k + 1, sub2, negs, levels, order, chosen, indexes, found)
+    best = best_size = -1
+    best_buckets = _NONE, _NONE
+    for i in open_:
+        args, sides, fixed, _ = levels[i]
+        buckets = (fixed, _NONE) if fixed is not None \
+            else _probe(sides, args, sub)
+        size = len(buckets[0]) + len(buckets[1])
+        if best < 0 or size < best_size:
+            best, best_size, best_buckets = i, size, buckets
+            if size <= 1:
+                break
+    if not best_size:
+        return
+    rest = [i for i in open_ if i != best]
+    args, _, _, skip = levels[best]
+    for bucket in best_buckets:
+        for side in bucket:
+            if side.cid == skip:
+                continue
+            lit = side.lit if side.copies is None else side.at(best)
+            sub2 = dict(sub)
+            if unify_into(zip(lit.args, args), sub2) is None:
+                chosen[best] = side
+                _extend(rest, sub2, levels, chosen, found)
 
 
 def _join(negs: Sequence[Literal], n: ClauseIndex,
           must_include: Optional[int]) -> list[_JoinTuple]:
     """All side-premise tuples simultaneously unifiable with the selected
     literals ``negs``, each with its unifier, in clause-id order
-    (lexicographic by candidate position, literal by literal).
+    (lexicographic by side-literal key, level by level).
 
     With ``must_include``, only the tuples that use that clause: the join
-    is seeded once at each level ``p`` where it can stand, with earlier
-    levels excluding it and later levels open, so every such tuple is
-    found exactly once (semi-naive evaluation).
+    is seeded once at each level ``p`` where it can stand, with that
+    clause's own side literals there, earlier levels skipping it and
+    later levels open, so every such tuple is found exactly once
+    (semi-naive evaluation).
     """
-    levels = []
-    for i, lit in enumerate(negs):
-        levels.append(_level_candidates(lit, n, i))
-        if not levels[-1]:
+    lists = []
+    for lit in negs:
+        sides = n.side_list(lit)
+        if sides is None or not sides.entries:
             return []
+        lists.append(sides)
     found: list[_JoinTuple] = []
+    chosen: list = [None] * len(negs)
     if must_include is None:
-        _search(negs, levels, found)
+        _extend(list(range(len(negs))), {},
+                [(lit.args, sides, None, None)
+                 for lit, sides in zip(negs, lists)], chosen, found)
     else:
-        for p, level in enumerate(levels):
-            new = [c for c in level if c[1] == must_include]
-            if new:
-                _search(negs, [[c for c in lv if c[1] != must_include]
-                               for lv in levels[:p]]
-                        + [new] + levels[p + 1:], found)
-    found.sort(key=lambda t: tuple(c[0] for c in t[0]))
+        for p, sides in enumerate(lists):
+            entries = sides.entries
+            own = entries[bisect_left(entries, must_include, key=_cid):
+                          bisect_right(entries, must_include, key=_cid)]
+            if own:
+                levels = [(lit.args, lst, own if i == p else None,
+                           must_include if i < p else None)
+                          for i, (lit, lst) in enumerate(zip(negs, lists))]
+                _extend([p] + [i for i in range(len(negs)) if i != p], {},
+                        levels, chosen, found)
+    found.sort(key=lambda t: tuple(side.key for side in t[0]))
     return found
 
 
@@ -427,24 +507,25 @@ def com_t_all(main: Clause, n: ClauseIndex,
         top_vars = frozenset(v for v, d in depths.items()
                              if d == top_depth)
         top = [i for i, vs in enumerate(neg_vars) if vs & top_vars]
-        key = (top_vars, tuple((i, chosen[i][0]) for i in top))
+        key = (top_vars, tuple((i, chosen[i].key) for i in top))
         if key in seen:
-            for cand in chosen:
-                skip_names(n.records[cand[1]].n_vars, mvars, n.fresh)
+            for side in chosen:
+                skip_names(n.records[side.cid].n_vars, mvars, n.fresh)
             continue
         seen.add(key)
         assignment = []
         rivals = []
-        for lit, (_, cid, side, pos_lit, _) in zip(negs, chosen):
+        for lit, side in zip(negs, chosen):
             # one renaming for the clause and its literals: the renamed
-            # clause is re-sorted, so positions in ``side`` do not carry over
-            ren = renaming(side, mvars, n.fresh)
-            side_r = apply_clause(side, ren) if ren else side
-            assignment.append((lit, cid, side_r, apply_lit(pos_lit, ren)))
-            rec = n.records[cid]
-            rivals.append(tuple(
-                apply_lit(side.literals[k], ren)
-                for k in rec.rivals[rec.side_literals.index(pos_lit)]))
+            # clause is re-sorted, so positions in ``c`` do not carry over
+            c = side.clause
+            ren = renaming(c, mvars, n.fresh)
+            side_r = apply_clause(c, ren) if ren else c
+            assignment.append((lit, side.cid, side_r,
+                               apply_lit(side.lit, ren)))
+            cid, k = side.key
+            rivals.append(tuple(apply_lit(c.literals[r], ren)
+                                for r in n.records[cid].rivals[k]))
         yield TopVarResult(top_vars, tuple(negs[i] for i in top),
                            tuple(assignment), tuple(rivals))
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
+from operator import is_
 from typing import KeysView, Optional
 
 from .terms import (
@@ -500,21 +501,27 @@ class FragmentResult:
 
 
 def expand_iff(f: Formula) -> Formula:
+    """``f`` with each ``A <=> B`` written as ``(A => B) & (B => A)``.
+    A part of ``f`` with no ``<=>`` below it is returned as it is, so an
+    iff-free ``f`` comes back unchanged, not rebuilt."""
     if isinstance(f, Iff):
         l, r = expand_iff(f.left), expand_iff(f.right)
         return And((Implies(l, r), Implies(r, l)))
-    if isinstance(f, Not):
-        return Not(expand_iff(f.body))
-    if isinstance(f, And):
-        return And(tuple(expand_iff(g) for g in f.items))
-    if isinstance(f, Or):
-        return Or(tuple(expand_iff(g) for g in f.items))
+    if isinstance(f, (Not, Forall, Exists)):
+        body = expand_iff(f.body)
+        if body is f.body:
+            return f
+        return Not(body) if isinstance(f, Not) else type(f)(f.vars, body)
+    if isinstance(f, (And, Or)):
+        items = tuple(map(expand_iff, f.items))
+        if all(map(is_, items, f.items)):
+            return f
+        return type(f)(items)
     if isinstance(f, Implies):
-        return Implies(expand_iff(f.left), expand_iff(f.right))
-    if isinstance(f, Forall):
-        return Forall(f.vars, expand_iff(f.body))
-    if isinstance(f, Exists):
-        return Exists(f.vars, expand_iff(f.body))
+        l, r = expand_iff(f.left), expand_iff(f.right)
+        if l is f.left and r is f.right:
+            return f
+        return Implies(l, r)
     return f
 
 

@@ -23,8 +23,9 @@ from guardedsat.engine import (
 )
 from guardedsat.oracle import ground_entails
 from guardedsat.orders import LPO, Cmp, Precedence, maximal, select_nc
-from guardedsat.qans import _as_main, inferences
+from guardedsat.qans import _as_main, answer, inferences
 from guardedsat.qsep import DefinitionRegistry, is_icq, q_sep
+from guardedsat.syntax import parse
 from guardedsat.terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
     Var, apply_lit, clause_vars, depth, membership, normalize,
@@ -33,9 +34,9 @@ from guardedsat.terms import (
 
 import test_qsep
 from util import (
-    CONSTS, _iter_assignments, clause_gt, com_t, is_variant, make_symbols,
-    p_res, preds, random_ground_atom, random_lg_set, reference_com_t_all,
-    s_res, width,
+    CONSTS, _iter_assignments, clause_gt, com_t, data_sweep_instances,
+    is_variant, make_symbols, p_res, preds, random_ground_atom,
+    random_lg_set, reference_com_t_all, s_res, width,
 )
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -244,7 +245,7 @@ def _assert_joins_agree(main, n):
     for must in [None] + sorted(n.by_id):
         want = list(reference_com_t_all(main, n, must_include=must))
         found = engine._join(negs, n, must)
-        assert [tuple((neg, c[1], c[3]) for neg, c in zip(negs, chosen))
+        assert [tuple((neg, c.cid, c.lit) for neg, c in zip(negs, chosen))
                 for chosen, _ in found] == \
             [_signature(n, w) for w in want], (main, must)
         for (_, sub), (_, sigma) in zip(
@@ -260,7 +261,7 @@ def _assert_joins_agree(main, n):
         fresh = itertools.count(1000)
         for chosen, _ in found:
             for c in chosen:
-                renaming(c[2], mvars, fresh)
+                renaming(c.clause, mvars, fresh)
         n.fresh = itertools.count(1000)
         got = list(com_t_all(main, n, must_include=must))
         assert next(n.fresh) == next(fresh), (main, must)
@@ -307,15 +308,15 @@ def _icq_join_index(rng):
 
 def test_join_agrees_with_nested_loop_reference(monkeypatch):
     probed = 0
-    probe = engine._probed
+    probe = engine._probe
 
-    def counting(*args):
+    def counting(sides, args, sub):
         nonlocal probed
-        cands = probe(*args)
-        probed += cands is not None
-        return cands
+        buckets = probe(sides, args, sub)
+        probed += buckets[0] is not sides.entries
+        return buckets
 
-    monkeypatch.setattr(engine, "_probed", counting)
+    monkeypatch.setattr(engine, "_probe", counting)
     symbols = make_symbols(n_preds=5, max_arity=3, n_funcs=2,
                            rng=random.Random(7))
     tuples = skipped = 0
@@ -336,6 +337,47 @@ def test_join_agrees_with_nested_loop_reference(monkeypatch):
     assert tuples >= 200 and skipped >= 20, (tuples, skipped)
     # levels extended through the argument index, not the full list
     assert probed > 0
+
+
+def test_join_work_on_a_data_instance(monkeypatch):
+    """On the first ``data_sweep`` instance (N=40, No), the join tries at
+    most 360 unifications over the whole run: 324 when the next level is
+    the most constrained under the unifier, 576 with the levels in a
+    fixed fewest-candidates-first order.  Each call finds the tuples of
+    the nested-loop reference, in its order."""
+    attempts = 0
+    unify = engine.unify_into
+
+    def counting(pairs, sub):
+        nonlocal attempts
+        attempts += 1
+        return unify(pairs, sub)
+
+    calls = tuples = 0
+    join = engine._join
+
+    def checked(negs, n, must):
+        nonlocal calls, tuples
+        found = join(negs, n, must)
+        fresh, n.fresh = n.fresh, itertools.count(10 ** 6)
+        want = [tuple((neg, cid, _side_literal(n, cid, side_r, pos_r))
+                      for neg, cid, side_r, pos_r in chosen)
+                for chosen, _ in _iter_assignments(
+                    negs, n, clause_vars(Clause(negs)), must)]
+        n.fresh = fresh
+        assert [tuple((neg, side.cid, side.lit)
+                      for neg, side in zip(negs, chosen))
+                for chosen, _ in found] == want
+        calls += 1
+        tuples += len(found)
+        return found
+
+    monkeypatch.setattr(engine, "unify_into", counting)
+    monkeypatch.setattr(engine, "_join", checked)
+    inst = data_sweep_instances([40])[0]
+    assert answer(parse(inst.text)).verdict == inst.expected == "no"
+    assert (calls, tuples) == (7, 57)
+    assert attempts <= 360, attempts
 
 
 def _renaming_flip_index():
@@ -432,41 +474,65 @@ def test_side_condition_on_rivals_agrees_with_full_check():
 
 def test_probe_by_head_symbol():
     """With no argument ground under the unifier but one bound to a
-    compound term, a level tries the candidates with that head symbol or
-    a variable there, and drops only candidates that cannot unify."""
+    compound term, a probe yields the side literals with that head symbol
+    or a variable there, and drops only side literals that cannot
+    unify."""
     n = ClauseIndex(_lpo())
     fx, fa = App("f", (x,)), App("f", (a,))
     for cid, args in enumerate([(fx, x), (x, fx), (a, b), (fa, b),
                                 (App("f", (fx,)), x), (b, fa)]):
         n.add(cid, Clause([_lit(True, "B", *args)]))
     main = _lit(False, "B", y, z)
-    level = engine._level_candidates(main, n, 1)
-    assert len(level) == 6
+    sides = n.side_list(main)
+    assert len(sides.entries) == 6
     sub = {"y": App("f", (Var(".0.w"),))}
-    got = engine._probed(level, main.args, sub, {})
-    assert sorted(c[1] for c in got) == [0, 1, 3, 4]
-    for cand in level:
-        if cand not in got:
-            assert unify_into(zip(cand[4].args, main.args), dict(sub)) \
+    got = [side for bucket in engine._probe(sides, main.args, sub)
+           for side in bucket]
+    assert sorted(side.cid for side in got) == [0, 1, 3, 4]
+    for side in sides.entries:
+        if side not in got:
+            assert unify_into(zip(side.at(1).args, main.args), dict(sub)) \
                 is not None
 
 
-def _index_contents(n):
-    return (n.by_id, n.records, n._ids,
-            {p: lst for p, lst in n._side_index.items() if lst},
+def _position_contents(index):
+    exact, wild, heads, free = index
+    keys = [side.key for side in wild], [side.key for side in free]
+    return ({t: [side.key for side in lst] for t, lst in exact.items()},
+            {h: [side.key for side in lst] for h, lst in heads.items()},
+            keys)
+
+
+def _index_contents(n, positions=None):
+    """What ``n`` holds.  For each side list: its side literals in order,
+    and its argument index at each position of ``positions`` (by list),
+    by default at each position built so far."""
+    sides = {}
+    for pred, by_arity in n._sides.items():
+        for arity, lst in by_arity.items():
+            if not lst.entries:
+                continue
+            js = sorted(lst.positions) if positions is None \
+                else positions.get((pred, arity), ())
+            sides[pred, arity] = (
+                [(side.key, side.clause, side.lit) for side in lst.entries],
+                {j: _position_contents(lst.position(j)) for j in js})
+    return (n.by_id, n.records, n._ids, sides,
             {p: ids for p, ids in n._main_index.items() if ids})
 
 
 def test_remove_agrees_with_a_rebuilt_index():
-    """After random adds and removes, the index holds what adding the
-    remaining clauses afresh gives."""
+    """After random adds, probes and removes, the index holds what adding
+    the remaining clauses afresh gives, side lists and every argument
+    index built so far included: the argument indexes are kept up as
+    clauses come and go, not rebuilt."""
     symbols = make_symbols(n_preds=3, max_arity=3, n_funcs=2,
                            rng=random.Random(7))
     symbols.declare("q", SymbolKind.PREDICATE, 2, SymbolOrigin.INPUT)
     symbols.declare("h", SymbolKind.FUNCTION, 1, SymbolOrigin.SKOLEM)
     lpo = LPO(Precedence(symbols))
     hx = App("h", (x,))
-    removed = shared = 0
+    removed = shared = kept_up = 0
     for seed in range(30):
         rng = random.Random(seed)
         clauses = random_lg_set(symbols, rng, 12)
@@ -482,18 +548,27 @@ def test_remove_agrees_with_a_rebuilt_index():
         for cid, c in zip(rng.sample(range(100), len(clauses)), clauses):
             n.add(cid, c)
             live[cid] = c
+            for lit in n.records[cid].side_literals:
+                if lit.args and rng.random() < 0.5:
+                    n.side_list(lit).position(rng.randrange(len(lit.args)))
             if rng.random() < 0.4:
                 gone = rng.choice(sorted(live))
                 sides = [l.pred for l in n.records[gone].side_literals]
                 shared += len(sides) > len(set(sides))
+                built = {(p, k): set(lst.positions)
+                         for p, by_arity in n._sides.items()
+                         for k, lst in by_arity.items()}
+                kept_up += sum(len(js) for js in built.values())
                 n.remove(gone)
                 del live[gone]
                 removed += 1
                 rebuilt = ClauseIndex(lpo)
                 for k, d in live.items():
                     rebuilt.add(k, d)
-                assert _index_contents(n) == _index_contents(rebuilt)
-    assert removed > 150 and shared > 5, (removed, shared)
+                assert _index_contents(n) == \
+                    _index_contents(rebuilt, built)
+    assert removed > 150 and shared > 5 and kept_up > 500, \
+        (removed, shared, kept_up)
 
 
 def test_mains_on_keeps_every_main_that_can_take_a_side():

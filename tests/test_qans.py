@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 
 from guardedsat import qans, terms
 from guardedsat.oracle import sat_enumerate
@@ -26,8 +27,8 @@ from guardedsat.terms import (
 )
 
 from util import (
-    CONSTS, ReferenceSaturationState, is_variant, make_symbols, preds,
-    random_ground_atom, random_lg_set, random_problem,
+    CONSTS, ReferenceSaturationState, data_sweep_instances, is_variant,
+    make_symbols, preds, random_ground_atom, random_lg_set, random_problem,
 )
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -168,6 +169,25 @@ def test_run_returns_saturated_state_on_no():
     result, state = run(prob)
     assert result.verdict == "no"
     assert state.worked_off.clauses()  # saturated set is available
+
+
+def test_facts_added_to_a_saturated_state_answer_as_from_scratch():
+    """Saturate the rules and query of a ``data_sweep`` instance without
+    its facts through :func:`run`, then insert the facts into that state
+    and saturate again: the verdict is that of answering the whole
+    problem.  The worked-off index keeps its side lists and argument
+    indexes across the two saturations, and on a Yes instance the empty
+    clause removes every clause from it."""
+    for inst in data_sweep_instances([40, 80]):
+        problem = parse(inst.text)
+        result, state = run(replace(problem, facts=[]))
+        assert result.verdict == "no"
+        facts = trans(replace(problem, rules=[], queries=[])).lg_clauses
+        assert len(facts) == len(problem.facts)
+        for c in facts:
+            state.insert(c, "input")
+        assert saturate(state) == answer(parse(inst.text)).verdict \
+            == inst.expected
 
 
 def test_random_function_free_agreement_with_model_search():

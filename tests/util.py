@@ -30,15 +30,22 @@ as the parser does; ``syntax.parse`` and ``syntax.parse_formula`` must
 give the same statements, symbol table and errors.
 :func:`reference_check_fragment` decides the fragment with one pass per
 fragment (GF, then LGF, then CGF); ``syntax.check_fragment`` must give
-the same fragment and witness.
+the same fragment and witness.  :func:`reference_expand_iff` rebuilds
+every node of the formula it expands.
+
+:func:`data_sweep_instances` gives the instances of
+``scripts/data_sweep.py`` from the benchmark's own generator.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 import string
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from guardedsat.engine import (
@@ -61,6 +68,25 @@ from guardedsat.terms import (
 )
 
 CONSTS = ("c1", "c2", "c3")
+
+
+def data_sweep_instances(sizes: Sequence[int]) -> list:
+    """The instances ``scripts/data_sweep.py --sizes ...`` answers: per
+    size N one No and one Yes ``data`` instance from
+    ``perfbench/workloads.data_instance``, generator seeded with 1.  Each
+    has ``text`` and the ``expected`` verdict."""
+    name = "perfbench_workloads"
+    workloads = sys.modules.get(name)
+    if workloads is None:
+        path = Path(__file__).resolve().parent.parent / "perfbench" \
+            / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        assert spec is not None and spec.loader is not None
+        workloads = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    rng = random.Random(1)
+    return [workloads.data_instance(rng, n, yes, f"N{n}")
+            for n in sizes for yes in (False, True)]
 
 
 def make_symbols(n_preds: int = 6, max_arity: int = 3,
@@ -874,6 +900,28 @@ def reference_parse_formula(text: str) -> Formula:
 
 # ---------------------------------------------------------------------------
 # reference fragment checker: one pass per fragment, GF, then LGF, then CGF
+
+
+def reference_expand_iff(f: Formula) -> Formula:
+    """``f`` with each ``<=>`` expanded, every node rebuilt;
+    ``syntax.expand_iff`` must give an equal formula."""
+    if isinstance(f, Iff):
+        l, r = reference_expand_iff(f.left), reference_expand_iff(f.right)
+        return And((Implies(l, r), Implies(r, l)))
+    if isinstance(f, Not):
+        return Not(reference_expand_iff(f.body))
+    if isinstance(f, And):
+        return And(tuple(reference_expand_iff(g) for g in f.items))
+    if isinstance(f, Or):
+        return Or(tuple(reference_expand_iff(g) for g in f.items))
+    if isinstance(f, Implies):
+        return Implies(reference_expand_iff(f.left),
+                       reference_expand_iff(f.right))
+    if isinstance(f, Forall):
+        return Forall(f.vars, reference_expand_iff(f.body))
+    if isinstance(f, Exists):
+        return Exists(f.vars, reference_expand_iff(f.body))
+    return f
 
 
 def reference_check_fragment(f: Formula) -> FragmentResult:
