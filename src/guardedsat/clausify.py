@@ -28,6 +28,7 @@ selection relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .syntax import (
     And, AtomF, Bottom, Exists, Forall, Formula, Implies, Not, Or,
@@ -145,21 +146,31 @@ def miniscope(f: Formula) -> Formula:
     if isinstance(f, (Forall, Exists)):
         body = miniscope(f.body)
         quant = type(f)
-        guard_block = isinstance(f, Forall) and isinstance(body, Or) and \
-            all(isinstance(g, Not) and isinstance(g.body, AtomF)
-                for g in body.items)
+        free = set(free_vars(body))
+        # a guard block's disjuncts, each with its free variables
+        block: Optional[list[tuple[Formula, set[str]]]] = None
+        if isinstance(f, Forall) and isinstance(body, Or) and \
+                all(isinstance(g, Not) and isinstance(g.body, AtomF)
+                    for g in body.items):
+            block = [(g, set(free_vars(g))) for g in body.items]
         for v in f.vars:
-            if v not in free_vars(body):
+            if v not in free:
                 continue
-            if guard_block and isinstance(body, Or):
-                inside = [g for g in body.items if v in free_vars(g)]
-                outside = [g for g in body.items if v not in free_vars(g)]
+            free.discard(v)
+            if block is not None:
+                inside = [(g, fv) for g, fv in block if v in fv]
+                outside = [(g, fv) for g, fv in block if v not in fv]
                 if outside:
-                    pushed = inside[0] if len(inside) == 1 \
-                        else Or(tuple(inside))
-                    body = _flatten(Or(
-                        (miniscope(Forall((v,), pushed)), *outside)))
+                    # the disjuncts are miniscoped already and each holds
+                    # v, so v's universal over them is final as it stands
+                    pushed = inside[0][0] if len(inside) == 1 \
+                        else Or(tuple(g for g, _ in inside))
+                    fv = set().union(*(fv for _, fv in inside))
+                    fv.discard(v)
+                    block = [(Forall((v,), pushed), fv), *outside]
+                    body = Or(tuple(g for g, _ in block))
                     continue
+                block = None
             body = quant((v,), body)
         return body
     return f

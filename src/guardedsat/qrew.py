@@ -76,7 +76,7 @@ def _fresh_var(base: str, counter: list[int], avoid: set[str]) -> Var:
 def con_abs(c: Clause) -> AbstractedClause:
     """Replace constants occurring inside compound terms by guarded fresh
     variables, to a fixpoint."""
-    avoid = set(clause_vars(c))
+    avoid: Optional[set[str]] = None  # the clause's variables, on demand
     counter = [0]
     added = 0
     while True:
@@ -90,6 +90,8 @@ def con_abs(c: Clause) -> AbstractedClause:
                 break
         if target is None:
             return AbstractedClause(c, added)
+        if avoid is None:
+            avoid = set(clause_vars(c))
         y = _fresh_var("Yc", counter, avoid)
         lits = [_replace_const(l, target, y) for l in c]
         lits.append(Literal(False, EQ, (y, target)))
@@ -120,7 +122,7 @@ def var_abs(c: Clause) -> AbstractedClause:
     stays covering either way, and the two forms are equivalent thanks to
     the added disequation).
     """
-    avoid = set(clause_vars(c))
+    avoid: Optional[set[str]] = None  # the clause's variables, on demand
     counter = [0]
     added = 0
     while True:
@@ -138,6 +140,8 @@ def var_abs(c: Clause) -> AbstractedClause:
         if pos_dup is None:
             return AbstractedClause(c, added)
         i, x = pos_dup
+        if avoid is None:
+            avoid = set(clause_vars(c))
         y = _fresh_var("Yd", counter, avoid)
         lits = [_replace_arg_pos(l, i, y) for l in c]
         lits.append(Literal(False, EQ, (y, x)))
@@ -439,12 +443,8 @@ def q_rew(saturation: list[Clause], symbols: SymbolTable) -> RewriteResult:
 
 def _uppercase_vars(c: Clause) -> Clause:
     sub: Subst = {}
-    taken: set[str] = set()
     for i, v in enumerate(sorted(clause_vars(c))):
         name = f"U{i + 1}"
-        while name in taken:
-            name += "0"
-        taken.add(name)
         if v != name:
             sub[v] = Var(name)
     return apply_clause(c, sub) if sub else c

@@ -25,6 +25,13 @@ scanning the text again up to the offending token.
 The fragment check is one walk: the fragments nest (GF in LGF in CGF),
 so each quantifier gets the smallest fragment whose guard conditions it
 meets, and a formula the largest over its quantifiers.
+
+The formula nodes are slotted dataclasses that compare by fields.  They
+are immutable by convention: no code assigns to a node's fields once it
+is built.  Nothing hashes a formula, so the nodes are not frozen, which
+keeps their constructors at plain attribute stores, and not hashable.
+The terms inside them are :mod:`guardedsat.terms` objects, which keep a
+cached hash that is rebuilt on unpickling.
 """
 
 from __future__ import annotations
@@ -44,56 +51,56 @@ from .terms import (
 # AST
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Top:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Bottom:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AtomF:
     pred: str
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Not:
     body: "Formula"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class And:
     items: tuple["Formula", ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Or:
     items: tuple["Formula", ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Iff:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Forall:
     vars: tuple[str, ...]
     body: "Formula"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Exists:
     vars: tuple[str, ...]
     body: "Formula"

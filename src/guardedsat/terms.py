@@ -1,9 +1,17 @@
 """First-order terms, literals, clauses and the operations the engine needs.
 
-Terms are immutable trees built from :class:`Var`, :class:`Const` and
+Terms are trees built from :class:`Var`, :class:`Const` and
 :class:`App`.  A :class:`Literal` is a signed atom; equality literals are
 tagged so the resolution engine can refuse them.  A :class:`Clause` is a
 multiset of literals stored in a deterministic order.
+
+Terms, literals and clauses are immutable by convention: they are plain
+``__slots__`` classes, and no code assigns to their fields once built.
+Each compares equal by class and fields and hashes as the tuple of its
+fields, a hash worked out on first use and kept in a slot, since every
+term and literal is hashed over and over as a dict or set key.  A
+pickled one is rebuilt from its fields, so the cached hash, which
+depends on the process's string hash seed, never crosses processes.
 
 Substitutions are plain ``dict[str, Term]`` mapping variable names to terms.
 ``mgu`` keeps them idempotent, so applying a substitution once is enough.
@@ -34,35 +42,79 @@ variable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Hashable, Iterable, Iterator, Optional, Sequence
 
 
 # ---------------------------------------------------------------------------
 # terms
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+class _Named:
+    """A leaf term: a :class:`Var` or a :class:`Const` of a name.  A
+    variable never equals a constant of the same name."""
+
+    __slots__ = ("name", "_hash")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._hash: Optional[int] = None
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return False
+        return self is other or self.name == other.name
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.name,))
+        return h
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, (self.name,)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}(name={self.name!r})"
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class Const:
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
+class Var(_Named):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+class Const(_Named):
+    __slots__ = ()
+
+
 class App:
-    fn: str
-    args: tuple["Term", ...]
+    __slots__ = ("fn", "args", "_hash")
+
+    def __init__(self, fn: str, args: tuple["Term", ...]) -> None:
+        self.fn = fn
+        self.args = args
+        self._hash: Optional[int] = None
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not App:
+            return False
+        return self is other or (self.fn == other.fn
+                                 and self.args == other.args)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.fn, self.args))
+        return h
+
+    def __reduce__(self) -> tuple:
+        return App, (self.fn, self.args)
+
+    def __repr__(self) -> str:
+        return f"App(fn={self.fn!r}, args={self.args!r})"
 
     def __str__(self) -> str:
         return f"{self.fn}({','.join(map(str, self.args))})"
@@ -150,7 +202,6 @@ class SymbolTable:
 EQ = "="
 
 
-@dataclass(frozen=True, slots=True)
 class Literal:
     """A signed atom.  ``pos`` is the polarity; ``pred`` the predicate name.
 
@@ -159,9 +210,34 @@ class Literal:
     resolution engine.
     """
 
-    pos: bool
-    pred: str
-    args: tuple[Term, ...] = ()
+    __slots__ = ("pos", "pred", "args", "_hash")
+
+    def __init__(self, pos: bool, pred: str, args: tuple[Term, ...] = ()
+                 ) -> None:
+        self.pos = pos
+        self.pred = pred
+        self.args = args
+        self._hash: Optional[int] = None
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not Literal:
+            return False
+        return self is other or (self.pred == other.pred
+                                 and self.pos == other.pos
+                                 and self.args == other.args)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.pos, self.pred, self.args))
+        return h
+
+    def __reduce__(self) -> tuple:
+        return Literal, (self.pos, self.pred, self.args)
+
+    def __repr__(self) -> str:
+        return (f"Literal(pos={self.pos!r}, pred={self.pred!r}, "
+                f"args={self.args!r})")
 
     @property
     def is_eq(self) -> bool:
@@ -179,20 +255,24 @@ class Literal:
         return body if self.pos else "~" + body
 
 
+_VAR_KEY = (0, "", ())
+
+
 def _term_key(t: Term) -> tuple:
-    if isinstance(t, Var):
+    cls = t.__class__
+    if cls is Var:
         # all variables compare equal structurally; names break ties last
-        return (0, "", ())
-    if isinstance(t, Const):
+        return _VAR_KEY
+    if cls is Const:
         return (1, t.name, ())
-    return (2, t.fn, tuple(_term_key(a) for a in t.args))
+    return (2, t.fn, tuple(map(_term_key, t.args)))  # type: ignore[union-attr]
 
 
 def literal_key(lit: Literal) -> tuple:
     """Structural total order on literals (variable names ignored)."""
-    return (lit.pred, len(lit.args), not lit.pos,
-            tuple(_term_key(a) for a in lit.args),
-            tuple(str(a) for a in lit.args))
+    args = lit.args
+    return (lit.pred, len(args), not lit.pos, tuple(map(_term_key, args)),
+            tuple(map(str, args)))
 
 
 class Clause:
@@ -205,9 +285,11 @@ class Clause:
                  "_condensed")
 
     def __init__(self, literals: Iterable[Literal]) -> None:
-        self.literals: tuple[Literal, ...] = tuple(
-            sorted(literals, key=literal_key))
-        self._hash = hash(self.literals)
+        lits = tuple(literals)
+        if len(lits) > 1:
+            lits = tuple(sorted(lits, key=literal_key))
+        self.literals: tuple[Literal, ...] = lits
+        self._hash: Optional[int] = None
         self._order: Optional[Sequence[Literal]] = None
         self._buckets: Optional[dict[tuple, list[int]]] = None
         self._probes: Optional[dict[tuple, dict[Term, list[int]]]] = None
@@ -266,7 +348,13 @@ class Clause:
         return isinstance(other, Clause) and self.literals == other.literals
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.literals)
+        return h
+
+    def __reduce__(self) -> tuple:
+        return Clause, (self.literals,)
 
     def __len__(self) -> int:
         return len(self.literals)

@@ -1,12 +1,17 @@
 """Clausal normal form tests: golden transformations and invariants."""
 
+import random
+
 import pytest
 
-from guardedsat.clausify import ClausifyError, trans
-from guardedsat.syntax import parse
+from guardedsat.clausify import ClausifyError, miniscope, to_nnf, trans
+from guardedsat.syntax import (
+    And, Exists, Forall, Not, Or, parse, print_formula,
+)
 from guardedsat.terms import (
     App, SymbolOrigin, canonical, depth, is_ground, membership,
 )
+from util import random_formula, reference_miniscope
 
 
 def names(clauses):
@@ -137,3 +142,30 @@ class TestInvariants:
         c1 = [canonical(c) for c in trans(prob1).lg_clauses]
         c2 = [canonical(c) for c in trans(prob2).lg_clauses]
         assert c1 == c2
+
+
+def _forall_disjuncts(f) -> int:
+    """The number of universal disjuncts in ``f``; miniscoping makes one
+    each time it pushes a variable into part of a guard block."""
+    if isinstance(f, (And, Or)):
+        n = sum(_forall_disjuncts(g) for g in f.items)
+        if isinstance(f, Or):
+            n += sum(isinstance(g, Forall) for g in f.items)
+        return n
+    if isinstance(f, (Not, Forall, Exists)):
+        return _forall_disjuncts(f.body)
+    return 0
+
+
+def test_miniscope_agrees_with_the_reference():
+    """``miniscope`` works out each disjunct's free variables once per
+    guard block; on random formulas in NNF it gives what asking
+    ``free_vars`` afresh at every step gave."""
+    rng = random.Random(11)
+    pushed = 0
+    for _ in range(3000):
+        f = to_nnf(random_formula(rng, rng.randint(1, 4)))
+        got = miniscope(f)
+        assert got == reference_miniscope(f), print_formula(f)
+        pushed += _forall_disjuncts(got) > _forall_disjuncts(f)
+    assert pushed > 80, pushed

@@ -10,7 +10,10 @@ clause, step or fresh-variable number.
 from __future__ import annotations
 
 import gc
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -20,7 +23,8 @@ from guardedsat.syntax import parse, print_formula
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = sorted((ROOT / "fixtures").glob("*.p"))
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+TESTS = pathlib.Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
 
 
 def render(path: pathlib.Path) -> str:
@@ -62,3 +66,30 @@ def test_fixtures_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# prints one line per fixture: its name and the SHA-256 of its rendering
+_DIGESTS = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+from test_fixture_goldens import FIXTURES, render
+for path in FIXTURES:
+    print(path.name, hashlib.sha256(render(path).encode()).hexdigest())
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    """Each fixture's trace, verdict and Σ_q come out the same under two
+    string hash seeds, each in its own process, so no output depends on
+    the iteration order of a set or dict keyed by terms or names."""
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=src if not path else src + os.pathsep + path)
+        outs.append(subprocess.run(
+            [sys.executable, "-c", _DIGESTS, str(TESTS)], env=env,
+            capture_output=True, text=True, check=True).stdout.splitlines())
+    assert len(outs[0]) == len(FIXTURES)
+    assert outs[0] == outs[1]

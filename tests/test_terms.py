@@ -1,6 +1,7 @@
 """Unit and property tests for terms, unification and clause classes."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from guardedsat.terms import (
     App, Clause, Const, Literal, UnifyFail, Var, apply_clause, apply_lit,
     apply_term, canonical, clause_vars, compound_terms, condense, depth,
-    is_decomposable, is_ground, membership, mgu, mgu_lits, normalize,
-    rename_apart, renaming, skip_names, subsumes,
+    is_decomposable, is_ground, literal_key, membership, mgu, mgu_lits,
+    normalize, rename_apart, renaming, skip_names, subsumes,
 )
-from util import is_variant, loose_guards, width
+from util import is_variant, loose_guards, reference_literal_key, width
 
 x, y, z = Var("x"), Var("y"), Var("z")
 a, b = Const("a"), Const("b")
@@ -135,6 +136,60 @@ class TestClassification:
         assert not is_decomposable(d)
 
 
+class TestValueClasses:
+    """Terms and literals compare by class and fields, hash as their field
+    tuple (cached on first use), print as before, and pickle by their
+    fields."""
+
+    def test_a_variable_is_not_a_constant_of_its_name(self):
+        assert Var("a") != Const("a") and Const("a") != Var("a")
+        assert not Var("a") == Const("a")
+        assert Var("a") == Var("a") and Const("a") == Const("a")
+        assert len({Var("a"), Const("a")}) == 2
+
+    def test_equal_objects_hash_as_their_field_tuples(self):
+        t = A("f", x, A("g", a))
+        assert hash(x) == hash(("x",)) and hash(a) == hash(("a",))
+        assert hash(t) == hash(("f", t.args))
+        l1, l2 = L("p", t, y, pos=False), L("p", A("f", x, A("g", a)), y,
+                                              pos=False)
+        assert l1 == l2 and l1 is not l2
+        assert hash(l1) == hash(l2) == hash((False, "p", (t, y)))
+        assert hash(l1) == hash(l1)  # the cached value
+        assert L("p", x) != L("p", x, pos=False)
+        assert L("p", x) != L("q", x) and A("f", x) != A("g", x)
+        assert A("f", x) != A("f", x, y)
+
+    def test_comparing_with_a_non_term_is_false(self):
+        for obj in (x, a, A("f", x), L("p", a)):
+            for other in (None, "x", ("x",), 0, (True, "p", (a,)),
+                          Clause([L("p", a)])):
+                assert not obj == other and obj != other
+                assert not other == obj
+
+    def test_repr_text(self):
+        assert repr(x) == "Var(name='x')"
+        assert repr(a) == "Const(name='a')"
+        assert repr(A("f", x, a)) == \
+            "App(fn='f', args=(Var(name='x'), Const(name='a')))"
+        assert repr(L("p", x, pos=False)) == \
+            "Literal(pos=False, pred='p', args=(Var(name='x'),))"
+        assert repr(Literal(True, "q")) == \
+            "Literal(pos=True, pred='q', args=())"
+
+    def test_pickle_rebuilds_the_cached_hash(self):
+        lit = L("p", A("f", x, a), y)
+        c = Clause([lit, L("q", b)])
+        for obj in (x, a, lit.args[0], lit, c):
+            hash(obj)
+            back = pickle.loads(pickle.dumps(obj))
+            assert back == obj and back is not obj
+            assert back._hash is None
+            assert hash(back) == hash(obj)
+        back = pickle.loads(pickle.dumps(lit))
+        assert all(t._hash is None for t in back.args)
+
+
 # --------------------------------------------------------------------------
 # hypothesis properties
 
@@ -150,6 +205,31 @@ literals = st.builds(
     st.lists(terms, min_size=1, max_size=2))
 
 clauses = st.builds(Clause, st.lists(literals, min_size=1, max_size=4))
+
+# nested terms over a variable and a constant of one name, and literals of
+# two predicates and ``=``
+sort_terms = st.recursive(
+    st.sampled_from([Var("a"), Const("a"), x, b]),
+    lambda t: st.builds(lambda fn, args: App(fn, tuple(args)),
+                        st.sampled_from(["f", "g"]),
+                        st.lists(t, min_size=1, max_size=2)),
+    max_leaves=8)
+
+sort_literals = st.one_of(
+    st.builds(lambda pos, pred, args: Literal(pos, pred, tuple(args)),
+              st.booleans(), st.sampled_from(["p", "q"]),
+              st.lists(sort_terms, max_size=3)),
+    st.builds(lambda pos, l, r: Literal(pos, "=", (l, r)),
+              st.booleans(), sort_terms, sort_terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(sort_literals, max_size=6))
+def test_clause_sorts_by_the_reference_key(lits):
+    assert Clause(lits).literals == \
+        tuple(sorted(lits, key=reference_literal_key))
+    assert [literal_key(l) for l in lits] == \
+        [reference_literal_key(l) for l in lits]
 
 
 @settings(max_examples=200, deadline=None)

@@ -31,7 +31,10 @@ give the same statements, symbol table and errors.
 :func:`reference_check_fragment` decides the fragment with one pass per
 fragment (GF, then LGF, then CGF); ``syntax.check_fragment`` must give
 the same fragment and witness.  :func:`reference_expand_iff` rebuilds
-every node of the formula it expands.
+every node of the formula it expands.  :func:`reference_miniscope` is
+the miniscoping that asked for free variables afresh at each step.
+:func:`reference_literal_key` is the literal sort key as first written,
+with ``isinstance`` tests and generators; ``Clause`` must sort by it.
 
 :func:`data_sweep_instances` gives the instances of
 ``scripts/data_sweep.py`` from the benchmark's own generator.
@@ -48,6 +51,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
+from guardedsat.clausify import _flatten
 from guardedsat.engine import (
     ClauseIndex, Inference, TopVarResult, _freeze, _remove_one, com_t_all,
     is_tautology,
@@ -424,6 +428,26 @@ def clause_gt(lpo: LPO, c: Clause, d: Clause) -> bool:
         return bool(cs)
     return all(
         any(lpo.compare_lits(lc, ld) is Cmp.GT for lc in cs) for ld in ds)
+
+
+# ---------------------------------------------------------------------------
+# reference literal order
+
+
+def _reference_term_key(t: Term) -> tuple:
+    if isinstance(t, Var):
+        # all variables compare equal structurally; names break ties last
+        return (0, "", ())
+    if isinstance(t, Const):
+        return (1, t.name, ())
+    return (2, t.fn, tuple(_reference_term_key(a) for a in t.args))
+
+
+def reference_literal_key(lit: Literal) -> tuple:
+    """Structural total order on literals (variable names ignored)."""
+    return (lit.pred, len(lit.args), not lit.pos,
+            tuple(_reference_term_key(a) for a in lit.args),
+            tuple(str(a) for a in lit.args))
 
 
 # ---------------------------------------------------------------------------
@@ -921,6 +945,40 @@ def reference_expand_iff(f: Formula) -> Formula:
         return Forall(f.vars, reference_expand_iff(f.body))
     if isinstance(f, Exists):
         return Exists(f.vars, reference_expand_iff(f.body))
+    return f
+
+
+def reference_miniscope(f: Formula) -> Formula:
+    """``clausify.miniscope`` as it was, asking ``free_vars`` again for
+    the body at each quantified variable and for each disjunct twice;
+    the clausifier's miniscoping must give an equal formula."""
+    if isinstance(f, And):
+        return _flatten(And(tuple(reference_miniscope(g) for g in f.items)))
+    if isinstance(f, Or):
+        return _flatten(Or(tuple(reference_miniscope(g) for g in f.items)))
+    if isinstance(f, Not):
+        return Not(reference_miniscope(f.body))
+    if isinstance(f, (Forall, Exists)):
+        body = reference_miniscope(f.body)
+        quant = type(f)
+        guard_block = isinstance(f, Forall) and isinstance(body, Or) and \
+            all(isinstance(g, Not) and isinstance(g.body, AtomF)
+                for g in body.items)
+        for v in f.vars:
+            if v not in free_vars(body):
+                continue
+            if guard_block and isinstance(body, Or):
+                inside = [g for g in body.items if v in free_vars(g)]
+                outside = [g for g in body.items if v not in free_vars(g)]
+                if outside:
+                    pushed = inside[0] if len(inside) == 1 \
+                        else Or(tuple(inside))
+                    body = _flatten(Or(
+                        (reference_miniscope(Forall((v,), pushed)),
+                         *outside)))
+                    continue
+            body = quant((v,), body)
+        return body
     return f
 
 
