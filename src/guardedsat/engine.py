@@ -502,15 +502,17 @@ def com_t_all(main: Clause, n: ClauseIndex,
     neg_vars = [lit_vars(l) for l in negs]
     seen: set[tuple] = set()
     for chosen, sub in _join(negs, n, must_include):
-        depths = {v: _depth_under(Var(v), sub) for v in mvars}
+        depths = {v: _depth_under(sub[v], sub) if v in sub else 0
+                  for v in mvars}
         top_depth = max(depths.values(), default=0)
         top_vars = frozenset(v for v, d in depths.items()
                              if d == top_depth)
         top = [i for i, vs in enumerate(neg_vars) if vs & top_vars]
         key = (top_vars, tuple((i, chosen[i].key) for i in top))
         if key in seen:
-            for side in chosen:
-                skip_names(n.records[side.cid].n_vars, mvars, n.fresh)
+            # the draws are sequential, so one call for all the sides
+            skip_names(sum(n.records[side.cid].n_vars for side in chosen),
+                       mvars, n.fresh)
             continue
         seen.add(key)
         assignment = []

@@ -26,7 +26,11 @@ Every other clause is tested one by one.
 Inseparable chained-only query clauses take the special route: their
 top-variable resolvent is immediately re-abstracted (T-Trans) and
 re-separated, so only loosely guarded clauses and query clauses are ever
-inserted.  The derivation of the empty clause means the query is entailed.
+inserted.  The derivation of the empty clause means the query is entailed:
+the loop writes its trace line and stops at once, without inserting it,
+so it does no backward simplification with it.  Only an empty *input*
+clause is inserted, dropping every input before it and subsuming every
+input after it, so that it is the first pick.
 """
 
 from __future__ import annotations
@@ -108,10 +112,11 @@ class SaturationState:
         for cid, d in list(self.others.items()):
             if len(c) <= len(d) and subsumes(c, d):
                 self._drop(cid)
+        ground_unit = len(c) == 1 and is_ground(c)
         if c.is_empty():  # subsumes every ground unit
             units = [cid for us in self.units_by_sig.values()
                      for cid in us.values()]
-        elif len(c) == 1 and not is_ground(c):
+        elif len(c) == 1 and not ground_unit:
             # one unit subsumes another iff its literal matches the other's
             (lit,) = c
             units = [cid for u, cid in self.units_by_sig.get(
@@ -124,7 +129,7 @@ class SaturationState:
         cid = self.next_id
         self.next_id += 1
         self._add_usable(cid, c)
-        if len(c) == 1 and is_ground(c):
+        if ground_unit:
             (lit,) = c
             self.units_by_sig.setdefault((lit.pos, lit.pred), {})[lit] = cid
         else:
@@ -202,9 +207,13 @@ def saturate(state: SaturationState) -> str:
                 state.worked_off, state.registry, given_id):
             reason = f"{rule}({','.join(str(p) for p in parents)})"
             for concl in conclusions:
-                new_id = state.insert(concl, reason)
-                if new_id is not None and concl.is_empty():
+                if concl.is_empty():
+                    # nothing in the state subsumes it: an empty clause
+                    # there would have been picked first
+                    state.trace.append(f"[{state.next_id}] {reason} {concl}")
+                    state.next_id += 1
                     return "yes"
+                state.insert(concl, reason)
     return "no"
 
 
@@ -270,12 +279,13 @@ def run(problem: Problem, step_budget: int = 10 ** 6,
     lpo = LPO(Precedence(symbols))
     state = SaturationState(lpo=lpo, registry=registry,
                             step_budget=step_budget, seed=seed)
-    # ground unit facts first, then the remaining rule clauses
-    facts = [c for c in out.lg_clauses if len(c) == 1 and is_ground(c)]
-    rest = [c for c in out.lg_clauses if not (len(c) == 1 and is_ground(c))]
-    for c in facts:
-        state.insert(c, "input")
-    for c in rest:
+    # ground unit facts first, then the remaining rule clauses; an empty
+    # input clause drops the inputs before it, so it is the first pick
+    facts: list[Clause] = []
+    rest: list[Clause] = []
+    for c in out.lg_clauses:
+        (facts if len(c) == 1 and is_ground(c) else rest).append(c)
+    for c in facts + rest:
         state.insert(c, "input")
     for q in out.query_clauses:
         sep = q_sep(q, registry)

@@ -10,8 +10,15 @@ Terms, literals and clauses are immutable by convention: they are plain
 Each compares equal by class and fields and hashes as the tuple of its
 fields, a hash worked out on first use and kept in a slot, since every
 term and literal is hashed over and over as a dict or set key.  A
-pickled one is rebuilt from its fields, so the cached hash, which
-depends on the process's string hash seed, never crosses processes.
+literal also keeps its variable names (:func:`lit_vars`) and its sort key
+(:func:`literal_key`), and a clause its variable names
+(:func:`clause_vars`, the union of its literals'), each worked out on
+first use; a literal or clause is ground iff that set is empty.  These
+caches are only sound because the objects stay immutable, and the sets
+are frozensets, so a caller cannot change them either.  A pickled object
+is rebuilt from its fields, so its caches start empty, and the cached
+hash, which depends on the process's string hash seed, never crosses
+processes.
 
 Substitutions are plain ``dict[str, Term]`` mapping variable names to terms.
 ``mgu`` keeps them idempotent, so applying a substitution once is enough.
@@ -210,7 +217,7 @@ class Literal:
     resolution engine.
     """
 
-    __slots__ = ("pos", "pred", "args", "_hash")
+    __slots__ = ("pos", "pred", "args", "_hash", "_vars", "_key")
 
     def __init__(self, pos: bool, pred: str, args: tuple[Term, ...] = ()
                  ) -> None:
@@ -218,6 +225,9 @@ class Literal:
         self.pred = pred
         self.args = args
         self._hash: Optional[int] = None
+        # filled by :func:`lit_vars` and :func:`literal_key`
+        self._vars: Optional[frozenset[str]] = None
+        self._key: Optional[tuple] = None
 
     def __eq__(self, other: Any) -> bool:
         if other.__class__ is not Literal:
@@ -269,10 +279,14 @@ def _term_key(t: Term) -> tuple:
 
 
 def literal_key(lit: Literal) -> tuple:
-    """Structural total order on literals (variable names ignored)."""
-    args = lit.args
-    return (lit.pred, len(args), not lit.pos, tuple(map(_term_key, args)),
-            tuple(map(str, args)))
+    """Structural total order on literals (variable names break ties
+    last), worked out once per literal."""
+    key = lit._key
+    if key is None:
+        args = lit.args
+        key = lit._key = (lit.pred, len(args), not lit.pos,
+                          tuple(map(_term_key, args)), tuple(map(str, args)))
+    return key
 
 
 class Clause:
@@ -281,8 +295,8 @@ class Clause:
     Two clauses are equal when their sorted literal tuples are.
     """
 
-    __slots__ = ("literals", "_hash", "_order", "_buckets", "_probes",
-                 "_condensed")
+    __slots__ = ("literals", "_hash", "_vars", "_order", "_buckets",
+                 "_probes", "_condensed")
 
     def __init__(self, literals: Iterable[Literal]) -> None:
         lits = tuple(literals)
@@ -290,6 +304,7 @@ class Clause:
             lits = tuple(sorted(lits, key=literal_key))
         self.literals: tuple[Literal, ...] = lits
         self._hash: Optional[int] = None
+        self._vars: Optional[frozenset[str]] = None  # see clause_vars
         self._order: Optional[Sequence[Literal]] = None
         self._buckets: Optional[dict[tuple, list[int]]] = None
         self._probes: Optional[dict[tuple, dict[Term, list[int]]]] = None
@@ -389,19 +404,27 @@ def term_vars(t: Term, acc: Optional[set[str]] = None) -> set[str]:
     return acc
 
 
-def lit_vars(lit: Literal) -> set[str]:
-    acc: set[str] = set()
-    for a in lit.args:
-        term_vars(a, acc)
-    return acc
-
-
-def clause_vars(c: Clause) -> set[str]:
-    acc: set[str] = set()
-    for lit in c:
+def lit_vars(lit: Literal) -> frozenset[str]:
+    """The names of the variables of ``lit``, worked out once per
+    literal."""
+    vs = lit._vars
+    if vs is None:
+        acc: set[str] = set()
         for a in lit.args:
             term_vars(a, acc)
-    return acc
+        vs = lit._vars = frozenset(acc)
+    return vs
+
+
+def clause_vars(c: Clause) -> frozenset[str]:
+    """The names of the variables of ``c``, the union of its literals'
+    (:func:`lit_vars`), worked out once per clause."""
+    vs = c._vars
+    if vs is None:
+        lits = c.literals
+        vs = c._vars = lit_vars(lits[0]) if len(lits) == 1 else \
+            frozenset().union(*map(lit_vars, lits))
+    return vs
 
 
 def term_depth(t: Term) -> int:
@@ -432,11 +455,11 @@ def is_ground_term(t: Term) -> bool:
 
 
 def is_ground_lit(lit: Literal) -> bool:
-    return all(is_ground_term(a) for a in lit.args)
+    return not lit_vars(lit)
 
 
 def is_ground(c: Clause) -> bool:
-    return all(is_ground_lit(lit) for lit in c)
+    return not clause_vars(c)
 
 
 def term_funcs(t: Term, acc: Optional[set[str]] = None) -> set[str]:
@@ -779,7 +802,9 @@ def condense(c: Clause) -> Clause:
         return c
     lits = list(dict.fromkeys(c.literals))  # drop exact duplicates
     cur = c if len(lits) == len(c) else Clause(lits)
-    while not _is_condensed(cur):
+    # a ground literal matches only itself, so a ground clause without
+    # duplicates is condensed
+    while not is_ground(c) and not _is_condensed(cur):
         step = _condense_step(lits, cur)
         if step is None:
             break

@@ -28,7 +28,7 @@ from guardedsat.qsep import DefinitionRegistry, is_icq, q_sep
 from guardedsat.syntax import parse
 from guardedsat.terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
-    Var, apply_lit, clause_vars, depth, membership, normalize,
+    Var, apply_clause, apply_lit, clause_vars, depth, membership, normalize,
     renaming, unify_into,
 )
 
@@ -36,7 +36,7 @@ import test_qsep
 from util import (
     CONSTS, _iter_assignments, clause_gt, com_t, data_sweep_instances,
     is_variant, make_symbols, p_res, preds, random_ground_atom,
-    random_lg_set, reference_com_t_all, s_res, width,
+    random_lg_set, reference_com_t_all, reference_kept_sides, s_res, width,
 )
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -337,6 +337,43 @@ def test_join_agrees_with_nested_loop_reference(monkeypatch):
     assert tuples >= 200 and skipped >= 20, (tuples, skipped)
     # levels extended through the argument index, not the full list
     assert probed > 0
+
+
+def test_com_t_all_draws_the_names_renaming_every_tuple_would():
+    """Over every join tuple in clause-id order, :func:`com_t_all` draws
+    from the index's supply what one renaming of each side would draw,
+    kept or skipped, and names the kept sides as
+    :func:`util.reference_kept_sides` does.  The main premises' variables
+    are names the supply hands out, so the draws must skip them."""
+    symbols = make_symbols(n_preds=5, max_arity=3, n_funcs=2,
+                           rng=random.Random(7))
+    tuples = skipped = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        clauses = random_lg_set(symbols, rng, 8)
+        clauses += [Clause([random_ground_atom(symbols, rng)])
+                    for _ in range(6)]
+        n = ClauseIndex(LPO(Precedence(symbols)))
+        for i, c in enumerate(clauses):
+            n.add(i, c)
+        joins = [(c, n) for cid, c in n.clauses()
+                 if n.records[cid].regime == "topvar"]
+        joins.append(_icq_join_index(rng))
+        for c, n in joins:
+            main = apply_clause(c, {v: Var(f"_v{1001 + 2 * i}") for i, v
+                                    in enumerate(sorted(clause_vars(c)))})
+            negs = [l for l in main if not l.pos]
+            for must in [None] + sorted(n.by_id):
+                fresh = itertools.count(1000)
+                want = reference_kept_sides(main, n, must, fresh)
+                n.fresh = itertools.count(1000)
+                got = list(com_t_all(main, n, must_include=must))
+                assert next(n.fresh) == next(fresh), (main, must)
+                assert [g.side_assignment for g in got] == want, (main, must)
+                found = len(engine._join(negs, n, must))
+                tuples += found
+                skipped += found - len(got)
+    assert tuples >= 500 and skipped >= 20, (tuples, skipped)
 
 
 def test_join_work_on_a_data_instance(monkeypatch):

@@ -29,6 +29,7 @@ from guardedsat.terms import (
 from util import (
     CONSTS, ReferenceSaturationState, data_sweep_instances, is_variant,
     make_symbols, preds, random_ground_atom, random_lg_set, random_problem,
+    reference_saturate,
 )
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -176,8 +177,7 @@ def test_facts_added_to_a_saturated_state_answer_as_from_scratch():
     its facts through :func:`run`, then insert the facts into that state
     and saturate again: the verdict is that of answering the whole
     problem.  The worked-off index keeps its side lists and argument
-    indexes across the two saturations, and on a Yes instance the empty
-    clause removes every clause from it."""
+    indexes across the two saturations."""
     for inst in data_sweep_instances([40, 80]):
         problem = parse(inst.text)
         result, state = run(replace(problem, facts=[]))
@@ -188,6 +188,39 @@ def test_facts_added_to_a_saturated_state_answer_as_from_scratch():
             state.insert(c, "input")
         assert saturate(state) == answer(parse(inst.text)).verdict \
             == inst.expected
+
+
+def test_an_empty_input_clause_is_the_first_pick():
+    """An empty input clause drops the inputs before it, so the loop picks
+    it first and prints no inference line."""
+    result = answer(_parse(
+        "fact: p(a). fact: r(a,b). rule: ! [X,Y] : (r(X,Y) => s(Y)). "
+        "formula: $false. query: ? [X] : q(X)."))
+    assert result.trace == ["[1] input p(a)", "[2] input r(a,b)",
+                            "[3] input ~r(X,Y) | s(Y)", "[4] input []"]
+    assert (result.verdict, result.steps) == ("yes", 1)
+
+
+def test_a_derived_empty_clause_ends_the_loop(monkeypatch):
+    """On the Yes ``data_sweep`` instances, stopping at a derived empty
+    clause without inserting it gives the trace, steps and clause count
+    of inserting it first (:func:`util.reference_saturate`), and leaves
+    every clause the subsumption maps hold in usable or worked-off."""
+    for inst in data_sweep_instances([40, 80]):
+        if inst.expected != "yes":
+            continue
+        result, state = run(parse(inst.text))
+        assert result.trace[-1].endswith(" []")
+        for cid in list(state.others) + [
+                cid for us in state.units_by_sig.values()
+                for cid in us.values()]:
+            assert cid in state.usable or cid in state.worked_off.by_id
+        with monkeypatch.context() as m:
+            m.setattr(qans, "saturate", reference_saturate)
+            want, _ = run(parse(inst.text))
+        assert (result.verdict, result.trace, result.steps,
+                result.n_clauses) == \
+            (want.verdict, want.trace, want.steps, want.n_clauses)
 
 
 def test_random_function_free_agreement_with_model_search():

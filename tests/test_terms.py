@@ -10,10 +10,15 @@ from hypothesis import given, settings, strategies as st
 from guardedsat.terms import (
     App, Clause, Const, Literal, UnifyFail, Var, apply_clause, apply_lit,
     apply_term, canonical, clause_vars, compound_terms, condense, depth,
-    is_decomposable, is_ground, literal_key, membership, mgu, mgu_lits,
-    normalize, rename_apart, renaming, skip_names, subsumes,
+    is_decomposable, is_ground, is_ground_lit, lit_vars, literal_key,
+    membership, mgu, mgu_lits, normalize, rename_apart, renaming,
+    skip_names, subsumes,
 )
-from util import is_variant, loose_guards, reference_literal_key, width
+from util import (
+    is_variant, loose_guards, reference_clause_vars, reference_is_ground,
+    reference_is_ground_lit, reference_lit_vars, reference_literal_key,
+    width,
+)
 
 x, y, z = Var("x"), Var("y"), Var("z")
 a, b = Const("a"), Const("b")
@@ -232,6 +237,43 @@ def test_clause_sorts_by_the_reference_key(lits):
         [reference_literal_key(l) for l in lits]
 
 
+def _assert_cached_facts_agree(c):
+    """The cached facts of ``c`` and its literals equal the walked
+    references, on the first call, which fills the caches, and again."""
+    for _ in range(2):
+        for lit in c:
+            assert isinstance(lit_vars(lit), frozenset)
+            assert lit_vars(lit) == reference_lit_vars(lit)
+            assert is_ground_lit(lit) == reference_is_ground_lit(lit)
+            assert literal_key(lit) == reference_literal_key(lit)
+        assert isinstance(clause_vars(c), frozenset)
+        assert clause_vars(c) == reference_clause_vars(c)
+        assert is_ground(c) == reference_is_ground(c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(sort_literals, max_size=6),
+       st.dictionaries(st.sampled_from(["a", "x"]), sort_terms, max_size=2))
+def test_cached_facts_agree_with_the_references(lits, sub):
+    c = Clause(lits)
+    _assert_cached_facts_agree(c)
+    _assert_cached_facts_agree(apply_clause(c, sub))
+    _assert_cached_facts_agree(
+        apply_clause(c, renaming(c, {"_v1"}, itertools.count())))
+    d = condense(c)
+    _assert_cached_facts_agree(d)
+    if is_ground(c):
+        assert d.literals == tuple(dict.fromkeys(c.literals))
+    # a pickled copy comes back with empty caches, which refill equal; a
+    # clause of two or more literals sorts them, keying them as it does
+    back = pickle.loads(pickle.dumps(c))
+    assert back == c and back._vars is None
+    assert all(l._vars is None for l in back)
+    assert all(l._vars is None and l._key is None
+               for l in pickle.loads(pickle.dumps(c.literals)))
+    _assert_cached_facts_agree(back)
+
+
 @settings(max_examples=200, deadline=None)
 @given(terms, terms)
 def test_mgu_unifies(s, t):
@@ -249,13 +291,21 @@ def test_rename_apart_is_variant(c):
 
 
 @settings(max_examples=100, deadline=None)
-@given(clauses, st.integers(0, 4), st.sets(st.integers(0, 12)))
-def test_skip_names_draws_what_renaming_draws(c, start, taken):
+@given(clauses, st.integers(0, 4), st.sets(st.integers(0, 12)),
+       st.lists(st.integers(0, 4), max_size=4))
+def test_skip_names_draws_what_renaming_draws(c, start, taken, counts):
     avoid = {f"_v{k}" for k in taken} | clause_vars(c)
     drawn, skipped = itertools.count(start), itertools.count(start)
     renaming(c, avoid, drawn)
     skip_names(len(clause_vars(c)), avoid, skipped)
     assert next(drawn) == next(skipped)
+    # the draws are sequential: one call for a summed count is as many
+    # consecutive calls
+    one, many = itertools.count(start), itertools.count(start)
+    skip_names(sum(counts), avoid, one)
+    for k in counts:
+        skip_names(k, avoid, many)
+    assert next(one) == next(many)
 
 
 @settings(max_examples=100, deadline=None)

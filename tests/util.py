@@ -35,6 +35,15 @@ every node of the formula it expands.  :func:`reference_miniscope` is
 the miniscoping that asked for free variables afresh at each step.
 :func:`reference_literal_key` is the literal sort key as first written,
 with ``isinstance`` tests and generators; ``Clause`` must sort by it.
+:func:`reference_lit_vars`, :func:`reference_clause_vars`,
+:func:`reference_is_ground_lit` and :func:`reference_is_ground` walk the
+terms on every call; the facts ``terms`` caches on literals and clauses
+must equal them.  :func:`reference_kept_sides` names the side premises
+of the top-variable join as renaming every join tuple's sides in
+clause-id order would; :func:`~guardedsat.engine.com_t_all` must give
+its kept tuples those names.  :func:`reference_saturate` is the loop
+that inserted the empty clause, sweeping the state with it, before it
+stopped.
 
 :func:`data_sweep_instances` gives the instances of
 ``scripts/data_sweep.py`` from the benchmark's own generator.
@@ -57,7 +66,7 @@ from guardedsat.engine import (
     is_tautology,
 )
 from guardedsat.orders import Cmp, LPO
-from guardedsat.qans import SaturationState, clause_weight
+from guardedsat.qans import SaturationState, clause_weight, inferences
 from guardedsat.syntax import (
     EQ_PRED, MAX_NESTING, And, AtomF, Bottom, Exists, Forall, Formula,
     FragmentResult, Iff, Implies, Not, Or, ParseError, Problem, Top,
@@ -358,6 +367,55 @@ def reference_com_t_all(main: Clause, n: ClauseIndex,
         yield TopVarResult(top_vars, top_literals, tuple(chosen), rivals)
 
 
+def reference_kept_sides(main: Clause, n: ClauseIndex,
+                         must_include: Optional[int], fresh: Iterator[int]
+                         ) -> list[tuple[tuple[Literal, int, Clause,
+                                               Literal], ...]]:
+    """The side assignments :func:`~guardedsat.engine.com_t_all` keeps,
+    with the names it gives them.  Nested loops enumerate the join tuples
+    in clause-id order.  Each tuple renames each of its side clauses apart
+    from ``main`` with one :func:`renaming` call drawing from ``fresh``,
+    level by level, whether it is kept or not; the first tuple of each key
+    (top variables, side literal of each top literal) is kept with those
+    names.  The unifiability tests draw their names elsewhere."""
+    negs = [l for l in main if not l.pos]
+    mvars = clause_vars(main)
+    trial = itertools.count(10 ** 6)
+    kept: dict[tuple, tuple[tuple[Literal, int, Clause, Literal], ...]] = {}
+
+    def extend(i: int, chosen: list[tuple[int, Clause, Literal]],
+               pairs: list[tuple[Literal, Literal]]) -> None:
+        if i == len(negs):
+            if must_include is not None and \
+                    all(cid != must_include for cid, _, _ in chosen):
+                return
+            sigma = mgu_lits(pairs)
+            assert sigma is not None
+            depths = {v: term_depth(apply_term(Var(v), sigma)) for v in mvars}
+            top = max(depths.values(), default=0)
+            top_vars = frozenset(v for v, d in depths.items() if d == top)
+            key = (top_vars, tuple((k, cid, pos) for k, (neg, (cid, _, pos))
+                                   in enumerate(zip(negs, chosen))
+                                   if lit_vars(neg) & top_vars))
+            rens = [renaming(side, mvars, fresh) for _, side, _ in chosen]
+            if key not in kept:
+                kept[key] = tuple(
+                    (neg, cid, apply_clause(side, ren), apply_lit(pos, ren))
+                    for neg, (cid, side, pos), ren in zip(negs, chosen, rens))
+            return
+        neg = negs[i]
+        for cid, side, pos in n.side_candidates(neg.pred):
+            if len(pos.args) != len(neg.args):
+                continue
+            new_pairs = pairs + [(apply_lit(
+                pos, renaming(side, mvars, trial)), neg)]
+            if mgu_lits(new_pairs) is not None:
+                extend(i + 1, chosen + [(cid, side, pos)], new_pairs)
+
+    extend(0, [], [])
+    return list(kept.values())
+
+
 def com_t(main: Clause, n: ClauseIndex,
           must_include: Optional[int] = None) -> Optional[TopVarResult]:
     """The first side-premise assignment of :func:`com_t_all`, or ``None``
@@ -448,6 +506,40 @@ def reference_literal_key(lit: Literal) -> tuple:
     return (lit.pred, len(lit.args), not lit.pos,
             tuple(_reference_term_key(a) for a in lit.args),
             tuple(str(a) for a in lit.args))
+
+
+# ---------------------------------------------------------------------------
+# reference per-literal and per-clause facts, walked afresh on every call
+
+
+def reference_lit_vars(lit: Literal) -> set[str]:
+    acc: set[str] = set()
+    for a in lit.args:
+        term_vars(a, acc)
+    return acc
+
+
+def reference_clause_vars(c: Clause) -> set[str]:
+    acc: set[str] = set()
+    for lit in c:
+        acc |= reference_lit_vars(lit)
+    return acc
+
+
+def _reference_is_ground_term(t: Term) -> bool:
+    if isinstance(t, Var):
+        return False
+    if isinstance(t, App):
+        return all(_reference_is_ground_term(a) for a in t.args)
+    return True
+
+
+def reference_is_ground_lit(lit: Literal) -> bool:
+    return all(_reference_is_ground_term(a) for a in lit.args)
+
+
+def reference_is_ground(c: Clause) -> bool:
+    return all(reference_is_ground_lit(lit) for lit in c)
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +742,28 @@ class ReferenceSaturationState(SaturationState):
                 else ties[0]
         del self.weights[cid]
         return cid, self.usable.pop(cid)
+
+
+def reference_saturate(state: SaturationState) -> str:
+    """The given-clause loop with the derived empty clause inserted, so
+    that it drops every clause of the state it subsumes, before the loop
+    stops."""
+    while state.usable:
+        if state.steps >= state.step_budget:
+            return "unknown"
+        state.steps += 1
+        given_id, given = state.pick()
+        if given.is_empty():
+            return "yes"
+        state.worked_off.add(given_id, given)
+        for rule, parents, conclusions in inferences(
+                state.worked_off, state.registry, given_id):
+            reason = f"{rule}({','.join(str(p) for p in parents)})"
+            for concl in conclusions:
+                new_id = state.insert(concl, reason)
+                if new_id is not None and concl.is_empty():
+                    return "yes"
+    return "no"
 
 
 # ---------------------------------------------------------------------------
