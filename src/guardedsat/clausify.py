@@ -6,7 +6,8 @@ fragments and clausifies it.
 The pipeline per rule: existentially close free variables, expand ``<=>``,
 negation normal form, miniscoping (which splits clique guards into per-atom
 universal blocks), definitional renaming of the nested universal
-subformulas, then per-conjunct prenexing, inner Skolemisation and CNF.
+subformulas, then per conjunct one walk that prenexes and Skolemises it,
+and CNF.
 
 A top-level universal (a rule, or a universal conjunct of a top-level
 conjunction) is at guard level already and is clausified as it stands,
@@ -32,8 +33,8 @@ from typing import Optional
 
 from .syntax import (
     And, AtomF, Bottom, Exists, Forall, Formula, Implies, Not, Or,
-    Problem, Top, check_fragment, expand_iff, free_vars, negate_query,
-    print_formula,
+    Problem, Top, _merge_quant, check_fragment, expand_iff, free_vars,
+    negate_query, print_formula,
 )
 from .terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
@@ -193,7 +194,7 @@ class _Renamer:
         top: list[Formula] = []
         for g in f.items if isinstance(f, And) else (f,):
             if isinstance(g, Forall):
-                g = _merge_block(g)
+                g = _merge_quant(g)
                 g = Forall(g.vars, self._replace(g.body))
             else:
                 g = self._replace(g)
@@ -212,7 +213,7 @@ class _Renamer:
         return f
 
     def _rename_universal(self, f: Forall) -> Formula:
-        f = _merge_block(f)
+        f = _merge_quant(f)
         fv = list(free_vars(f))
         negative = isinstance(f.body, Not) and isinstance(f.body.body, AtomF)
         sym = self.symbols.fresh(
@@ -231,13 +232,6 @@ class _Renamer:
         return Not(head) if negative else head
 
 
-def _merge_block(f: Forall) -> Forall:
-    """Merge directly nested universals into one quantifier block."""
-    while isinstance(f.body, Forall):
-        f = Forall(f.vars + f.body.vars, f.body.body)
-    return f
-
-
 # ---------------------------------------------------------------------------
 # prenexing and Skolemisation
 
@@ -246,34 +240,19 @@ def skolemize(f: Formula, symbols: SymbolTable,
               skolem_map: dict[str, str]) -> Formula:
     """Prenex one conjunct and replace existentials by Skolem terms.
 
-    Each Skolem symbol takes the full universal prefix declared before it,
-    in declaration order.  Returns the quantifier-free matrix.
+    One prefix-order walk renames each bound variable apart (``X``, then
+    ``X_1``, ...) and gives each existential a Skolem term over every
+    universal declared before it in that order, siblings' included.
+    Returns the quantifier-free matrix.
     """
-    prefix, matrix = _prenex(f, set(), {})
-    sub: dict[str, Term] = {}
-    universals: list[str] = []
-    for kind, v in prefix:
-        if kind == "forall":
-            universals.append(v)
-        else:
-            if universals:
-                sym = symbols.fresh("sk", SymbolKind.FUNCTION,
-                                    len(universals), SymbolOrigin.SKOLEM)
-                sub[v] = App(sym.name, tuple(Var(u) for u in universals))
-            else:
-                sym = symbols.fresh("skc", SymbolKind.CONSTANT, 0,
-                                    SymbolOrigin.SKOLEM)
-                sub[v] = Const(sym.name)
-            skolem_map[sym.name] = v
-    return _subst_formula(matrix, sub)
+    return _skolem_walk(f, symbols, skolem_map, set(), [], {})
 
 
-def _prenex(f: Formula, used: set[str],
-            ren: dict[str, str]) -> tuple[list[tuple[str, str]], Formula]:
+def _skolem_walk(f: Formula, symbols: SymbolTable, skolem_map: dict[str, str],
+                 used: set[str], universals: list[Var],
+                 env: dict[str, Term]) -> Formula:
     if isinstance(f, (Forall, Exists)):
-        kind = "forall" if isinstance(f, Forall) else "exists"
-        prefix: list[tuple[str, str]] = []
-        local = dict(ren)
+        env = dict(env)
         for v in f.vars:
             name = v
             n = 0
@@ -281,41 +260,30 @@ def _prenex(f: Formula, used: set[str],
                 n += 1
                 name = f"{v}_{n}"
             used.add(name)
-            local[v] = name
-            prefix.append((kind, name))
-        sub_prefix, matrix = _prenex(f.body, used, local)
-        return prefix + sub_prefix, matrix
+            if isinstance(f, Forall):
+                u = env[v] = Var(name)
+                universals.append(u)
+                continue
+            if universals:
+                sym = symbols.fresh("sk", SymbolKind.FUNCTION,
+                                    len(universals), SymbolOrigin.SKOLEM)
+                env[v] = App(sym.name, tuple(universals))
+            else:
+                sym = symbols.fresh("skc", SymbolKind.CONSTANT, 0,
+                                    SymbolOrigin.SKOLEM)
+                env[v] = Const(sym.name)
+            skolem_map[sym.name] = name
+        return _skolem_walk(f.body, symbols, skolem_map, used, universals,
+                            env)
     if isinstance(f, (And, Or)):
-        prefix = []
-        mats: list[Formula] = []
-        for g in f.items:
-            p, m = _prenex(g, used, ren)
-            prefix.extend(p)
-            mats.append(m)
-        cls = And if isinstance(f, And) else Or
-        return prefix, _flatten(cls(tuple(mats)))
+        return _flatten(type(f)(tuple(
+            _skolem_walk(g, symbols, skolem_map, used, universals, env)
+            for g in f.items)))
     if isinstance(f, Not):
-        p, m = _prenex(f.body, used, ren)
-        return p, Not(m)
-    if isinstance(f, AtomF):
-        return [], _subst_formula(f, {v: Var(n) for v, n in ren.items()})
-    return [], f
-
-
-def _subst_formula(f: Formula, sub: dict[str, Term]) -> Formula:
-    if not sub:
-        return f
-    if isinstance(f, AtomF):
-        return AtomF(f.pred, tuple(apply_term(t, sub) for t in f.args))
-    if isinstance(f, Not):
-        return Not(_subst_formula(f.body, sub))
-    if isinstance(f, (And, Or)):
-        cls = And if isinstance(f, And) else Or
-        return cls(tuple(_subst_formula(g, sub) for g in f.items))
-    if isinstance(f, (Forall, Exists)):
-        inner = {v: t for v, t in sub.items() if v not in f.vars}
-        cls = Forall if isinstance(f, Forall) else Exists
-        return cls(f.vars, _subst_formula(f.body, inner))
+        return Not(_skolem_walk(f.body, symbols, skolem_map, used,
+                                universals, env))
+    if isinstance(f, AtomF) and env:
+        return AtomF(f.pred, tuple(apply_term(t, env) for t in f.args))
     return f
 
 

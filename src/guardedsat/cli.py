@@ -23,7 +23,7 @@ from .qans import answer, run
 from .qrew import RewriteError, q_rew
 from .qsep import DefinitionRegistry, analyze, q_sep
 from .syntax import ParseError, Problem, parse, print_formula
-from .terms import Clause, is_decomposable
+from .terms import is_decomposable
 
 EXIT_NO = 0
 EXIT_UNKNOWN = 1

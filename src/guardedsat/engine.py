@@ -261,9 +261,8 @@ class ClauseIndex:
         self.fresh: Iterator[int] = itertools.count()
         self.by_id: dict[int, Clause] = {}
         self.records: dict[int, ClauseRecord] = {}
-        # ids arrive in pick order; the id list, the side lists and the
-        # main-index lists are kept in id order as they grow
-        self._ids: list[int] = []
+        # ids arrive in pick order; the side lists and the main-index lists
+        # are kept in id order as they grow
         self._sides: dict[str, dict[int, _SideList]] = {}
         self._main_index: dict[str, list[int]] = {}
 
@@ -271,7 +270,6 @@ class ClauseIndex:
         rec = clause_record(c, self.lpo)
         self.by_id[cid] = c
         self.records[cid] = rec
-        insort(self._ids, cid)
         for k, lit in enumerate(rec.side_literals):
             by_arity = self._sides.setdefault(lit.pred, {})
             sides = by_arity.get(len(lit.args))
@@ -285,7 +283,6 @@ class ClauseIndex:
         if self.by_id.pop(cid, None) is None:
             return
         rec = self.records.pop(cid)
-        del self._ids[bisect_left(self._ids, cid)]
         for pred, arity in {(l.pred, len(l.args))
                             for l in rec.side_literals}:
             self._sides[pred][arity].remove(cid)
@@ -317,7 +314,7 @@ class ClauseIndex:
 
     def clauses(self) -> list[tuple[int, Clause]]:
         """The indexed clauses in id order."""
-        return [(cid, self.by_id[cid]) for cid in self._ids]
+        return [(cid, self.by_id[cid]) for cid in sorted(self.by_id)]
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +436,7 @@ def _extend(open_: list[int], sub: Subst, levels: list[_Level],
                 continue
             lit = side.lit if side.copies is None else side.at(best)
             sub2 = dict(sub)
-            if unify_into(zip(lit.args, args), sub2) is None:
+            if unify_into(zip(lit.args, args), sub2):
                 chosen[best] = side
                 _extend(rest, sub2, levels, chosen, found)
 

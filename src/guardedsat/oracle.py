@@ -3,14 +3,12 @@
 These are deliberately naive, brute-force procedures that share no code
 with the saturation engine:
 
-* ``herbrand_sat``: exact satisfiability for function-free, equality-free
-  clause sets, by grounding over the constants and running DPLL;
+* ``dpll``: a small DPLL SAT solver over integer literals;
 * ``sat_enumerate``: bounded finite-model search for arbitrary clause sets
   (functions and equality allowed), enumerating interpretations over
   domains of size 1..k;
 * ``ground_chase``: a bounded forward-chaining procedure for Horn clause
-  sets with ground facts;
-* ``ground_entails``: propositional entailment between ground clauses.
+  sets with ground facts.
 """
 
 from __future__ import annotations
@@ -20,9 +18,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .terms import (
-    App, Clause, Const, Literal, Subst, Term, Var,
-    apply_clause, apply_lit, clause_vars, is_ground, is_ground_lit,
-    match_lit, term_depth,
+    App, Clause, Const, Literal, Subst, Term, Var, apply_lit, clause_vars,
+    is_ground_lit, match_lit, term_depth,
 )
 
 
@@ -77,64 +74,6 @@ def dpll(clauses: list[frozenset[int]]) -> Optional[set[int]]:
 
 
 # ---------------------------------------------------------------------------
-# exact Herbrand oracle for function-free, equality-free sets
-
-
-def _clause_constants(clauses: Iterable[Clause]) -> list[str]:
-    out: set[str] = set()
-    for c in clauses:
-        for l in c:
-            for t in l.args:
-                stack = [t]
-                while stack:
-                    s = stack.pop()
-                    if isinstance(s, Const):
-
-                        out.add(s.name)
-                    elif isinstance(s, App):
-                        stack.extend(s.args)
-    return sorted(out)
-
-
-def herbrand_sat(clauses: Sequence[Clause]) -> bool:
-    """Exact satisfiability of a function-free, equality-free clause set.
-
-    Such a set is satisfiable iff it has a Herbrand model over its
-    constants (one fresh constant if there are none).
-    """
-    for c in clauses:
-        for l in c:
-            if l.is_eq:
-                raise ValueError("herbrand_sat does not support equality")
-            for t in l.args:
-                if isinstance(t, App):
-                    raise ValueError(
-                        "herbrand_sat does not support function symbols")
-    consts = _clause_constants(clauses) or ["d0"]
-    domain = [Const(n) for n in consts]
-    atom_ids: dict[tuple, int] = {}
-
-    def aid(l: Literal) -> int:
-        key = (l.pred, l.args)
-        if key not in atom_ids:
-            atom_ids[key] = len(atom_ids) + 1
-        return atom_ids[key]
-
-    ground: list[frozenset[int]] = []
-    for c in clauses:
-        vs = sorted(clause_vars(c))
-        for combo in itertools.product(domain, repeat=len(vs)):
-            sub: Subst = dict(zip(vs, combo))
-            g = apply_clause(c, sub)
-            lits = frozenset(
-                aid(l) if l.pos else -aid(l) for l in g)
-            if any(-x in lits for x in lits):
-                continue
-            ground.append(lits)
-    return dpll(ground) is not None
-
-
-# ---------------------------------------------------------------------------
 # bounded finite-model enumeration (functions + equality allowed)
 
 
@@ -160,14 +99,6 @@ class FiniteModel:
         else:
             holds = vals in self.pred_tables.get(l.pred, set())
         return holds if l.pos else not holds
-
-    def eval_clause(self, c: Clause) -> bool:
-        vs = sorted(clause_vars(c))
-        for combo in itertools.product(range(self.size), repeat=len(vs)):
-            env = dict(zip(vs, combo))
-            if not any(self.eval_lit(l, env) for l in c):
-                return False
-        return True
 
 
 def _signature(clauses: Iterable[Clause]
@@ -336,27 +267,3 @@ def _match_all(goals: list[Literal], facts: set[Literal],
             merged = dict(sub)
             merged.update(ext)
             yield from _match_all(goals[1:], facts, merged)
-
-
-# ---------------------------------------------------------------------------
-# propositional ground entailment
-
-
-def ground_entails(premises: Sequence[Clause], conclusion: Clause) -> bool:
-    """Do the ground premises entail the ground conclusion clause?"""
-    atom_ids: dict[tuple, int] = {}
-
-    def aid(l: Literal) -> int:
-        key = (l.pred, l.args)
-        if key not in atom_ids:
-            atom_ids[key] = len(atom_ids) + 1
-        return atom_ids[key]
-
-    cls = []
-    for c in premises:
-        if not is_ground(c):
-            raise ValueError("premises must be ground")
-        cls.append(frozenset(aid(l) if l.pos else -aid(l) for l in c))
-    for l in conclusion:
-        cls.append(frozenset({-aid(l) if l.pos else aid(l)}))
-    return dpll(cls) is None

@@ -51,20 +51,13 @@ class Precedence:
 
     def __init__(self, symbols: SymbolTable) -> None:
         self.symbols = symbols
-        # a declared symbol never changes, so its key is worked out once,
-        # on its first lookup (definers are declared after construction)
-        self._keys: dict[str, tuple] = {}
 
     def key(self, name: str) -> tuple:
-        k = self._keys.get(name)
-        if k is None:
-            sym = self.symbols.get(name)
-            if sym is None:
-                raise KeyError(f"symbol {name!r} not declared")
-            k = self._keys[name] = (_KIND_RANK[sym.kind],
-                                    _ORIGIN_RANK[sym.origin], sym.arity,
-                                    _name_key(sym.name))
-        return k
+        sym = self.symbols.get(name)
+        if sym is None:
+            raise KeyError(f"symbol {name!r} not declared")
+        return (_KIND_RANK[sym.kind], _ORIGIN_RANK[sym.origin], sym.arity,
+                _name_key(sym.name))
 
     def gt(self, a: str, b: str) -> bool:
         return self.key(a) > self.key(b)

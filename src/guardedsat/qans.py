@@ -48,8 +48,7 @@ from .qic import q_ic_all
 from .qsep import DefinitionRegistry, q_sep
 from .syntax import Problem
 from .terms import (
-    App, Clause, Literal, Term, Var, condense, is_ground, match_lit,
-    subsumes,
+    App, Clause, Literal, Term, condense, is_ground, match_lit, subsumes,
 )
 
 
@@ -71,15 +70,15 @@ class SaturationState:
     registry: DefinitionRegistry
     step_budget: int = 10 ** 6
     seed: int = 0
-    worked_off: ClauseIndex = None  # type: ignore[assignment]
+    worked_off: ClauseIndex = field(init=False)
     # in insertion order, which is id order
-    usable: dict[int, Clause] = field(default_factory=dict)
+    usable: dict[int, Clause] = field(default_factory=dict, init=False)
     # clause_weight of each usable clause, kept alongside ``usable``
-    weights: dict[int, int] = field(default_factory=dict)
-    trace: list[str] = field(default_factory=list)
-    steps: int = 0
-    next_id: int = 1
-    picks: int = 0
+    weights: dict[int, int] = field(default_factory=dict, init=False)
+    trace: list[str] = field(default_factory=list, init=False)
+    steps: int = field(default=0, init=False)
+    next_id: int = field(default=1, init=False)
+    picks: int = field(default=0, init=False)
     # the kept clauses of usable and worked-off (a pick only moves a clause
     # from one to the other): the ground units by (polarity, predicate),
     # each as literal -> id, and every other clause
@@ -92,8 +91,7 @@ class SaturationState:
     lightest: list[int] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
-        if self.worked_off is None:
-            self.worked_off = ClauseIndex(self.lpo)
+        self.worked_off = ClauseIndex(self.lpo)
         self.rng = random.Random(self.seed)
 
     # -- insertion ---------------------------------------------------------
@@ -147,7 +145,10 @@ class SaturationState:
             self.worked_off.remove(cid)
         if self.others.pop(cid, None) is None:
             (lit,) = c
-            del self.units_by_sig[(lit.pos, lit.pred)][lit]
+            units = self.units_by_sig[(lit.pos, lit.pred)]
+            del units[lit]
+            if not units:
+                del self.units_by_sig[(lit.pos, lit.pred)]
 
     # -- usable ------------------------------------------------------------
 
@@ -201,6 +202,7 @@ def saturate(state: SaturationState) -> str:
         state.steps += 1
         given_id, given = state.pick()
         if given.is_empty():
+            del state.others[given_id]
             return "yes"
         state.worked_off.add(given_id, given)
         for rule, parents, conclusions in inferences(

@@ -72,7 +72,7 @@ def t_trans(main: Clause, tv: TopVarResult, sigma: Subst,
                 if v not in order:
                     order.append(v)
         args = tuple(Var(v) for v in order)
-        name, _ = reg.definer(remainder, args)
+        name = reg.definer(remainder, args)
         lg_out.append(Clause(remainder + [Literal(True, name, args)]))
         residue.append(Literal(False, name, args))
     return lg_out, Clause(dict.fromkeys(residue))

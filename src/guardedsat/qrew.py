@@ -17,8 +17,9 @@ compatible* and *globally linear* by three equivalence-preserving steps:
 After that each Skolem function ``f(X1,...,Xm)`` stands for one existential
 witness over the shared universals, and each Skolem constant for one
 outer existential, so the set can be written as a first-order formula with
-prefix exists/forall/exists (``unsko_in``) or forall (``unsko_ft``).  The
-negation of the conjunction of these formulas is the rewriting.
+prefix exists/forall/exists (``unsko``; a flat set has no shared tuple and
+no Skolem function, so its prefix is exists/forall).  The negation of the
+conjunction of these formulas is the rewriting.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from typing import Iterable, Optional
 
 from .syntax import And, AtomF, Exists, Forall, Formula, Not, Or, Top
 from .terms import (
-    EQ, App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
-    Subst, Term, Var, apply_clause, clause_funcs, clause_vars,
-    compound_terms, connected_groups, is_ground_term, term_vars,
+    EQ, App, Clause, Const, Literal, SymbolOrigin, SymbolTable, Subst, Term,
+    Var, apply_clause, clause_funcs, clause_vars, compound_terms,
+    connected_groups,
 )
 
 
@@ -231,10 +232,10 @@ class PropertyGate:
     globally_compatible: bool
     globally_linear: bool
 
-    def violated(self, require: tuple[str, ...] = (
-            "normal", "unique", "globally_compatible", "globally_linear")
-            ) -> Optional[str]:
-        for name in require:
+    def violated(self) -> Optional[str]:
+        """The first of the properties unskolemisation needs that fails."""
+        for name in ("normal", "unique", "globally_compatible",
+                     "globally_linear"):
             if not getattr(self, name):
                 return name
         return None
@@ -296,7 +297,7 @@ def var_re(s: ClosedSet) -> tuple[list[Clause], tuple[str, ...]]:
         for v in sorted(clause_vars(c)):
             if v not in sub and v in taken:
                 sub[v] = _fresh_var("W", counter, taken)
-        out.append(apply_clause(c, sub))
+        out.append(apply_clause(c, sub) if sub else c)
     return out, shared
 
 
@@ -327,8 +328,8 @@ def _internalize_consts(clauses: list[Clause], consts: Iterable[str]
     return out, names
 
 
-def unsko_in(s: ClosedSet) -> Formula:
-    """Unskolemise an interconnected closed set.
+def unsko(s: ClosedSet) -> Formula:
+    """Unskolemise a closed set.
 
     Prefix: one existential per Skolem constant, the shared universal
     tuple, one existential per Skolem function (in name order), then any
@@ -341,9 +342,8 @@ def unsko_in(s: ClosedSet) -> Formula:
         raise RewriteError(f"closed set violates property: {bad}")
     fns = sorted(s.functions)
     fn_vars = {fn: f"Y{i + 1}" for i, fn in enumerate(fns)}
-    final: list[Clause] = []
-    for c in clauses:
-        final.append(Clause(_replace_apps(l, fn_vars) for l in c))
+    final = [Clause(_replace_apps(l, fn_vars) for l in c)
+             for c in clauses] if fns else clauses
     residual: list[str] = []
     for c in final:
         for v in sorted(clause_vars(c)):
@@ -375,35 +375,6 @@ def _apps_to_vars(t: Term, fn_vars: dict[str, str]) -> Term:
             return Var(fn_vars[t.fn])
         return App(t.fn, tuple(_apps_to_vars(a, fn_vars) for a in t.args))
     return t
-
-
-def unsko_ft(s: ClosedSet) -> Formula:
-    """Unskolemise a flat clausal set: one existential per Skolem
-    constant, then universals for all clause variables."""
-    if not s.clauses:
-        from .syntax import Top
-        return Top()
-    clauses, const_vars = _internalize_consts(s.clauses, s.skolem_consts)
-    vs: list[str] = []
-    for c in clauses:
-        for v in sorted(clause_vars(c)):
-            if v not in const_vars and v not in vs:
-                vs.append(v)
-    matrix: Formula = And(tuple(_clause_to_disjunction(c)
-                                for c in clauses)) \
-        if len(clauses) > 1 else _clause_to_disjunction(clauses[0])
-    f = matrix
-    if vs:
-        f = Forall(tuple(vs), f)
-    if const_vars:
-        f = Exists(tuple(const_vars), f)
-    return f
-
-
-def unsko(s: ClosedSet) -> Formula:
-    if s.kind == "flat":
-        return unsko_ft(s)
-    return unsko_in(s)
 
 
 # ---------------------------------------------------------------------------

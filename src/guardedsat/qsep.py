@@ -76,22 +76,16 @@ class DefinitionRegistry:
     def __len__(self) -> int:
         return len(self._defs)
 
-    def definer(self, subclause: list[Literal],
-                args: tuple[Var, ...]) -> tuple[str, bool]:
-        """Definer symbol for ``subclause`` abstracted over ``args``.
-
-        Returns ``(name, fresh)`` where ``fresh`` says whether the symbol
-        was newly introduced.
-        """
+    def definer(self, subclause: list[Literal], args: tuple[Var, ...]) -> str:
+        """Definer symbol for ``subclause`` abstracted over ``args``."""
         key = canonical(Clause(subclause + [Literal(True, _MARK, args)])
                         ).literals
         name = self._defs.get(key)
-        if name is not None:
-            return name, False
-        kind = SymbolKind.PREDICATE if args else SymbolKind.PROPOSITIONAL
-        sym = self.symbols.fresh("q", kind, len(args), SymbolOrigin.DEFINER)
-        self._defs[key] = sym.name
-        return sym.name, True
+        if name is None:
+            kind = SymbolKind.PREDICATE if args else SymbolKind.PROPOSITIONAL
+            name = self._defs[key] = self.symbols.fresh(
+                "q", kind, len(args), SymbolOrigin.DEFINER).name
+        return name
 
 
 @dataclass
@@ -122,8 +116,8 @@ def sep_decomposable(q: Clause, reg: DefinitionRegistry
     comps = _split_components(q)
     assert len(comps) > 1
     c_part, d_part = comps[0], [l for grp in comps[1:] for l in grp]
-    p1, _ = reg.definer(c_part, ())
-    p2, _ = reg.definer(d_part, ())
+    p1 = reg.definer(c_part, ())
+    p2 = reg.definer(d_part, ())
     return (Clause(c_part + [Literal(False, p1)]),
             Clause([Literal(False, p2)] + d_part),
             Clause([Literal(True, p1), Literal(True, p2)]))
@@ -152,7 +146,7 @@ def sep_indecomposable(q: Clause, reg: DefinitionRegistry,
     xbar = tuple(dict.fromkeys(
         v for v in _var_order(pick) if v in an.chained and v in d_vars))
     args = tuple(Var(v) for v in xbar)
-    name, _ = reg.definer(c_part + [pick], args)
+    name = reg.definer(c_part + [pick], args)
     sep = Clause(c_part + [pick, Literal(True, name, args)])
     residue = Clause([Literal(False, name, args)] + d_part)
     return sep, residue

@@ -39,7 +39,6 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
-from operator import is_
 from typing import KeysView, Optional
 
 from .terms import (
@@ -148,12 +147,6 @@ def _term_free(t: Term, bound: frozenset[str], out: dict[str, None]) -> None:
 # printing
 
 
-def print_term(t: Term) -> str:
-    if isinstance(t, App):
-        return f"{t.fn}({','.join(print_term(a) for a in t.args)})"
-    return t.name
-
-
 def print_formula(f: Formula) -> str:
     if isinstance(f, Top):
         return "$true"
@@ -161,14 +154,13 @@ def print_formula(f: Formula) -> str:
         return "$false"
     if isinstance(f, AtomF):
         if f.pred == EQ_PRED:
-            return f"{print_term(f.args[0])} = {print_term(f.args[1])}"
+            return f"{f.args[0]} = {f.args[1]}"
         if not f.args:
             return f.pred
-        return f"{f.pred}({','.join(print_term(a) for a in f.args)})"
+        return f"{f.pred}({','.join(map(str, f.args))})"
     if isinstance(f, Not):
         if isinstance(f.body, AtomF) and f.body.pred == EQ_PRED:
-            return (f"{print_term(f.body.args[0])} != "
-                    f"{print_term(f.body.args[1])}")
+            return f"{f.body.args[0]} != {f.body.args[1]}"
         return f"~{_wrap(f.body)}"
     if isinstance(f, And):
         return " & ".join(_wrap(g) for g in f.items)
@@ -226,7 +218,6 @@ class Problem:
     queries: list[Formula] = field(default_factory=list)
     formulas: list[Formula] = field(default_factory=list)
     symbols: SymbolTable = field(default_factory=SymbolTable)
-    mode: str = "answer"
 
 
 # Deepest nesting of formulas and terms the parser accepts.  The parser
@@ -484,19 +475,6 @@ def parse(text: str) -> Problem:
     return prob
 
 
-def parse_formula(text: str) -> Formula:
-    """Parse a single bare formula (no statement keyword, no final dot).
-
-    Its symbols are declared in a table of its own, so a symbol used with
-    two kinds or arities is an error here too."""
-    p = _Parser(text, SymbolTable())
-    f = p.formula()
-    tok = p.toks[p.i]
-    if tok != _END:
-        raise p.error(f"trailing input {tok!r}", p.i)
-    return f
-
-
 # ---------------------------------------------------------------------------
 # fragment checking
 
@@ -508,27 +486,18 @@ class FragmentResult:
 
 
 def expand_iff(f: Formula) -> Formula:
-    """``f`` with each ``A <=> B`` written as ``(A => B) & (B => A)``.
-    A part of ``f`` with no ``<=>`` below it is returned as it is, so an
-    iff-free ``f`` comes back unchanged, not rebuilt."""
+    """``f`` with each ``A <=> B`` written as ``(A => B) & (B => A)``."""
     if isinstance(f, Iff):
         l, r = expand_iff(f.left), expand_iff(f.right)
         return And((Implies(l, r), Implies(r, l)))
-    if isinstance(f, (Not, Forall, Exists)):
-        body = expand_iff(f.body)
-        if body is f.body:
-            return f
-        return Not(body) if isinstance(f, Not) else type(f)(f.vars, body)
+    if isinstance(f, Not):
+        return Not(expand_iff(f.body))
+    if isinstance(f, (Forall, Exists)):
+        return type(f)(f.vars, expand_iff(f.body))
     if isinstance(f, (And, Or)):
-        items = tuple(map(expand_iff, f.items))
-        if all(map(is_, items, f.items)):
-            return f
-        return type(f)(items)
+        return type(f)(tuple(map(expand_iff, f.items)))
     if isinstance(f, Implies):
-        l, r = expand_iff(f.left), expand_iff(f.right)
-        if l is f.left and r is f.right:
-            return f
-        return Implies(l, r)
+        return Implies(expand_iff(f.left), expand_iff(f.right))
     return f
 
 

@@ -386,9 +386,6 @@ class Clause:
         return not self.literals
 
 
-EMPTY_CLAUSE = Clause(())
-
-
 # ---------------------------------------------------------------------------
 # basic measures
 
@@ -431,19 +428,6 @@ def term_depth(t: Term) -> int:
     if isinstance(t, App):
         return 1 + max((term_depth(a) for a in t.args), default=0)
     return 0
-
-
-def lit_depth(lit: Literal) -> int:
-    return max((term_depth(a) for a in lit.args), default=0)
-
-
-def depth(c: Clause | Literal | Term) -> int:
-    """Depth of the deepest term in an expression."""
-    if isinstance(c, (Var, Const, App)):
-        return term_depth(c)
-    if isinstance(c, Literal):
-        return lit_depth(c)
-    return max((lit_depth(lit) for lit in c), default=0)
 
 
 def is_ground_term(t: Term) -> bool:
@@ -517,11 +501,6 @@ def apply_clause(c: Clause, sub: Subst) -> Clause:
     return Clause(apply_lit(lit, sub) for lit in c)
 
 
-class UnifyFail(Enum):
-    CLASH = "clash"
-    OCCURS = "occurs"
-
-
 def _walk(t: Term, sub: Subst) -> Term:
     while isinstance(t, Var) and t.name in sub:
         t = sub[t.name]
@@ -537,11 +516,10 @@ def _occurs(name: str, t: Term, sub: Subst) -> bool:
     return False
 
 
-def unify_into(pairs: Iterable[tuple[Term, Term]],
-               sub: Subst) -> Optional[UnifyFail]:
+def unify_into(pairs: Iterable[tuple[Term, Term]], sub: Subst) -> bool:
     """Extend the triangular substitution ``sub`` in place so that it
-    unifies every pair; ``None`` on success, else the failure reason
-    (``sub`` is then partly extended and should be dropped).
+    unifies every pair; ``False`` if they do not unify (``sub`` is then
+    partly extended and should be dropped).
 
     When a variable meets a variable, the left one is bound; callers that
     care about binding orientation (the top-variable machinery does) should
@@ -555,35 +533,25 @@ def unify_into(pairs: Iterable[tuple[Term, Term]],
             continue
         if isinstance(s, Var):
             if _occurs(s.name, t, sub):
-                return UnifyFail.OCCURS
+                return False
             sub[s.name] = t
         elif isinstance(t, Var):
             if _occurs(t.name, s, sub):
-                return UnifyFail.OCCURS
+                return False
             sub[t.name] = s
-        elif isinstance(s, Const) or isinstance(t, Const):
-            return UnifyFail.CLASH
+        elif isinstance(s, Const) or isinstance(t, Const) or \
+                s.fn != t.fn or len(s.args) != len(t.args):
+            return False
         else:
-            if s.fn != t.fn or len(s.args) != len(t.args):
-                return UnifyFail.CLASH
             stack.extend(zip(s.args, t.args))
-    return None
-
-
-def mgu_ex(pairs: Sequence[tuple[Term, Term]]
-           ) -> tuple[Optional[Subst], Optional[UnifyFail]]:
-    """Simultaneous mgu of term pairs, or a failure reason (see
-    :func:`unify_into` for the binding orientation)."""
-    sub: Subst = {}
-    fail = unify_into(pairs, sub)
-    if fail is not None:
-        return None, fail
-    return normalize(sub), None
+    return True
 
 
 def mgu(pairs: Sequence[tuple[Term, Term]]) -> Optional[Subst]:
-    sub, _ = mgu_ex(pairs)
-    return sub
+    """Simultaneous mgu of term pairs, idempotent (see :func:`unify_into`
+    for the binding orientation), or None."""
+    sub: Subst = {}
+    return normalize(sub) if unify_into(pairs, sub) else None
 
 
 def mgu_lits(pairs: Sequence[tuple[Literal, Literal]]) -> Optional[Subst]:

@@ -16,17 +16,14 @@ import random
 import time
 
 from guardedsat.clausify import clausify_formula, trans
-from guardedsat.oracle import ground_entails, sat_enumerate
+from guardedsat.oracle import sat_enumerate
 from guardedsat.orders import LPO, Precedence
 from guardedsat.qans import answer, run, saturate
 from guardedsat.qic import q_ic_all
 from guardedsat.qrew import q_rew
 from guardedsat.qsep import DefinitionRegistry, is_icq, q_sep
-from guardedsat.syntax import Exists, Forall, Not, parse, print_formula, \
-    parse_formula
-from guardedsat.terms import (
-    Clause, Literal, SymbolKind, Var, depth, membership,
-)
+from guardedsat.syntax import Exists, Forall, Not, parse, print_formula
+from guardedsat.terms import Clause, Literal, SymbolKind, Var, membership
 
 import test_qans
 import test_qic
@@ -34,8 +31,8 @@ import test_qrew
 import test_qsep
 from test_engine import _closure_steps, _random_ground_sres
 from util import (
-    CONSTS, clause_gt, is_variant, make_symbols, p_res, random_problem,
-    s_res, width,
+    CONSTS, clause_gt, depth, ground_entails, is_variant, make_symbols,
+    p_res, parse_formula, random_problem, s_res, width,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"

@@ -4,14 +4,20 @@ import random
 
 import pytest
 
-from guardedsat.clausify import ClausifyError, miniscope, to_nnf, trans
+from guardedsat.clausify import (
+    ClausifyError, _Renamer, miniscope, skolemize, to_nnf, trans,
+)
 from guardedsat.syntax import (
-    And, Exists, Forall, Not, Or, parse, print_formula,
+    And, Exists, Forall, Not, Or, free_vars, parse, print_formula,
 )
 from guardedsat.terms import (
-    App, SymbolOrigin, canonical, depth, is_ground, membership,
+    App, SymbolKind, SymbolOrigin, SymbolTable, canonical, is_ground,
+    membership,
 )
-from util import random_formula, reference_miniscope
+from util import (
+    CONSTS, depth, parse_formula, random_formula, reference_miniscope,
+    reference_skolemize,
+)
 
 
 def names(clauses):
@@ -169,3 +175,77 @@ def test_miniscope_agrees_with_the_reference():
         assert got == reference_miniscope(f), print_formula(f)
         pushed += _forall_disjuncts(got) > _forall_disjuncts(f)
     assert pushed > 80, pushed
+
+
+def _formula_symbols() -> SymbolTable:
+    """The symbols ``random_formula`` draws from: ``p<n>`` of arity n,
+    ``f``/1 and the constants."""
+    s = SymbolTable()
+    for n in range(4):
+        s.declare(f"p{n}", SymbolKind.PREDICATE if n
+                  else SymbolKind.PROPOSITIONAL, n)
+    s.declare("f", SymbolKind.FUNCTION, 1)
+    for c in CONSTS:
+        s.declare(c, SymbolKind.CONSTANT, 0)
+    return s
+
+
+def _skolemized(f, skolemizer):
+    """The matrix, the symbol table and the Skolem map that
+    ``skolemizer`` gives for a conjunct, on a copy of the table."""
+    symbols, skolem_map = _formula_symbols(), {}
+    matrix = skolemizer(f, symbols, skolem_map)
+    return print_formula(matrix), matrix, list(symbols), skolem_map
+
+
+def test_one_walk_skolemize_agrees_with_the_reference():
+    """``skolemize`` renames apart and Skolemises in one prefix-order
+    walk; on the conjuncts the clausifier hands it (random formulas,
+    closed, in NNF, miniscoped and renamed) it gives the matrix, symbols
+    and Skolem map of prenexing first and substituting after.  So it does
+    on the whole miniscoped formula, whose nested quantifiers reuse bound
+    names."""
+    rng = random.Random(13)
+    conjuncts = functions = renamed = 0
+    for _ in range(2000):
+        f = random_formula(rng, rng.randint(1, 4))
+        fv = sorted(free_vars(f))
+        if fv:
+            f = Exists(tuple(fv), f)
+        f = miniscope(to_nnf(f))
+        for g in [f, *_Renamer(_formula_symbols()).run(f)]:
+            got = _skolemized(g, skolemize)
+            assert got == _skolemized(g, reference_skolemize), \
+                print_formula(g)
+            conjuncts += 1
+            functions += any(s.kind is SymbolKind.FUNCTION
+                             and s.origin is SymbolOrigin.SKOLEM
+                             for s in got[2])
+            renamed += "_1" in got[0]
+    assert conjuncts > 3000 and functions > 300 and renamed > 100, \
+        (conjuncts, functions, renamed)
+
+
+@pytest.mark.parametrize("text, matrix, skolem_map", [
+    # an existential takes every universal before it in prefix order,
+    # a sibling's included
+    ("(! [X] : p1(X)) | (? [Y] : p2(X,Y))", "p1(X) | p2(X,sk0(X))",
+     {"sk0": "Y"}),
+    ("(! [X,Z] : p1(X)) & (? [Y] : p1(Y))", "p1(X) & p1(sk0(X,Z))",
+     {"sk0": "Y"}),
+    # with no universal before it, an existential becomes a constant
+    ("(? [Y] : p1(Y)) | (! [X] : p1(X))", "p1(skc0) | p1(X)",
+     {"skc0": "Y"}),
+    # a reused bound name is renamed apart: X, then X_1, then X_2
+    ("(! [X] : p1(X)) | (! [X] : p2(X,X)) | (! [X] : p1(X))",
+     "p1(X) | p2(X_1,X_1) | p1(X_2)", {}),
+    ("! [X] : (p1(X) | (? [X] : p1(X)))", "p1(X) | p1(sk0(X))",
+     {"sk0": "X_1"}),
+])
+def test_skolemize_cases(text, matrix, skolem_map):
+    symbols, got_map = SymbolTable(), {}
+    got = skolemize(parse_formula(text), symbols, got_map)
+    assert (print_formula(got), got_map) == (matrix, skolem_map)
+    assert _skolemized(parse_formula(text), skolemize) == \
+        _skolemized(parse_formula(text), reference_skolemize)
+

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from guardedsat.cli import (
     EXIT_ERROR, EXIT_NO, EXIT_UNKNOWN, EXIT_YES, main,
 )
-from guardedsat.syntax import Not, Top, parse_formula
+from guardedsat.syntax import Not, Top
+from util import parse_formula
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 

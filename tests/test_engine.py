@@ -21,22 +21,22 @@ from guardedsat.engine import (
     ClauseIndex, _binary_resolvents, clause_record, com_t_all, dispatch,
     factor, stays_strictly_maximal,
 )
-from guardedsat.oracle import ground_entails
 from guardedsat.orders import LPO, Cmp, Precedence, maximal, select_nc
 from guardedsat.qans import _as_main, answer, inferences
 from guardedsat.qsep import DefinitionRegistry, is_icq, q_sep
 from guardedsat.syntax import parse
 from guardedsat.terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
-    Var, apply_clause, apply_lit, clause_vars, depth, membership, normalize,
+    Var, apply_clause, apply_lit, clause_vars, membership, normalize,
     renaming, unify_into,
 )
 
 import test_qsep
 from util import (
     CONSTS, _iter_assignments, clause_gt, com_t, data_sweep_instances,
-    is_variant, make_symbols, p_res, preds, random_ground_atom,
-    random_lg_set, reference_com_t_all, reference_kept_sides, s_res, width,
+    depth, ground_entails, is_variant, make_symbols, p_res, preds,
+    random_ground_atom, random_lg_set, reference_com_t_all,
+    reference_kept_sides, s_res, width,
 )
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -528,8 +528,7 @@ def test_probe_by_head_symbol():
     assert sorted(side.cid for side in got) == [0, 1, 3, 4]
     for side in sides.entries:
         if side not in got:
-            assert unify_into(zip(side.at(1).args, main.args), dict(sub)) \
-                is not None
+            assert not unify_into(zip(side.at(1).args, main.args), dict(sub))
 
 
 def _position_contents(index):
@@ -554,7 +553,7 @@ def _index_contents(n, positions=None):
             sides[pred, arity] = (
                 [(side.key, side.clause, side.lit) for side in lst.entries],
                 {j: _position_contents(lst.position(j)) for j in js})
-    return (n.by_id, n.records, n._ids, sides,
+    return (n.by_id, n.records, n.clauses(), sides,
             {p: ids for p, ids in n._main_index.items() if ids})
 
 

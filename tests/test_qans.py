@@ -201,6 +201,31 @@ def test_an_empty_input_clause_is_the_first_pick():
     assert (result.verdict, result.steps) == ("yes", 1)
 
 
+def _assert_maps_hold_kept_clauses(state):
+    """Every id the subsumption maps hold is in usable or worked-off, and
+    no per-signature unit map is left empty."""
+    for cid in list(state.others) + [
+            cid for us in state.units_by_sig.values() for cid in us.values()]:
+        assert cid in state.usable or cid in state.worked_off.by_id, cid
+    assert all(state.units_by_sig.values()), state.units_by_sig
+
+
+def test_a_picked_empty_input_clause_leaves_the_maps():
+    """The empty input clause drops the fact before it and is picked
+    first; once picked it is in neither usable nor worked-off, so it
+    leaves the subsumption maps too, and the fact's emptied map goes.
+    On random problems the maps hold only usable and worked-off
+    clauses."""
+    result, state = run(_parse(
+        "fact: p(a).\nformula: $false.\nquery: ? [X] : q(X).\n"))
+    assert result.verdict == "yes"
+    assert (state.others, state.units_by_sig) == ({}, {})
+    rng = random.Random(3)
+    for _ in range(150):
+        _, state = run(random_problem(rng), step_budget=20000)
+        _assert_maps_hold_kept_clauses(state)
+
+
 def test_a_derived_empty_clause_ends_the_loop(monkeypatch):
     """On the Yes ``data_sweep`` instances, stopping at a derived empty
     clause without inserting it gives the trace, steps and clause count
@@ -211,10 +236,7 @@ def test_a_derived_empty_clause_ends_the_loop(monkeypatch):
             continue
         result, state = run(parse(inst.text))
         assert result.trace[-1].endswith(" []")
-        for cid in list(state.others) + [
-                cid for us in state.units_by_sig.values()
-                for cid in us.values()]:
-            assert cid in state.usable or cid in state.worked_off.by_id
+        _assert_maps_hold_kept_clauses(state)
         with monkeypatch.context() as m:
             m.setattr(qans, "saturate", reference_saturate)
             want, _ = run(parse(inst.text))

@@ -13,10 +13,10 @@ from guardedsat.qic import closed_partition, q_ic_all
 from guardedsat.qsep import DefinitionRegistry
 from guardedsat.terms import (
     App, Clause, Literal, SymbolKind, SymbolOrigin, SymbolTable, Var,
-    depth, membership,
+    membership,
 )
 
-from util import com_t, is_variant
+from util import com_t, depth, is_variant
 
 
 def _setup():

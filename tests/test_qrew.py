@@ -17,13 +17,13 @@ import hashlib
 from guardedsat.qrew import (
     abstract, con_abs, partition_closed, property_gate, q_rew, var_abs,
 )
-from guardedsat.syntax import (
-    Exists, Forall, Not, parse_formula, print_formula,
-)
+from guardedsat.syntax import Exists, Forall, Not, print_formula
 from guardedsat.terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
     Var, clause_funcs, membership,
 )
+
+from util import parse_formula
 
 GOLDEN_SHA256 = \
     "9306c6426ea7bc36e034c203cb2bd347d82253c29889a80a44f8af7e2336e6b0"

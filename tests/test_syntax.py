@@ -7,13 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from guardedsat.syntax import (
     MAX_NESTING, And, AtomF, Exists, Forall, Implies, Not, Or, ParseError,
-    Problem, check_fragment, expand_iff, negate_query, parse, parse_formula,
-    print_formula,
+    Problem, check_fragment, negate_query, parse, print_formula,
 )
 from guardedsat.terms import membership
 from test_cli import _mutated_statements, _token_soups
 from util import (
-    random_formula, reference_check_fragment, reference_expand_iff,
+    parse_formula, random_formula, reference_check_fragment,
     reference_parse, reference_parse_formula,
 )
 
@@ -180,23 +179,6 @@ def test_fragment_agrees_with_reference(seed):
         assert check_fragment(f) == want, print_formula(f)
         seen.add(want.fragment)
     assert seen == {"GF", "LGF", "CGF", "none"}
-
-
-def test_expand_iff_rebuilds_only_what_changes():
-    # equal to the expansion that rebuilds every node, and an iff-free
-    # formula comes back as the very same object
-    rng = random.Random(11)
-    free = with_iff = 0
-    for _ in range(3000):
-        f = random_formula(rng, rng.randint(1, 4))
-        got = expand_iff(f)
-        assert got == reference_expand_iff(f), print_formula(f)
-        if "<=>" in print_formula(f):
-            with_iff += 1
-        else:
-            assert got is f, print_formula(f)
-            free += 1
-    assert free > 2000 and with_iff > 400, (free, with_iff)
 
 
 class TestQueries:

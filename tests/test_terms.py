@@ -8,16 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from guardedsat.terms import (
-    App, Clause, Const, Literal, UnifyFail, Var, apply_clause, apply_lit,
-    apply_term, canonical, clause_vars, compound_terms, condense, depth,
-    is_decomposable, is_ground, is_ground_lit, lit_vars, literal_key,
+    App, Clause, Const, Literal, Var, apply_clause, apply_lit, apply_term,
+    canonical, clause_vars, compound_terms, condense, is_decomposable, is_ground, is_ground_lit, lit_vars, literal_key,
     membership, mgu, mgu_lits, normalize, rename_apart, renaming,
     skip_names, subsumes,
 )
 from util import (
-    is_variant, loose_guards, reference_clause_vars, reference_is_ground,
-    reference_is_ground_lit, reference_lit_vars, reference_literal_key,
-    width,
+    depth, is_variant, loose_guards, reference_clause_vars,
+    reference_is_ground, reference_is_ground_lit, reference_lit_vars,
+    reference_literal_key, width,
 )
 
 x, y, z = Var("x"), Var("y"), Var("z")

@@ -26,13 +26,16 @@ must agree with.
 :func:`reference_parse` and :func:`reference_parse_formula` are the
 parser that walked the text one character at a time into token objects
 carrying their line and column, declaring each symbol at the same point
-as the parser does; ``syntax.parse`` and ``syntax.parse_formula`` must
-give the same statements, symbol table and errors.
+as the parser does; ``syntax.parse`` and :func:`parse_formula` (the
+product parser on one bare formula) must give the same statements,
+symbol table and errors.
 :func:`reference_check_fragment` decides the fragment with one pass per
 fragment (GF, then LGF, then CGF); ``syntax.check_fragment`` must give
-the same fragment and witness.  :func:`reference_expand_iff` rebuilds
-every node of the formula it expands.  :func:`reference_miniscope` is
-the miniscoping that asked for free variables afresh at each step.
+the same fragment and witness.  :func:`reference_miniscope` is the
+miniscoping that asked for free variables afresh at each step.
+:func:`reference_skolemize` is the Skolemisation that prenexed a
+conjunct in one walk and substituted the Skolem terms in a second;
+``clausify.skolemize`` must give the same matrix, symbols and map.
 :func:`reference_literal_key` is the literal sort key as first written,
 with ``isinstance`` tests and generators; ``Clause`` must sort by it.
 :func:`reference_lit_vars`, :func:`reference_clause_vars`,
@@ -47,6 +50,13 @@ stopped.
 
 :func:`data_sweep_instances` gives the instances of
 ``scripts/data_sweep.py`` from the benchmark's own generator.
+
+:func:`herbrand_sat` (exact satisfiability of function-free sets),
+:func:`ground_entails` (propositional entailment between ground clauses)
+and :func:`eval_clause` (truth of a clause in an
+:class:`~guardedsat.oracle.FiniteModel`) are the oracles only the tests
+use; they share no code with the engine.  :func:`depth` is the depth of
+the deepest term in a term, literal or clause.
 """
 
 from __future__ import annotations
@@ -58,19 +68,21 @@ import string
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from guardedsat.clausify import _flatten
 from guardedsat.engine import (
     ClauseIndex, Inference, TopVarResult, _freeze, _remove_one, com_t_all,
     is_tautology,
 )
+from guardedsat.oracle import FiniteModel, dpll
 from guardedsat.orders import Cmp, LPO
 from guardedsat.qans import SaturationState, clause_weight, inferences
 from guardedsat.syntax import (
     EQ_PRED, MAX_NESTING, And, AtomF, Bottom, Exists, Forall, Formula,
-    FragmentResult, Iff, Implies, Not, Or, ParseError, Problem, Top,
-    _atom_ok, _conj_atoms, _merge_quant, expand_iff, free_vars,
+    FragmentResult, Iff, Implies, Not, Or, ParseError, Problem, Top, _END,
+    _Parser as _SyntaxParser, _atom_ok, _conj_atoms, _merge_quant,
+    expand_iff, free_vars,
 )
 from guardedsat.terms import (
     App, Clause, Const, Literal, Subst, SymbolKind, SymbolOrigin,
@@ -580,6 +592,19 @@ def reference_subsumes(c: Clause, d: Clause) -> bool:
                                      False) is not None
 
 
+def lit_depth(lit: Literal) -> int:
+    return max((term_depth(a) for a in lit.args), default=0)
+
+
+def depth(c: Clause | Literal | Term) -> int:
+    """Depth of the deepest term in an expression."""
+    if isinstance(c, (Var, Const, App)):
+        return term_depth(c)
+    if isinstance(c, Literal):
+        return lit_depth(c)
+    return max((lit_depth(lit) for lit in c), default=0)
+
+
 def width(c: Clause | Literal) -> int:
     """Number of distinct variables."""
     if isinstance(c, Literal):
@@ -1026,6 +1051,20 @@ def reference_parse(text: str) -> Problem:
     return prob
 
 
+def parse_formula(text: str) -> Formula:
+    """Parse a single bare formula (no statement keyword, no final dot)
+    with the product parser.
+
+    Its symbols are declared in a table of its own, so a symbol used with
+    two kinds or arities is an error here too."""
+    p = _SyntaxParser(text, SymbolTable())
+    f = p.formula()
+    tok = p.toks[p.i]
+    if tok != _END:
+        raise p.error(f"trailing input {tok!r}", p.i)
+    return f
+
+
 def reference_parse_formula(text: str) -> Formula:
     """Parse a single bare formula (no statement keyword, no final dot)."""
     p = _Parser(_tokenize(text), SymbolTable())
@@ -1038,28 +1077,6 @@ def reference_parse_formula(text: str) -> Formula:
 
 # ---------------------------------------------------------------------------
 # reference fragment checker: one pass per fragment, GF, then LGF, then CGF
-
-
-def reference_expand_iff(f: Formula) -> Formula:
-    """``f`` with each ``<=>`` expanded, every node rebuilt;
-    ``syntax.expand_iff`` must give an equal formula."""
-    if isinstance(f, Iff):
-        l, r = reference_expand_iff(f.left), reference_expand_iff(f.right)
-        return And((Implies(l, r), Implies(r, l)))
-    if isinstance(f, Not):
-        return Not(reference_expand_iff(f.body))
-    if isinstance(f, And):
-        return And(tuple(reference_expand_iff(g) for g in f.items))
-    if isinstance(f, Or):
-        return Or(tuple(reference_expand_iff(g) for g in f.items))
-    if isinstance(f, Implies):
-        return Implies(reference_expand_iff(f.left),
-                       reference_expand_iff(f.right))
-    if isinstance(f, Forall):
-        return Forall(f.vars, reference_expand_iff(f.body))
-    if isinstance(f, Exists):
-        return Exists(f.vars, reference_expand_iff(f.body))
-    return f
 
 
 def reference_miniscope(f: Formula) -> Formula:
@@ -1093,6 +1110,82 @@ def reference_miniscope(f: Formula) -> Formula:
                     continue
             body = quant((v,), body)
         return body
+    return f
+
+
+def reference_skolemize(f: Formula, symbols: SymbolTable,
+                        skolem_map: dict[str, str]) -> Formula:
+    """``clausify.skolemize`` as it was, in two walks: prenex the conjunct,
+    renaming bound variables apart, then substitute a Skolem term for
+    each existential of the prefix over the universals before it; the
+    one-walk version must give an equal matrix, symbols and map."""
+    prefix, matrix = _reference_prenex(f, set(), {})
+    sub: dict[str, Term] = {}
+    universals: list[str] = []
+    for kind, v in prefix:
+        if kind == "forall":
+            universals.append(v)
+        else:
+            if universals:
+                sym = symbols.fresh("sk", SymbolKind.FUNCTION,
+                                    len(universals), SymbolOrigin.SKOLEM)
+                sub[v] = App(sym.name, tuple(Var(u) for u in universals))
+            else:
+                sym = symbols.fresh("skc", SymbolKind.CONSTANT, 0,
+                                    SymbolOrigin.SKOLEM)
+                sub[v] = Const(sym.name)
+            skolem_map[sym.name] = v
+    return _subst_formula(matrix, sub)
+
+
+def _reference_prenex(f: Formula, used: set[str], ren: dict[str, str]
+                      ) -> tuple[list[tuple[str, str]], Formula]:
+    if isinstance(f, (Forall, Exists)):
+        kind = "forall" if isinstance(f, Forall) else "exists"
+        prefix: list[tuple[str, str]] = []
+        local = dict(ren)
+        for v in f.vars:
+            name = v
+            n = 0
+            while name in used:
+                n += 1
+                name = f"{v}_{n}"
+            used.add(name)
+            local[v] = name
+            prefix.append((kind, name))
+        sub_prefix, matrix = _reference_prenex(f.body, used, local)
+        return prefix + sub_prefix, matrix
+    if isinstance(f, (And, Or)):
+        prefix = []
+        mats: list[Formula] = []
+        for g in f.items:
+            p, m = _reference_prenex(g, used, ren)
+            prefix.extend(p)
+            mats.append(m)
+        cls = And if isinstance(f, And) else Or
+        return prefix, _flatten(cls(tuple(mats)))
+    if isinstance(f, Not):
+        p, m = _reference_prenex(f.body, used, ren)
+        return p, Not(m)
+    if isinstance(f, AtomF):
+        return [], _subst_formula(f, {v: Var(n) for v, n in ren.items()})
+    return [], f
+
+
+def _subst_formula(f: Formula, sub: dict[str, Term]) -> Formula:
+    if not sub:
+        return f
+    if isinstance(f, AtomF):
+        return AtomF(f.pred, tuple(apply_term(t, sub) for t in f.args))
+    if isinstance(f, Not):
+        return Not(_subst_formula(f.body, sub))
+    if isinstance(f, (And, Or)):
+        cls = And if isinstance(f, And) else Or
+        return cls(tuple(_subst_formula(g, sub) for g in f.items))
+    if isinstance(f, (Forall, Exists)):
+        inner = {v: t for v, t in sub.items() if v not in f.vars}
+        cls = Forall if isinstance(f, Forall) else Exists
+        return cls(f.vars, _subst_formula(f.body, inner))
     return f
 
 
@@ -1229,3 +1322,91 @@ def _check_quantified(f: Forall | Exists, frag: str) -> Optional[Formula]:
                 _fragment_violation(sub, frag) is None:
             return None
     return f
+
+
+# ---------------------------------------------------------------------------
+# exact oracles for small clause sets
+
+
+def _clause_constants(clauses: Iterable[Clause]) -> list[str]:
+    out: set[str] = set()
+    for c in clauses:
+        for l in c:
+            for t in l.args:
+                stack = [t]
+                while stack:
+                    s = stack.pop()
+                    if isinstance(s, Const):
+                        out.add(s.name)
+                    elif isinstance(s, App):
+                        stack.extend(s.args)
+    return sorted(out)
+
+
+def herbrand_sat(clauses: Sequence[Clause]) -> bool:
+    """Exact satisfiability of a function-free, equality-free clause set.
+
+    Such a set is satisfiable iff it has a Herbrand model over its
+    constants (one fresh constant if there are none); the set is grounded
+    over them and handed to ``oracle.dpll``.
+    """
+    for c in clauses:
+        for l in c:
+            if l.is_eq:
+                raise ValueError("herbrand_sat does not support equality")
+            for t in l.args:
+                if isinstance(t, App):
+                    raise ValueError(
+                        "herbrand_sat does not support function symbols")
+    consts = _clause_constants(clauses) or ["d0"]
+    domain = [Const(n) for n in consts]
+    atom_ids: dict[tuple, int] = {}
+
+    def aid(l: Literal) -> int:
+        key = (l.pred, l.args)
+        if key not in atom_ids:
+            atom_ids[key] = len(atom_ids) + 1
+        return atom_ids[key]
+
+    ground: list[frozenset[int]] = []
+    for c in clauses:
+        vs = sorted(clause_vars(c))
+        for combo in itertools.product(domain, repeat=len(vs)):
+            sub: Subst = dict(zip(vs, combo))
+            g = apply_clause(c, sub)
+            lits = frozenset(
+                aid(l) if l.pos else -aid(l) for l in g)
+            if any(-x in lits for x in lits):
+                continue
+            ground.append(lits)
+    return dpll(ground) is not None
+
+
+def eval_clause(model: FiniteModel, c: Clause) -> bool:
+    """Whether ``c`` holds in ``model`` under every assignment."""
+    vs = sorted(clause_vars(c))
+    for combo in itertools.product(range(model.size), repeat=len(vs)):
+        env = dict(zip(vs, combo))
+        if not any(model.eval_lit(l, env) for l in c):
+            return False
+    return True
+
+
+def ground_entails(premises: Sequence[Clause], conclusion: Clause) -> bool:
+    """Do the ground premises entail the ground conclusion clause?"""
+    atom_ids: dict[tuple, int] = {}
+
+    def aid(l: Literal) -> int:
+        key = (l.pred, l.args)
+        if key not in atom_ids:
+            atom_ids[key] = len(atom_ids) + 1
+        return atom_ids[key]
+
+    cls = []
+    for c in premises:
+        if not is_ground(c):
+            raise ValueError("premises must be ground")
+        cls.append(frozenset(aid(l) if l.pos else -aid(l) for l in c))
+    for l in conclusion:
+        cls.append(frozenset({-aid(l) if l.pos else aid(l)}))
+    return dpll(cls) is None
