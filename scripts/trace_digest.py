@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""Print a digest of the saturation trace of a fixed set of problems.
+
+For each problem one line: its name, the verdict, the step count and the
+sha256 of the full trace (its lines joined by newlines).  The problems
+are the dataset sweep's instances at N = 40, 80, 160, 320 and 640
+(``scripts/data_sweep.py``), the derived-data chain at depth 3 and N=160
+(``scripts/chain_sweep.py``), the k-cycle query at k = 8, 16 and 33
+(``scripts/cycle_sweep.py``), the 20 rule sets of 20 rules
+(``scripts/rules_sweep.py``) and every problem in ``fixtures/``.
+
+Two versions of the prover that take the same inferences print the same
+lines, so comparing the output of two source trees checks that a change
+keeps every trace byte:
+
+    PYTHONPATH=<old>/src python scripts/trace_digest.py > old.txt
+    PYTHONPATH=src python scripts/trace_digest.py > new.txt
+    diff old.txt new.txt
+
+Usage: python scripts/trace_digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import pathlib
+import random
+import sys
+from typing import Iterator
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from chain_sweep import chain_problem  # noqa: E402
+from cycle_sweep import cycle_problem  # noqa: E402
+from guardedsat.qans import answer  # noqa: E402
+from guardedsat.syntax import parse  # noqa: E402
+from rules_sweep import SETS, rule_set  # noqa: E402
+from workloads import data_instance  # noqa: E402
+
+
+def problems() -> Iterator[tuple[str, str]]:
+    """(name, problem text) of each problem, in a fixed order."""
+    rng = random.Random(1)
+    for n in (40, 80, 160, 320, 640):
+        for yes in (False, True):
+            yield f"data N={n} {'yes' if yes else 'no'}", \
+                data_instance(rng, n, yes, f"N{n}").text
+    yield "chain d=3 N=160", chain_problem(3, 160)
+    for k in (8, 16, 33):
+        yield f"cycle k={k}", cycle_problem(k)
+    for k in range(SETS):
+        yield f"rules n=20 set {k}", rule_set(20, k)
+    for path in sorted((ROOT / "fixtures").glob("*.p")):
+        yield path.name, path.read_text()
+
+
+def main() -> int:
+    for name, text in problems():
+        result = answer(parse(text))
+        digest = hashlib.sha256("\n".join(result.trace).encode()).hexdigest()
+        print(f"{name:20s} verdict={result.verdict:7s} "
+              f"steps={result.steps:5d} trace={digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -19,30 +19,45 @@ is added, as a :class:`ClauseRecord`; :func:`resolvents` and
 them through :func:`guardedsat.qans.inferences`.
 
 The index keeps the side literals of each (predicate, arity) in one
-list in clause-id order and, per argument position, indexes them by
-ground term, non-ground term, head symbol and variable; a position's
-index is built on its first probe and kept up by ``add`` and ``remove``.
-The top-variable join is a backtracking search over it that extends one
+list in clause-id order; the ground ones also by their argument tuple,
+the non-ground ones apart, and of those the ones with no compound
+argument.  Per argument position it indexes them by ground term,
+non-ground term, head symbol and variable; a position's index is built
+on its first probe and kept up by ``add`` and ``remove``.  The
+top-variable join is a backtracking search over it that extends one
 triangular unifier level by level, always at the most constrained level
 under the current unifier: the open level whose probe holds the fewest
 candidates.  A probe reads the first argument of the selected literal
-that the unifier makes ground (the candidates with that term there or a
-non-ground one), failing that the first one bound to a compound term
-(the candidates with its head symbol there or a variable).  A non-ground
-side literal is copied onto a level's variables when the level first
-tries it, and the copy is kept.  When a new clause must take part, the
-search is seeded once at each literal where it can stand with that
-clause's own side literals (semi-naive evaluation).  The tuples found are
-sorted into clause-id order.
+that the unifier makes ground: the candidates with that term there, and
+those with a variable there if it is a constant (a compound term cannot
+unify with a constant), else those with a non-ground term there.
+Failing that it reads the first argument bound to a compound term: the
+candidates with its head symbol there or a variable.  At the closing
+level, the last one open, a probe whose every argument the unifier makes
+ground looks the image up instead: the ground side literals with that
+argument tuple unify binding nothing and are taken as they are, and only
+the non-ground ones are tried, just those with no compound argument when
+every argument is a constant.  A closing-level candidate whose arguments
+are all constants is matched against the unifier, binding variables to
+constants aside, and its tuple shares the unifier object with its
+siblings; any other candidate is unified with a copy of the unifier.  A
+non-ground side literal is copied onto a level's variables when the
+level first tries it, and the copy is kept.  When a new clause must
+take part, the search is seeded once at each literal where it can stand
+with that clause's own side literals (semi-naive evaluation).  The
+tuples found are sorted into clause-id order.
 
 :func:`com_t_all` reads each tuple's top variables off the join's own
-unifier.  A conclusion of rule 2b depends only on the top variables and
+unifier, once per unifier object: bindings to constants change no
+depth.  A conclusion of rule 2b depends only on the top variables and
 the sides of the top literals, so it keeps the first tuple of each such
 key: only that one has its sides renamed apart and becomes a
 :class:`TopVarResult`.  A later tuple with the same key would give a
 variant conclusion, which insertion rejects; it still draws as many
 fresh names as renaming its sides would, so the names of every later
-conclusion stay as they were.
+conclusion stay as they were.  The draws of a run of skipped tuples are
+made at once, before the next kept tuple's renaming or at the end, and
+:func:`~guardedsat.terms.skip_names` works out how far they go.
 
 The index also maps each predicate to the clauses with a main literal on
 it (:meth:`ClauseIndex.mains_on`), so a new side premise meets only the
@@ -160,8 +175,9 @@ class _Side:
     level first tries it.  A copy at level ``i`` renames every variable
     ``v`` to ``.<i>.v``: no other variable name starts with a dot, so the
     levels of a join share no variable with each other or with the main
-    premise.  ``copies`` is ``None`` for a ground literal, its own copy."""
-    __slots__ = ("key", "cid", "clause", "lit", "copies")
+    premise.  ``copies`` is ``None`` for a ground literal, its own copy.
+    ``constants`` says whether every argument is a constant."""
+    __slots__ = ("key", "cid", "clause", "lit", "copies", "constants")
 
     def __init__(self, cid: int, k: int, clause: Clause, lit: Literal):
         self.key = (cid, k)
@@ -170,6 +186,7 @@ class _Side:
         self.lit = lit
         self.copies: Optional[dict[int, Literal]] = \
             None if is_ground_lit(lit) else {}
+        self.constants = all(isinstance(a, Const) for a in lit.args)
 
     def at(self, level: int) -> Literal:
         """The side literal on the variables of join level ``level``."""
@@ -209,17 +226,34 @@ def _buckets(index: _PositionIndex, t: Term) -> list[list[_Side]]:
 
 class _SideList:
     """The side literals on one (predicate, arity) in key order, (clause
-    id, position among the clause's side literals), and for each argument
-    position probed so far the same literals by what they hold there
-    (:data:`_PositionIndex`), built on the first probe and kept since."""
-    __slots__ = ("entries", "positions")
+    id, position among the clause's side literals); the ground ones by
+    their argument tuple, the non-ground ones, and those of the non-ground
+    ones with no compound argument, each in key order; and for each
+    argument position probed so far the same literals by what they hold
+    there (:data:`_PositionIndex`), built on the first probe and kept
+    since."""
+    __slots__ = ("entries", "ground", "nonground", "flat", "positions")
 
     def __init__(self) -> None:
         self.entries: list[_Side] = []
+        self.ground: dict[tuple[Term, ...], list[_Side]] = {}
+        self.nonground: list[_Side] = []
+        self.flat: list[_Side] = []
         self.positions: dict[int, _PositionIndex] = {}
+
+    def _shapes(self, side: _Side) -> list[list[_Side]]:
+        """The lists of ``ground``, ``nonground`` and ``flat`` that hold
+        ``side``, made if missing."""
+        if side.copies is None:
+            return [self.ground.setdefault(side.lit.args, [])]
+        if any(isinstance(a, App) for a in side.lit.args):
+            return [self.nonground]
+        return [self.nonground, self.flat]
 
     def add(self, side: _Side) -> None:
         insort(self.entries, side, key=_key)
+        for lst in self._shapes(side):
+            insort(lst, side, key=_key)
         for j, index in self.positions.items():
             for bucket in _buckets(index, side.lit.args[j]):
                 insort(bucket, side, key=_key)
@@ -229,6 +263,11 @@ class _SideList:
         hi = bisect_right(self.entries, cid, key=_cid)
         gone = self.entries[lo:hi]
         del self.entries[lo:hi]
+        for side in gone:
+            for lst in self._shapes(side):
+                del lst[bisect_left(lst, side.key, key=_key)]
+            if side.copies is None and not self.ground[side.lit.args]:
+                del self.ground[side.lit.args]
         for j, index in self.positions.items():
             exact, _, heads, _ = index
             for side in gone:
@@ -361,40 +400,86 @@ def _depth_under(t: Term, sub: Subst) -> int:
     return 1 + max((_depth_under(a, sub) for a in t.args), default=0)
 
 
-# an empty bucket, never written to
+# an empty bucket and an empty set of bindings, never written to
 _NONE: list[_Side] = []
+_NO_BINDINGS: Subst = {}
+
+# what a probe yields: two buckets of candidates, and whether each side
+# literal in the first already unifies with the selected literal under the
+# unifier, binding nothing (the closing-level lookup)
+_Probe = tuple[list[_Side], list[_Side], bool]
 
 
-def _probe(sides: _SideList, args: Sequence[Term],
-           sub: Subst) -> tuple[list[_Side], list[_Side]]:
+def _probe(sides: _SideList, args: Sequence[Term], sub: Subst,
+           closing: bool) -> _Probe:
     """Two buckets of ``sides`` that together hold every side literal
     that can still unify with a selected literal over ``args`` under
-    ``sub``.  Through the first argument that ``sub`` makes ground: the
-    side literals with that very term there, then those with a non-ground
-    one.  With no ground argument, through the first argument that
-    ``sub`` binds to a compound term: those with its head symbol there,
-    then those with a variable there.  With neither, all of them."""
+    ``sub``.
+
+    At the closing level (``closing``), when ``sub`` makes every argument
+    ground: the ground side literals with that very argument tuple, then
+    the non-ground ones, only those with no compound argument if every
+    argument is a constant.  Otherwise through the first argument that
+    ``sub`` makes ground: the side literals with that very term there,
+    then those with a variable there if it is a constant, else those with
+    a non-ground term there.  With no ground argument, through the first
+    argument that ``sub`` binds to a compound term: those with its head
+    symbol there, then those with a variable there.  With neither, all of
+    them."""
+    if closing:
+        image = []
+        for a in args:
+            t = _ground_image(a, sub)
+            if t is None:
+                break
+            image.append(t)
+        else:
+            flat = all(isinstance(t, Const) for t in image)
+            return (sides.ground.get(tuple(image), _NONE),
+                    sides.flat if flat else sides.nonground, True)
     head = None
     for j, a in enumerate(args):
         t = _ground_image(a, sub)
         if t is not None:
-            exact, wild, _, _ = sides.position(j)
-            return exact.get(t, _NONE), wild
+            exact, wild, _, free = sides.position(j)
+            return (exact.get(t, _NONE),
+                    free if isinstance(t, Const) else wild, False)
         if head is None:
             while isinstance(a, Var) and a.name in sub:
                 a = sub[a.name]
             if isinstance(a, App):
                 head = j, (a.fn, len(a.args))
     if head is None:
-        return sides.entries, _NONE
+        return sides.entries, _NONE, False
     j, symbol = head
     _, _, heads, free = sides.position(j)
-    return heads.get(symbol, _NONE), free
+    return heads.get(symbol, _NONE), free, False
 
 
-# a join tuple: one side literal per selected literal, and the triangular
-# unifier of their level copies with the selected literals
-_JoinTuple = tuple[tuple[_Side, ...], Subst]
+def _constant_leaf(args: Sequence[Term], consts: Sequence[Term],
+                   sub: Subst) -> Optional[Subst]:
+    """The bindings that extend ``sub`` to unify a selected literal over
+    ``args`` with a side literal over the constants ``consts``, or
+    ``None``: an argument that ``sub`` leaves a variable is bound to its
+    constant, one that it makes a constant must be that constant, and one
+    that it makes a compound term fails."""
+    leaf: Subst = {}
+    for a, c in zip(args, consts):
+        while isinstance(a, Var) and a.name in sub:
+            a = sub[a.name]
+        if isinstance(a, Var):
+            if leaf.setdefault(a.name, c) != c:
+                return None
+        elif a != c:
+            return None
+    return leaf
+
+
+# a join tuple: one side literal per selected literal, a triangular
+# unifier of their level copies with the selected literals, and the
+# bindings of variables to constants that complete it at the last level;
+# tuples that part only at the last level may share the unifier object
+_JoinTuple = tuple[tuple[_Side, ...], Subst, Subst]
 
 
 # what the join reads at one level: the selected literal's arguments, its
@@ -410,29 +495,47 @@ def _extend(open_: list[int], sub: Subst, levels: list[_Level],
     at each level of ``open_``.  The next level is the most constrained:
     the open level whose probe (:func:`_probe`) under ``sub`` holds the
     fewest candidates, the first in ``open_`` on a tie, and the scan stops
-    at a level with at most one.  The candidates are tried out of key
-    order; the caller sorts what is found."""
+    at a level with at most one.  At the last open level, a candidate
+    from the closing-level lookup is taken as it is, and one over
+    constants only is matched against ``sub`` (:func:`_constant_leaf`);
+    every other candidate is unified with a copy of ``sub``.  The
+    candidates are tried out of key order; the caller sorts what is
+    found."""
     if not open_:
-        found.append((tuple(chosen), sub))
+        found.append((tuple(chosen), sub, _NO_BINDINGS))
         return
+    closing = len(open_) == 1
     best = best_size = -1
-    best_buckets = _NONE, _NONE
+    best_probe: _Probe = _NONE, _NONE, False
     for i in open_:
         args, sides, fixed, _ = levels[i]
-        buckets = (fixed, _NONE) if fixed is not None \
-            else _probe(sides, args, sub)
-        size = len(buckets[0]) + len(buckets[1])
+        probe = (fixed, _NONE, False) if fixed is not None \
+            else _probe(sides, args, sub, closing)
+        size = len(probe[0]) + len(probe[1])
         if best < 0 or size < best_size:
-            best, best_size, best_buckets = i, size, buckets
+            best, best_size, best_probe = i, size, probe
             if size <= 1:
                 break
     if not best_size:
         return
-    rest = [i for i in open_ if i != best]
     args, _, _, skip = levels[best]
-    for bucket in best_buckets:
+    first, second, matched = best_probe
+    if matched:
+        for side in first:
+            if side.cid != skip:
+                chosen[best] = side
+                found.append((tuple(chosen), sub, _NO_BINDINGS))
+        first = _NONE
+    rest = [i for i in open_ if i != best]
+    for bucket in (first, second):
         for side in bucket:
             if side.cid == skip:
+                continue
+            if closing and side.constants:
+                leaf = _constant_leaf(args, side.lit.args, sub)
+                if leaf is not None:
+                    chosen[best] = side
+                    found.append((tuple(chosen), sub, leaf))
                 continue
             lit = side.lit if side.copies is None else side.at(best)
             sub2 = dict(sub)
@@ -488,9 +591,12 @@ def com_t_all(main: Clause, n: ClauseIndex,
     in clause-id order.
 
     The top variables are the variables of ``main`` that are deepest under
-    the join's unifier.  The sides of a kept tuple are renamed apart from
-    ``main``, so the join's own variable copies never reach a conclusion;
-    a skipped tuple draws as many fresh names and drops them.
+    the join's unifier, worked out once per unifier object: the bindings
+    to constants that some tuples add leave every depth as it is.  The
+    sides of a kept tuple are renamed apart from ``main``, so the join's
+    own variable copies never reach a conclusion; a skipped tuple draws as
+    many fresh names and drops them, in one draw with the skipped tuples
+    next to it.
     """
     negs = [l for l in main if not l.pos]
     if not negs:
@@ -498,20 +604,30 @@ def com_t_all(main: Clause, n: ClauseIndex,
     mvars = clause_vars(main)
     neg_vars = [lit_vars(l) for l in negs]
     seen: set[tuple] = set()
-    for chosen, sub in _join(negs, n, must_include):
-        depths = {v: _depth_under(sub[v], sub) if v in sub else 0
-                  for v in mvars}
-        top_depth = max(depths.values(), default=0)
-        top_vars = frozenset(v for v, d in depths.items()
-                             if d == top_depth)
-        top = [i for i, vs in enumerate(neg_vars) if vs & top_vars]
+    # top variables and top literal positions by id of the unifier; the
+    # join's list keeps every unifier alive while this runs
+    tops: dict[int, tuple[frozenset[str], list[int]]] = {}
+    skipped = 0
+    for chosen, sub, _ in _join(negs, n, must_include):
+        top_info = tops.get(id(sub))
+        if top_info is None:
+            depths = {v: _depth_under(sub[v], sub) if v in sub else 0
+                      for v in mvars}
+            top_depth = max(depths.values(), default=0)
+            top_vars = frozenset(v for v, d in depths.items()
+                                 if d == top_depth)
+            top_info = tops[id(sub)] = (
+                top_vars,
+                [i for i, vs in enumerate(neg_vars) if vs & top_vars])
+        top_vars, top = top_info
         key = (top_vars, tuple((i, chosen[i].key) for i in top))
         if key in seen:
-            # the draws are sequential, so one call for all the sides
-            skip_names(sum(n.records[side.cid].n_vars for side in chosen),
-                       mvars, n.fresh)
+            skipped += sum(n.records[side.cid].n_vars for side in chosen)
             continue
         seen.add(key)
+        if skipped:
+            skip_names(skipped, mvars, n.fresh)
+            skipped = 0
         assignment = []
         rivals = []
         for lit, side in zip(negs, chosen):
@@ -527,6 +643,8 @@ def com_t_all(main: Clause, n: ClauseIndex,
                                 for r in n.records[cid].rivals[k]))
         yield TopVarResult(top_vars, tuple(negs[i] for i in top),
                            tuple(assignment), tuple(rivals))
+    if skipped:
+        skip_names(skipped, mvars, n.fresh)
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,6 @@ _ORIGIN_RANK = {
 }
 
 
-def _name_key(name: str) -> tuple:
-    # inverted lexicographic order: "a" beats "b", and a proper prefix
-    # beats its extensions
-    return tuple(-ord(ch) for ch in name) + (float("inf"),)
-
-
 class Precedence:
     """Total precedence on the symbols of a :class:`SymbolTable`."""
 
@@ -57,7 +51,7 @@ class Precedence:
         if sym is None:
             raise KeyError(f"symbol {name!r} not declared")
         return (_KIND_RANK[sym.kind], _ORIGIN_RANK[sym.origin], sym.arity,
-                _name_key(sym.name))
+                sym.name_key)
 
     def gt(self, a: str, b: str) -> bool:
         return self.key(a) > self.key(b)

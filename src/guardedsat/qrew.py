@@ -47,7 +47,8 @@ class AbstractedClause:
 
 @dataclass
 class ClosedSet:
-    kind: str  # "interconnected" | "flat"
+    """A closed set of clauses (:func:`partition_closed`): interconnected
+    when it has ``functions``, flat otherwise."""
     clauses: list[Clause]
     functions: frozenset[str] = frozenset()
     skolem_consts: frozenset[str] = frozenset()
@@ -212,10 +213,9 @@ def partition_closed(clauses: list[Clause],
             continue
         fns = frozenset().union(*(keyed[i][1] for i in g))
         sks = frozenset().union(*(keyed[i][2] for i in g))
-        sets.append(ClosedSet("interconnected" if fns else "flat",
-                              [keyed[i][0] for i in g], fns, sks))
+        sets.append(ClosedSet([keyed[i][0] for i in g], fns, sks))
     if plain_flat:
-        sets.append(ClosedSet("flat", plain_flat))
+        sets.append(ClosedSet(plain_flat))
     return sets
 
 

@@ -49,7 +49,7 @@ variable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -147,10 +147,18 @@ class SymbolOrigin(Enum):
 
 @dataclass(frozen=True, slots=True)
 class Symbol:
+    """A declared symbol.  ``name_key`` orders names for the precedence,
+    inverted lexicographically: ``a`` beats ``b``, and a proper prefix
+    beats its extensions."""
     name: str
     kind: SymbolKind
     arity: int
     origin: SymbolOrigin = SymbolOrigin.INPUT
+    name_key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "name_key",
+                           (*[-ord(ch) for ch in self.name], float("inf")))
 
 
 class SymbolTable:
@@ -633,10 +641,23 @@ def renaming(c: Clause, avoid: set[str], fresh: Iterator[int]) -> Subst:
 
 def skip_names(count: int, avoid: set[str], fresh: Iterator[int]) -> None:
     """Draw from ``fresh`` the numbers :func:`renaming` draws for a clause
-    of ``count`` variables, without building the renaming."""
-    while count:
-        if f"_v{next(fresh)}" not in avoid:
-            count -= 1
+    of ``count`` variables, without building the renaming.  ``fresh``
+    hands out consecutive numbers, as :func:`itertools.count` does, so
+    after the first draw the last one is worked out from the ``_v<n>``
+    names in ``avoid``: each such ``n`` up to it pushes it one further."""
+    if not count:
+        return
+    first = next(fresh)
+    last = first + count - 1
+    for k in sorted(int(v[2:]) for v in avoid if v.startswith("_v")
+                    and v[2:].removeprefix("-").isdecimal()
+                    and f"_v{int(v[2:])}" == v):
+        if k > last:
+            break
+        if k >= first:
+            last += 1
+    # advance by last - first numbers (the consume recipe of itertools)
+    next(itertools.islice(fresh, last - first, last - first), None)
 
 
 def rename_apart(c: Clause, avoid: set[str]) -> Clause:

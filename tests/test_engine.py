@@ -27,8 +27,8 @@ from guardedsat.qsep import DefinitionRegistry, is_icq, q_sep
 from guardedsat.syntax import parse
 from guardedsat.terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
-    Var, apply_clause, apply_lit, clause_vars, membership, normalize,
-    renaming, unify_into,
+    Var, apply_clause, apply_lit, apply_term, clause_vars, membership,
+    normalize, renaming, unify_into,
 )
 
 import test_qsep
@@ -230,7 +230,9 @@ def _assert_joins_agree(main, n):
     """With and without each indexed clause required:
 
     * the join finds every tuple of the reference join, in the same order,
-      each with a unifier equivalent to the reference's;
+      each with a unifier equivalent to the reference's: its unifier
+      together with its last level's bindings, which bind only variables
+      the unifier leaves free, and only to constants;
     * :func:`com_t_all` yields the reference's first tuple of each key (top
       variables, side of each top literal), and nothing else, with the
       same top literals and a variant resolvent;
@@ -246,11 +248,13 @@ def _assert_joins_agree(main, n):
         want = list(reference_com_t_all(main, n, must_include=must))
         found = engine._join(negs, n, must)
         assert [tuple((neg, c.cid, c.lit) for neg, c in zip(negs, chosen))
-                for chosen, _ in found] == \
+                for chosen, _, _ in found] == \
             [_signature(n, w) for w in want], (main, must)
-        for (_, sub), (_, sigma) in zip(
+        for (_, sub, leaf), (_, sigma) in zip(
                 found, _iter_assignments(negs, n, mvars, must)):
-            sub = normalize(sub)
+            assert not leaf.keys() & sub.keys(), (main, must)
+            assert all(isinstance(t, Const) for t in leaf.values())
+            sub = normalize({**sub, **leaf})
             assert is_variant(Clause([apply_lit(l, sub) for l in negs]),
                               Clause([apply_lit(l, sigma) for l in negs]))
         first = {}
@@ -259,7 +263,7 @@ def _assert_joins_agree(main, n):
             key = (w.top_vars, tuple(s for s in sig if s[0] in w.top_literals))
             first.setdefault(key, w)
         fresh = itertools.count(1000)
-        for chosen, _ in found:
+        for chosen, _, _ in found:
             for c in chosen:
                 renaming(c.clause, mvars, fresh)
         n.fresh = itertools.count(1000)
@@ -280,10 +284,27 @@ def _assert_joins_agree(main, n):
     return tuples, skipped
 
 
+def _ground_compound_args(rng, k, fn):
+    """``k`` constants, at least one of them under the unary ``fn``."""
+    args = [Const(rng.choice(CONSTS)) for _ in range(k)]
+    j = rng.randrange(k)
+    args[j] = App(fn, (args[j],))
+    return tuple(args)
+
+
+def _flat_args(rng, k):
+    """``k`` arguments drawn from the constants and ``y``, ``z``, at least
+    one of them a variable."""
+    args = [rng.choice((Const(rng.choice(CONSTS)), y, z)) for _ in range(k)]
+    args[rng.randrange(k)] = rng.choice((y, z))
+    return tuple(args)
+
+
 def _icq_join_index(rng):
     """The ICQ main that q_sep makes from the cycle query, indexed with
     random ground facts and guarded compound-term sides on its
-    predicates."""
+    predicates, one ground side with a compound argument and one
+    non-ground side over constants and variables only."""
     q, s = test_qsep._cycle_query()
     (icq,) = q_sep(q, DefinitionRegistry(s)).icq
     for c in CONSTS:
@@ -303,31 +324,95 @@ def _icq_join_index(rng):
             cid += 1
             args = rng.choice([(x, fx), (fx, x), (fx, fx)])
             n.add(cid, Clause([_lit(True, pred, *args), _lit(False, "g", x)]))
+    on = sorted({l.pred for l in icq})
+    n.add(cid + 1, Clause([_lit(True, rng.choice(on),
+                                *_ground_compound_args(rng, 2, "f"))]))
+    n.add(cid + 2, Clause([_lit(True, rng.choice(on), *_flat_args(rng, 2)),
+                           _lit(True, "g", fx)]))
     return icq, n
 
 
-def test_join_agrees_with_nested_loop_reference(monkeypatch):
-    probed = 0
-    probe = engine._probe
+def _join_index(symbols, rng):
+    """A random index for the join tests: a random loosely guarded set and
+    ground unit facts over ``symbols``, and clauses that take each path of
+    the join:
 
-    def counting(sides, args, sub):
-        nonlocal probed
-        buckets = probe(sides, args, sub)
-        probed += buckets[0] is not sides.entries
-        return buckets
+    * a main premise with a selected literal that repeats a variable;
+    * for one main premise, the ground instances of its selected
+      literals under one grounding, which bind each level of a tuple
+      fully, the closing one included;
+    * ground side literals with a compound argument;
+    * non-ground side literals over constants and variables only, made
+      side literals by a positive literal on a compound term over another
+      variable, which they do not lose to."""
+    ext = symbols.copy()
+    ext.declare("g", SymbolKind.PREDICATE, 1, SymbolOrigin.INPUT)
+    ext.declare("h", SymbolKind.FUNCTION, 1, SymbolOrigin.SKOLEM)
+    clauses = random_lg_set(symbols, rng, 8)
+    clauses += [Clause([random_ground_atom(symbols, rng)])
+                for _ in range(6)]
+    ps = preds(symbols)
+    wide = [(p, k) for p, k in ps if k >= 2]
+    if wide:
+        (p, k), (q, m) = rng.choice(wide), rng.choice(ps)
+        clauses.append(Clause([
+            _lit(False, p, x, x, *(rng.choice((x, y)) for _ in range(k - 2))),
+            _lit(False, q, *(rng.choice((x, y)) for _ in range(m))),
+            _lit(True, "g", y)]))
+    mains = [c for c in clauses if dispatch(c) == "topvar"]
+    if mains:
+        main = rng.choice(mains)
+        ground = {v: Const(rng.choice(CONSTS)) for v in clause_vars(main)}
+        clauses += [Clause([apply_lit(l, ground).negate()])
+                    for l in main if not l.pos]
+    for _ in range(2):
+        p, k = rng.choice(ps)
+        clauses.append(Clause([_lit(True, p,
+                                    *_ground_compound_args(rng, k, "h"))]))
+    for _ in range(2):
+        p, k = rng.choice(ps)
+        clauses.append(Clause([_lit(True, p, *_flat_args(rng, k)),
+                               _lit(True, "g", App("h", (x,)))]))
+    n = ClauseIndex(LPO(Precedence(ext)))
+    for i, c in enumerate(clauses):
+        n.add(i, c)
+    return n
+
+
+def test_join_agrees_with_nested_loop_reference(monkeypatch):
+    """Over random indexes (:func:`_join_index`, :func:`_icq_join_index`)
+    the join agrees with the nested-loop reference, and every path of
+    the join is taken: a probe through the argument index, a closing-level
+    lookup that finds ground side literals, a closing-level probe that
+    keeps a non-ground side literal over a constant, and a last level
+    over constants that binds a variable."""
+    probed = looked_up = mixed = leaves = 0
+    probe = engine._probe
+    constant_leaf = engine._constant_leaf
+
+    def counting(sides, args, sub, closing):
+        nonlocal probed, looked_up, mixed
+        first, second, matched = probe(sides, args, sub, closing)
+        probed += first is not sides.entries
+        looked_up += matched and bool(first)
+        mixed += second is sides.flat and any(
+            isinstance(a, Const) for side in second for a in side.lit.args)
+        return first, second, matched
+
+    def counting_leaf(args, consts, sub):
+        nonlocal leaves
+        leaf = constant_leaf(args, consts, sub)
+        leaves += bool(leaf)
+        return leaf
 
     monkeypatch.setattr(engine, "_probe", counting)
+    monkeypatch.setattr(engine, "_constant_leaf", counting_leaf)
     symbols = make_symbols(n_preds=5, max_arity=3, n_funcs=2,
                            rng=random.Random(7))
     tuples = skipped = 0
     for seed in range(40):
         rng = random.Random(seed)
-        clauses = random_lg_set(symbols, rng, 8)
-        clauses += [Clause([random_ground_atom(symbols, rng)])
-                    for _ in range(6)]
-        n = ClauseIndex(LPO(Precedence(symbols)))
-        for i, c in enumerate(clauses):
-            n.add(i, c)
+        n = _join_index(symbols, rng)
         joins = [_assert_joins_agree(c, n) for cid, c in n.clauses()
                  if n.records[cid].regime == "topvar"]
         icq, icq_index = _icq_join_index(rng)
@@ -337,6 +422,8 @@ def test_join_agrees_with_nested_loop_reference(monkeypatch):
     assert tuples >= 200 and skipped >= 20, (tuples, skipped)
     # levels extended through the argument index, not the full list
     assert probed > 0
+    assert looked_up >= 20 and mixed >= 20 and leaves >= 20, \
+        (looked_up, mixed, leaves)
 
 
 def test_com_t_all_draws_the_names_renaming_every_tuple_would():
@@ -350,12 +437,7 @@ def test_com_t_all_draws_the_names_renaming_every_tuple_would():
     tuples = skipped = 0
     for seed in range(60):
         rng = random.Random(seed)
-        clauses = random_lg_set(symbols, rng, 8)
-        clauses += [Clause([random_ground_atom(symbols, rng)])
-                    for _ in range(6)]
-        n = ClauseIndex(LPO(Precedence(symbols)))
-        for i, c in enumerate(clauses):
-            n.add(i, c)
+        n = _join_index(symbols, rng)
         joins = [(c, n) for cid, c in n.clauses()
                  if n.records[cid].regime == "topvar"]
         joins.append(_icq_join_index(rng))
@@ -377,18 +459,25 @@ def test_com_t_all_draws_the_names_renaming_every_tuple_would():
 
 
 def test_join_work_on_a_data_instance(monkeypatch):
-    """On the first ``data_sweep`` instance (N=40, No), the join tries at
-    most 360 unifications over the whole run: 324 when the next level is
-    the most constrained under the unifier, 576 with the levels in a
-    fixed fewest-candidates-first order.  Each call finds the tuples of
-    the nested-loop reference, in its order."""
+    """On the first ``data_sweep`` instance (N=40, No), the join tests at
+    most 153 candidates over the whole run: 76 unifications and 77
+    matches of a last level over constants; the closing-level lookup
+    tests none.  Unifying every candidate, with no lookup and no
+    constant probe, took 324 unifications.  Each call finds the tuples
+    of the nested-loop reference, in its order."""
     attempts = 0
     unify = engine.unify_into
+    constant_leaf = engine._constant_leaf
 
     def counting(pairs, sub):
         nonlocal attempts
         attempts += 1
         return unify(pairs, sub)
+
+    def counting_leaf(args, consts, sub):
+        nonlocal attempts
+        attempts += 1
+        return constant_leaf(args, consts, sub)
 
     calls = tuples = 0
     join = engine._join
@@ -404,17 +493,18 @@ def test_join_work_on_a_data_instance(monkeypatch):
         n.fresh = fresh
         assert [tuple((neg, side.cid, side.lit)
                       for neg, side in zip(negs, chosen))
-                for chosen, _ in found] == want
+                for chosen, _, _ in found] == want
         calls += 1
         tuples += len(found)
         return found
 
     monkeypatch.setattr(engine, "unify_into", counting)
+    monkeypatch.setattr(engine, "_constant_leaf", counting_leaf)
     monkeypatch.setattr(engine, "_join", checked)
     inst = data_sweep_instances([40])[0]
     assert answer(parse(inst.text)).verdict == inst.expected == "no"
     assert (calls, tuples) == (7, 57)
-    assert attempts <= 360, attempts
+    assert attempts <= 153, attempts
 
 
 def _renaming_flip_index():
@@ -509,6 +599,23 @@ def test_side_condition_on_rivals_agrees_with_full_check():
         (checks, fails, skipped)
 
 
+def _probed(sides, args, sub, closing=False):
+    """The side literals a probe yields, and whether the first bucket is
+    the closing-level lookup's; asserts that every side literal the probe
+    drops fails to unify, and with the lookup, that each side literal in
+    the first bucket holds the very arguments the selected ones have
+    under ``sub``."""
+    first, second, matched = engine._probe(sides, args, sub, closing)
+    got = first + second
+    for side in sides.entries:
+        if side not in got:
+            assert not unify_into(zip(side.at(1).args, args), dict(sub))
+    if matched:
+        image = tuple(apply_term(a, normalize(sub)) for a in args)
+        assert all(side.lit.args == image for side in first)
+    return sorted(side.cid for side in got), matched
+
+
 def test_probe_by_head_symbol():
     """With no argument ground under the unifier but one bound to a
     compound term, a probe yields the side literals with that head symbol
@@ -523,12 +630,84 @@ def test_probe_by_head_symbol():
     sides = n.side_list(main)
     assert len(sides.entries) == 6
     sub = {"y": App("f", (Var(".0.w"),))}
-    got = [side for bucket in engine._probe(sides, main.args, sub)
-           for side in bucket]
-    assert sorted(side.cid for side in got) == [0, 1, 3, 4]
-    for side in sides.entries:
-        if side not in got:
-            assert not unify_into(zip(side.at(1).args, main.args), dict(sub))
+    assert _probed(sides, main.args, sub) == ([0, 1, 3, 4], False)
+    # the closing level probes the same way while an argument is open
+    assert _probed(sides, main.args, sub, closing=True) == \
+        ([0, 1, 3, 4], False)
+
+
+def _probe_index():
+    """Side literals on ``B`` over constants, variables and compound
+    terms, ground and not.  The flat non-ground ones share their clause
+    with ``A(f(w))``, which they do not lose to."""
+    n = ClauseIndex(_lpo())
+    fx, fa, fw = App("f", (x,)), App("f", (a,)), App("f", (Var("w"),))
+    for cid, args in enumerate([(a, b), (a, b), (a, a), (fa, b), (b, fa),
+                                (fx, x), (x, fx), (fx, b)]):
+        n.add(cid, Clause([_lit(True, "B", *args)]))
+    for cid, args in enumerate([(a, x), (x, b), (x, x), (x, y)], 8):
+        n.add(cid, Clause([_lit(True, "B", *args), _lit(True, "A", fw)]))
+    main = _lit(False, "B", y, z)
+    sides = n.side_list(main)
+    assert len(sides.entries) == 12
+    return main, sides
+
+
+def test_probe_by_constant():
+    """Through an argument bound to a constant, a probe yields the side
+    literals with that constant there or a variable there: a compound
+    term there cannot unify with the constant, ground or not."""
+    main, sides = _probe_index()
+    sub = {"y": a}
+    assert _probed(sides, main.args, sub) == \
+        ([0, 1, 2, 6, 8, 9, 10, 11], False)
+    # through a ground compound term: that term there or a non-ground one
+    sub = {"y": App("f", (a,))}
+    assert _probed(sides, main.args, sub) == \
+        ([3, 5, 6, 7, 9, 10, 11], False)
+
+
+def test_probe_closing_level_lookup():
+    """At the closing level, with every argument ground under the
+    unifier, a probe yields the ground side literals with that argument
+    tuple, which unify binding nothing, then the non-ground ones, only
+    those with no compound argument when every argument is a constant."""
+    main, sides = _probe_index()
+    assert _probed(sides, main.args, {"y": a, "z": b}, closing=True) == \
+        ([0, 1, 8, 9, 10, 11], True)
+    assert _probed(sides, main.args, {"y": a, "z": a}, closing=True) == \
+        ([2, 8, 9, 10, 11], True)
+    # through a variable bound to a level's variable, and so on to ``a``
+    sub = {"y": Var(".0.w"), ".0.w": a, "z": b}
+    assert _probed(sides, main.args, sub, closing=True) == \
+        ([0, 1, 8, 9, 10, 11], True)
+    # a compound argument keeps every non-ground side literal
+    sub = {"y": b, "z": App("f", (a,))}
+    assert _probed(sides, main.args, sub, closing=True) == \
+        ([4, 5, 6, 7, 8, 9, 10, 11], True)
+    # not at the closing level: a probe through the first argument
+    assert _probed(sides, main.args, {"y": a, "z": b}) == \
+        ([0, 1, 2, 6, 8, 9, 10, 11], False)
+
+
+def test_constant_leaf_binds_as_unification_does():
+    """A last level over constants binds what unifying the side literal
+    with the selected one under the unifier binds, and fails where that
+    fails: on a compound term, another constant, or a repeated variable
+    meeting two constants."""
+    fa = App("f", (a,))
+    cases = [((x, x), (a, a), {}), ((x, x), (a, b), {}),
+             ((x, y), (a, b), {"y": x}), ((x, y), (a, b), {"x": b}),
+             ((x, y), (a, b), {"x": fa}), ((x, z), (b, a), {"x": y}),
+             ((x, z), (b, b), {"x": y, "z": y}), ((x,), (a,), {"x": a})]
+    for args, consts, sub in cases:
+        leaf = engine._constant_leaf(args, consts, sub)
+        full = dict(sub)
+        ok = unify_into(zip(consts, args), full)
+        assert (leaf is not None) == ok, (args, consts, sub)
+        if ok:
+            assert not leaf.keys() & sub.keys()
+            assert normalize({**sub, **leaf}) == normalize(full)
 
 
 def _position_contents(index):
@@ -541,8 +720,9 @@ def _position_contents(index):
 
 def _index_contents(n, positions=None):
     """What ``n`` holds.  For each side list: its side literals in order,
-    and its argument index at each position of ``positions`` (by list),
-    by default at each position built so far."""
+    the ground ones by argument tuple, the non-ground ones and the flat
+    non-ground ones, and its argument index at each position of
+    ``positions`` (by list), by default at each position built so far."""
     sides = {}
     for pred, by_arity in n._sides.items():
         for arity, lst in by_arity.items():
@@ -552,6 +732,10 @@ def _index_contents(n, positions=None):
                 else positions.get((pred, arity), ())
             sides[pred, arity] = (
                 [(side.key, side.clause, side.lit) for side in lst.entries],
+                {args: [side.key for side in ground]
+                 for args, ground in lst.ground.items()},
+                [side.key for side in lst.nonground],
+                [side.key for side in lst.flat],
                 {j: _position_contents(lst.position(j)) for j in js})
     return (n.by_id, n.records, n.clauses(), sides,
             {p: ids for p, ids in n._main_index.items() if ids})
@@ -578,6 +762,11 @@ def test_remove_agrees_with_a_rebuilt_index():
         clauses += [Clause([_lit(True, "q", x, hx),
                             _lit(True, "q", rng.choice((y, z)), hx)])
                     for _ in range(4)]
+        # flat non-ground and ground compound side literals
+        clauses += [Clause([_lit(True, "q", Const(rng.choice(CONSTS)), y),
+                            _lit(True, "q", hx, hx)]) for _ in range(2)]
+        clauses += [Clause([_lit(True, "q", *_ground_compound_args(
+            rng, 2, "h"))]) for _ in range(2)]
         rng.shuffle(clauses)
         n = ClauseIndex(lpo)
         live = {}

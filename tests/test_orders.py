@@ -185,3 +185,48 @@ def test_precedence_key_of_a_symbol_declared_later():
     s.declare("P0", SymbolKind.PREDICATE, 2, SymbolOrigin.DEFINER)
     assert prec.key("P0") == Precedence(s).key("P0")
     assert prec.gt("B", "P0") and not prec.gt("P0", "G3")
+
+
+def _reference_name_order(a: str, b: str) -> bool:
+    """Whether name ``a`` precedes name ``b`` of the same kind, origin
+    and arity: ``a`` beats ``b`` at the first character where they
+    differ when its character is smaller, and a proper prefix beats its
+    extensions."""
+    for ca, cb in zip(a, b):
+        if ca != cb:
+            return ca < cb
+    return len(a) < len(b)
+
+
+def test_precedence_orders_random_names_as_before():
+    """Over random names, some of them prefixes of others, the precedence
+    puts one symbol above another exactly when the kind, origin, arity
+    and name order say so, as it did when it built each name's key on
+    every comparison."""
+    rng = random.Random(5)
+    kinds = [SymbolKind.FUNCTION, SymbolKind.CONSTANT, SymbolKind.PREDICATE]
+    origins = list(SymbolOrigin)
+    s = SymbolTable()
+    names = []
+    while len(names) < 120:
+        name = "".join(rng.choice("abAB01_") for _ in range(rng.randint(1, 4)))
+        if names and rng.random() < 0.3:
+            name = rng.choice(names) + name[:rng.randint(1, 2)]
+        if name in s:
+            continue
+        kind = rng.choice(kinds)
+        arity = 0 if kind is SymbolKind.CONSTANT else rng.randint(1, 2)
+        s.declare(name, kind, arity, rng.choice(origins))
+        names.append(name)
+    rank = {SymbolKind.FUNCTION: 3, SymbolKind.CONSTANT: 2,
+            SymbolKind.PREDICATE: 1}
+    prec = Precedence(s)
+    prefixes = 0
+    for a, b in itertools.permutations(names, 2):
+        sa, sb = s.get(a), s.get(b)
+        ra = (rank[sa.kind], sa.origin is SymbolOrigin.INPUT, sa.arity)
+        rb = (rank[sb.kind], sb.origin is SymbolOrigin.INPUT, sb.arity)
+        want = ra > rb if ra != rb else _reference_name_order(a, b)
+        assert prec.gt(a, b) == want, (a, b)
+        prefixes += ra == rb and (a.startswith(b) or b.startswith(a))
+    assert prefixes >= 20, prefixes

