@@ -6,7 +6,10 @@ sha256 of the full trace (its lines joined by newlines).  The problems
 are the dataset sweep's instances at N = 40, 80, 160, 320 and 640
 (``scripts/data_sweep.py``), the derived-data chain at depth 3 and N=160
 (``scripts/chain_sweep.py``), the k-cycle query at k = 8, 16 and 33
-(``scripts/cycle_sweep.py``), the 20 rule sets of 20 rules
+(``scripts/cycle_sweep.py``), queries over the same facts whose clauses
+have many automorphisms (the union of the directed cycles C3 and C6, that
+of two 4-cycles, the directed cliques K4 and K5, and the 12-cycle with the
+chord ``r(X1,X4)``), the 20 rule sets of 20 rules
 (``scripts/rules_sweep.py``) and every problem in ``fixtures/``.
 
 Two versions of the prover that take the same inferences print the same
@@ -39,6 +42,26 @@ from rules_sweep import SETS, rule_set  # noqa: E402
 from workloads import data_instance  # noqa: E402
 
 
+def graph_problem(edges: list[tuple[int, int]]) -> str:
+    """The query ``? [X..] : (r(Xi,Xj) & ...)`` over the edges ``(i, j)``
+    and the facts ``r(a,b)``, ``r(b,a)``, as in ``cycle_problem``."""
+    vs = sorted({v for e in edges for v in e})
+    atoms = " & ".join(f"r(X{i},X{j})" for i, j in edges)
+    return ("fact: r(a,b).\nfact: r(b,a).\n"
+            f"query: ? [{','.join(f'X{v}' for v in vs)}] : ({atoms}).\n")
+
+
+def cycle(vs: list[int]) -> list[tuple[int, int]]:
+    """The edges of the directed cycle through ``vs`` in turn."""
+    return list(zip(vs, vs[1:] + vs[:1]))
+
+
+def clique(n: int) -> list[tuple[int, int]]:
+    """The edges of the directed clique on ``1..n``, without loops."""
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+            if i != j]
+
+
 def problems() -> Iterator[tuple[str, str]]:
     """(name, problem text) of each problem, in a fixed order."""
     rng = random.Random(1)
@@ -49,6 +72,11 @@ def problems() -> Iterator[tuple[str, str]]:
     yield "chain d=3 N=160", chain_problem(3, 160)
     for k in (8, 16, 33):
         yield f"cycle k={k}", cycle_problem(k)
+    yield "C3+C6", graph_problem(cycle([1, 2, 3]) + cycle(list(range(4, 10))))
+    yield "C4+C4", graph_problem(cycle([1, 2, 3, 4]) + cycle([5, 6, 7, 8]))
+    yield "K4", graph_problem(clique(4))
+    yield "K5", graph_problem(clique(5))
+    yield "C12+chord", graph_problem(cycle(list(range(1, 13))) + [(1, 4)])
     for k in range(SETS):
         yield f"rules n=20 set {k}", rule_set(20, k)
     for path in sorted((ROOT / "fixtures").glob("*.p")):

@@ -4,14 +4,18 @@
 ``is_variant`` of ``tests/util.py``, must give exactly the answers of the
 clause-order search, the pairwise condensation loop and the
 minimal-loose-guard enumeration kept there.  The one endomorphism search
-that decides whether a clause is condensed must agree with that loop.
-Condensing a k-cycle must stay within k(k+1) literal matches whatever
-its variable names, and condensing a clause a second time must cost
-nothing.
+that decides whether a clause is condensed must agree with that loop,
+also on clauses with many automorphisms, where it skips the images of
+the first literal that an automorphism reaches, and with the closed
+form on unions of two directed cycles.  Condensing a k-cycle must stay
+within k(3 + ceil(log2 k)) literal matches whatever its variable names,
+the directed 6-clique within 5,000, and condensing a clause a second
+time must cost nothing.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 from guardedsat import terms
@@ -185,6 +189,89 @@ def test_kernels_agree_with_references(monkeypatch):
     assert met == {"compound", "constant", "bound", "free"}
 
 
+def _cycle(vs: list[Var]) -> list[Literal]:
+    """The directed cycle ``~r(v1,v2) | ... | ~r(vk,v1)`` on ``vs``."""
+    return [Literal(False, "r", (u, v)) for u, v in zip(vs, vs[1:] + vs[:1])]
+
+
+def _clique(vs: list[Var]) -> list[Literal]:
+    """The directed clique on ``vs``: ``~r(u,v)`` for every ``u != v``."""
+    return [Literal(False, "r", (u, v)) for u in vs for v in vs if u != v]
+
+
+def _symmetric(rng: random.Random) -> Clause:
+    """A directed cycle on 1-6 variables, or one time in ten a directed
+    clique on 3 or 4, with one or two of: a chord, a unary literal, a
+    literal with a constant, a second cycle that shares at most one
+    variable.  A second cycle keeps the clause within 8 literals, which
+    keeps the pairwise reference loop fast."""
+    if rng.random() < 0.1:
+        vs = _vars(rng, rng.randint(3, 4))
+        lits = _clique(vs)
+    else:
+        vs = _vars(rng, rng.randint(1, 6))
+        lits = _cycle(vs)
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.choice(["chord", "unary", "constant", "cycle"])
+        if kind == "chord":
+            lits.append(Literal(False, "r", (rng.choice(vs), rng.choice(vs))))
+        elif kind == "unary":
+            lits.append(Literal(rng.random() < 0.3, rng.choice("pq"),
+                                (rng.choice(vs),)))
+        elif kind == "constant":
+            x, a = rng.choice(vs), Const(rng.choice("ab"))
+            lits.append(Literal(False, "r",
+                                (x, a) if rng.random() < 0.5 else (a, x)))
+        elif len(lits) < 8:
+            ws = [v for v in _vars(rng, 20) if v not in vs]
+            ws = ws[:rng.randint(1, 8 - len(lits))]
+            if rng.random() < 0.3:
+                ws[0] = rng.choice(vs)
+            lits.extend(_cycle(ws))
+    return Clause(lits)
+
+
+def test_symmetric_clauses_agree_with_reference(monkeypatch):
+    # how often the search found an automorphism and skipped its orbit
+    found = [0]
+    automorphism = terms._automorphism
+
+    def spying(c, pat, sub, img, used, i):
+        ok = automorphism(c, pat, sub, img, used, i)
+        found[0] += i == 1 and ok
+        return ok
+
+    monkeypatch.setattr(terms, "_automorphism", spying)
+    rng = random.Random(5)
+    shrank = 0
+    for _ in range(300):
+        c = _symmetric(rng)
+        want = reference_condense(c)
+        assert condense(c).literals == want.literals, str(c)
+        d = Clause(dict.fromkeys(c.literals))
+        assert terms._is_condensed(d) == (len(want) == len(d)), str(c)
+        shrank += len(want) < len(d)
+    assert 50 <= shrank <= 250
+    assert found[0] >= 100
+    # a loop-free directed clique maps into itself only one to one
+    for n in (3, 4, 5):
+        c = Clause(_clique(_vars(rng, n)))
+        assert terms._is_condensed(c)
+        assert condense(c).literals == c.literals
+
+
+def test_two_cycles_are_condensed_iff_neither_length_divides_the_other():
+    # C_b maps onto C_a iff a divides b, and a cycle maps into a cycle of
+    # its own length only onto it
+    rng = random.Random(8)
+    for a in range(1, 13):
+        for b in range(1, 13):
+            vs = _vars(rng, a + b)
+            c = Clause(_cycle(vs[:a]) + _cycle(vs[a:]))
+            assert terms._is_condensed(c) == (a % b != 0 and b % a != 0), \
+                (a, b, str(c))
+
+
 def test_a_literal_that_cannot_be_left_out_may_be_an_image():
     # ~t(Z,Z) matches no other literal, so every map hits it; it is also
     # the image of ~t(V,Z) under V -> Z, which leaves ~t(V,Z) out
@@ -219,12 +306,21 @@ def test_condensing_a_cycle_takes_polynomial_work(monkeypatch):
     # the k-cycle ~r(V1,V2) | ... | ~r(Vk,V1) is condensed; the clause
     # order of its literals, and with it the search, depends on the names
     calls = _counting_match_lit(monkeypatch)
+    # one match per literal to find which can be left out, one walk of
+    # the cycle from the identity image, then one walk per rotation
+    # found, each of which at least doubles the images skipped
     rng = random.Random(12)
-    for k in (12, 24, 48):
+    for k in (12, 24, 48, 96):
         for _ in range(3):
             vs = [Var(f"V{i}") for i in rng.sample(range(1000), k)]
-            c = Clause(Literal(False, "r", (u, v))
-                       for u, v in zip(vs, vs[1:] + vs[:1]))
+            c = Clause(_cycle(vs))
             calls[0] = 0
             assert condense(c).literals == c.literals
-            assert calls[0] <= k * (k + 1), (k, calls[0])
+            assert calls[0] <= k * (3 + math.ceil(math.log2(k))), \
+                (k, calls[0])
+    # the directed 6-clique: 30 literals, 720 automorphisms
+    vs = [Var(f"V{i}") for i in rng.sample(range(1000), 6)]
+    c = Clause(_clique(vs))
+    calls[0] = 0
+    assert condense(c).literals == c.literals
+    assert calls[0] <= 5000, calls[0]
