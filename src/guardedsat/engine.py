@@ -140,7 +140,17 @@ def clause_record(c: Clause, lpo: LPO) -> ClauseRecord:
     no other literal beats it; a positive one is a side literal when none
     equals it either, and its rivals are the others it does not beat.
     Only a flat all-negative clause, which is ``"topvar"``, can be an ICQ.
+
+    A ground unit, every fact, gets its record from its sign alone, as
+    the definitions give it for one literal with no variable: it is
+    ``"max"`` and maximal, a positive one is a side literal with no
+    rivals, a negative one a main literal.
     """
+    if len(c) == 1 and is_ground(c):
+        (lit,) = c
+        if lit.pos:
+            return ClauseRecord("max", (), (lit,), (lit,), ((),), 0)
+        return ClauseRecord("max", (lit,), (lit,), (), (), 0)
     d = dispatch(c)
     n_vars = len(clause_vars(c))
     if d == "select":
@@ -456,6 +466,17 @@ def _probe(sides: _SideList, args: Sequence[Term], sub: Subst,
     return heads.get(symbol, _NONE), free, False
 
 
+def _binds_compound(args: Sequence[Term], sub: Subst) -> bool:
+    """Whether the triangular unifier ``sub`` binds some argument of
+    ``args`` to a compound term."""
+    for a in args:
+        while isinstance(a, Var) and a.name in sub:
+            a = sub[a.name]
+        if isinstance(a, App):
+            return True
+    return False
+
+
 def _constant_leaf(args: Sequence[Term], consts: Sequence[Term],
                    sub: Subst) -> Optional[Subst]:
     """The bindings that extend ``sub`` to unify a selected literal over
@@ -497,10 +518,11 @@ def _extend(open_: list[int], sub: Subst, levels: list[_Level],
     fewest candidates, the first in ``open_`` on a tie, and the scan stops
     at a level with at most one.  At the last open level, a candidate
     from the closing-level lookup is taken as it is, and one over
-    constants only is matched against ``sub`` (:func:`_constant_leaf`);
-    every other candidate is unified with a copy of ``sub``.  The
-    candidates are tried out of key order; the caller sorts what is
-    found."""
+    constants only is matched against ``sub`` (:func:`_constant_leaf`),
+    unless ``sub`` binds an argument to a compound term, which no such
+    candidate unifies with; every other candidate is unified with a copy
+    of ``sub``.  The candidates are tried out of key order; the caller
+    sorts what is found."""
     if not open_:
         found.append((tuple(chosen), sub, _NO_BINDINGS))
         return
@@ -527,12 +549,15 @@ def _extend(open_: list[int], sub: Subst, levels: list[_Level],
                 found.append((tuple(chosen), sub, _NO_BINDINGS))
         first = _NONE
     rest = [i for i in open_ if i != best]
+    # no side over constants unifies with an argument bound to a compound
+    leaves = closing and not _binds_compound(args, sub)
     for bucket in (first, second):
         for side in bucket:
             if side.cid == skip:
                 continue
             if closing and side.constants:
-                leaf = _constant_leaf(args, side.lit.args, sub)
+                leaf = _constant_leaf(args, side.lit.args, sub) \
+                    if leaves else None
                 if leaf is not None:
                     chosen[best] = side
                     found.append((tuple(chosen), sub, leaf))

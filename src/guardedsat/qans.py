@@ -23,6 +23,16 @@ the clauses that contain its literal, and only a non-ground unit or the
 empty clause can subsume it (an equal unit is caught going forward).
 Every other clause is tested one by one.
 
+A ground unit being inserted, every fact and every derived ground fact,
+takes a lane decided by its shape, one literal and no variable.  It is
+condensed and no tautology as it stands.  It is redundant if its literal
+is among the ground units, or if a non-ground unit matches it, or if the
+empty clause is kept; otherwise it drops the other clauses that contain
+its literal.  One scan of the clauses that are not ground units decides
+both, by matching and tuple membership, with no subsumption test.  Its
+record comes from its sign (:func:`~guardedsat.engine.clause_record`),
+and as a given clause it has no main literal and nothing to factor.
+
 Inseparable chained-only query clauses take the special route: their
 top-variable resolvent is immediately re-abstracted (T-Trans) and
 re-separated, so only loosely guarded clauses and query clauses are ever
@@ -98,6 +108,8 @@ class SaturationState:
 
     def insert(self, c: Clause, reason: str) -> Optional[int]:
         """Forward-simplify and add a clause to usable; None if redundant."""
+        if len(c) == 1 and is_ground(c):
+            return self._insert_ground_unit(c, reason)
         c = condense(c)
         if is_tautology(c):
             return None
@@ -110,11 +122,10 @@ class SaturationState:
         for cid, d in list(self.others.items()):
             if len(c) <= len(d) and subsumes(c, d):
                 self._drop(cid)
-        ground_unit = len(c) == 1 and is_ground(c)
         if c.is_empty():  # subsumes every ground unit
             units = [cid for us in self.units_by_sig.values()
                      for cid in us.values()]
-        elif len(c) == 1 and not ground_unit:
+        elif len(c) == 1:
             # one unit subsumes another iff its literal matches the other's
             (lit,) = c
             units = [cid for u, cid in self.units_by_sig.get(
@@ -124,14 +135,42 @@ class SaturationState:
             units = []
         for cid in units:
             self._drop(cid)
+        cid = self._add(c, reason)
+        self.others[cid] = c
+        return cid
+
+    def _insert_ground_unit(self, c: Clause, reason: str) -> Optional[int]:
+        """:meth:`insert` for a clause of one ground literal, decided by
+        lookup and one scan of ``others``: it is condensed and no
+        tautology; an equal unit, a non-ground unit matching it or the
+        empty clause subsumes it, and it subsumes exactly the clauses that
+        contain its literal, never a unit."""
+        (lit,) = c
+        units = self.units_by_sig.get((lit.pos, lit.pred))
+        if units is not None and lit in units:
+            return None
+        dropped = []
+        for cid, d in self.others.items():
+            lits = d.literals
+            if len(lits) > 1:
+                if lit in lits:
+                    dropped.append(cid)
+            elif not lits or match_lit(lits[0], lit, {}) is not None:
+                return None
+        for cid in dropped:
+            self._drop(cid)
+        cid = self._add(c, reason)
+        if units is None:
+            units = self.units_by_sig[(lit.pos, lit.pred)] = {}
+        units[lit] = cid
+        return cid
+
+    def _add(self, c: Clause, reason: str) -> int:
+        """Give the kept clause ``c`` the next id, add it to usable and
+        write its trace line."""
         cid = self.next_id
         self.next_id += 1
         self._add_usable(cid, c)
-        if ground_unit:
-            (lit,) = c
-            self.units_by_sig.setdefault((lit.pos, lit.pred), {})[lit] = cid
-        else:
-            self.others[cid] = c
         self.trace.append(f"[{cid}] {reason} {c}")
         return cid
 
@@ -234,12 +273,15 @@ def inferences(n: ClauseIndex, registry: DefinitionRegistry,
     factoring.  If it has side literals, it is then the side premise of
     every other indexed clause as a main premise, in id order; only the
     clauses with a main literal on a predicate of those side literals can
-    take it (:meth:`~guardedsat.engine.ClauseIndex.mains_on`).
+    take it (:meth:`~guardedsat.engine.ClauseIndex.mains_on`).  A clause
+    with no main literal is no main premise, and only a ``"max"`` clause
+    of two literals or more can be factored: a fact skips both passes.
     """
     rec = n.records[given_id]
-    out = _as_main(n, registry, given_id, None)
-    out.extend(_derivation(inf)
-               for inf in factor(given_id, n.by_id[given_id], rec))
+    out = _as_main(n, registry, given_id, None) if rec.main_literals else []
+    c = n.by_id[given_id]
+    if rec.regime == "max" and len(c) > 1:
+        out.extend(_derivation(inf) for inf in factor(given_id, c, rec))
     if rec.side_literals:
         for cid in n.mains_on({l.pred for l in rec.side_literals}):
             if cid != given_id:

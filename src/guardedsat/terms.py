@@ -53,6 +53,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Any, Hashable, Iterable, Iterator, Optional, Sequence
 
 
@@ -677,18 +678,40 @@ def _search_order(lits: Sequence[Literal]) -> Sequence[Literal]:
     time the one sharing the most variables with those already placed
     (ties by clause order).  On a cycle every literal after the first
     meets a bound variable, so the search follows the cycle instead of
-    guessing each literal afresh."""
+    guessing each literal afresh.
+
+    Each unplaced literal keeps a count of its variables already placed,
+    raised when a literal placed brings one of them in; a heap of
+    (minus the count, position), with entries left behind by a raise
+    skipped when they surface, yields the next literal."""
     if len(lits) <= 2:
         return lits
-    rest = [(lit_vars(lit), lit) for lit in lits]
-    placed, first = rest.pop(0)
-    order = [first]
-    while rest:
-        k = max(range(len(rest)), key=lambda i: len(rest[i][0] & placed))
-        vs, lit = rest.pop(k)
-        placed |= vs
-        order.append(lit)
-    return order
+    holders: dict[str, list[int]] = {}
+    for i, lit in enumerate(lits):
+        for v in lit_vars(lit):
+            holders.setdefault(v, []).append(i)
+    shared = [0] * len(lits)
+    placed = [False] * len(lits)
+    heap = [(0, i) for i in range(1, len(lits))]  # sorted, so a heap
+    order = []
+    i = 0
+    while True:
+        placed[i] = True
+        order.append(lits[i])
+        if len(order) == len(lits):
+            return order
+        for v in lit_vars(lits[i]):
+            js = holders.pop(v, None)
+            if js is None:  # placed before
+                continue
+            for j in js:
+                if not placed[j]:
+                    shared[j] += 1
+                    heappush(heap, (-shared[j], j))
+        while True:
+            n, i = heappop(heap)
+            if not placed[i] and -n == shared[i]:
+                break
 
 
 def _subsume_search(pat: Sequence[Literal], target: Clause, sub: Subst,

@@ -23,7 +23,7 @@ from guardedsat.orders import LPO, Precedence
 from guardedsat.syntax import parse
 from guardedsat.terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
-    Var,
+    Var, is_ground,
 )
 
 from util import (
@@ -201,6 +201,15 @@ def test_an_empty_input_clause_is_the_first_pick():
     assert (result.verdict, result.steps) == ("yes", 1)
 
 
+def test_an_empty_input_clause_subsumes_a_later_ground_query_clause():
+    """The ground query clause ``~p(a)`` comes after the empty input
+    clause, which subsumes it, so it is never kept: a ground unit is
+    redundant once the empty clause is, whatever units are kept."""
+    result = answer(_parse("fact: q(b). formula: $false. query: p(a)."))
+    assert result.trace == ["[1] input q(b)", "[2] input []"]
+    assert (result.verdict, result.steps) == ("yes", 1)
+
+
 def _assert_maps_hold_kept_clauses(state):
     """Every id the subsumption maps hold is in usable or worked-off, and
     no per-signature unit map is left empty."""
@@ -270,10 +279,12 @@ def test_random_function_free_agreement_with_model_search():
 
 def _random_clause(symbols, rng):
     """A ground unit, a non-ground unit or a loosely guarded clause; the
-    units of either polarity, with a few repeats."""
+    units of either polarity, with a few repeats, and one ground unit in
+    four with a compound argument, as a derived fact over Skolem terms
+    has."""
     r = rng.random()
     if r < 0.45:
-        lit = random_ground_atom(symbols, rng)
+        lit = random_ground_atom(symbols, rng, compound=0.25)
         return Clause([lit if rng.random() < 0.7 else lit.negate()])
     if r < 0.7:
         p, k = rng.choice(preds(symbols))
@@ -285,25 +296,39 @@ def _random_clause(symbols, rng):
 
 def test_indexed_insert_agrees_with_linear_scan():
     """The same kept/rejected decisions and the same surviving clauses as
-    the linear scan, with clauses moving to worked-off along the way."""
+    the linear scan, with clauses moving to worked-off along the way.
+    The empty clause comes last in every other sequence and mid-stream
+    in every third, followed by ground units of both signs, some with a
+    compound argument."""
     symbols = make_symbols(n_preds=4, max_arity=2, n_funcs=1,
                            rng=random.Random(3))
     lpo = LPO(Precedence(symbols))
     kept = rejected = dropped = 0
+    # ground units inserted after the empty clause, by sign, and ground
+    # units with a compound argument
+    late = {True: 0, False: 0}
+    compound = 0
     for seed in range(30):
         rng = random.Random(seed)
         new, ref = (cls(lpo=lpo, registry=DefinitionRegistry(symbols))
                     for cls in (SaturationState, ReferenceSaturationState))
+        empty_at = 30 if seed % 3 == 0 else None if seed % 2 else 60
+        empty = False
         for step in range(61):
-            if step < 60 and rng.random() < 0.2 and ref.usable:
+            if step != empty_at and rng.random() < 0.2 and ref.usable:
                 for st in (new, ref):
                     cid, c = st.pick()
                     st.worked_off.add(cid, c)
                 continue
-            # the empty clause last, in every other sequence
-            c = _random_clause(symbols, rng) if step < 60 else Clause(())
-            if c.is_empty() and seed % 2:
-                break
+            if step == empty_at:
+                c = Clause(())
+                empty = True
+            else:
+                c = _random_clause(symbols, rng)
+            if len(c) == 1 and is_ground(c):
+                (lit,) = c
+                late[lit.pos] += empty and step != empty_at
+                compound += any(isinstance(t, App) for t in lit.args)
             before = len(ref.usable) + len(ref.worked_off.by_id)
             got, want = new.insert(c, "input"), ref.insert(c, "input")
             assert got == want, (seed, c)
@@ -316,6 +341,7 @@ def test_indexed_insert_agrees_with_linear_scan():
         assert new.trace == ref.trace
     assert kept > 300 and rejected > 300 and dropped > 50, \
         (kept, rejected, dropped)
+    assert min(late.values()) >= 30 and compound >= 80, (late, compound)
 
 
 def test_pick_agrees_with_the_weight_scan():

@@ -3,7 +3,8 @@
 ``subsumes``, ``condense`` and ``membership``, and the connected-order
 ``is_variant`` of ``tests/util.py``, must give exactly the answers of the
 clause-order search, the pairwise condensation loop and the
-minimal-loose-guard enumeration kept there.  The one endomorphism search
+minimal-loose-guard enumeration kept there, and the connected search
+order that of the scan over every unplaced literal.  The one endomorphism search
 that decides whether a clause is condensed must agree with that loop,
 also on clauses with many automorphisms, where it skips the images of
 the first literal that an automorphism reaches, and with the closed
@@ -26,7 +27,8 @@ from guardedsat.terms import (
 
 from util import (
     is_variant, make_symbols, random_lg_clause, reference_condense,
-    reference_is_variant, reference_membership, reference_subsumes,
+    reference_is_variant, reference_membership, reference_search_order,
+    reference_subsumes,
 )
 
 
@@ -229,6 +231,26 @@ def _symmetric(rng: random.Random) -> Clause:
                 ws[0] = rng.choice(vs)
             lits.extend(_cycle(ws))
     return Clause(lits)
+
+
+def test_search_order_agrees_with_the_scan():
+    """The counted connected order is the order of the scan over every
+    unplaced literal, on random clauses (loosely guarded, flat, ground,
+    redundant, one-predicate), on symmetric ones, and on k-cycles and
+    their unions under random names up to k=480."""
+    rng = random.Random(13)
+    clauses = _random_clauses(600, seed=13) + \
+        [_symmetric(rng) for _ in range(200)]
+    for k in (3, 5, 16, 60, 240, 480):
+        vs = [Var(f"V{i}") for i in rng.sample(range(10 ** 4), k)]
+        clauses.append(Clause(_cycle(vs)))
+        clauses.append(Clause(_cycle(vs[:k // 3]) + _cycle(vs[k // 3:])))
+    long = 0
+    for c in clauses:
+        want = reference_search_order(c.literals)
+        assert list(terms._search_order(c.literals)) == list(want), str(c)
+        long += len(c) > 2
+    assert long >= 400, long
 
 
 def test_symmetric_clauses_agree_with_reference(monkeypatch):

@@ -16,7 +16,10 @@ pairwise condensation loop, and membership read off the enumeration of
 every minimal loose guard (:func:`loose_guards`); the kernels in
 ``terms`` must give the same answers.  :func:`is_variant`, the variant
 check the suites use as ground truth, runs the same search in connected
-order, and is checked against the clause-order one.
+order, and is checked against the clause-order one;
+:func:`reference_search_order` finds that order by scanning every
+unplaced literal at each step, as ``terms._search_order`` did before it
+kept counts.
 :class:`ReferenceSaturationState` inserts with the linear forward and
 backward subsumption scan and picks with a scan of every usable weight,
 which the indexed :meth:`guardedsat.qans.SaturationState.insert` and
@@ -204,10 +207,21 @@ def random_lg_set(symbols: SymbolTable, rng: random.Random, n: int,
     return out
 
 
-def random_ground_atom(symbols: SymbolTable, rng: random.Random) -> Literal:
+def random_ground_atom(symbols: SymbolTable, rng: random.Random,
+                       compound: float = 0.0) -> Literal:
+    """A positive literal over constants; with probability ``compound``
+    one argument is a ground compound term instead, as in a derived fact
+    over Skolem terms, nested one time in three."""
     p, a = rng.choice(preds(symbols))
-    return Literal(True, p,
-                   tuple(Const(rng.choice(CONSTS)) for _ in range(a)))
+    args = [Const(rng.choice(CONSTS)) for _ in range(a)]
+    if compound and rng.random() < compound:
+        t: Term = Const(rng.choice(CONSTS))
+        for _ in range(1 + (rng.random() < 1 / 3)):
+            f, k = rng.choice(funcs(symbols))
+            t = App(f, (t,) + tuple(Const(rng.choice(CONSTS))
+                                    for _ in range(k - 1)))
+        args[rng.randrange(a)] = t
+    return Literal(True, p, tuple(args))
 
 
 def random_problem(rng: random.Random, n_preds: int = 6,
@@ -590,6 +604,23 @@ def reference_subsumes(c: Clause, d: Clause) -> bool:
     # may share variable names
     return _reference_subsume_search(c.literals, d.literals, {}, 0,
                                      False) is not None
+
+
+def reference_search_order(lits: Sequence[Literal]) -> Sequence[Literal]:
+    """The connected order by a scan of every unplaced literal per step:
+    the first literal, then each time the first in clause order of those
+    sharing the most variables with the literals already placed."""
+    if len(lits) <= 2:
+        return lits
+    rest = [(lit_vars(lit), lit) for lit in lits]
+    placed, first = rest.pop(0)
+    order = [first]
+    while rest:
+        k = max(range(len(rest)), key=lambda i: len(rest[i][0] & placed))
+        vs, lit = rest.pop(k)
+        placed |= vs
+        order.append(lit)
+    return order
 
 
 def lit_depth(lit: Literal) -> int:
