@@ -48,6 +48,8 @@ MAX_DIRECT_CNF = 64
 class TransOutput:
     lg_clauses: list[Clause]
     query_clauses: list[Clause]
+    # how many of ``lg_clauses``, the first ones, come from the rules
+    n_rule_clauses: int = 0
 
 
 class ClausifyError(ValueError):
@@ -403,9 +405,10 @@ def clausify_formula(f: Formula, symbols: SymbolTable,
 
 def trans(problem: Problem) -> TransOutput:
     """Clausify a problem: rules, then ``formula:`` statements, then facts
-    into LG clauses (the last ``len(problem.facts)`` of them are the
-    facts), negated query disjuncts into query clauses.  Rules and
-    formulas must lie in one of the guarded fragments."""
+    into LG clauses (the first ``n_rule_clauses`` of them are the rules',
+    the last ``len(problem.facts)`` the facts), negated query disjuncts
+    into query clauses.  Rules and formulas must lie in one of the
+    guarded fragments."""
     symbols = problem.symbols
     out = TransOutput([], [])
     for kind, fs in (("rule", problem.rules), ("formula", problem.formulas)):
@@ -417,6 +420,8 @@ def trans(problem: Problem) -> TransOutput:
                     f"{kind} outside the supported fragments: "
                     f"{print_formula(f)} (offending part: {wit})")
             out.lg_clauses.extend(clausify_formula(f, symbols, {}, {}))
+        if kind == "rule":
+            out.n_rule_clauses = len(out.lg_clauses)
     for fact in problem.facts:
         out.lg_clauses.append(Clause([Literal(True, fact.pred, fact.args)]))
     for q in problem.queries:

@@ -9,7 +9,8 @@ Subcommands:
 * ``clausify <file>``: print the clausal form, one clause per line;
 * ``classify <file>``: print the query analysis (surface, chained,
   isolated variables, acyclicity);
-* ``saturate <file>``: stream the saturation trace, one event per line.
+* ``saturate <file>``: run the saturation, then print its trace, one
+  event per line, and the verdict.
 """
 
 from __future__ import annotations
@@ -75,9 +76,11 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
 def _cmd_clausify(args: argparse.Namespace) -> int:
     problem = _load(args.file)
     out = trans(problem)
-    n_rule = len(out.lg_clauses) - len(problem.facts)
+    first_fact = len(out.lg_clauses) - len(problem.facts)
     for i, c in enumerate(out.lg_clauses):
-        print(f"{c}  % origin: {'rule' if i < n_rule else 'fact'}")
+        origin = "rule" if i < out.n_rule_clauses else \
+            "formula" if i < first_fact else "fact"
+        print(f"{c}  % origin: {origin}")
     for c in out.query_clauses:
         print(f"{c}  % origin: query")
     return EXIT_NO
@@ -139,7 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="problem file")
     p.set_defaults(fn=_cmd_classify)
 
-    p = sub.add_parser("saturate", help="stream the saturation trace")
+    p = sub.add_parser("saturate",
+                       help="print the saturation trace after the run")
     common(p)
     p.set_defaults(fn=_cmd_saturate)
     return top

@@ -59,6 +59,14 @@ conclusion stay as they were.  The draws of a run of skipped tuples are
 made at once, before the next kept tuple's renaming or at the end, and
 :func:`~guardedsat.terms.skip_names` works out how far they go.
 
+A :class:`TopVarResult` holds the top variables and literals and, for
+every selected literal, top or not, its side: the clause id, the side
+clause's literals renamed one by one in the clause's own order, with no
+sorted clause built, the renamed side literal and its renamed rivals.
+:func:`_topvar_resolvent` sorts its conclusion anyway;
+:func:`~guardedsat.qic.t_trans`, which reads the order, sorts by
+:func:`~guardedsat.terms.literal_key`.
+
 The index also maps each predicate to the clauses with a main literal on
 it (:meth:`ClauseIndex.mains_on`), so a new side premise meets only the
 mains it can resolve with, and each side literal's record lists the
@@ -72,12 +80,12 @@ import itertools
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .orders import LPO, Cmp, comparisons, select_nc
 from .qsep import is_icq
 from .terms import (
-    App, Clause, Const, Literal, Subst, Term, Var, apply_clause, apply_lit,
+    App, Clause, Const, Literal, Subst, Term, Var, apply_lit,
     clause_vars, is_ground, is_ground_lit, is_ground_term, lit_vars,
     mgu_lits, renaming, skip_names, unify_into,
 )
@@ -374,8 +382,10 @@ class ClauseIndex:
 class TopVarResult:
     top_vars: frozenset[str]
     top_literals: tuple[Literal, ...]
-    # (main literal, side clause id, renamed side clause, renamed side literal)
-    side_assignment: tuple[tuple[Literal, int, Clause, Literal], ...]
+    # (main literal, side clause id, literals of the renamed side clause in
+    # the clause's own order, renamed side literal)
+    side_assignment: tuple[tuple[Literal, int, tuple[Literal, ...], Literal],
+                           ...]
     # per assignment, the renamed literals of the side clause that the side
     # literal does not dominate a priori (``ClauseRecord.rivals``)
     rivals: tuple[tuple[Literal, ...], ...]
@@ -656,16 +666,16 @@ def com_t_all(main: Clause, n: ClauseIndex,
         assignment = []
         rivals = []
         for lit, side in zip(negs, chosen):
-            # one renaming for the clause and its literals: the renamed
-            # clause is re-sorted, so positions in ``c`` do not carry over
+            # the side clause renamed literal by literal, in its own order,
+            # so its rivals are found by position
             c = side.clause
             ren = renaming(c, mvars, n.fresh)
-            side_r = apply_clause(c, ren) if ren else c
+            side_r = tuple(apply_lit(l, ren) for l in c.literals) if ren \
+                else c.literals
             assignment.append((lit, side.cid, side_r,
                                apply_lit(side.lit, ren)))
             cid, k = side.key
-            rivals.append(tuple(apply_lit(c.literals[r], ren)
-                                for r in n.records[cid].rivals[k]))
+            rivals.append(tuple(side_r[r] for r in n.records[cid].rivals[k]))
         yield TopVarResult(top_vars, tuple(negs[i] for i in top),
                            tuple(assignment), tuple(rivals))
     if skipped:
@@ -689,8 +699,8 @@ def _freeze(sub: Subst) -> tuple[tuple[str, Term], ...]:
     return tuple(sorted(sub.items()))
 
 
-def _remove_one(c: Clause, lit: Literal) -> list[Literal]:
-    lits = list(c.literals)
+def _remove_one(c: Iterable[Literal], lit: Literal) -> list[Literal]:
+    lits = list(c)
     lits.remove(lit)
     return lits
 
@@ -728,7 +738,7 @@ def _binary_resolvents(main_id: int, main: Clause, neg: Literal,
         if len(pos_lit.args) != len(neg.args):
             continue
         ren = renaming(side, avoid, n.fresh)
-        side_r = apply_clause(side, ren) if ren else side
+        side_r = [apply_lit(l, ren) for l in side] if ren else side
         pos_r = apply_lit(pos_lit, ren)
         sigma = mgu_lits([(pos_r, neg)])
         if sigma is None:

@@ -33,11 +33,18 @@ both, by matching and tuple membership, with no subsumption test.  Its
 record comes from its sign (:func:`~guardedsat.engine.clause_record`),
 and as a given clause it has no main literal and nothing to factor.
 
+The loop records its trace as events, not text: one per kept clause
+and one for the derived empty clause, each the clause's id, the rule
+that made it (``"input"`` for an input), the ids of its premises (none
+for an input) and the clause itself (:data:`Event`).  Nothing on the
+solve path reads a trace line, so the lines are rendered only when
+:attr:`SaturationState.trace` or :attr:`AnswerResult.trace` is read.
+
 Inseparable chained-only query clauses take the special route: their
 top-variable resolvent is immediately re-abstracted (T-Trans) and
 re-separated, so only loosely guarded clauses and query clauses are ever
 inserted.  The derivation of the empty clause means the query is entailed:
-the loop writes its trace line and stops at once, without inserting it,
+the loop records its event and stops at once, without inserting it,
 so it does no backward simplification with it.  Only an empty *input*
 clause is inserted, dropping every input before it and subsuming every
 input after it, so that it is the first pick.
@@ -74,6 +81,18 @@ def clause_weight(c: Clause) -> int:
     return sum(1 + sum(_term_weight(a) for a in lit.args) for lit in c)
 
 
+# one trace line: the clause id, the rule that made the clause, the ids of
+# its premises with the main premise first (none for an input), the clause
+Event = tuple[int, str, tuple[int, ...], Clause]
+
+
+def render(events: list[Event]) -> list[str]:
+    """The trace lines of ``events``: ``[id] input clause`` for an input,
+    ``[id] rule(parent,...) clause`` for a conclusion."""
+    return [f"[{cid}] {rule}({','.join(map(str, parents))}) {c}" if parents
+            else f"[{cid}] {rule} {c}" for cid, rule, parents, c in events]
+
+
 @dataclass
 class SaturationState:
     lpo: LPO
@@ -85,7 +104,7 @@ class SaturationState:
     usable: dict[int, Clause] = field(default_factory=dict, init=False)
     # clause_weight of each usable clause, kept alongside ``usable``
     weights: dict[int, int] = field(default_factory=dict, init=False)
-    trace: list[str] = field(default_factory=list, init=False)
+    events: list[Event] = field(default_factory=list, init=False)
     steps: int = field(default=0, init=False)
     next_id: int = field(default=1, init=False)
     picks: int = field(default=0, init=False)
@@ -104,12 +123,19 @@ class SaturationState:
         self.worked_off = ClauseIndex(self.lpo)
         self.rng = random.Random(self.seed)
 
+    @property
+    def trace(self) -> list[str]:
+        """The trace lines, rendered from the events."""
+        return render(self.events)
+
     # -- insertion ---------------------------------------------------------
 
-    def insert(self, c: Clause, reason: str) -> Optional[int]:
-        """Forward-simplify and add a clause to usable; None if redundant."""
+    def insert(self, c: Clause, rule: str,
+               parents: tuple[int, ...] = ()) -> Optional[int]:
+        """Forward-simplify and add a clause, made by ``rule`` from
+        ``parents``, to usable; None if redundant."""
         if len(c) == 1 and is_ground(c):
-            return self._insert_ground_unit(c, reason)
+            return self._insert_ground_unit(c, rule, parents)
         c = condense(c)
         if is_tautology(c):
             return None
@@ -135,11 +161,12 @@ class SaturationState:
             units = []
         for cid in units:
             self._drop(cid)
-        cid = self._add(c, reason)
+        cid = self._add(c, rule, parents)
         self.others[cid] = c
         return cid
 
-    def _insert_ground_unit(self, c: Clause, reason: str) -> Optional[int]:
+    def _insert_ground_unit(self, c: Clause, rule: str,
+                            parents: tuple[int, ...]) -> Optional[int]:
         """:meth:`insert` for a clause of one ground literal, decided by
         lookup and one scan of ``others``: it is condensed and no
         tautology; an equal unit, a non-ground unit matching it or the
@@ -159,19 +186,19 @@ class SaturationState:
                 return None
         for cid in dropped:
             self._drop(cid)
-        cid = self._add(c, reason)
+        cid = self._add(c, rule, parents)
         if units is None:
             units = self.units_by_sig[(lit.pos, lit.pred)] = {}
         units[lit] = cid
         return cid
 
-    def _add(self, c: Clause, reason: str) -> int:
+    def _add(self, c: Clause, rule: str, parents: tuple[int, ...]) -> int:
         """Give the kept clause ``c`` the next id, add it to usable and
-        write its trace line."""
+        record its event."""
         cid = self.next_id
         self.next_id += 1
         self._add_usable(cid, c)
-        self.trace.append(f"[{cid}] {reason} {c}")
+        self.events.append((cid, rule, parents, c))
         return cid
 
     def _drop(self, cid: int) -> None:
@@ -227,10 +254,15 @@ class SaturationState:
 @dataclass
 class AnswerResult:
     verdict: str  # "yes" | "no" | "unknown"
-    trace: list[str]
+    events: list[Event]
     steps: int
     n_clauses: int
     registry_size: int
+
+    @property
+    def trace(self) -> list[str]:
+        """The trace lines, rendered from the events."""
+        return render(self.events)
 
 
 def saturate(state: SaturationState) -> str:
@@ -246,15 +278,14 @@ def saturate(state: SaturationState) -> str:
         state.worked_off.add(given_id, given)
         for rule, parents, conclusions in inferences(
                 state.worked_off, state.registry, given_id):
-            reason = f"{rule}({','.join(str(p) for p in parents)})"
             for concl in conclusions:
                 if concl.is_empty():
                     # nothing in the state subsumes it: an empty clause
                     # there would have been picked first
-                    state.trace.append(f"[{state.next_id}] {reason} {concl}")
+                    state.events.append((state.next_id, rule, parents, concl))
                     state.next_id += 1
                     return "yes"
-                state.insert(concl, reason)
+                state.insert(concl, rule, parents)
     return "no"
 
 
@@ -338,7 +369,7 @@ def run(problem: Problem, step_budget: int = 10 ** 6,
     verdict = saturate(state)
     result = AnswerResult(
         verdict=verdict,
-        trace=state.trace,
+        events=state.events,
         steps=state.steps,
         n_clauses=state.next_id - 1,
         registry_size=len(registry),

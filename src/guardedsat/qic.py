@@ -19,7 +19,8 @@ from .engine import ClauseIndex, Inference, TopVarResult, com_t_all, \
     _topvar_resolvent
 from .qsep import DefinitionRegistry, SepResult, q_sep
 from .terms import (
-    Clause, Literal, Subst, Var, apply_lit, connected_groups, lit_vars,
+    Clause, Literal, Subst, Var, apply_lit, connected_groups, literal_key,
+    lit_vars,
 )
 
 
@@ -60,8 +61,11 @@ def t_trans(main: Clause, tv: TopVarResult, sigma: Subst,
         remainder: list[Literal] = []
         for mlit in block:
             side_r, pos_r = by_mlit[mlit]
-            rest = list(side_r.literals)
+            rest = list(side_r)
             rest.remove(pos_r)
+            # sorted as the renamed side clause would be: the order fixes
+            # the order of the definer's arguments
+            rest.sort(key=literal_key)
             remainder.extend(apply_lit(l, sigma) for l in rest)
         remainder = list(dict.fromkeys(remainder))
         if not remainder:

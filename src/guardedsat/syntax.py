@@ -20,7 +20,10 @@ descent walks that list by index, reading a token's kind off its first
 character.  It declares each symbol where it reads it, so a symbol used
 with two kinds or arities is a ``ParseError`` at its second use.  Line
 and column are worked out only when a ``ParseError`` is raised, by
-scanning the text again up to the offending token.
+scanning the text again up to the offending token.  A statement
+``fact: p(c1,...,cn).`` is read by its shape, declaring what the descent
+would in the same order; any other statement, a malformed fact
+included, goes through the descent, which raises the errors.
 
 The fragment check is one walk: the fragments nest (GF in LGF in CGF),
 so each quantifier gets the smallest fragment whose guard conditions it
@@ -429,6 +432,28 @@ class _Parser:
         self.declare(SymbolKind.FUNCTION, len(args), i)
         return App(tok, args)
 
+    def fact(self, i: int) -> Optional[AtomF]:
+        """The statement ``fact: p(c1,...,cn).`` that starts at token
+        ``i``, read without the descent: it declares the constants, then
+        the predicate, as the descent does.  ``None``, having read
+        nothing, for a statement of any other shape."""
+        toks = self.toks
+        if toks[i + 1] != ":" or toks[i + 2][0] not in _NAME or \
+                toks[i + 3] != "(":
+            return None
+        j = i + 4  # the last argument
+        while toks[j][0] in _NAME and toks[j + 1] == ",":
+            j += 2
+        if toks[j][0] not in _NAME or toks[j + 1] != ")" or \
+                toks[j + 2] != ".":
+            return None
+        args = range(i + 4, j + 1, 2)
+        for k in args:
+            self.declare(SymbolKind.CONSTANT, 0, k)
+        self.declare(SymbolKind.PREDICATE, len(args), i + 2)
+        self.i = j + 3
+        return AtomF(toks[i + 2], tuple(Const(toks[k]) for k in args))
+
     def arguments(self, i: int) -> tuple[Term, ...]:
         """The terms from token ``i`` to the ``)`` that leaves the level
         the caller entered at the ``(``."""
@@ -455,6 +480,11 @@ def parse(text: str) -> Problem:
     while toks[p.i] != _END:
         i = p.i
         head = toks[i]
+        if head == "fact":
+            fact = p.fact(i)
+            if fact is not None:
+                prob.facts.append(fact)
+                continue
         if head not in _STATEMENT_KINDS:
             raise p.unexpected(f"expected one of {_STATEMENT_KINDS}", i)
         p.i = i + 1

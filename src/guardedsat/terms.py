@@ -575,16 +575,29 @@ def mgu_lits(pairs: Sequence[tuple[Literal, Literal]]) -> Optional[Subst]:
     return mgu(term_pairs)
 
 
+def _resolve(t: Term, sub: Subst, memo: dict[str, Term]) -> Term:
+    """``t`` with each variable bound in the triangular ``sub`` replaced
+    by its resolved image, each variable's image worked out once into
+    ``memo``."""
+    if isinstance(t, Var):
+        image = memo.get(t.name)
+        if image is None:
+            bound = sub.get(t.name)
+            image = memo[t.name] = t if bound is None or bound == t \
+                else _resolve(bound, sub, memo)
+        return image
+    if isinstance(t, App):
+        return App(t.fn, tuple(_resolve(a, sub, memo) for a in t.args))
+    return t
+
+
 def normalize(sub: Subst) -> Subst:
-    """Resolve the triangular form into an idempotent substitution."""
+    """Resolve the triangular form into an idempotent substitution, in
+    one walk that resolves each bound variable once."""
     out: Subst = {}
+    memo: dict[str, Term] = {}
     for x in sub:
-        t = apply_term(Var(x), sub)
-        while True:
-            t2 = apply_term(t, sub)
-            if t2 == t:
-                break
-            t = t2
+        t = _resolve(Var(x), sub, memo)
         if not (isinstance(t, Var) and t.name == x):
             out[x] = t
     return out

@@ -173,6 +173,23 @@ def test_clausify_lists_origins(capsys):
     assert "r0(c1,c2)  % origin: fact" in lines
 
 
+def test_clausify_labels_formula_clauses(tmp_path, capsys):
+    """``trans`` emits the rules' clauses, then the ``formula:``
+    statements', then the facts', and each is labelled by where it came
+    from."""
+    path = tmp_path / "p.p"
+    path.write_text("fact: a(c).\nformula: ! [X] : (b(X) => d(X)).\n"
+                    "rule: ! [X] : (a(X) => b(X)).\n"
+                    "query: ? [X] : d(X).\n")
+    assert main(["clausify", str(path)]) == EXIT_NO
+    assert capsys.readouterr().out.splitlines() == [
+        "~a(X) | b(X)  % origin: rule",
+        "~b(X) | d(X)  % origin: formula",
+        "a(c)  % origin: fact",
+        "~d(X)  % origin: query",
+    ]
+
+
 def test_classify_reports_query_structure(capsys):
     code = main(["classify", _fx("q1.p")])
     out = capsys.readouterr().out

@@ -27,8 +27,8 @@ from guardedsat.qsep import DefinitionRegistry, is_icq, q_sep
 from guardedsat.syntax import parse
 from guardedsat.terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
-    Var, apply_clause, apply_lit, apply_term, clause_vars, membership,
-    normalize, renaming, unify_into,
+    Var, apply_clause, apply_lit, apply_term, clause_vars, lit_vars,
+    membership, normalize, renaming, unify_into,
 )
 
 import test_qsep
@@ -225,7 +225,8 @@ def _side_literal(n, cid, side_r, pos_r):
     """The literal of the indexed clause ``cid`` whose image under
     renaming is ``pos_r``.  ``terms.renaming`` maps the clause's variables,
     in name order, to fresh names in the order they are drawn."""
-    drawn = sorted(clause_vars(side_r), key=lambda v: int(v[2:]))
+    drawn = sorted(set().union(*map(lit_vars, side_r)),
+                   key=lambda v: int(v[2:]))
     names = sorted(clause_vars(n.by_id[cid]))
     back = {v: Var(w) for v, w in zip(drawn, names)}
     return apply_lit(pos_r, back)
@@ -521,10 +522,11 @@ def test_join_work_on_a_data_instance(monkeypatch):
 
 
 def _renaming_flip_index():
-    """A side clause whose two side literals swap places when renamed
-    with the index's supply at 9: ``q(x,f(x)) | q(y,f(x))`` becomes
-    ``q(_v10,f(_v9)) | q(_v9,f(_v9))``, because the sort breaks the tie
-    between the structurally equal literals by variable name."""
+    """A side clause whose two side literals would swap places if renamed
+    into a sorted clause with the index's supply at 9: ``q(x,f(x)) |
+    q(y,f(x))`` would become ``q(_v10,f(_v9)) | q(_v9,f(_v9))``, because
+    the sort breaks the tie between the structurally equal literals by
+    variable name."""
     s = SymbolTable()
     for c in ("a", "b"):
         s.declare(c, SymbolKind.CONSTANT, 0, SymbolOrigin.INPUT)
@@ -541,15 +543,19 @@ def _renaming_flip_index():
 
 def test_join_resolves_the_side_literal_it_picked():
     """The join picks ``q(y,f(x))`` for ``~q(z,z)`` (``q(x,f(x))`` fails
-    the occurs check); the renamed side literal must be that one's image,
-    not whatever the renamed clause holds at its position."""
+    the occurs check).  The side clause is renamed literal by literal in
+    its own order, so the renamed literals do not swap as a re-sorted
+    clause's would; the renamed side literal is the picked one's image,
+    and its rival the image of the other literal."""
     n = _renaming_flip_index()
     main = Clause([_lit(False, "q", z, z)])
     (tv,) = com_t_all(main, n)
     ((_, cid, side_r, pos_r),) = tv.side_assignment
-    assert [str(l) for l in side_r] == ["q(_v10,f(_v9))", "q(_v9,f(_v9))"]
+    assert [str(l) for l in side_r] == ["q(_v9,f(_v9))", "q(_v10,f(_v9))"]
+    assert pos_r == side_r[1]
     assert str(pos_r) == "q(_v10,f(_v9))"
-    assert tv.rivals == ((side_r.literals[1],),)
+    assert tv.rivals == ((side_r[0],),)
+    assert str(tv.rivals[0][0]) == "q(_v9,f(_v9))"
 
 
 def test_binary_resolution_resolves_the_side_literal_it_picked():

@@ -87,8 +87,8 @@ def record_kept(state: SaturationState) -> dict[int, Clause]:
     kept: dict[int, Clause] = {}
     insert = state.insert
 
-    def recording(c: Clause, reason: str):
-        cid = insert(c, reason)
+    def recording(c: Clause, rule: str, parents: tuple[int, ...] = ()):
+        cid = insert(c, rule, parents)
         if cid is not None:
             kept[cid] = state.usable[cid]
         return cid
@@ -208,6 +208,28 @@ def test_an_empty_input_clause_subsumes_a_later_ground_query_clause():
     result = answer(_parse("fact: q(b). formula: $false. query: p(a)."))
     assert result.trace == ["[1] input q(b)", "[2] input []"]
     assert (result.verdict, result.steps) == ("yes", 1)
+
+
+def test_the_trace_is_rendered_from_the_events():
+    """The loop records one event per trace line, (id, rule, parent ids,
+    clause), an input with no parents, and the lines are rendered from
+    them when read: reading the trace twice gives the same lines and
+    leaves the events as they were."""
+    result, state = run(_parse(
+        "fact: a0(c1).\nrule: ! [X] : (a0(X) => b0(X)).\n"
+        "query: ? [X] : b0(X)."))
+    assert [(cid, rule, parents, str(c))
+            for cid, rule, parents, c in result.events] == [
+        (1, "input", (), "a0(c1)"), (2, "input", (), "~a0(X) | b0(X)"),
+        (3, "input", (), "~b0(X)"), (4, "TRes2b", (2, 1), "b0(c1)"),
+        (5, "TRes2b", (3, 4), "[]")]
+    events = list(result.events)
+    first = result.trace
+    assert first == ["[1] input a0(c1)", "[2] input ~a0(X) | b0(X)",
+                     "[3] input ~b0(X)", "[4] TRes2b(2,1) b0(c1)",
+                     "[5] TRes2b(3,4) []"]
+    assert result.trace == first == state.trace
+    assert result.events == events
 
 
 def _assert_maps_hold_kept_clauses(state):
@@ -338,6 +360,7 @@ def test_indexed_insert_agrees_with_linear_scan():
             kept += want is not None
             rejected += want is None
             dropped += before + (want is not None) - after
+        assert new.events == ref.events
         assert new.trace == ref.trace
     assert kept > 300 and rejected > 300 and dropped > 50, \
         (kept, rejected, dropped)

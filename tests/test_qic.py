@@ -7,9 +7,12 @@ repaired into one loosely guarded clause plus a guarded definer chain.
 
 from __future__ import annotations
 
-from guardedsat.engine import ClauseIndex
+import itertools
+from dataclasses import replace
+
+from guardedsat.engine import ClauseIndex, _topvar_resolvent, com_t_all
 from guardedsat.orders import LPO, Precedence
-from guardedsat.qic import closed_partition, q_ic_all
+from guardedsat.qic import closed_partition, q_ic_all, t_trans
 from guardedsat.qsep import DefinitionRegistry
 from guardedsat.terms import (
     App, Clause, Literal, SymbolKind, SymbolOrigin, SymbolTable, Var,
@@ -19,13 +22,16 @@ from guardedsat.terms import (
 from util import com_t, depth, is_variant
 
 
-def _setup():
+def _setup(tie=False):
+    """The 4-cycle query and its four sides; with ``tie``, the first side
+    also has two literals ``~b(z1)``, ``~b(z2)`` that only their
+    variables tell apart, ahead of its other literals."""
     s = SymbolTable()
     s.declare("f", SymbolKind.FUNCTION, 1, SymbolOrigin.SKOLEM)
     for n in ("g", "h"):
         s.declare(n, SymbolKind.FUNCTION, 4, SymbolOrigin.SKOLEM)
     for n, ar in [("p4", 2), ("p5", 2), ("p6", 2), ("p8", 2), ("a", 1),
-                  ("g1", 4), ("g2", 4), ("g3", 1), ("g4", 1)]:
+                  ("g1", 4), ("g2", 4), ("g3", 1), ("g4", 1), ("b", 1)]:
         s.declare(n, SymbolKind.PREDICATE, ar, SymbolOrigin.INPUT)
     V, L = Var, Literal
 
@@ -35,7 +41,8 @@ def _setup():
     x, y, z1, z2 = V("x"), V("y"), V("z1"), V("z2")
     x1, x3, x5, x7 = V("x1"), V("x3"), V("x5"), V("x7")
     c1 = Clause([L(True, "p4", (x, a("g", x, y, z1, z2))),
-                 L(False, "g1", (x, y, z1, z2))])
+                 L(False, "g1", (x, y, z1, z2))] +
+                ([L(False, "b", (z1,)), L(False, "b", (z2,))] if tie else []))
     c2 = Clause([L(False, "g2", (x, y, z1, z2)),
                  L(True, "p8", (a("g", x, y, z1, z2), x)),
                  L(True, "a", (a("h", x, y, z1, z2),))])
@@ -95,3 +102,31 @@ def test_qic_definers_are_reused_across_runs():
         assert is_variant(c1, c2), (c1, c2)
     for c1, c2 in zip(r1.guarded, r2.guarded):
         assert is_variant(c1, c2), (c1, c2)
+
+
+def test_t_trans_reads_a_side_clause_in_sorted_order():
+    """:func:`com_t_all` hands over each renamed side clause in the
+    clause's own order.  The definer's argument order follows the
+    remainder's order, which must be that of the renamed clause sorted,
+    as when the side was renamed into a :class:`Clause`.  The two differ
+    when the renaming flips a tie between literals that only their
+    variables tell apart: ``~b(_v10)`` sorts before ``~b(_v9)``."""
+    flips = 0
+    for start in range(16):
+        s, _, idx, clauses = _setup(tie=True)
+        idx.fresh = itertools.count(start)
+        main = clauses[4]
+        for tv in com_t_all(main, idx):
+            inf = _topvar_resolvent(5, main, tv, idx.lpo)
+            assert inf is not None
+            as_clause = replace(tv, side_assignment=tuple(
+                (mlit, cid, Clause(side_r).literals, pos_r)
+                for mlit, cid, side_r, pos_r in tv.side_assignment))
+            flips += as_clause != tv
+            outs = []
+            for t in (tv, as_clause):
+                lg, query = t_trans(main, t, dict(inf.sigma),
+                                    DefinitionRegistry(s.copy()))
+                outs.append(([str(c) for c in lg], str(query)))
+            assert outs[0] == outs[1], start
+    assert flips, flips

@@ -9,7 +9,7 @@ from guardedsat.syntax import (
     MAX_NESTING, And, AtomF, Exists, Forall, Implies, Not, Or, ParseError,
     Problem, check_fragment, negate_query, parse, print_formula,
 )
-from guardedsat.terms import membership
+from guardedsat.terms import Const, membership
 from test_cli import _mutated_statements, _token_soups
 from util import (
     parse_formula, random_formula, reference_check_fragment,
@@ -130,6 +130,81 @@ def test_parser_agrees_with_reference(text):
     assert _outcome(parse, text) == _outcome(reference_parse, text), text
     assert _outcome(parse_formula, text) == \
         _outcome(reference_parse_formula, text), text
+
+
+# ``fact:`` statements, which the parser reads by their shape
+
+_FACT_NAMES = ["p", "q", "r", "c1", "c2", "c3", "f"]
+
+# (kind, statement) makers of malformed facts, and of rules and queries
+# that use the fact names with other kinds or arities
+_FACT_BREAKS = [
+    ("variable", lambda a: f"fact: p({a},X)."),
+    ("nested", lambda a: f"fact: p(f({a}))."),
+    ("equality", lambda a: f"fact: {a} = c2."),
+    ("equality", lambda a: f"fact: p({a}) = c2."),
+    ("equality", lambda a: f"fact: p({a}) != q."),
+    ("no ')'", lambda a: f"fact: p({a},c2."),
+    ("no '.'", lambda a: f"fact: p({a})"),
+    ("arity", lambda a: f"rule: ! [X,Y] : (p(X,Y) => q(X)).\nfact: p({a})."),
+    ("arity", lambda a: f"query: ? [X] : r(X,{a}).\nfact: r({a})."),
+    ("arity", lambda a: f"fact: q({a}).\nfact: p(q)."),
+]
+
+
+def _random_facts(rng):
+    """A problem text of ``fact:`` lines, most well-formed, some broken
+    in one of the ways of ``_FACT_BREAKS``; with the kind of break, or
+    None."""
+    lines = []
+    for _ in range(rng.randint(1, 5)):
+        # mostly one arity per predicate; now and then another arity, or
+        # a constant's name as the predicate, which clashes
+        pred = rng.choice(_FACT_NAMES[:3]) if rng.random() < 0.95 \
+            else rng.choice(_FACT_NAMES[3:])
+        arity = 1 + _FACT_NAMES.index(pred) % 3 if rng.random() < 0.95 \
+            else rng.randint(1, 3)
+        args = ",".join(rng.choice(_FACT_NAMES[3:6]) for _ in range(arity))
+        lines.append(f"fact: {pred}({args}).")
+    kind = None
+    if rng.random() < 0.6:
+        kind, make = rng.choice(_FACT_BREAKS)
+        lines.insert(rng.randint(0, len(lines)),
+                     make(rng.choice(_FACT_NAMES[3:6])))
+    return rng.choice(["\n", " ", "\n% c\n"]).join(lines), kind
+
+
+def test_facts_parse_as_in_the_reference():
+    """Random ``fact:`` lines, well-formed and malformed, give the facts
+    and the symbol table in order that the reference parser gives, or
+    its error with the same message, line and column."""
+    rng = random.Random(11)
+    seen: dict = {}
+    for _ in range(600):
+        text, kind = _random_facts(rng)
+        got = _outcome(parse, text)
+        assert got == _outcome(reference_parse, text), text
+        key = (kind, got[0] == "error")
+        seen[key] = seen.get(key, 0) + 1
+    kinds = {k for k, _ in _FACT_BREAKS}
+    assert all(seen.get((k, True), 0) >= 10 for k in kinds), seen
+    assert seen.get((None, False), 0) >= 100, seen
+
+
+def test_well_formed_facts_skip_the_descent(monkeypatch):
+    """A ``fact: p(c1,...,cn).`` statement never enters the formula
+    descent; the facts come out as atoms over constants."""
+    from guardedsat import syntax
+
+    def refuse(self):
+        raise AssertionError("descent entered")
+
+    monkeypatch.setattr(syntax._Parser, "formula", refuse)
+    prob = parse("fact: p(c1,c2).\nfact: q(c2).  % c\nfact: p(c2,c1).")
+    assert prob.facts == [AtomF("p", (Const("c1"), Const("c2"))),
+                          AtomF("q", (Const("c2"),)),
+                          AtomF("p", (Const("c2"), Const("c1")))]
+    assert [s.name for s in prob.symbols] == ["c1", "c2", "p", "q"]
 
 
 class TestFragments:

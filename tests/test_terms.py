@@ -11,12 +11,12 @@ from guardedsat.terms import (
     App, Clause, Const, Literal, Var, apply_clause, apply_lit, apply_term,
     canonical, clause_vars, compound_terms, condense, is_decomposable, is_ground, is_ground_lit, lit_vars, literal_key,
     membership, mgu, mgu_lits, normalize, rename_apart, renaming,
-    skip_names, subsumes,
+    skip_names, subsumes, unify_into,
 )
 from util import (
     depth, is_variant, loose_guards, reference_clause_vars,
     reference_is_ground, reference_is_ground_lit, reference_lit_vars,
-    reference_literal_key, width,
+    reference_literal_key, reference_normalize, width,
 )
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -279,6 +279,57 @@ def test_mgu_unifies(s, t):
     sub = mgu([(s, t)])
     if sub is not None:
         assert apply_term(s, sub) == apply_term(t, sub)
+
+
+def _random_triangular(rng):
+    """A random triangular substitution over ``v0``..``v7``: each variable
+    is left free or bound to a variable, a constant or a term of ``f``
+    and ``g`` over later variables and constants only, so no chain of
+    bindings comes back; the keys in shuffled order."""
+    names = [f"v{i}" for i in range(8)]
+
+    def term(i, depth):
+        r = rng.random()
+        later = names[i + 1:]
+        if later and (r < 0.4 or depth == 0 and r < 0.8):
+            return Var(rng.choice(later))
+        if depth == 0 or r < 0.55:
+            return Const(rng.choice("ab"))
+        return App(rng.choice("fg"), tuple(
+            term(i, depth - 1) for _ in range(rng.randint(1, 2))))
+
+    sub = {v: term(i, 2) for i, v in enumerate(names) if rng.random() < 0.7}
+    if sub and rng.random() < 0.1:
+        v = rng.choice(names)
+        sub[v] = Var(v)  # a binding to itself, which binds nothing
+    keys = list(sub)
+    rng.shuffle(keys)
+    return {v: sub[v] for v in keys}
+
+
+def test_normalize_agrees_with_the_fixpoint():
+    """On random triangular substitutions, chains of variable bindings
+    and bindings to themselves included, the one walk gives the
+    fixpoint's substitution, with its keys in the same order."""
+    rng = random.Random(5)
+    chains = 0
+    for _ in range(3000):
+        sub = _random_triangular(rng)
+        got = normalize(sub)
+        assert list(got.items()) == list(reference_normalize(sub).items()), \
+            sub
+        chains += any(isinstance(t, Var) and t.name in sub and
+                      sub[t.name] != t for t in sub.values())
+    assert chains > 1000, chains
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(terms, terms), min_size=1, max_size=3))
+def test_normalize_of_unify_into_agrees_with_the_fixpoint(pairs):
+    sub = {}
+    if unify_into(pairs, sub):
+        assert list(normalize(sub).items()) == \
+            list(reference_normalize(sub).items())
 
 
 @settings(max_examples=100, deadline=None)

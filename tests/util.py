@@ -8,8 +8,10 @@ The reference rules are the nested-loop top-variable join
 (:func:`reference_com_t_all`), which the engine's join and its one
 result per top-literal assignment are checked against, full and partial
 simultaneous resolution (:func:`s_res`, :func:`p_res`), which the
-redundancy tests compare, and the multiset extension of the literal
-order to clauses (:func:`clause_gt`).
+redundancy tests compare, the multiset extension of the literal order
+to clauses (:func:`clause_gt`), and the resolution of a triangular
+unifier by applying it until nothing changes
+(:func:`reference_normalize`).
 
 The reference kernels are the clause-order subsumption search, the
 pairwise condensation loop, and membership read off the enumeration of
@@ -338,10 +340,12 @@ def random_formula(rng: random.Random, depth: int = 3) -> Formula:
 def _iter_assignments(
         negs: Sequence[Literal], n: ClauseIndex, avoid: set[str],
         must_include: Optional[int],
-) -> Iterator[tuple[list[tuple[Literal, int, Clause, Literal]], Subst]]:
+) -> Iterator[tuple[list[tuple[Literal, int, tuple[Literal, ...], Literal]],
+                    Subst]]:
     """All side-premise tuples (in clause-id order) simultaneously
-    unifiable with all the selected literals."""
-    chosen: list[tuple[Literal, int, Clause, Literal]] = []
+    unifiable with all the selected literals, each side clause renamed
+    literal by literal in its own order."""
+    chosen: list[tuple[Literal, int, tuple[Literal, ...], Literal]] = []
 
     def extend(i: int, pairs: list[tuple[Literal, Literal]],
                used_must: bool):
@@ -357,7 +361,7 @@ def _iter_assignments(
             if len(pos_lit.args) != len(lit.args):
                 continue
             ren = renaming(side, avoid, n.fresh)
-            side_r = apply_clause(side, ren)
+            side_r = tuple(apply_lit(l, ren) for l in side)
             pos_r = apply_lit(pos_lit, ren)
             new_pairs = pairs + [(pos_r, lit)]
             if mgu_lits(new_pairs) is None:
@@ -395,7 +399,8 @@ def reference_com_t_all(main: Clause, n: ClauseIndex,
 
 def reference_kept_sides(main: Clause, n: ClauseIndex,
                          must_include: Optional[int], fresh: Iterator[int]
-                         ) -> list[tuple[tuple[Literal, int, Clause,
+                         ) -> list[tuple[tuple[Literal, int,
+                                               tuple[Literal, ...],
                                                Literal], ...]]:
     """The side assignments :func:`~guardedsat.engine.com_t_all` keeps,
     with the names it gives them.  Nested loops enumerate the join tuples
@@ -403,11 +408,13 @@ def reference_kept_sides(main: Clause, n: ClauseIndex,
     from ``main`` with one :func:`renaming` call drawing from ``fresh``,
     level by level, whether it is kept or not; the first tuple of each key
     (top variables, side literal of each top literal) is kept with those
-    names.  The unifiability tests draw their names elsewhere."""
+    names, each side clause's literals in the clause's own order.  The
+    unifiability tests draw their names elsewhere."""
     negs = [l for l in main if not l.pos]
     mvars = clause_vars(main)
     trial = itertools.count(10 ** 6)
-    kept: dict[tuple, tuple[tuple[Literal, int, Clause, Literal], ...]] = {}
+    kept: dict[tuple, tuple[tuple[Literal, int, tuple[Literal, ...],
+                                  Literal], ...]] = {}
 
     def extend(i: int, chosen: list[tuple[int, Clause, Literal]],
                pairs: list[tuple[Literal, Literal]]) -> None:
@@ -426,7 +433,8 @@ def reference_kept_sides(main: Clause, n: ClauseIndex,
             rens = [renaming(side, mvars, fresh) for _, side, _ in chosen]
             if key not in kept:
                 kept[key] = tuple(
-                    (neg, cid, apply_clause(side, ren), apply_lit(pos, ren))
+                    (neg, cid, tuple(apply_lit(l, ren) for l in side),
+                     apply_lit(pos, ren))
                     for neg, (cid, side, pos), ren in zip(negs, chosen, rens))
             return
         neg = negs[i]
@@ -493,6 +501,22 @@ def p_res(main_id: int, main: Clause, n: ClauseIndex,
         apply_lit(l, sigma) for l in rest + extra))
     return [Inference("PRes", main_id, tuple(side_ids), _freeze(sigma),
                       concl)]
+
+
+def reference_normalize(sub: Subst) -> Subst:
+    """``terms.normalize`` as first written: apply the triangular ``sub``
+    to each variable again and again until the term stops changing."""
+    out: Subst = {}
+    for x in sub:
+        t = apply_term(Var(x), sub)
+        while True:
+            t2 = apply_term(t, sub)
+            if t2 == t:
+                break
+            t = t2
+        if not (isinstance(t, Var) and t.name == x):
+            out[x] = t
+    return out
 
 
 def clause_gt(lpo: LPO, c: Clause, d: Clause) -> bool:
@@ -759,7 +783,8 @@ class ReferenceSaturationState(SaturationState):
     every usable weight.  It keeps ``usable`` and ``weights`` itself and
     leaves the weight buckets empty."""
 
-    def insert(self, c: Clause, reason: str) -> Optional[int]:
+    def insert(self, c: Clause, rule: str,
+               parents: tuple[int, ...] = ()) -> Optional[int]:
         """Forward-simplify and add a clause to usable; None if redundant."""
         c = condense(c)
         if is_tautology(c):
@@ -781,7 +806,7 @@ class ReferenceSaturationState(SaturationState):
         self.next_id += 1
         self.usable[cid] = c
         self.weights[cid] = clause_weight(c)
-        self.trace.append(f"[{cid}] {reason} {c}")
+        self.events.append((cid, rule, parents, c))
         return cid
 
     def pick(self) -> tuple[int, Clause]:
@@ -814,9 +839,8 @@ def reference_saturate(state: SaturationState) -> str:
         state.worked_off.add(given_id, given)
         for rule, parents, conclusions in inferences(
                 state.worked_off, state.registry, given_id):
-            reason = f"{rule}({','.join(str(p) for p in parents)})"
             for concl in conclusions:
-                new_id = state.insert(concl, reason)
+                new_id = state.insert(concl, rule, parents)
                 if new_id is not None and concl.is_empty():
                     return "yes"
     return "no"
