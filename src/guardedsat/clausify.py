@@ -3,11 +3,14 @@
 ``trans`` checks each rule and ``formula:`` statement against the guarded
 fragments and clausifies it.
 
-The pipeline per rule: existentially close free variables, expand ``<=>``,
-negation normal form, miniscoping (which splits clique guards into per-atom
-universal blocks), definitional renaming of the nested universal
-subformulas, then per conjunct one walk that prenexes and Skolemises it,
-and CNF.
+The pipeline per rule: one walk puts the formula in negation normal
+form, expanding ``<=>`` and ``=>`` where it meets them, and miniscopes
+each quantifier as it leaves it (which splits clique guards into
+per-atom universal blocks), working out free variables bottom-up; the
+free variables left are closed existentially.  Then definitional
+renaming of the nested universal subformulas, per conjunct one walk that
+prenexes and Skolemises it, and CNF, which distributes the matrix
+straight into literal lists.
 
 A top-level universal (a rule, or a universal conjunct of a top-level
 conjunction) is at guard level already and is clausified as it stands,
@@ -32,13 +35,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
-    And, AtomF, Bottom, Exists, Forall, Formula, Implies, Not, Or,
-    Problem, Top, _merge_quant, check_fragment, expand_iff, free_vars,
-    negate_query, print_formula,
+    And, AtomF, Bottom, Exists, Forall, Formula, Iff, Implies, Not, Or,
+    Problem, Top, _merge_quant, check_fragment, free_vars, negate_query,
+    print_formula,
 )
 from .terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
-    Term, Var, apply_term,
+    Term, Var, apply_term, term_vars,
 )
 
 MAX_DIRECT_CNF = 64
@@ -57,81 +60,84 @@ class ClausifyError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# negation normal form
+# negation normal form and miniscoping
 
 
-def to_nnf(f: Formula) -> Formula:
-    """NNF with ``<=>``/``=>`` expanded and negation pushed onto atoms."""
-    return _nnf(expand_iff(f), positive=True)
-
-
-def _nnf(f: Formula, positive: bool) -> Formula:
-    if isinstance(f, Top):
-        return Top() if positive else Bottom()
-    if isinstance(f, Bottom):
-        return Bottom() if positive else Top()
+def _nnf(f: Formula, positive: bool) -> tuple[Formula, set[str]]:
+    """The NNF of ``f`` (``positive``) or of ``~f``, with ``<=>``/``=>``
+    expanded and negation pushed onto atoms, miniscoped in the same walk
+    (:func:`_miniscope`); and its free variables, worked out bottom-up."""
     if isinstance(f, AtomF):
-        return f if positive else Not(f)
+        return f if positive else Not(f), _atom_vars(f)
     if isinstance(f, Not):
         return _nnf(f.body, not positive)
-    if isinstance(f, And):
-        items = tuple(_nnf(g, positive) for g in f.items)
-        return _flatten(And(items)) if positive else _flatten(Or(items))
-    if isinstance(f, Or):
-        items = tuple(_nnf(g, positive) for g in f.items)
-        return _flatten(Or(items)) if positive else _flatten(And(items))
+    if isinstance(f, (And, Or)):
+        return _join(isinstance(f, And) == positive,
+                     [_nnf(g, positive) for g in f.items])
     if isinstance(f, Implies):
-        l = _nnf(f.left, not positive)
-        r = _nnf(f.right, positive)
-        return _flatten(Or((l, r))) if positive else _flatten(And((l, r)))
-    if isinstance(f, Forall):
-        body = _nnf(f.body, positive)
-        return Forall(f.vars, body) if positive else Exists(f.vars, body)
-    if isinstance(f, Exists):
-        body = _nnf(f.body, positive)
-        return Exists(f.vars, body) if positive else Forall(f.vars, body)
+        return _join(not positive, [_nnf(f.left, not positive),
+                                    _nnf(f.right, positive)])
+    if isinstance(f, Iff):
+        # (A => B) & (B => A), each side normalised once per polarity
+        pl, nl = _nnf(f.left, True), _nnf(f.left, False)
+        pr, nr = _nnf(f.right, True), _nnf(f.right, False)
+        if positive:
+            return _join(True, [_join(False, [nl, pr]),
+                                _join(False, [nr, pl])])
+        return _join(False, [_join(True, [pl, nr]), _join(True, [pr, nl])])
+    if isinstance(f, (Forall, Exists)):
+        body, free = _nnf(f.body, positive)
+        return _miniscope(f.vars, body, free,
+                          isinstance(f, Forall) == positive)
+    if isinstance(f, (Top, Bottom)):
+        return Top() if isinstance(f, Top) == positive else Bottom(), set()
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _atom_vars(a: AtomF) -> set[str]:
+    out: set[str] = set()
+    for t in a.args:
+        term_vars(t, out)
+    return out
+
+
+def _join(conj: bool, parts: list[tuple[Formula, set[str]]]
+          ) -> tuple[Formula, set[str]]:
+    """The flattened conjunction (``conj``) or disjunction of ``parts``,
+    with its free variables: all of the parts' unless a unit absorbed
+    them."""
+    items = tuple(g for g, _ in parts)
+    g = _flatten(And(items) if conj else Or(items))
+    if isinstance(g, (Top, Bottom)):
+        return g, set()
+    return g, set().union(*(free for _, free in parts))
 
 
 def _flatten(f: Formula) -> Formula:
     """Flatten nested conjunctions/disjunctions and simplify units."""
-    if isinstance(f, And):
-        items: list[Formula] = []
-        for g in f.items:
-            if isinstance(g, And):
-                items.extend(g.items)
-            elif isinstance(g, Top):
-                continue
-            elif isinstance(g, Bottom):
-                return Bottom()
-            else:
-                items.append(g)
-        if not items:
-            return Top()
-        return items[0] if len(items) == 1 else And(tuple(items))
-    if isinstance(f, Or):
-        items = []
-        for g in f.items:
-            if isinstance(g, Or):
-                items.extend(g.items)
-            elif isinstance(g, Bottom):
-                continue
-            elif isinstance(g, Top):
-                return Top()
-            else:
-                items.append(g)
-        if not items:
-            return Bottom()
-        return items[0] if len(items) == 1 else Or(tuple(items))
-    return f
+    cls = f.__class__
+    if cls is not And and cls is not Or:
+        return f
+    unit, zero = (Top, Bottom) if cls is And else (Bottom, Top)
+    items: list[Formula] = []
+    for g in f.items:  # type: ignore[union-attr]
+        kind = g.__class__
+        if kind is cls:
+            items.extend(g.items)  # type: ignore[union-attr]
+        elif kind is zero:
+            return zero()
+        elif kind is not unit:
+            items.append(g)
+    if not items:
+        return unit()
+    return items[0] if len(items) == 1 else cls(tuple(items))
 
 
-# ---------------------------------------------------------------------------
-# miniscoping
-
-
-def miniscope(f: Formula) -> Formula:
-    """Narrow the scope of clique-guard quantifier blocks.
+def _miniscope(qvars: tuple[str, ...], body: Formula, free: set[str],
+               universal: bool) -> tuple[Formula, set[str]]:
+    """Quantify the miniscoped NNF ``body``, whose free variables are
+    ``free``, over ``qvars``, narrowing the scope of a clique-guard block;
+    and the free variables left.
 
     In NNF a negated clique guard ``~? [Xs] : (A1 & ... & An)`` is a
     universal block over a disjunction of negated atoms.  Each quantified
@@ -140,43 +146,35 @@ def miniscope(f: Formula) -> Formula:
     Other quantifiers are left alone (vacuous ones are dropped) so Skolem
     functions keep their full universal prefix.
     """
-    if isinstance(f, And):
-        return _flatten(And(tuple(miniscope(g) for g in f.items)))
-    if isinstance(f, Or):
-        return _flatten(Or(tuple(miniscope(g) for g in f.items)))
-    if isinstance(f, Not):
-        return Not(miniscope(f.body))
-    if isinstance(f, (Forall, Exists)):
-        body = miniscope(f.body)
-        quant = type(f)
-        free = set(free_vars(body))
-        # a guard block's disjuncts, each with its free variables
-        block: Optional[list[tuple[Formula, set[str]]]] = None
-        if isinstance(f, Forall) and isinstance(body, Or) and \
-                all(isinstance(g, Not) and isinstance(g.body, AtomF)
-                    for g in body.items):
-            block = [(g, set(free_vars(g))) for g in body.items]
-        for v in f.vars:
-            if v not in free:
+    quant = Forall if universal else Exists
+    free = set(free)
+    # a guard block's disjuncts, each with its free variables
+    block: Optional[list[tuple[Formula, set[str]]]] = None
+    if universal and isinstance(body, Or) and \
+            all(isinstance(g, Not) and isinstance(g.body, AtomF)
+                for g in body.items):
+        block = [(g, _atom_vars(g.body))  # type: ignore[union-attr]
+                 for g in body.items]
+    for v in qvars:
+        if v not in free:
+            continue
+        free.discard(v)
+        if block is not None:
+            inside = [(g, fv) for g, fv in block if v in fv]
+            outside = [(g, fv) for g, fv in block if v not in fv]
+            if outside:
+                # the disjuncts are miniscoped already and each holds
+                # v, so v's universal over them is final as it stands
+                pushed = inside[0][0] if len(inside) == 1 \
+                    else Or(tuple(g for g, _ in inside))
+                fv = set().union(*(fv for _, fv in inside))
+                fv.discard(v)
+                block = [(Forall((v,), pushed), fv), *outside]
+                body = Or(tuple(g for g, _ in block))
                 continue
-            free.discard(v)
-            if block is not None:
-                inside = [(g, fv) for g, fv in block if v in fv]
-                outside = [(g, fv) for g, fv in block if v not in fv]
-                if outside:
-                    # the disjuncts are miniscoped already and each holds
-                    # v, so v's universal over them is final as it stands
-                    pushed = inside[0][0] if len(inside) == 1 \
-                        else Or(tuple(g for g, _ in inside))
-                    fv = set().union(*(fv for _, fv in inside))
-                    fv.discard(v)
-                    block = [(Forall((v,), pushed), fv), *outside]
-                    body = Or(tuple(g for g, _ in block))
-                    continue
-                block = None
-            body = quant((v,), body)
-        return body
-    return f
+            block = None
+        body = quant((v,), body)
+    return body, free
 
 
 # ---------------------------------------------------------------------------
@@ -298,23 +296,17 @@ def to_clauses(matrix: Formula, symbols: SymbolTable) -> list[Clause]:
 
     Distribution is direct unless it would overshoot ``MAX_DIRECT_CNF``
     clauses, in which case offending conjunctions under a disjunction are
-    renamed with fresh definer atoms first.
+    renamed with fresh definer atoms first.  Tautologies are dropped and
+    repeated literals merged.
     """
-    matrix = _bounded_rename(matrix, symbols)
-    cnf = _distribute(matrix)
+    if _cnf_size(matrix) > MAX_DIRECT_CNF:
+        matrix = _bounded_rename(matrix, symbols)
     out: list[Clause] = []
-    for disj in cnf:
-        lits = []
-        taut = False
-        for g in disj:
-            lit = _to_literal(g)
-            if lit.negate() in lits:
-                taut = True
-                break
-            if lit not in lits:
-                lits.append(lit)
-        if not taut:
-            out.append(Clause(lits))
+    for lits in _distribute(matrix):
+        signs: dict[tuple, bool] = {}
+        if all(signs.setdefault((l.pred, l.args), l.pos) is l.pos
+               for l in lits):
+            out.append(Clause(dict.fromkeys(lits)))
     return out
 
 
@@ -356,30 +348,27 @@ def _bounded_rename(f: Formula, symbols: SymbolTable) -> Formula:
     return f
 
 
-def _distribute(f: Formula) -> list[list[Formula]]:
+def _distribute(f: Formula) -> list[list[Literal]]:
+    """The clauses of ``f`` by distribution, as literal lists."""
     if isinstance(f, And):
-        out: list[list[Formula]] = []
+        out: list[list[Literal]] = []
         for g in f.items:
             out.extend(_distribute(g))
         return out
     if isinstance(f, Or):
-        parts = [_distribute(g) for g in f.items]
-        combos: list[list[Formula]] = [[]]
-        for p in parts:
-            combos = [c + d for c in combos for d in p]
+        combos: list[list[Literal]] = [[]]
+        for g in f.items:
+            part = _distribute(g)
+            combos = [c + d for c in combos for d in part]
         return combos
     if isinstance(f, Bottom):
         return [[]]
     if isinstance(f, Top):
         return []
-    return [[f]]
-
-
-def _to_literal(f: Formula) -> Literal:
     if isinstance(f, AtomF):
-        return Literal(True, f.pred, f.args)
+        return [[Literal(True, f.pred, f.args)]]
     if isinstance(f, Not) and isinstance(f.body, AtomF):
-        return Literal(False, f.body.pred, f.body.args)
+        return [[Literal(False, f.body.pred, f.body.args)]]
     raise ClausifyError(f"not a literal: {print_formula(f)}")
 
 
@@ -390,10 +379,9 @@ def _to_literal(f: Formula) -> Literal:
 def clausify_formula(f: Formula, symbols: SymbolTable,
                      definitions: dict[str, Formula],
                      skolem_map: dict[str, str]) -> list[Clause]:
-    fv = sorted(free_vars(f))
-    if fv:
-        f = Exists(tuple(fv), f)
-    f = miniscope(to_nnf(f))
+    f, free = _nnf(f, True)
+    # the free variables are closed existentially
+    f = _miniscope(tuple(sorted(free)), f, free, False)[0]
     renamer = _Renamer(symbols)
     renamer.definitions = definitions
     out: list[Clause] = []

@@ -17,21 +17,35 @@ compatible* and *globally linear* by three equivalence-preserving steps:
 After that each Skolem function ``f(X1,...,Xm)`` stands for one existential
 witness over the shared universals, and each Skolem constant for one
 outer existential, so the set can be written as a first-order formula with
-prefix exists/forall/exists (``unsko``; a flat set has no shared tuple and
+prefix exists/forall/exists (``_unsko``; a flat set has no shared tuple and
 no Skolem function, so its prefix is exists/forall).  The negation of the
 conjunction of these formulas is the rewriting.
+
+The three steps are worked out per clause from one scan of its terms:
+its function symbols, its Skolem constants, the argument tuples of its
+compound terms, and whether abstraction would change it (a constant
+inside a compound term, or a variable repeated among one's arguments).
+Only such a flagged clause is abstracted, after its variables are
+renamed ``U1, U2, ...`` in sorted order, and its output is scanned in
+turn.  The scans key the closed sets and decide the checks of
+``var_re`` and of the property gate.  Then each clause is built once,
+through one substitution, and sorted once.  The substitution sends the
+clause's variables to ``U<n>`` (abstraction's fresh ones keep their
+names ``Yc<n>``/``Yd<n>``), the shared argument tuple to ``X1..Xm``,
+each Skolem constant to ``Z<n>`` and each Skolem function term to
+``Y<n>``, numbering the constants and functions in name order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .syntax import And, AtomF, Exists, Forall, Formula, Not, Or, Top
 from .terms import (
     EQ, App, Clause, Const, Literal, SymbolOrigin, SymbolTable, Subst, Term,
-    Var, apply_clause, clause_funcs, clause_vars, compound_terms,
-    connected_groups,
+    Var, apply_clause, clause_vars, compound_terms, connected_groups,
+    literal_key,
 )
 
 
@@ -43,15 +57,6 @@ class RewriteError(ValueError):
 class AbstractedClause:
     clause: Clause
     disequations: int = 0  # how many guards abstraction added
-
-
-@dataclass
-class ClosedSet:
-    """A closed set of clauses (:func:`partition_closed`): interconnected
-    when it has ``functions``, flat otherwise."""
-    clauses: list[Clause]
-    functions: frozenset[str] = frozenset()
-    skolem_consts: frozenset[str] = frozenset()
 
 
 @dataclass
@@ -170,215 +175,132 @@ def abstract(c: Clause) -> AbstractedClause:
 
 
 # ---------------------------------------------------------------------------
-# closed sets
+# the one-scan rewriting
 
 
-def _skolem_consts(c: Clause, symbols: SymbolTable) -> frozenset[str]:
-    out: set[str] = set()
-    for lit in c:
-        for a in lit.args:
-            _add_skolem_consts(a, symbols, out)
-    return frozenset(out)
+@dataclass(slots=True)
+class _Scanned:
+    """What the rewriting needs of one clause, from one walk over its
+    terms."""
+    clause: Clause
+    funcs: set[str]
+    skolem_consts: set[str]
+    # the argument tuples of its compound terms, nested ones included
+    tuples: set[tuple[Term, ...]]
+    flagged: bool  # abstraction would change the clause
+    # each variable's name in the rewriting, unless it is an argument
+    names: dict[str, Var]
 
 
-def _add_skolem_consts(t: Term, symbols: SymbolTable, out: set[str]) -> None:
-    if isinstance(t, Const):
-        sym = symbols.get(t.name)
-        if sym is not None and sym.origin is SymbolOrigin.SKOLEM:
-            out.add(t.name)
-    elif isinstance(t, App):
-        for a in t.args:
-            _add_skolem_consts(a, symbols, out)
-
-
-def partition_closed(clauses: list[Clause],
-                     symbols: SymbolTable) -> list[ClosedSet]:
-    """Group clauses into closed sets.
-
-    Clauses connected through shared function symbols belong together.
-    Clauses sharing a Skolem constant also belong together, since the
-    constant is internalized as a single existential witness.  All
-    remaining flat clauses form one flat set.
-    """
-    keyed = [(c, clause_funcs(c), _skolem_consts(c, symbols))
-             for c in clauses]
-    sets: list[ClosedSet] = []
-    plain_flat: list[Clause] = []
-    for g in connected_groups([[f"f:{f}" for f in fns] +
-                               [f"c:{s}" for s in sks]
-                               for _, fns, sks in keyed]):
-        c, fns, sks = keyed[g[0]]
-        if not (fns or sks):  # a clause with no token stands alone
-            plain_flat.append(c)
+def _scan(c: Clause, symbols: SymbolTable, skolem: dict[str, bool],
+          uppercase: bool = True) -> _Scanned:
+    """Scan ``c``, naming its variables ``U1, U2, ...`` in sorted order
+    (``uppercase``) or keeping their names; ``skolem`` caches whether a
+    constant is a Skolem constant, by name."""
+    funcs: set[str] = set()
+    consts: set[str] = set()
+    tuples: set[tuple[Term, ...]] = set()
+    flagged = False
+    todo = [t for lit in c.literals for t in lit.args
+            if t.__class__ is not Var]
+    while todo:
+        t = todo.pop()
+        if t.__class__ is Const:
+            is_sk = skolem.get(t.name)
+            if is_sk is None:
+                sym = symbols.get(t.name)
+                is_sk = skolem[t.name] = sym is not None and \
+                    sym.origin is SymbolOrigin.SKOLEM
+            if is_sk:
+                consts.add(t.name)
             continue
-        fns = frozenset().union(*(keyed[i][1] for i in g))
-        sks = frozenset().union(*(keyed[i][2] for i in g))
-        sets.append(ClosedSet([keyed[i][0] for i in g], fns, sks))
-    if plain_flat:
-        sets.append(ClosedSet(plain_flat))
-    return sets
+        funcs.add(t.fn)
+        tuples.add(t.args)
+        seen: set[Term] = set()
+        for a in t.args:
+            if a.__class__ is Var:
+                flagged |= a in seen  # var_abs would replace it
+                seen.add(a)
+            else:
+                flagged |= a.__class__ is Const  # con_abs would
+                todo.append(a)
+    names = {v: Var(f"U{i + 1}" if uppercase else v)
+             for i, v in enumerate(sorted(clause_vars(c)))}
+    return _Scanned(c, funcs, consts, tuples, flagged, names)
 
 
-# ---------------------------------------------------------------------------
-# property gate
-
-
-@dataclass(frozen=True, slots=True)
-class PropertyGate:
-    normal: bool
-    unique: bool
-    locally_compatible: bool
-    locally_linear: bool
-    globally_compatible: bool
-    globally_linear: bool
-
-    def violated(self) -> Optional[str]:
-        """The first of the properties unskolemisation needs that fails."""
-        for name in ("normal", "unique", "globally_compatible",
-                     "globally_linear"):
-            if not getattr(self, name):
-                return name
-        return None
-
-
-def property_gate(clauses: Iterable[Clause]) -> PropertyGate:
-    """Report the six renaming-related syntactic properties.
-
-    normal: compound-term arguments are variables only; unique: no
-    duplicate arguments within a compound term; locally compatible /
-    linear: one shared argument tuple (of distinct variables) per clause;
-    globally compatible / linear: one shared argument tuple across the
-    whole set.
-    """
-    clauses = list(clauses)
-    comps = [t for c in clauses for t in compound_terms(c)]
-    normal = all(isinstance(a, Var) for t in comps for a in t.args)
-    unique = all(len(set(t.args)) == len(t.args) for t in comps)
-    locally_compatible = all(
-        len({t.args for t in compound_terms(c)}) <= 1 for c in clauses)
-    globally_compatible = len({t.args for t in comps}) <= 1
-    return PropertyGate(
-        normal=normal,
-        unique=unique,
-        locally_compatible=locally_compatible,
-        locally_linear=locally_compatible and unique,
-        globally_compatible=globally_compatible,
-        globally_linear=globally_compatible and unique,
-    )
-
-
-# ---------------------------------------------------------------------------
-# variable renaming (VarRe) and unskolemisation
-
-
-def var_re(s: ClosedSet) -> tuple[list[Clause], tuple[str, ...]]:
-    """Rename every clause of an interconnected set so all compound terms
-    share one argument tuple of fresh variables."""
-    arities = {len(t.args) for c in s.clauses for t in compound_terms(c)}
-    if len(arities) > 1:
-        raise RewriteError(
-            f"closed set mixes compound-term arities {sorted(arities)}")
-    m = arities.pop() if arities else 0
-    shared = tuple(f"X{i + 1}" for i in range(m))
-    out: list[Clause] = []
-    for c in s.clauses:
-        comps = compound_terms(c)
-        tuples = {t.args for t in comps}
-        if len(tuples) > 1:
-            raise RewriteError("clause is not strongly compatible")
-        args = tuples.pop() if tuples else ()
-        if not all(isinstance(a, Var) for a in args):
-            raise RewriteError("compound-term arguments are not variables")
-        sub: Subst = {a.name: Var(v)  # type: ignore[union-attr]
-                      for a, v in zip(args, shared)}
-        # keep the remaining variables out of the shared names
-        taken = set(shared)
-        counter = [0]
-        for v in sorted(clause_vars(c)):
-            if v not in sub and v in taken:
-                sub[v] = _fresh_var("W", counter, taken)
-        out.append(apply_clause(c, sub) if sub else c)
-    return out, shared
-
-
-def _clause_to_disjunction(c: Clause) -> Formula:
-    items: list[Formula] = []
-    for l in c:
-        atom = AtomF(l.pred if not l.is_eq else "=", l.args)
-        items.append(atom if l.pos else Not(atom))
-    if len(items) == 1:
-        return items[0]
-    return Or(tuple(items))
-
-
-def _internalize_consts(clauses: list[Clause], consts: Iterable[str]
-                        ) -> tuple[list[Clause], list[str]]:
-    """Replace Skolem constants by fresh variables; returns the variable
-    names, one per constant, in sorted constant order."""
-    names: list[str] = []
-    out = clauses
-    for i, cname in enumerate(sorted(consts)):
-        v = Var(f"Z{i + 1}")
-        names.append(v.name)
-        repl: list[Clause] = []
-        for c in out:
-            repl.append(Clause(
-                _replace_const(l, Const(cname), v) for l in c))
-        out = repl
-    return out, names
-
-
-def unsko(s: ClosedSet) -> Formula:
+def _unsko(scans: list[_Scanned], fns: set[str],
+           consts: set[str]) -> Formula:
     """Unskolemise a closed set.
 
     Prefix: one existential per Skolem constant, the shared universal
     tuple, one existential per Skolem function (in name order), then any
     residual variables universally.
     """
-    renamed, shared = var_re(s)
-    clauses, const_vars = _internalize_consts(renamed, s.skolem_consts)
-    bad = property_gate(clauses).violated()
+    # var_re's checks
+    arities = {len(args) for s in scans for args in s.tuples}
+    if len(arities) > 1:
+        raise RewriteError(
+            f"closed set mixes compound-term arities {sorted(arities)}")
+    shared = tuple(Var(f"X{i + 1}")
+                   for i in range(arities.pop() if arities else 0))
+    renames: list[dict[str, Var]] = []
+    for s in scans:
+        if len(s.tuples) > 1:
+            raise RewriteError("clause is not strongly compatible")
+        args = next(iter(s.tuples), ())
+        if not all(a.__class__ is Var for a in args):
+            raise RewriteError("compound-term arguments are not variables")
+        renames.append({a.name: x  # type: ignore[union-attr]
+                        for a, x in zip(args, shared)})
+    # the property gate on the renamed tuples: every argument is a
+    # variable now (normal), and globally linear is globally compatible
+    # and unique together
+    renamed = {tuple(ren[a.name] for a in args)  # type: ignore[union-attr]
+               for s, ren in zip(scans, renames) for args in s.tuples}
+    bad = "unique" if any(len(set(t)) < len(t) for t in renamed) else \
+        "globally_compatible" if len(renamed) > 1 else None
     if bad:
         raise RewriteError(f"closed set violates property: {bad}")
-    fns = sorted(s.functions)
-    fn_vars = {fn: f"Y{i + 1}" for i, fn in enumerate(fns)}
-    final = [Clause(_replace_apps(l, fn_vars) for l in c)
-             for c in clauses] if fns else clauses
-    residual: list[str] = []
-    for c in final:
-        for v in sorted(clause_vars(c)):
-            if v not in shared and v not in fn_vars.values() and \
-                    v not in const_vars and v not in residual:
-                residual.append(v)
-    matrix: Formula = And(tuple(_clause_to_disjunction(c) for c in final)) \
-        if len(final) > 1 else _clause_to_disjunction(final[0])
-    f: Formula = matrix
+    zs = {k: Var(f"Z{i + 1}") for i, k in enumerate(sorted(consts))}
+    ys = {fn: Var(f"Y{i + 1}") for i, fn in enumerate(sorted(fns))}
+    # Each clause is built once, through one substitution.  The names
+    # cannot collide: a clause's variables are named U<n> (or keep their
+    # Yc<n>/Yd<n> from abstraction), apart from the X<n>, Y<n> and Z<n>,
+    # so no variable has to be renamed away from the shared tuple.
+    items: list[Formula] = []
+    residual: dict[str, None] = {}
+    for s, ren in zip(scans, renames):
+        names = s.names
+        lits = []
+        for lit in s.clause.literals:
+            args = []
+            for t in lit.args:
+                cls = t.__class__
+                if cls is Var:
+                    args.append(ren.get(t.name) or names[t.name])
+                elif cls is Const:
+                    args.append(zs.get(t.name, t))
+                else:  # a compound term, over the shared tuple
+                    args.append(ys[t.fn])  # type: ignore[union-attr]
+            lits.append(Literal(lit.pos, lit.pred, tuple(args)))
+        lits.sort(key=literal_key)
+        disj: list[Formula] = [AtomF(l.pred, l.args) if l.pos
+                               else Not(AtomF(l.pred, l.args))
+                               for l in lits]
+        items.append(disj[0] if len(disj) == 1 else Or(tuple(disj)))
+        residual.update(dict.fromkeys(sorted(
+            u.name for v, u in names.items() if v not in ren)))
+    f: Formula = And(tuple(items)) if len(items) > 1 else items[0]
     if residual:
         f = Forall(tuple(residual), f)
-    if fns:
-        f = Exists(tuple(fn_vars[fn] for fn in fns), f)
+    if ys:
+        f = Exists(tuple(y.name for y in ys.values()), f)
     if shared:
-        f = Forall(shared, f)
-    if const_vars:
-        f = Exists(tuple(const_vars), f)
+        f = Forall(tuple(x.name for x in shared), f)
+    if zs:
+        f = Exists(tuple(z.name for z in zs.values()), f)
     return f
-
-
-def _replace_apps(lit: Literal, fn_vars: dict[str, str]) -> Literal:
-    return Literal(lit.pos, lit.pred,
-                   tuple(_apps_to_vars(t, fn_vars) for t in lit.args))
-
-
-def _apps_to_vars(t: Term, fn_vars: dict[str, str]) -> Term:
-    if isinstance(t, App):
-        if t.fn in fn_vars:
-            return Var(fn_vars[t.fn])
-        return App(t.fn, tuple(_apps_to_vars(a, fn_vars) for a in t.args))
-    return t
-
-
-# ---------------------------------------------------------------------------
-# the full rewriting
 
 
 def q_rew(saturation: list[Clause], symbols: SymbolTable) -> RewriteResult:
@@ -393,14 +315,34 @@ def q_rew(saturation: list[Clause], symbols: SymbolTable) -> RewriteResult:
         raise RewriteError(
             "the saturation contains the empty clause: the query holds in "
             "every dataset, there is nothing to rewrite")
-    abstracted = [abstract(_uppercase_vars(c)) for c in saturation]
-    equality_used = any(a.disequations for a in abstracted)
-    sets = partition_closed([a.clause for a in abstracted], symbols)
+    skolem: dict[str, bool] = {}
+    scans: list[_Scanned] = []
+    equality_used = False
+    for c in saturation:
+        s = _scan(c, symbols, skolem)
+        if s.flagged:
+            ab = abstract(_uppercase_vars(c))
+            equality_used |= ab.disequations > 0
+            s = _scan(ab.clause, symbols, skolem, uppercase=False)
+        scans.append(s)
+    # closed sets: clauses sharing a function symbol or a Skolem
+    # constant; the clauses with neither form one flat set, last
     conjuncts: list[Formula] = []
     internalized: list[str] = []
-    for s in sets:
-        conjuncts.append(unsko(s))
-        internalized.extend(sorted(s.skolem_consts))
+    flat: list[_Scanned] = []
+    for g in connected_groups([[f"f:{f}" for f in s.funcs] +
+                               [f"c:{k}" for k in s.skolem_consts]
+                               for s in scans]):
+        group = [scans[i] for i in g]
+        if not (group[0].funcs or group[0].skolem_consts):
+            flat.extend(group)  # a clause with no token stands alone
+            continue
+        consts = set().union(*(s.skolem_consts for s in group))
+        conjuncts.append(_unsko(
+            group, set().union(*(s.funcs for s in group)), consts))
+        internalized.extend(sorted(consts))
+    if flat:
+        conjuncts.append(_unsko(flat, set(), set()))
     # an empty saturation rewrites to the empty conjunction
     big: Formula = And(tuple(conjuncts)) if len(conjuncts) > 1 \
         else conjuncts[0] if conjuncts else Top()

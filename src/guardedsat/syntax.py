@@ -39,6 +39,7 @@ cached hash that is rebuilt on unpickling.
 
 from __future__ import annotations
 
+import operator
 import re
 import string
 from dataclasses import dataclass, field
@@ -516,18 +517,24 @@ class FragmentResult:
 
 
 def expand_iff(f: Formula) -> Formula:
-    """``f`` with each ``A <=> B`` written as ``(A => B) & (B => A)``."""
+    """``f`` with each ``A <=> B`` written as ``(A => B) & (B => A)``;
+    ``f`` itself, and each subformula holding no ``<=>``, as it is."""
     if isinstance(f, Iff):
         l, r = expand_iff(f.left), expand_iff(f.right)
         return And((Implies(l, r), Implies(r, l)))
     if isinstance(f, Not):
-        return Not(expand_iff(f.body))
+        body = expand_iff(f.body)
+        return f if body is f.body else Not(body)
     if isinstance(f, (Forall, Exists)):
-        return type(f)(f.vars, expand_iff(f.body))
+        body = expand_iff(f.body)
+        return f if body is f.body else type(f)(f.vars, body)
     if isinstance(f, (And, Or)):
-        return type(f)(tuple(map(expand_iff, f.items)))
+        items = tuple(map(expand_iff, f.items))
+        return f if all(map(operator.is_, items, f.items)) \
+            else type(f)(items)
     if isinstance(f, Implies):
-        return Implies(expand_iff(f.left), expand_iff(f.right))
+        l, r = expand_iff(f.left), expand_iff(f.right)
+        return f if l is f.left and r is f.right else Implies(l, r)
     return f
 
 

@@ -457,24 +457,6 @@ def is_ground(c: Clause) -> bool:
     return not clause_vars(c)
 
 
-def term_funcs(t: Term, acc: Optional[set[str]] = None) -> set[str]:
-    if acc is None:
-        acc = set()
-    if isinstance(t, App):
-        acc.add(t.fn)
-        for a in t.args:
-            term_funcs(a, acc)
-    return acc
-
-
-def clause_funcs(c: Clause) -> set[str]:
-    acc: set[str] = set()
-    for lit in c:
-        for a in lit.args:
-            term_funcs(a, acc)
-    return acc
-
-
 def _compound_subterms(t: Term, out: list[App]) -> None:
     if isinstance(t, App):
         out.append(t)

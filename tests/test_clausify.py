@@ -1,12 +1,15 @@
 """Clausal normal form tests: golden transformations and invariants."""
 
+import pathlib
 import random
 
 import pytest
 
 from guardedsat.clausify import (
-    ClausifyError, _Renamer, miniscope, skolemize, to_nnf, trans,
+    ClausifyError, _nnf, _Renamer, clausify_formula, skolemize, trans,
 )
+from guardedsat.qans import run
+from guardedsat.qrew import RewriteError, q_rew
 from guardedsat.syntax import (
     And, Exists, Forall, Not, Or, free_vars, parse, print_formula,
 )
@@ -15,9 +18,11 @@ from guardedsat.terms import (
     membership,
 )
 from util import (
-    CONSTS, depth, parse_formula, random_formula, reference_miniscope,
-    reference_skolemize,
+    CONSTS, depth, parse_formula, random_formula, reference_clausify_formula,
+    reference_miniscope, reference_skolemize, reference_to_nnf,
 )
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def names(clauses):
@@ -163,17 +168,24 @@ def _forall_disjuncts(f) -> int:
     return 0
 
 
+def miniscoped_nnf(f):
+    """The clausifier's NNF of ``f``, miniscoped in the same walk."""
+    return _nnf(f, True)[0]
+
+
 def test_miniscope_agrees_with_the_reference():
-    """``miniscope`` works out each disjunct's free variables once per
-    guard block; on random formulas in NNF it gives what asking
-    ``free_vars`` afresh at every step gave."""
+    """The clausifier miniscopes in its NNF walk, working out each
+    disjunct's free variables once per guard block; on random formulas it
+    gives what NNF first, then miniscoping asking ``free_vars`` afresh at
+    every step gave."""
     rng = random.Random(11)
     pushed = 0
     for _ in range(3000):
-        f = to_nnf(random_formula(rng, rng.randint(1, 4)))
-        got = miniscope(f)
-        assert got == reference_miniscope(f), print_formula(f)
-        pushed += _forall_disjuncts(got) > _forall_disjuncts(f)
+        f = random_formula(rng, rng.randint(1, 4))
+        nnf = reference_to_nnf(f)
+        got = miniscoped_nnf(f)
+        assert got == reference_miniscope(nnf), print_formula(f)
+        pushed += _forall_disjuncts(got) > _forall_disjuncts(nnf)
     assert pushed > 80, pushed
 
 
@@ -212,7 +224,7 @@ def test_one_walk_skolemize_agrees_with_the_reference():
         fv = sorted(free_vars(f))
         if fv:
             f = Exists(tuple(fv), f)
-        f = miniscope(to_nnf(f))
+        f = miniscoped_nnf(f)
         for g in [f, *_Renamer(_formula_symbols()).run(f)]:
             got = _skolemized(g, skolemize)
             assert got == _skolemized(g, reference_skolemize), \
@@ -249,3 +261,86 @@ def test_skolemize_cases(text, matrix, skolem_map):
     assert _skolemized(parse_formula(text), skolemize) == \
         _skolemized(parse_formula(text), reference_skolemize)
 
+
+
+def _clausified(clausifier, f, symbols):
+    """The clauses, definitions, Skolem map and symbol table (in
+    declaration order) that ``clausifier`` gives for ``f`` on a copy of
+    ``symbols``, or its error."""
+    symbols, definitions, skolem_map = symbols.copy(), {}, {}
+    try:
+        clauses = clausifier(f, symbols, definitions, skolem_map)
+    except ClausifyError as e:
+        return f"ClausifyError: {e}"
+    return ([str(c) for c in clauses],
+            {k: print_formula(v) for k, v in definitions.items()},
+            skolem_map,
+            [(s.name, s.kind, s.arity, s.origin) for s in symbols])
+
+
+STATEMENTS = [
+    # <=>, expanded once, under both polarities
+    "! [X] : (p(X) <=> q(X))",
+    "(? [X] : p(X)) <=> (! [Y] : (q(Y) => r(Y)))",
+    "~(! [X] : (p(X) => (q(X) <=> ~r(X))))",
+    # $true and $false, absorbed or dropped
+    "! [X] : (p(X) => (q(X) <=> $true))",
+    "~(p(a) <=> $false) | $true",
+    "$false",
+    "! [X] : (p(X) => (q(X) | $false)) & $true",
+    # nested universals get definers
+    "! [X] : (r(X,X) => ! [Y] : (r(X,Y) => ! [Z] : (r(Y,Z) => p(Z))))",
+    "! [X] : (p(X) => ? [Y] : (r(X,Y) & ! [Z] : (r(Y,Z) => q(Z))))",
+    "~? [X,Y] : (r(X,Y) & r(Y,X) & ! [Z] : (r(X,Z) => p(Z)))",
+    # a CNF of 81 clauses, over MAX_DIRECT_CNF
+    "! [X] : (p(X) => ((a1(X) & a2(X) & a3(X)) | (b1(X) & b2(X) & b3(X))"
+    " | (c1(X) & c2(X) & c3(X)) | (d1(X) & d2(X) & d3(X))))",
+    # free variables, closed existentially
+    "r(X,Y) & (? [Z] : r(Y,Z))",
+    "! [X] : (r(X,Y) => p(Y))",
+    "p(X) | ~p(X) | q(Y)",
+]
+
+
+def _fixture_negated_rewritings():
+    """¬Σ_q of every fact-free fixture answered No, with the symbols of
+    a fresh parse of it, as the benchmark's check clausifies it."""
+    out = []
+    for path in sorted(FIXTURES.glob("*.p")):
+        prob = parse(path.read_text())
+        if prob.facts:
+            continue
+        result, state = run(prob)
+        if result.verdict != "no":
+            continue
+        try:
+            res = q_rew([c for _, c in state.worked_off.clauses()],
+                        prob.symbols)
+        except RewriteError:
+            continue
+        out.append((Not(res.sigma_q), parse(path.read_text()).symbols))
+    return out
+
+
+def test_clausifier_agrees_with_the_reference():
+    """``clausify_formula`` expands ``<=>`` in its NNF walk, miniscopes
+    in the same walk and distributes straight into literals; on random
+    formulas, hand-picked statements and ¬Σ_q of the fixtures it gives
+    the clauses, in order, the definitions, the Skolem map and the
+    symbol table of the pass-per-step reference."""
+    rng = random.Random(19)
+    cases = [(random_formula(rng, rng.randint(1, 4)), _formula_symbols())
+             for _ in range(1500)]
+    for text in STATEMENTS:
+        prob = parse(f"formula: {text}.")
+        cases.append((prob.formulas[0], prob.symbols))
+    negated = _fixture_negated_rewritings()
+    assert len(negated) >= 4, len(negated)
+    cases += negated
+    definers = 0
+    for f, symbols in cases:
+        got = _clausified(clausify_formula, f, symbols)
+        assert got == _clausified(reference_clausify_formula, f, symbols), \
+            print_formula(f)
+        definers += bool(got[1])
+    assert definers > 200, definers

@@ -37,7 +37,18 @@ symbol table and errors.
 :func:`reference_check_fragment` decides the fragment with one pass per
 fragment (GF, then LGF, then CGF); ``syntax.check_fragment`` must give
 the same fragment and witness.  :func:`reference_miniscope` is the
-miniscoping that asked for free variables afresh at each step.
+miniscoping that asked for free variables afresh at each step, and
+:func:`reference_to_nnf` the NNF pass that ran before it, after a pass
+expanding ``<=>``; the clausifier's one NNF-and-miniscoping walk must
+give an equal formula.  :func:`reference_clausify_formula` is the
+clausifier with those passes and a CNF that distributed into formula
+lists (:func:`reference_to_clauses`); ``clausify.clausify_formula`` must
+give the same clauses in order, definitions, Skolem map and symbols.
+:func:`reference_q_rew` is the rewriting as a chain of passes that each
+rebuild every clause (upper-casing, abstraction, :func:`partition_closed`,
+:func:`var_re`, the internalisation of Skolem constants,
+:func:`property_gate`, the replacement of Skolem terms);
+``qrew.q_rew`` must give the same Σ_q, conjuncts and errors.
 :func:`reference_skolemize` is the Skolemisation that prenexed a
 conjunct in one walk and substituted the Skolem terms in a second;
 ``clausify.skolemize`` must give the same matrix, symbols and map.
@@ -75,7 +86,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-from guardedsat.clausify import _flatten
+from guardedsat.clausify import (
+    ClausifyError, _Renamer, _bounded_rename, _flatten, skolemize,
+)
 from guardedsat.engine import (
     ClauseIndex, Inference, TopVarResult, _freeze, _remove_one, com_t_all,
     is_tautology,
@@ -83,18 +96,22 @@ from guardedsat.engine import (
 from guardedsat.oracle import FiniteModel, dpll
 from guardedsat.orders import Cmp, LPO
 from guardedsat.qans import SaturationState, clause_weight, inferences
+from guardedsat.qrew import (
+    RewriteError, RewriteResult, _fresh_var, _replace_const, _uppercase_vars,
+    abstract,
+)
 from guardedsat.syntax import (
     EQ_PRED, MAX_NESTING, And, AtomF, Bottom, Exists, Forall, Formula,
     FragmentResult, Iff, Implies, Not, Or, ParseError, Problem, Top, _END,
     _Parser as _SyntaxParser, _atom_ok, _conj_atoms, _merge_quant,
-    expand_iff, free_vars,
+    expand_iff, free_vars, print_formula,
 )
 from guardedsat.terms import (
     App, Clause, Const, Literal, Subst, SymbolKind, SymbolOrigin,
     SymbolTable, Term, Var, _is_flat_term, apply_clause, apply_lit,
-    apply_term, classify, clause_vars, condense, is_ground, lit_vars,
-    match_lit, membership, mgu_lits, renaming, subsumes, term_depth,
-    term_vars,
+    apply_term, classify, clause_vars, compound_terms,
+    condense, connected_groups, is_ground, lit_vars, match_lit, membership,
+    mgu_lits, renaming, subsumes, term_depth, term_vars,
 )
 
 CONSTS = ("c1", "c2", "c3")
@@ -1168,6 +1185,111 @@ def reference_miniscope(f: Formula) -> Formula:
     return f
 
 
+def reference_to_nnf(f: Formula) -> Formula:
+    """``clausify.to_nnf`` as it was, a walk of its own after expanding
+    ``<=>``: NNF with ``<=>``/``=>`` expanded and negation pushed onto
+    atoms."""
+    return _reference_nnf(expand_iff(f), positive=True)
+
+
+def _reference_nnf(f: Formula, positive: bool) -> Formula:
+    if isinstance(f, Top):
+        return Top() if positive else Bottom()
+    if isinstance(f, Bottom):
+        return Bottom() if positive else Top()
+    if isinstance(f, AtomF):
+        return f if positive else Not(f)
+    if isinstance(f, Not):
+        return _reference_nnf(f.body, not positive)
+    if isinstance(f, And):
+        items = tuple(_reference_nnf(g, positive) for g in f.items)
+        return _flatten(And(items)) if positive else _flatten(Or(items))
+    if isinstance(f, Or):
+        items = tuple(_reference_nnf(g, positive) for g in f.items)
+        return _flatten(Or(items)) if positive else _flatten(And(items))
+    if isinstance(f, Implies):
+        l = _reference_nnf(f.left, not positive)
+        r = _reference_nnf(f.right, positive)
+        return _flatten(Or((l, r))) if positive else _flatten(And((l, r)))
+    if isinstance(f, Forall):
+        body = _reference_nnf(f.body, positive)
+        return Forall(f.vars, body) if positive else Exists(f.vars, body)
+    if isinstance(f, Exists):
+        body = _reference_nnf(f.body, positive)
+        return Exists(f.vars, body) if positive else Forall(f.vars, body)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_to_clauses(matrix: Formula,
+                         symbols: SymbolTable) -> list[Clause]:
+    """``clausify.to_clauses`` as it was: distribution into lists of
+    formulas, each turned into literals after, deduplicated and tested
+    for tautology by list scans."""
+    matrix = _bounded_rename(matrix, symbols)
+    cnf = _reference_distribute(matrix)
+    out: list[Clause] = []
+    for disj in cnf:
+        lits = []
+        taut = False
+        for g in disj:
+            lit = _reference_to_literal(g)
+            if lit.negate() in lits:
+                taut = True
+                break
+            if lit not in lits:
+                lits.append(lit)
+        if not taut:
+            out.append(Clause(lits))
+    return out
+
+
+def _reference_distribute(f: Formula) -> list[list[Formula]]:
+    if isinstance(f, And):
+        out: list[list[Formula]] = []
+        for g in f.items:
+            out.extend(_reference_distribute(g))
+        return out
+    if isinstance(f, Or):
+        parts = [_reference_distribute(g) for g in f.items]
+        combos: list[list[Formula]] = [[]]
+        for p in parts:
+            combos = [c + d for c in combos for d in p]
+        return combos
+    if isinstance(f, Bottom):
+        return [[]]
+    if isinstance(f, Top):
+        return []
+    return [[f]]
+
+
+def _reference_to_literal(f: Formula) -> Literal:
+    if isinstance(f, AtomF):
+        return Literal(True, f.pred, f.args)
+    if isinstance(f, Not) and isinstance(f.body, AtomF):
+        return Literal(False, f.body.pred, f.body.args)
+    raise ClausifyError(f"not a literal: {print_formula(f)}")
+
+
+def reference_clausify_formula(f: Formula, symbols: SymbolTable,
+                               definitions: dict[str, Formula],
+                               skolem_map: dict[str, str]) -> list[Clause]:
+    """``clausify.clausify_formula`` as it was, one pass per step:
+    expand ``<=>``, NNF, miniscoping (:func:`reference_miniscope`), then
+    renaming and Skolemisation as the clausifier does them, and CNF
+    through formula lists (:func:`reference_to_clauses`)."""
+    fv = sorted(free_vars(f))
+    if fv:
+        f = Exists(tuple(fv), f)
+    f = reference_miniscope(reference_to_nnf(f))
+    renamer = _Renamer(symbols)
+    renamer.definitions = definitions
+    out: list[Clause] = []
+    for conjunct in renamer.run(f):
+        matrix = skolemize(conjunct, symbols, skolem_map)
+        out.extend(reference_to_clauses(matrix, symbols))
+    return out
+
+
 def reference_skolemize(f: Formula, symbols: SymbolTable,
                         skolem_map: dict[str, str]) -> Formula:
     """``clausify.skolemize`` as it was, in two walks: prenex the conjunct,
@@ -1377,6 +1499,261 @@ def _check_quantified(f: Forall | Exists, frag: str) -> Optional[Formula]:
                 _fragment_violation(sub, frag) is None:
             return None
     return f
+
+
+# ---------------------------------------------------------------------------
+# reference rewriting: the chain of whole-clause passes
+
+
+def term_funcs(t: Term, acc: Optional[set[str]] = None) -> set[str]:
+    if acc is None:
+        acc = set()
+    if isinstance(t, App):
+        acc.add(t.fn)
+        for a in t.args:
+            term_funcs(a, acc)
+    return acc
+
+
+def clause_funcs(c: Clause) -> set[str]:
+    acc: set[str] = set()
+    for lit in c:
+        for a in lit.args:
+            term_funcs(a, acc)
+    return acc
+
+
+@dataclass
+class ClosedSet:
+    """A closed set of clauses (:func:`partition_closed`): interconnected
+    when it has ``functions``, flat otherwise."""
+    clauses: list[Clause]
+    functions: frozenset[str] = frozenset()
+    skolem_consts: frozenset[str] = frozenset()
+
+
+def _skolem_consts(c: Clause, symbols: SymbolTable) -> frozenset[str]:
+    out: set[str] = set()
+    for lit in c:
+        for a in lit.args:
+            _add_skolem_consts(a, symbols, out)
+    return frozenset(out)
+
+
+def _add_skolem_consts(t: Term, symbols: SymbolTable, out: set[str]) -> None:
+    if isinstance(t, Const):
+        sym = symbols.get(t.name)
+        if sym is not None and sym.origin is SymbolOrigin.SKOLEM:
+            out.add(t.name)
+    elif isinstance(t, App):
+        for a in t.args:
+            _add_skolem_consts(a, symbols, out)
+
+
+def partition_closed(clauses: list[Clause],
+                     symbols: SymbolTable) -> list[ClosedSet]:
+    """Group clauses into closed sets.
+
+    Clauses connected through shared function symbols belong together.
+    Clauses sharing a Skolem constant also belong together, since the
+    constant is internalized as a single existential witness.  All
+    remaining flat clauses form one flat set.
+    """
+    keyed = [(c, clause_funcs(c), _skolem_consts(c, symbols))
+             for c in clauses]
+    sets: list[ClosedSet] = []
+    plain_flat: list[Clause] = []
+    for g in connected_groups([[f"f:{f}" for f in fns] +
+                               [f"c:{s}" for s in sks]
+                               for _, fns, sks in keyed]):
+        c, fns, sks = keyed[g[0]]
+        if not (fns or sks):  # a clause with no token stands alone
+            plain_flat.append(c)
+            continue
+        fns = frozenset().union(*(keyed[i][1] for i in g))
+        sks = frozenset().union(*(keyed[i][2] for i in g))
+        sets.append(ClosedSet([keyed[i][0] for i in g], fns, sks))
+    if plain_flat:
+        sets.append(ClosedSet(plain_flat))
+    return sets
+
+
+@dataclass(frozen=True, slots=True)
+class PropertyGate:
+    normal: bool
+    unique: bool
+    locally_compatible: bool
+    locally_linear: bool
+    globally_compatible: bool
+    globally_linear: bool
+
+    def violated(self) -> Optional[str]:
+        """The first of the properties unskolemisation needs that fails."""
+        for name in ("normal", "unique", "globally_compatible",
+                     "globally_linear"):
+            if not getattr(self, name):
+                return name
+        return None
+
+
+def property_gate(clauses: Iterable[Clause]) -> PropertyGate:
+    """Report the six renaming-related syntactic properties.
+
+    normal: compound-term arguments are variables only; unique: no
+    duplicate arguments within a compound term; locally compatible /
+    linear: one shared argument tuple (of distinct variables) per clause;
+    globally compatible / linear: one shared argument tuple across the
+    whole set.
+    """
+    clauses = list(clauses)
+    comps = [t for c in clauses for t in compound_terms(c)]
+    normal = all(isinstance(a, Var) for t in comps for a in t.args)
+    unique = all(len(set(t.args)) == len(t.args) for t in comps)
+    locally_compatible = all(
+        len({t.args for t in compound_terms(c)}) <= 1 for c in clauses)
+    globally_compatible = len({t.args for t in comps}) <= 1
+    return PropertyGate(
+        normal=normal,
+        unique=unique,
+        locally_compatible=locally_compatible,
+        locally_linear=locally_compatible and unique,
+        globally_compatible=globally_compatible,
+        globally_linear=globally_compatible and unique,
+    )
+
+
+def var_re(s: ClosedSet) -> tuple[list[Clause], tuple[str, ...]]:
+    """Rename every clause of an interconnected set so all compound terms
+    share one argument tuple of fresh variables."""
+    arities = {len(t.args) for c in s.clauses for t in compound_terms(c)}
+    if len(arities) > 1:
+        raise RewriteError(
+            f"closed set mixes compound-term arities {sorted(arities)}")
+    m = arities.pop() if arities else 0
+    shared = tuple(f"X{i + 1}" for i in range(m))
+    out: list[Clause] = []
+    for c in s.clauses:
+        comps = compound_terms(c)
+        tuples = {t.args for t in comps}
+        if len(tuples) > 1:
+            raise RewriteError("clause is not strongly compatible")
+        args = tuples.pop() if tuples else ()
+        if not all(isinstance(a, Var) for a in args):
+            raise RewriteError("compound-term arguments are not variables")
+        sub: Subst = {a.name: Var(v)  # type: ignore[union-attr]
+                      for a, v in zip(args, shared)}
+        # keep the remaining variables out of the shared names
+        taken = set(shared)
+        counter = [0]
+        for v in sorted(clause_vars(c)):
+            if v not in sub and v in taken:
+                sub[v] = _fresh_var("W", counter, taken)
+        out.append(apply_clause(c, sub) if sub else c)
+    return out, shared
+
+
+def _clause_to_disjunction(c: Clause) -> Formula:
+    items: list[Formula] = []
+    for l in c:
+        atom = AtomF(l.pred if not l.is_eq else "=", l.args)
+        items.append(atom if l.pos else Not(atom))
+    if len(items) == 1:
+        return items[0]
+    return Or(tuple(items))
+
+
+def _internalize_consts(clauses: list[Clause], consts: Iterable[str]
+                        ) -> tuple[list[Clause], list[str]]:
+    """Replace Skolem constants by fresh variables; returns the variable
+    names, one per constant, in sorted constant order."""
+    names: list[str] = []
+    out = clauses
+    for i, cname in enumerate(sorted(consts)):
+        v = Var(f"Z{i + 1}")
+        names.append(v.name)
+        repl: list[Clause] = []
+        for c in out:
+            repl.append(Clause(
+                _replace_const(l, Const(cname), v) for l in c))
+        out = repl
+    return out, names
+
+
+def unsko(s: ClosedSet) -> Formula:
+    """Unskolemise a closed set.
+
+    Prefix: one existential per Skolem constant, the shared universal
+    tuple, one existential per Skolem function (in name order), then any
+    residual variables universally.
+    """
+    renamed, shared = var_re(s)
+    clauses, const_vars = _internalize_consts(renamed, s.skolem_consts)
+    bad = property_gate(clauses).violated()
+    if bad:
+        raise RewriteError(f"closed set violates property: {bad}")
+    fns = sorted(s.functions)
+    fn_vars = {fn: f"Y{i + 1}" for i, fn in enumerate(fns)}
+    final = [Clause(_replace_apps(l, fn_vars) for l in c)
+             for c in clauses] if fns else clauses
+    residual: list[str] = []
+    for c in final:
+        for v in sorted(clause_vars(c)):
+            if v not in shared and v not in fn_vars.values() and \
+                    v not in const_vars and v not in residual:
+                residual.append(v)
+    matrix: Formula = And(tuple(_clause_to_disjunction(c) for c in final)) \
+        if len(final) > 1 else _clause_to_disjunction(final[0])
+    f: Formula = matrix
+    if residual:
+        f = Forall(tuple(residual), f)
+    if fns:
+        f = Exists(tuple(fn_vars[fn] for fn in fns), f)
+    if shared:
+        f = Forall(shared, f)
+    if const_vars:
+        f = Exists(tuple(const_vars), f)
+    return f
+
+
+def _replace_apps(lit: Literal, fn_vars: dict[str, str]) -> Literal:
+    return Literal(lit.pos, lit.pred,
+                   tuple(_apps_to_vars(t, fn_vars) for t in lit.args))
+
+
+def _apps_to_vars(t: Term, fn_vars: dict[str, str]) -> Term:
+    if isinstance(t, App):
+        if t.fn in fn_vars:
+            return Var(fn_vars[t.fn])
+        return App(t.fn, tuple(_apps_to_vars(a, fn_vars) for a in t.args))
+    return t
+
+
+def reference_q_rew(saturation: list[Clause],
+                    symbols: SymbolTable) -> RewriteResult:
+    """``qrew.q_rew`` as it was, as a chain of passes that each rebuild
+    every clause; the one-scan rewriting must give equal results and
+    errors."""
+    if any(c.is_empty() for c in saturation):
+        raise RewriteError(
+            "the saturation contains the empty clause: the query holds in "
+            "every dataset, there is nothing to rewrite")
+    abstracted = [abstract(_uppercase_vars(c)) for c in saturation]
+    equality_used = any(a.disequations for a in abstracted)
+    sets = partition_closed([a.clause for a in abstracted], symbols)
+    conjuncts: list[Formula] = []
+    internalized: list[str] = []
+    for s in sets:
+        conjuncts.append(unsko(s))
+        internalized.extend(sorted(s.skolem_consts))
+    # an empty saturation rewrites to the empty conjunction
+    big: Formula = And(tuple(conjuncts)) if len(conjuncts) > 1 \
+        else conjuncts[0] if conjuncts else Top()
+    return RewriteResult(
+        sigma_q=Not(big),
+        skolem_constants_internalized=internalized,
+        equality_used=equality_used,
+        conjuncts=conjuncts,
+    )
 
 
 # ---------------------------------------------------------------------------
