@@ -259,7 +259,7 @@ def test_rewriting_is_over_the_input_signature():
     # definer symbol of the rules' clausal form
     problems = [parse(p.read_text()) for p in sorted(FIXTURES.glob("*.p"))]
     problems = [p for p in problems if not p.facts]
-    assert len(problems) == 13
+    assert len(problems) == 14
     rng = random.Random(11)
     for _ in range(200):
         prob = random_problem(rng)

@@ -44,7 +44,7 @@ def render(path: pathlib.Path) -> str:
 
 
 def test_every_fixture_has_a_golden():
-    assert len(FIXTURES) == 16
+    assert len(FIXTURES) == 18
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == \
         [p.stem for p in FIXTURES]
 
