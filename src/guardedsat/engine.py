@@ -14,12 +14,16 @@ Eligibility of literals is decided per clause:
   actually resolved.
 
 :class:`ClauseIndex` computes these facts once per clause, when the clause
-is added, as a :class:`ClauseRecord`; :func:`resolvents` and
-:func:`factor` read the record.  The saturation loop and the tests reach
-them through :func:`guardedsat.qans.inferences`.
+is added, as a :class:`ClauseRecord`.  Each rule returns the
+:data:`Derivation` the loop records: :func:`_binary_resolvents` (rule
+2a), :func:`topvar_resolvents` (rule 2b) and :func:`factor`.  One place,
+``qans._as_main``, picks the rule for a main premise by its regime; the
+saturation loop and the tests reach the rules through
+:func:`guardedsat.qans.inferences`.
 
-The index keeps the side literals of each (predicate, arity) in one
-list in clause-id order; the ground ones also by their argument tuple,
+The index keeps the side literals of each predicate in one list in
+clause-id order (a predicate has one arity: ``SymbolTable.declare``
+rejects a second); the ground ones also by their argument tuple,
 the non-ground ones apart, and of those the ones with no compound
 argument.  Per argument position it indexes them by ground term,
 non-ground term, head symbol and variable; a position's index is built
@@ -82,7 +86,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .orders import LPO, Cmp, comparisons, select_nc
+from .orders import LPO, Cmp, comparisons, maximal, select_nc
 from .qsep import is_icq
 from .terms import (
     App, Clause, Const, Literal, Subst, Term, Var, apply_lit,
@@ -123,9 +127,7 @@ class ClauseRecord:
     inseparable chained-only query clause.  ``main_literals`` are the
     selected literals: the selected compound-term literal, the maximal
     negative literals, or all negative literals of a flat non-ground
-    clause.  ``maximal`` holds the maximal literals of a ``"max"`` clause
-    (empty otherwise), which is all factoring needs; ``side_literals``
-    are those on which the clause serves as a side premise.  ``rivals``
+    clause.  ``side_literals`` are those on which the clause serves as a side premise.  ``rivals``
     holds, for each side literal, the positions in the clause of the other
     literals it does not strictly dominate a priori: the ordering is
     stable under substitution, so only those can outgrow it after
@@ -134,7 +136,6 @@ class ClauseRecord:
     """
     regime: str  # "max" | "select" | "topvar" | "icq"
     main_literals: tuple[Literal, ...]
-    maximal: tuple[Literal, ...]
     side_literals: tuple[Literal, ...]
     rivals: tuple[tuple[int, ...], ...]
     n_vars: int
@@ -151,36 +152,37 @@ def clause_record(c: Clause, lpo: LPO) -> ClauseRecord:
 
     A ground unit, every fact, gets its record from its sign alone, as
     the definitions give it for one literal with no variable: it is
-    ``"max"`` and maximal, a positive one is a side literal with no
-    rivals, a negative one a main literal.
+    ``"max"``, a positive one is a side literal with no rivals, a negative
+    one a main literal.
     """
     if len(c) == 1 and is_ground(c):
         (lit,) = c
         if lit.pos:
-            return ClauseRecord("max", (), (lit,), (lit,), ((),), 0)
-        return ClauseRecord("max", (lit,), (lit,), (), (), 0)
+            return ClauseRecord("max", (), (lit,), ((),), 0)
+        return ClauseRecord("max", (lit,), (), (), 0)
     d = dispatch(c)
     n_vars = len(clause_vars(c))
     if d == "select":
         sel = select_nc(c)
-        return ClauseRecord(d, (sel,) if sel is not None else (), (), (), (),
+        return ClauseRecord(d, (sel,) if sel is not None else (), (), (),
                             n_vars)
     if d == "topvar":
         main = tuple(l for l in c if not l.pos)
         icq = len(main) == len(c) and is_icq(c)
-        return ClauseRecord("icq" if icq else d, main, (), (), (), n_vars)
-    maxlits, sides, rivals = [], [], []
+        return ClauseRecord("icq" if icq else d, main, (), (), n_vars)
+    mains, sides, rivals = [], [], []
     for i, (lit, row) in enumerate(
             zip(c.literals, comparisons(lpo, c.literals))):
         others = [(k, r) for k, r in enumerate(row) if k != i]
         if any(r is Cmp.LT for _, r in others):
             continue
-        maxlits.append(lit)
-        if lit.pos and all(r is not Cmp.EQ for _, r in others):
+        if not lit.pos:
+            mains.append(lit)
+        elif all(r is not Cmp.EQ for _, r in others):
             sides.append(lit)
             rivals.append(tuple(k for k, r in others if r is not Cmp.GT))
-    return ClauseRecord(d, tuple(l for l in maxlits if not l.pos),
-                        tuple(maxlits), tuple(sides), tuple(rivals), n_vars)
+    return ClauseRecord(d, tuple(mains), tuple(sides), tuple(rivals),
+                        n_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +245,7 @@ def _buckets(index: _PositionIndex, t: Term) -> list[list[_Side]]:
 
 
 class _SideList:
-    """The side literals on one (predicate, arity) in key order, (clause
+    """The side literals on one predicate in key order, (clause
     id, position among the clause's side literals); the ground ones by
     their argument tuple, the non-ground ones, and those of the non-ground
     ones with no compound argument, each in key order; and for each
@@ -309,9 +311,13 @@ class _SideList:
 
 class ClauseIndex:
     """Clauses with stable ids, their records, the side literals by
-    (predicate, arity) (:class:`_SideList`), the main premises by
-    predicate, and the supply of fresh variable numbers for renaming side
-    premises apart."""
+    predicate (:class:`_SideList`), the main premises by predicate, and
+    the supply of fresh variable numbers for renaming side premises apart.
+
+    The side lists are keyed by predicate alone: ``SymbolTable.declare``
+    gives a predicate one arity, so every literal on it has that arity,
+    and a side literal on a selected literal's predicate has as many
+    arguments as the selected literal."""
 
     def __init__(self, lpo: LPO) -> None:
         self.lpo = lpo
@@ -320,7 +326,7 @@ class ClauseIndex:
         self.records: dict[int, ClauseRecord] = {}
         # ids arrive in pick order; the side lists and the main-index lists
         # are kept in id order as they grow
-        self._sides: dict[str, dict[int, _SideList]] = {}
+        self._sides: dict[str, _SideList] = {}
         self._main_index: dict[str, list[int]] = {}
 
     def add(self, cid: int, c: Clause) -> None:
@@ -328,10 +334,9 @@ class ClauseIndex:
         self.by_id[cid] = c
         self.records[cid] = rec
         for k, lit in enumerate(rec.side_literals):
-            by_arity = self._sides.setdefault(lit.pred, {})
-            sides = by_arity.get(len(lit.args))
+            sides = self._sides.get(lit.pred)
             if sides is None:
-                sides = by_arity[len(lit.args)] = _SideList()
+                sides = self._sides[lit.pred] = _SideList()
             sides.add(_Side(cid, k, c, lit))
         for pred in {l.pred for l in rec.main_literals}:
             insort(self._main_index.setdefault(pred, []), cid)
@@ -340,9 +345,8 @@ class ClauseIndex:
         if self.by_id.pop(cid, None) is None:
             return
         rec = self.records.pop(cid)
-        for pred, arity in {(l.pred, len(l.args))
-                            for l in rec.side_literals}:
-            self._sides[pred][arity].remove(cid)
+        for pred in {l.pred for l in rec.side_literals}:
+            self._sides[pred].remove(cid)
         for pred in {l.pred for l in rec.main_literals}:
             ids = self._main_index[pred]
             del ids[bisect_left(ids, cid)]
@@ -357,17 +361,16 @@ class ClauseIndex:
         return sorted(ids)
 
     def side_list(self, lit: Literal) -> Optional[_SideList]:
-        """The side literals with the predicate and arity of ``lit``."""
-        return self._sides.get(lit.pred, {}).get(len(lit.args))
+        """The side literals on the predicate of ``lit``."""
+        return self._sides.get(lit.pred)
 
     def side_candidates(self, pred: str) -> list[tuple[int, Clause, Literal]]:
         """The side literals on ``pred`` with their clauses, in key
         order."""
-        lists = self._sides.get(pred, {}).values()
-        sides = [side for lst in lists for side in lst.entries]
-        if len(lists) > 1:
-            sides.sort(key=_key)
-        return [(side.cid, side.clause, side.lit) for side in sides]
+        sides = self._sides.get(pred)
+        if sides is None:
+            return []
+        return [(side.cid, side.clause, side.lit) for side in sides.entries]
 
     def clauses(self) -> list[tuple[int, Clause]]:
         """The indexed clauses in id order."""
@@ -686,17 +689,9 @@ def com_t_all(main: Clause, n: ClauseIndex,
 # inferences
 
 
-@dataclass(frozen=True, slots=True)
-class Inference:
-    rule: str  # "Factor" | "TRes2a" | "TRes2b" | "SRes" | "PRes"
-    main: int
-    sides: tuple[int, ...]
-    sigma: tuple[tuple[str, Term], ...]
-    conclusion: Clause
-
-
-def _freeze(sub: Subst) -> tuple[tuple[str, Term], ...]:
-    return tuple(sorted(sub.items()))
+# what each rule returns and the loop records: the rule, the parent ids
+# with the main premise first, and the conclusions
+Derivation = tuple[str, tuple[int, ...], tuple[Clause, ...]]
 
 
 def _remove_one(c: Iterable[Literal], lit: Literal) -> list[Literal]:
@@ -705,13 +700,12 @@ def _remove_one(c: Iterable[Literal], lit: Literal) -> list[Literal]:
     return lits
 
 
-def factor(cid: int, c: Clause, rec: ClauseRecord) -> list[Inference]:
-    """Positive factoring on clauses with no selected literal."""
-    if rec.regime != "max":
-        return []
-    out: list[Inference] = []
+def factor(cid: int, c: Clause, lpo: LPO) -> list[Derivation]:
+    """Positive factoring of the ``"max"`` clause ``c`` on its maximal
+    positive literals."""
+    out: list[Derivation] = []
     pos = [l for l in c if l.pos]
-    maxlits = set(rec.maximal)
+    maxlits = set(maximal(lpo, c))
     for i, a1 in enumerate(pos):
         if a1 not in maxlits:
             continue
@@ -722,20 +716,18 @@ def factor(cid: int, c: Clause, rec: ClauseRecord) -> list[Inference]:
             rest = _remove_one(c, a2)
             concl = Clause(dict.fromkeys(
                 apply_lit(l, sigma) for l in rest))
-            out.append(Inference("Factor", cid, (), _freeze(sigma), concl))
+            out.append(("Factor", (cid,), (concl,)))
     return out
 
 
 def _binary_resolvents(main_id: int, main: Clause, neg: Literal,
                        n: ClauseIndex,
-                       only_side: Optional[int] = None) -> list[Inference]:
+                       only_side: Optional[int] = None) -> list[Derivation]:
     """Rule-2a resolution of ``neg`` in ``main`` against indexed sides."""
-    out = []
+    out: list[Derivation] = []
     avoid = clause_vars(main)
     for cid, side, pos_lit in n.side_candidates(neg.pred):
         if only_side is not None and cid != only_side:
-            continue
-        if len(pos_lit.args) != len(neg.args):
             continue
         ren = renaming(side, avoid, n.fresh)
         side_r = [apply_lit(l, ren) for l in side] if ren else side
@@ -745,7 +737,7 @@ def _binary_resolvents(main_id: int, main: Clause, neg: Literal,
             continue
         lits = _remove_one(main, neg) + _remove_one(side_r, pos_r)
         concl = Clause(dict.fromkeys(apply_lit(l, sigma) for l in lits))
-        out.append(Inference("TRes2a", main_id, (cid,), _freeze(sigma), concl))
+        out.append(("TRes2a", (main_id, cid), (concl,)))
     return out
 
 
@@ -758,16 +750,19 @@ def stays_strictly_maximal(lit: Literal, rivals: Sequence[Literal],
 
 
 def _topvar_resolvent(main_id: int, main: Clause, tv: TopVarResult,
-                      lpo: LPO) -> Optional[Inference]:
-    """Rule-2b: resolve exactly the top-variable literals of ``main``."""
+                      lpo: LPO
+                      ) -> Optional[tuple[tuple[int, ...], Subst, Clause]]:
+    """Rule-2b: resolve exactly the top-variable literals of ``main``.
+    Returns the parent ids (``main_id``, then the side of each top
+    literal), the unifier and the conclusion, or ``None``."""
     pairs = []
-    side_ids = []
+    parents = [main_id]
     extra: list[Literal] = []
     top = set(tv.top_literals)
     for (mlit, cid, side_r, pos_r) in tv.side_assignment:
         if mlit in top:
             pairs.append((pos_r, mlit))
-            side_ids.append(cid)
+            parents.append(cid)
             extra.extend(_remove_one(side_r, pos_r))
     sigma = mgu_lits(pairs)
     if sigma is None:
@@ -782,28 +777,21 @@ def _topvar_resolvent(main_id: int, main: Clause, tv: TopVarResult,
     # literals are distinct after condensation)
     lits = [apply_lit(l, sigma) for l in rest] + \
            [apply_lit(l, sigma) for l in extra]
-    concl = Clause(dict.fromkeys(lits))
-    return Inference("TRes2b", main_id, tuple(side_ids), _freeze(sigma),
-                     concl)
+    return tuple(parents), sigma, Clause(dict.fromkeys(lits))
 
 
-def resolvents(main_id: int, n: ClauseIndex,
-               only_side: Optional[int]) -> list[Inference]:
-    """Binary (rule 2a) or top-variable (rule 2b) resolvents of the
-    indexed, non-ICQ clause ``main_id`` as the main premise; with
-    ``only_side``, only those using that side premise."""
+def topvar_resolvents(main_id: int, n: ClauseIndex,
+                      only_side: Optional[int]) -> list[Derivation]:
+    """Rule-2b resolvents of the indexed ``"topvar"`` clause ``main_id``
+    as the main premise, one per assignment :func:`com_t_all` yields;
+    with ``only_side``, only those using that side premise."""
     main = n.by_id[main_id]
-    rec = n.records[main_id]
-    out: list[Inference] = []
-    if rec.regime == "topvar":
-        for tv in com_t_all(main, n, must_include=only_side):
-            inf = _topvar_resolvent(main_id, main, tv, n.lpo)
-            if inf is not None:
-                out.append(inf)
-    else:
-        for neg in rec.main_literals:
-            out.extend(_binary_resolvents(main_id, main, neg, n,
-                                          only_side=only_side))
+    out: list[Derivation] = []
+    for tv in com_t_all(main, n, must_include=only_side):
+        res = _topvar_resolvent(main_id, main, tv, n.lpo)
+        if res is not None:
+            parents, _, concl = res
+            out.append(("TRes2b", parents, (concl,)))
     return out
 
 

@@ -59,7 +59,10 @@ from heapq import heappop, heappush
 from typing import Optional
 
 from .clausify import TransOutput, trans
-from .engine import ClauseIndex, Inference, factor, is_tautology, resolvents
+from .engine import (
+    ClauseIndex, Derivation, _binary_resolvents, factor, is_tautology,
+    topvar_resolvents,
+)
 from .orders import LPO, Precedence
 from .qic import q_ic_all
 from .qsep import DefinitionRegistry, q_sep
@@ -289,30 +292,25 @@ def saturate(state: SaturationState) -> str:
     return "no"
 
 
-# (rule, parent ids with the main premise first, conclusions)
-Derivation = tuple[str, tuple[int, ...], tuple[Clause, ...]]
-
-
 def inferences(n: ClauseIndex, registry: DefinitionRegistry,
                given_id: int) -> list[Derivation]:
     """Every inference between the indexed clause ``given_id`` and the
     clauses of ``n``, in the order the loop inserts their conclusions.
 
-    The given clause is first the main premise: an ICQ clause through
-    T-Res, T-Trans and Q-Sep (rule ``QIC``, definers from ``registry``),
-    any other clause through binary or top-variable resolution and then
-    factoring.  If it has side literals, it is then the side premise of
+    The given clause is first the main premise (:func:`_as_main`), then
+    factored.  If it has side literals, it is then the side premise of
     every other indexed clause as a main premise, in id order; only the
     clauses with a main literal on a predicate of those side literals can
     take it (:meth:`~guardedsat.engine.ClauseIndex.mains_on`).  A clause
     with no main literal is no main premise, and only a ``"max"`` clause
-    of two literals or more can be factored: a fact skips both passes.
+    with two positive literals or more can be factored: a fact skips both
+    passes.
     """
     rec = n.records[given_id]
     out = _as_main(n, registry, given_id, None) if rec.main_literals else []
     c = n.by_id[given_id]
-    if rec.regime == "max" and len(c) > 1:
-        out.extend(_derivation(inf) for inf in factor(given_id, c, rec))
+    if rec.regime == "max" and sum(l.pos for l in c) > 1:
+        out.extend(factor(given_id, c, n.lpo))
     if rec.side_literals:
         for cid in n.mains_on({l.pred for l in rec.side_literals}):
             if cid != given_id:
@@ -322,18 +320,22 @@ def inferences(n: ClauseIndex, registry: DefinitionRegistry,
 
 def _as_main(n: ClauseIndex, registry: DefinitionRegistry, main_id: int,
              only_side: Optional[int]) -> list[Derivation]:
-    if n.records[main_id].regime != "icq":
-        return [_derivation(inf) for inf in resolvents(main_id, n, only_side)]
-    out: list[Derivation] = []
-    for r in q_ic_all(main_id, n, registry, must_include=only_side):
-        assert r.inference is not None
-        out.append(("QIC", (r.inference.main,) + r.inference.sides,
-                    tuple(r.lg_clauses + r.guarded + r.icq)))
-    return out
-
-
-def _derivation(inf: Inference) -> Derivation:
-    return inf.rule, (inf.main,) + inf.sides, (inf.conclusion,)
+    """The inferences of the indexed clause ``main_id`` as the main
+    premise, by the rule its regime takes: an ICQ clause through T-Res,
+    T-Trans and Q-Sep (rule ``QIC``, definers from ``registry``), a
+    ``"topvar"`` clause through top-variable resolution (rule 2b), any
+    other through binary resolution of each main literal (rule 2a); with
+    ``only_side``, only those using that side premise."""
+    rec = n.records[main_id]
+    if rec.regime == "icq":
+        return [("QIC", r.parents, tuple(r.lg_clauses + r.guarded + r.icq))
+                for r in q_ic_all(main_id, n, registry,
+                                  must_include=only_side)]
+    if rec.regime == "topvar":
+        return topvar_resolvents(main_id, n, only_side)
+    main = n.by_id[main_id]
+    return [d for neg in rec.main_literals
+            for d in _binary_resolvents(main_id, main, neg, n, only_side)]
 
 
 def answer(problem: Problem, step_budget: int = 10 ** 6,

@@ -9,14 +9,18 @@ behind a fresh definer over their variables, and the rest becomes a new
 query clause which is separated again.  Definers come from the shared
 :class:`~guardedsat.qsep.DefinitionRegistry`, so recurring block shapes
 reuse their symbol.
+
+:func:`q_ic_all` reads the unifier of each T-Res step from
+:func:`~guardedsat.engine._topvar_resolvent`, which T-Trans applies, and
+hands back the step's parent ids with its clauses (:class:`QicResult`);
+the loop records them as one ``QIC`` derivation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import ClauseIndex, Inference, TopVarResult, com_t_all, \
-    _topvar_resolvent
+from .engine import ClauseIndex, TopVarResult, com_t_all, _topvar_resolvent
 from .qsep import DefinitionRegistry, SepResult, q_sep
 from .terms import (
     Clause, Literal, Subst, Var, apply_lit, connected_groups, literal_key,
@@ -26,11 +30,14 @@ from .terms import (
 
 @dataclass
 class QicResult:
+    """One QIC step: the T-Res resolvent, the clauses T-Trans and Q-Sep
+    make of it, and the parent ids (the main premise, then the side of
+    each top literal)."""
     resolvent: Clause
     lg_clauses: list[Clause] = field(default_factory=list)
     guarded: list[Clause] = field(default_factory=list)
     icq: list[Clause] = field(default_factory=list)
-    inference: Inference | None = None
+    parents: tuple[int, ...] = ()
 
 
 def closed_partition(tv: TopVarResult) -> list[list[Literal]]:
@@ -91,14 +98,14 @@ def q_ic_all(main_id: int, n: ClauseIndex, reg: DefinitionRegistry,
     main = n.by_id[main_id]
     out: list[QicResult] = []
     for tv in com_t_all(main, n, must_include=must_include):
-        inf = _topvar_resolvent(main_id, main, tv, n.lpo)
-        if inf is None:
+        res = _topvar_resolvent(main_id, main, tv, n.lpo)
+        if res is None:
             continue
-        sigma = dict(inf.sigma)
+        parents, sigma, resolvent = res
         lg, query = t_trans(main, tv, sigma, reg)
         sep: SepResult = q_sep(query, reg)
-        out.append(QicResult(resolvent=inf.conclusion, lg_clauses=lg,
+        out.append(QicResult(resolvent=resolvent, lg_clauses=lg,
                              guarded=sep.guarded, icq=sep.icq,
-                             inference=inf))
+                             parents=parents))
     return out
 

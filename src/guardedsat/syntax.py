@@ -573,10 +573,13 @@ def check_fragment(f: Formula) -> FragmentResult:
     Function symbols and equality are outside all three fragments.  One
     walk gives each quantifier the smallest fragment whose guard
     conditions it meets; the formula's fragment is the largest of these.
+    The walk reads ``A <=> B`` as ``(A => B) & (B => A)`` without
+    building it, and only the witness is expanded, as it is printed.
     """
-    rank, witness = _rank(expand_iff(f))
+    rank, witness = _rank(f)
     if rank == _NONE:
-        return FragmentResult("none", witness=witness)
+        assert witness is not None
+        return FragmentResult("none", witness=expand_iff(witness))
     return FragmentResult(_FRAGMENTS[rank])
 
 
@@ -586,14 +589,22 @@ def _atom_ok(a: AtomF) -> bool:
 
 def _rank(f: Formula) -> tuple[int, Optional[Formula]]:
     """The rank of the smallest fragment containing ``f``; when that is
-    ``_NONE``, also the first subformula breaking the rules of CGF."""
+    ``_NONE``, also the first subformula breaking the rules of CGF.
+
+    ``f`` is ranked as if each ``A <=> B`` in it were expanded to ``(A =>
+    B) & (B => A)``: the two implications rank ``A``, then ``B``, then the
+    same again, so ``A <=> B`` ranks as ``A => B`` does.  A quantifier
+    whose body or guard is a ``<=>`` is outside every fragment whether it
+    is expanded or not.  The witness is the unexpanded subformula in the
+    place of the expanded one."""
     if isinstance(f, AtomF):
         return (_GF, None) if _atom_ok(f) else (_NONE, f)
     if isinstance(f, Not):
         return _rank(f.body)
-    if isinstance(f, (And, Or, Implies)):
+    if isinstance(f, (And, Or, Implies, Iff)):
         rank = _GF
-        for g in (f.left, f.right) if isinstance(f, Implies) else f.items:
+        for g in (f.left, f.right) if isinstance(f, (Implies, Iff)) \
+                else f.items:
             r, bad = _rank(g)
             if bad is not None:
                 return r, bad

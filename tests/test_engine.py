@@ -36,7 +36,7 @@ from util import (
     CONSTS, _iter_assignments, clause_gt, com_t, data_sweep_instances,
     depth, ground_entails, is_variant, make_symbols, p_res, preds,
     random_ground_atom, random_lg_set, reference_com_t_all,
-    reference_kept_sides, s_res, width,
+    reference_factor, reference_kept_sides, s_res, width,
 )
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -105,7 +105,6 @@ def _check_record(c, lpo):
     d = dispatch(c)
     assert rec.regime == ("icq" if is_icq(c) else d), c
     maxlits = tuple(maximal(lpo, c)) if d == "max" else ()
-    assert rec.maximal == maxlits, c
     if d == "max":
         assert rec.main_literals == tuple(l for l in maxlits if not l.pos)
     elif d == "select":
@@ -290,7 +289,8 @@ def _assert_joins_agree(main, n):
             r_want = engine._topvar_resolvent(0, main, w, lpo)
             assert (r_got is None) == (r_want is None), (main, must)
             if r_got is not None:
-                assert is_variant(r_got.conclusion, r_want.conclusion)
+                assert r_got[0] == r_want[0], (main, must)
+                assert is_variant(r_got[2], r_want[2])
         tuples += len(found)
         skipped += len(found) - len(got)
     return tuples, skipped
@@ -564,8 +564,10 @@ def test_binary_resolution_resolves_the_side_literal_it_picked():
     n = _renaming_flip_index()
     main = Clause([_lit(False, "q", a, App("f", (b,)))])
     n.add(2, main)
-    (inf,) = _binary_resolvents(2, main, main.literals[0], n)
-    assert str(inf.conclusion) == "q(b,f(b))"
+    ((rule, parents, (concl,)),) = _binary_resolvents(
+        2, main, main.literals[0], n)
+    assert (rule, parents) == ("TRes2a", (2, 1))
+    assert str(concl) == "q(b,f(b))"
 
 
 def _random_term(symbols, rng, nesting=2):
@@ -743,19 +745,18 @@ def _index_contents(n, positions=None):
     non-ground ones, and its argument index at each position of
     ``positions`` (by list), by default at each position built so far."""
     sides = {}
-    for pred, by_arity in n._sides.items():
-        for arity, lst in by_arity.items():
-            if not lst.entries:
-                continue
-            js = sorted(lst.positions) if positions is None \
-                else positions.get((pred, arity), ())
-            sides[pred, arity] = (
-                [(side.key, side.clause, side.lit) for side in lst.entries],
-                {args: [side.key for side in ground]
-                 for args, ground in lst.ground.items()},
-                [side.key for side in lst.nonground],
-                [side.key for side in lst.flat],
-                {j: _position_contents(lst.position(j)) for j in js})
+    for pred, lst in n._sides.items():
+        if not lst.entries:
+            continue
+        js = sorted(lst.positions) if positions is None \
+            else positions.get(pred, ())
+        sides[pred] = (
+            [(side.key, side.clause, side.lit) for side in lst.entries],
+            {args: [side.key for side in ground]
+             for args, ground in lst.ground.items()},
+            [side.key for side in lst.nonground],
+            [side.key for side in lst.flat],
+            {j: _position_contents(lst.position(j)) for j in js})
     return (n.by_id, n.records, n.clauses(), sides,
             {p: ids for p, ids in n._main_index.items() if ids})
 
@@ -799,9 +800,8 @@ def test_remove_agrees_with_a_rebuilt_index():
                 gone = rng.choice(sorted(live))
                 sides = [l.pred for l in n.records[gone].side_literals]
                 shared += len(sides) > len(set(sides))
-                built = {(p, k): set(lst.positions)
-                         for p, by_arity in n._sides.items()
-                         for k, lst in by_arity.items()}
+                built = {p: set(lst.positions)
+                         for p, lst in n._sides.items()}
                 kept_up += sum(len(js) for js in built.values())
                 n.remove(gone)
                 del live[gone]
@@ -859,11 +859,73 @@ def test_factor_positive_literals():
     c = Clause([_lit(True, "B", App("f", (x,)), x),
                 _lit(True, "B", App("f", (x,)), y),
                 _lit(False, "G", x, y)])
-    infs = factor(1, c, clause_record(c, lpo))
-    assert infs
-    for inf in infs:
-        assert len(inf.conclusion) < len(c)
+    derived = factor(1, c, lpo)
+    assert derived
+    for rule, parents, (concl,) in derived:
+        assert (rule, parents) == ("Factor", (1,))
+        assert len(concl) < len(c)
 
+
+
+def test_factor_agrees_with_the_record_based_reference():
+    """:func:`factor`, called where :func:`inferences` calls it (a
+    ``"max"`` clause with two positive literals or more), derives what
+    factoring on the record's maximal literals derived, on every clause:
+    on the others that derived nothing."""
+    symbols = make_symbols(n_preds=4, max_arity=2, n_funcs=2,
+                           rng=random.Random(5))
+    lpo = LPO(Precedence(symbols))
+    ps = preds(symbols)
+    clauses = []
+    for seed in range(1000):
+        rng = random.Random(seed)
+        lits = []
+        for _ in range(rng.randint(1, 4)):
+            # two predicates, so that positive literals often share one
+            p, k = rng.choice(ps[:2])
+            lits.append(Literal(rng.random() < 0.6, p, tuple(
+                _random_term(symbols, rng, 1) for _ in range(k))))
+        clauses.append(Clause(lits))
+        if seed < 40:
+            clauses += random_lg_set(symbols, rng, 8)
+    gated = fired = 0
+    for c in clauses:
+        gate = dispatch(c) == "max" and sum(l.pos for l in c) > 1
+        got = factor(1, c, lpo) if gate else []
+        assert got == reference_factor(1, c, lpo), c
+        gated += gate
+        fired += bool(got)
+    assert gated > 200 and fired > 50, (gated, fired)
+
+
+def test_rule_2b_unifies_only_the_top_literals():
+    """The join's unifier unifies every selected literal and binds ``Y``
+    to ``c`` through the fact ``q(c)``; rule 2b resolves only the top
+    literal ``~p(X,Y)``, so its conclusion keeps ``Y``.  Handing the
+    join's unifier to the resolvent would give ``~g(c) | ~q(c)``."""
+    text = ("fact: q(c).\n"
+            "rule: ! [U] : (g(U) => ? [V] : (p(V,U) & h(V))).\n"
+            "query: ? [X,Y] : (p(X,Y) & q(Y)).\n")
+    assert answer(parse(text)).trace[4] == "[5] TRes2b(4,2) ~g(Y) | ~q(Y)"
+    s = SymbolTable()
+    s.declare("c", SymbolKind.CONSTANT, 0, SymbolOrigin.INPUT)
+    s.declare("sk0", SymbolKind.FUNCTION, 1, SymbolOrigin.SKOLEM)
+    for name, k in (("g", 1), ("h", 1), ("p", 2), ("q", 1)):
+        s.declare(name, SymbolKind.PREDICATE, k, SymbolOrigin.INPUT)
+    n = ClauseIndex(LPO(Precedence(s)))
+    u, xx, yy, c = Var("U"), Var("X"), Var("Y"), Const("c")
+    n.add(1, Clause([_lit(True, "q", c)]))
+    n.add(2, Clause([_lit(False, "g", u),
+                     _lit(True, "p", App("sk0", (u,)), u)]))
+    main = Clause([_lit(False, "p", xx, yy), _lit(False, "q", yy)])
+    n.add(4, main)
+    ((_, sub, leaf),) = engine._join(list(main.literals), n, None)
+    assert apply_term(yy, normalize({**sub, **leaf})) == c
+    (tv,) = com_t_all(main, n)
+    assert tv.top_vars == {"X"}
+    ((rule, parents, (concl,)),) = engine.topvar_resolvents(4, n, None)
+    assert (rule, parents, str(concl)) == \
+        ("TRes2b", (4, 2), "~g(Y) | ~q(Y)")
 
 # ---------------------------------------------------------------------------
 # closure property: random loosely guarded sets

@@ -117,15 +117,16 @@ def test_t_trans_reads_a_side_clause_in_sorted_order():
         idx.fresh = itertools.count(start)
         main = clauses[4]
         for tv in com_t_all(main, idx):
-            inf = _topvar_resolvent(5, main, tv, idx.lpo)
-            assert inf is not None
+            res = _topvar_resolvent(5, main, tv, idx.lpo)
+            assert res is not None
+            _, sigma, _ = res
             as_clause = replace(tv, side_assignment=tuple(
                 (mlit, cid, Clause(side_r).literals, pos_r)
                 for mlit, cid, side_r, pos_r in tv.side_assignment))
             flips += as_clause != tv
             outs = []
             for t in (tv, as_clause):
-                lg, query = t_trans(main, t, dict(inf.sigma),
+                lg, query = t_trans(main, t, sigma,
                                     DefinitionRegistry(s.copy()))
                 outs.append(([str(c) for c in lg], str(query)))
             assert outs[0] == outs[1], start

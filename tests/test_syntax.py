@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from guardedsat.syntax import (
-    MAX_NESTING, And, AtomF, Exists, Forall, Implies, Not, Or, ParseError,
-    Problem, check_fragment, negate_query, parse, print_formula,
+    MAX_NESTING, And, AtomF, Exists, Forall, Iff, Implies, Not, Or,
+    ParseError, Problem, check_fragment, expand_iff, negate_query, parse,
+    print_formula,
 )
-from guardedsat.terms import Const, membership
+from guardedsat.terms import Const, Var, membership
 from test_cli import _mutated_statements, _token_soups
 from util import (
     parse_formula, random_formula, reference_check_fragment,
@@ -254,6 +255,53 @@ def test_fragment_agrees_with_reference(seed):
         assert check_fragment(f) == want, print_formula(f)
         seen.add(want.fragment)
     assert seen == {"GF", "LGF", "CGF", "none"}
+
+
+@pytest.mark.parametrize("text", [
+    # a <=> as a universal's body, and as an existential's
+    "! [X] : (p1(X) <=> p1(X))",
+    "! [X] : ! [Y] : (p2(X,Y) <=> p1(X))",
+    "? [X] : (p1(X) <=> p1(X))",
+    # as an existential's conjunct, holding the witness or guarding
+    "? [X] : (p1(X) & (p1(X) <=> ! [Y] : p1(Y)))",
+    "? [X] : ((p1(X) <=> p1(X)) & p1(X))",
+    # witnesses under a <=>, on either side, and nested ones
+    "p0 <=> ! [X] : p1(X)",
+    "(! [X] : p1(X)) <=> p0",
+    "~(p0 <=> (p0 <=> ! [X] : p1(X)))",
+    "! [X] : (p1(X) => (p1(X) <=> p2(X,f(X))))",
+    "! [X] : (p1(X) => ! [Y] : (p2(X,Y) <=> ! [Z] : p1(Z)))",
+    # a guard holding a <=>, a guarded part holding one, in a fragment
+    "! [X] : ((p1(X) <=> p1(X)) => p1(X))",
+    "! [X,Y] : (p2(X,Y) => (p1(X) <=> ? [Z] : (p2(Y,Z) & p1(Z))))",
+])
+def test_fragment_witness_with_iff_agrees_with_reference(text):
+    """A <=> is ranked as its two implications without building them,
+    and only the witness is expanded: the fragment and the witness are
+    those of the checker run on the expanded formula."""
+    f = parse_formula(text)
+    want = reference_check_fragment(f)
+    assert check_fragment(f) == want
+    assert check_fragment(f) == check_fragment(expand_iff(f))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_fragment_of_random_iff_agrees_with_reference(seed):
+    """The same on random formulas put under a <=> or around one: as a
+    universal's body, as an existential's conjunct, and as a side."""
+    rng = random.Random(seed)
+    witnesses = 0
+    for _ in range(600):
+        a = random_formula(rng, rng.randint(1, 3))
+        b = random_formula(rng, rng.randint(1, 3))
+        iff = Iff(a, b) if rng.random() < 0.5 else Iff(b, a)
+        for f in (iff, Not(iff), Forall(("X",), iff),
+                  Exists(("X",), And((AtomF("p1", (Var("X"),)), iff))),
+                  Forall(("X",), Implies(AtomF("p1", (Var("X"),)), iff))):
+            want = reference_check_fragment(f)
+            assert check_fragment(f) == want, print_formula(f)
+            witnesses += want.witness is not None
+    assert witnesses > 1000, witnesses
 
 
 class TestQueries:

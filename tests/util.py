@@ -7,8 +7,10 @@ contain the full variable sequence (covering + strong compatibility).
 The reference rules are the nested-loop top-variable join
 (:func:`reference_com_t_all`), which the engine's join and its one
 result per top-literal assignment are checked against, full and partial
-simultaneous resolution (:func:`s_res`, :func:`p_res`), which the
-redundancy tests compare, the multiset extension of the literal order
+simultaneous resolution (:func:`s_res`, :func:`p_res`, each giving an
+:class:`Inference`), which the redundancy tests compare, factoring on
+the maximal literals that the clause record held for a ``"max"`` clause
+(:func:`reference_factor`), the multiset extension of the literal order
 to clauses (:func:`clause_gt`), and the resolution of a triangular
 unifier by applying it until nothing changes
 (:func:`reference_normalize`).
@@ -90,7 +92,7 @@ from guardedsat.clausify import (
     ClausifyError, _Renamer, _bounded_rename, _flatten, skolemize,
 )
 from guardedsat.engine import (
-    ClauseIndex, Inference, TopVarResult, _freeze, _remove_one, com_t_all,
+    ClauseIndex, Derivation, TopVarResult, _remove_one, com_t_all, dispatch,
     is_tautology,
 )
 from guardedsat.oracle import FiniteModel, dpll
@@ -476,6 +478,17 @@ def com_t(main: Clause, n: ClauseIndex,
     return None
 
 
+@dataclass(frozen=True)
+class Inference:
+    """One step of :func:`s_res` or :func:`p_res`: the rule, the main and
+    side premise ids, the unifier as sorted pairs and the conclusion."""
+    rule: str  # "SRes" | "PRes"
+    main: int
+    sides: tuple[int, ...]
+    sigma: tuple[tuple[str, Term], ...]
+    conclusion: Clause
+
+
 def s_res(main_id: int, main: Clause, n: ClauseIndex) -> list[Inference]:
     """Full simultaneous resolution: resolve *all* selected literals."""
     tvr = com_t(main, n)
@@ -490,8 +503,8 @@ def s_res(main_id: int, main: Clause, n: ClauseIndex) -> list[Inference]:
         side_ids.append(cid)
         lits.extend(_remove_one(side_r, pos_r))
     concl = Clause(dict.fromkeys(apply_lit(l, sigma) for l in lits))
-    return [Inference("SRes", main_id, tuple(side_ids), _freeze(sigma),
-                      concl)]
+    return [Inference("SRes", main_id, tuple(side_ids),
+                      tuple(sorted(sigma.items())), concl)]
 
 
 def p_res(main_id: int, main: Clause, n: ClauseIndex,
@@ -516,8 +529,30 @@ def p_res(main_id: int, main: Clause, n: ClauseIndex,
     rest = [l for l in main if l not in chosen or l.pos]
     concl = Clause(dict.fromkeys(
         apply_lit(l, sigma) for l in rest + extra))
-    return [Inference("PRes", main_id, tuple(side_ids), _freeze(sigma),
-                      concl)]
+    return [Inference("PRes", main_id, tuple(side_ids),
+                      tuple(sorted(sigma.items())), concl)]
+
+
+def reference_factor(cid: int, c: Clause, lpo: LPO) -> list[Derivation]:
+    """Positive factoring as it read the clause record: nothing for a
+    clause that is not ``"max"``; otherwise on each positive literal that
+    the record listed as maximal, one that no other literal of ``c`` is
+    greater than, with every later positive literal it unifies with."""
+    if dispatch(c) != "max":
+        return []
+    maxlits = {l for l in c if not any(
+        lpo.compare_lits(l, other) is Cmp.LT for other in c if other != l)}
+    out: list[Derivation] = []
+    pos = [l for l in c if l.pos]
+    for i, a1 in enumerate(pos):
+        if a1 not in maxlits:
+            continue
+        for a2 in pos[i + 1:]:
+            sigma = mgu_lits([(a1, a2)])
+            if sigma is not None:
+                out.append(("Factor", (cid,), (Clause(dict.fromkeys(
+                    apply_lit(l, sigma) for l in _remove_one(c, a2))),)))
+    return out
 
 
 def reference_normalize(sub: Subst) -> Subst:
