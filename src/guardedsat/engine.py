@@ -127,12 +127,12 @@ class ClauseRecord:
     inseparable chained-only query clause.  ``main_literals`` are the
     selected literals: the selected compound-term literal, the maximal
     negative literals, or all negative literals of a flat non-ground
-    clause.  ``side_literals`` are those on which the clause serves as a side premise.  ``rivals``
-    holds, for each side literal, the positions in the clause of the other
-    literals it does not strictly dominate a priori: the ordering is
-    stable under substitution, so only those can outgrow it after
-    unification.  ``n_vars`` counts the clause's variables, the names a
-    renaming of it draws.
+    clause.  ``side_literals`` are those on which the clause serves as a
+    side premise.  ``rivals`` holds, for each side literal, the positions
+    in the clause of the other literals it does not strictly dominate a
+    priori: the ordering is stable under substitution, so only those can
+    outgrow it after unification.  ``n_vars`` counts the clause's
+    variables, the names a renaming of it draws.
     """
     regime: str  # "max" | "select" | "topvar" | "icq"
     main_literals: tuple[Literal, ...]

@@ -89,10 +89,10 @@ def _gs_path(node: ast.AST) -> tuple[str, str] | None:
     return None
 
 
-def test_every_name_the_tracer_rebinds_exists():
-    """Each ``gs.<module>.<name>`` that ``perfbench/tracer.py`` reads
-    names a package attribute, and each ``_method(gs.<module>.<Class>,
-    "<attr>", ...)`` a method defined on that class itself."""
+def _traced() -> tuple[set[tuple[str, str]], set[tuple[str, str, str]]]:
+    """The ``(module, name)`` of each ``gs.<module>.<name>`` that
+    ``perfbench/tracer.py`` reads, and the ``(module, class, method)`` of
+    each ``_method(gs.<module>.<class>, "<method>", ...)``."""
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
     paths = {p for node in ast.walk(tree) if (p := _gs_path(node))}
     methods = set()
@@ -102,6 +102,14 @@ def test_every_name_the_tracer_rebinds_exists():
             owner, attr = _gs_path(node.args[0]), node.args[1]
             assert owner is not None and isinstance(attr, ast.Constant)
             methods.add((*owner, attr.value))
+    return paths, methods
+
+
+def test_every_name_the_tracer_rebinds_exists():
+    """Each ``gs.<module>.<name>`` that ``perfbench/tracer.py`` reads
+    names a package attribute, and each ``_method(gs.<module>.<Class>,
+    "<attr>", ...)`` a method defined on that class itself."""
+    paths, methods = _traced()
     assert len(paths) >= 15 and len(methods) >= 4, (paths, methods)
     missing = [f"{m}.{n}" for m, n in sorted(paths) if not hasattr(
         importlib.import_module(f"guardedsat.{m}"), n)]
@@ -123,12 +131,7 @@ def test_every_name_the_tracer_rebinds_has_a_reader():
     called there, so no per-layer metric reads 0 because the package
     stopped calling a traced name.  :data:`UNCALLED_TRACED` lists the
     known exceptions, and only names that really are unread."""
-    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
-    traced = {p for node in ast.walk(tree) if (p := _gs_path(node))}
-    methods = {node.args[1].value for node in ast.walk(tree)
-               if isinstance(node, ast.Call)
-               and isinstance(node.func, ast.Name)
-               and node.func.id == "_method"}
+    traced, methods = _traced()
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
     reads = {stem: _package_reads(t) for stem, t in trees.items()}
@@ -144,5 +147,6 @@ def test_every_name_the_tracer_rebinds_has_a_reader():
     called = {node.func.attr for t in trees.values() for node in ast.walk(t)
               if isinstance(node, ast.Call)
               and isinstance(node.func, ast.Attribute)}
-    unread += sorted(f"method {m}" for m in methods - called)
+    unread += sorted(f"{m}.{c}.{a}" for m, c, a in methods
+                     if a not in called)
     assert sorted(UNCALLED_TRACED) == unread, unread
