@@ -9,7 +9,9 @@ alternating from instance to instance and from pass to pass, so a slow
 spell of the host lands on both alike.  A solve is what the benchmark
 times: parse, saturate, and for a fact-free instance answered No, the
 rewriting Σ_q.  Every verdict is checked against the instance's known
-answer, and the two trees' steps, clause counts and Σ_q are compared.
+answer.  On the first pass the two trees' steps, clause counts, Σ_q and
+full traces are compared, the trace rendered after the timed solve; the
+number of problems where they differ is printed.
 
 A problem's time is the median over its passes and namings.  Printed per
 tree: the sum of those medians, their median (p50) and the tail, the
@@ -57,7 +59,7 @@ def load(src: pathlib.Path, name: str) -> SimpleNamespace:
 
 def solve(gs: SimpleNamespace, inst: workloads.Instance) -> tuple:
     """Solve ``inst`` as the benchmark does; (verdict, steps, clauses,
-    printed Σ_q or None)."""
+    printed Σ_q or None, the answer with its trace events)."""
     problem = gs.syntax.parse(inst.text)
     result, state = gs.qans.run(problem)
     sigma = None
@@ -65,7 +67,7 @@ def solve(gs: SimpleNamespace, inst: workloads.Instance) -> tuple:
         sigma = gs.syntax.print_formula(gs.qrew.q_rew(
             [c for _, c in state.worked_off.clauses()],
             problem.symbols).sigma_q)
-    return result.verdict, result.steps, result.n_clauses, sigma
+    return result.verdict, result.steps, result.n_clauses, sigma, result
 
 
 def summary(per: dict[str, float]) -> tuple[float, float, float]:
@@ -104,7 +106,8 @@ def main() -> int:
                     wrong += 1
                     print(f"{inst.name}: {('old', 'new')[k]} says {o[0]}, "
                           f"known answer {inst.expected}", file=sys.stderr)
-            differ += p == 0 and out[0] != out[1]
+            differ += p == 0 and (out[0][:4] != out[1][:4] or
+                                  out[0][4].trace != out[1][4].trace)
 
     size = {inst.key: inst.size for inst in wl.instances}
     pers = []
@@ -114,7 +117,7 @@ def main() -> int:
             grouped.setdefault(inst.key, []).extend(s)
         pers.append({k: statistics.median(s) for k, s in grouped.items()})
     print(f"{args.workload}: {len(pers[0])} problems, {args.passes} passes, "
-          f"{differ} with other steps, clauses or Σ_q")
+          f"{differ} with other steps, clauses, Σ_q or trace")
     old, new = (summary(per) for per in pers)
     for label, o, n in zip(("sum of medians", "p50", "tail"), old, new):
         print(f"{label:15s} old {o:.6f} s  new {n:.6f} s  "

@@ -10,7 +10,10 @@ are the dataset sweep's instances at N = 40, 80, 160, 320 and 640
 have many automorphisms (the union of the directed cycles C3 and C6, that
 of two 4-cycles, the directed cliques K4 and K5, and the 12-cycle with the
 chord ``r(X1,X4)``), the 20 rule sets of 20 rules
-(``scripts/rules_sweep.py``) and every problem in ``fixtures/``.
+(``scripts/rules_sweep.py``), every problem in ``fixtures/``, and the
+benchmark's smoke problems of the ``data``, ``cycle`` and ``rewrite``
+workloads at naming seed 1 (``perfbench/workloads.py``), their
+fact-free problems included.
 
 Two versions of the prover that take the same inferences print the same
 lines, so comparing the output of two source trees checks that a change
@@ -39,7 +42,7 @@ from cycle_sweep import cycle_problem  # noqa: E402
 from guardedsat.qans import answer  # noqa: E402
 from guardedsat.syntax import parse  # noqa: E402
 from rules_sweep import SETS, rule_set  # noqa: E402
-from workloads import data_instance  # noqa: E402
+from workloads import WORKLOADS, data_instance, make  # noqa: E402
 
 
 def graph_problem(edges: list[tuple[int, int]]) -> str:
@@ -81,6 +84,10 @@ def problems() -> Iterator[tuple[str, str]]:
         yield f"rules n=20 set {k}", rule_set(20, k)
     for path in sorted((ROOT / "fixtures").glob("*.p")):
         yield path.name, path.read_text()
+    for name in WORKLOADS:
+        wl = make(name, 1, ROOT, smoke=True)
+        for inst in wl.instances + wl.fact_free:
+            yield f"{name} {inst.name}", inst.text
 
 
 def main() -> int:

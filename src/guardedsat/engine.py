@@ -43,31 +43,38 @@ argument tuple unify binding nothing and are taken as they are, and only
 the non-ground ones are tried, just those with no compound argument when
 every argument is a constant.  A closing-level candidate whose arguments
 are all constants is matched against the unifier, binding variables to
-constants aside, and its tuple shares the unifier object with its
-siblings; any other candidate is unified with a copy of the unifier.  A
-non-ground side literal is copied onto a level's variables when the
-level first tries it, and the copy is kept.  When a new clause must
-take part, the search is seeded once at each literal where it can stand
-with that clause's own side literals (semi-naive evaluation).  The
-tuples found are sorted into clause-id order.
+constants aside, or taken unmatched when the unifier leaves the
+selected literal's arguments distinct free variables; any other
+candidate is unified with a copy of the unifier.  The candidates taken
+as they are or matched share the unifier object and leave every depth
+as it is, so the top variables are worked out once for all of them.
+When the closing literal holds none, the tuples they complete differ
+only in a side of a non-top literal, and the join emits them as one
+row: the tuple of the first in key order and the other closing sides.
+Every other tuple is a row of its own.  A non-ground side literal is
+copied onto a level's variables when the level first tries it, and the
+copy is kept.  When a new clause must take part, the search is seeded
+once at each literal where it can stand with that clause's own side
+literals (semi-naive evaluation).  The rows found are sorted into
+clause-id order of their first tuples.
 
-:func:`com_t_all` reads each tuple's top variables off the join's own
-unifier, once per unifier object: bindings to constants change no
-depth.  A conclusion of rule 2b depends only on the top variables and
-the sides of the top literals, so it keeps the first tuple of each such
-key: only that one has its sides renamed apart and becomes a
-:class:`TopVarResult`.  A later tuple with the same key would give a
-variant conclusion, which insertion rejects; it still draws as many
-fresh names as renaming its sides would, so the names of every later
-conclusion stay as they were.  The draws of a run of skipped tuples are
-made at once, before the next kept tuple's renaming or at the end, and
-:func:`~guardedsat.terms.skip_names` works out how far they go.
+A conclusion of rule 2b depends only on the top variables and the sides
+of the top literals, so :func:`com_t_all` keeps the first tuple of each
+such key, and a row stands there for its first tuple.  A kept tuple has
+its top sides renamed apart and becomes a :class:`TopVarResult`.  Every
+name a renaming of the other sides, or of the tuples not kept, would
+draw is still drawn, so the names of every later conclusion stay as
+they were: the names owed are drawn at once before the next renaming,
+a row's other tuples owing theirs before the first kept tuple that
+sorts after them, the rest at the end.
+:func:`~guardedsat.terms.skip_names` works out how far the draws go.
 
 A :class:`TopVarResult` holds the top variables and literals and, for
-every selected literal, top or not, its side: the clause id, the side
-clause's literals renamed one by one in the clause's own order, with no
-sorted clause built, the renamed side literal and its renamed rivals.
-:func:`_topvar_resolvent` sorts its conclusion anyway;
+each top literal, its side: the clause id, the side clause's literals
+renamed one by one in the clause's own order, with no sorted clause
+built, the renamed side literal and its renamed rivals, both read by
+position.  :func:`_topvar_resolvent` sorts its conclusion anyway, and
+checks the side condition only on a side with rivals;
 :func:`~guardedsat.qic.t_trans`, which reads the order, sorts by
 :func:`~guardedsat.terms.literal_key`.
 
@@ -84,7 +91,7 @@ import itertools
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .orders import LPO, Cmp, comparisons, maximal, select_nc
 from .qsep import is_icq
@@ -196,10 +203,14 @@ class _Side:
     ``v`` to ``.<i>.v``: no other variable name starts with a dot, so the
     levels of a join share no variable with each other or with the main
     premise.  ``copies`` is ``None`` for a ground literal, its own copy.
-    ``constants`` says whether every argument is a constant."""
-    __slots__ = ("key", "cid", "clause", "lit", "copies", "constants")
+    ``constants`` says whether every argument is a constant.  ``pos`` is
+    the literal's position in the clause, and ``n_vars`` the number of
+    the clause's variables, the names a renaming of it draws."""
+    __slots__ = ("key", "cid", "clause", "lit", "copies", "constants",
+                 "pos", "n_vars")
 
-    def __init__(self, cid: int, k: int, clause: Clause, lit: Literal):
+    def __init__(self, cid: int, k: int, clause: Clause, lit: Literal,
+                 n_vars: int):
         self.key = (cid, k)
         self.cid = cid
         self.clause = clause
@@ -207,6 +218,8 @@ class _Side:
         self.copies: Optional[dict[int, Literal]] = \
             None if is_ground_lit(lit) else {}
         self.constants = all(isinstance(a, Const) for a in lit.args)
+        self.pos = clause.literals.index(lit)
+        self.n_vars = n_vars
 
     def at(self, level: int) -> Literal:
         """The side literal on the variables of join level ``level``."""
@@ -337,7 +350,7 @@ class ClauseIndex:
             sides = self._sides.get(lit.pred)
             if sides is None:
                 sides = self._sides[lit.pred] = _SideList()
-            sides.add(_Side(cid, k, c, lit))
+            sides.add(_Side(cid, k, c, lit, rec.n_vars))
         for pred in {l.pred for l in rec.main_literals}:
             insort(self._main_index.setdefault(pred, []), cid)
 
@@ -385,8 +398,9 @@ class ClauseIndex:
 class TopVarResult:
     top_vars: frozenset[str]
     top_literals: tuple[Literal, ...]
-    # (main literal, side clause id, literals of the renamed side clause in
-    # the clause's own order, renamed side literal)
+    # per top literal, in the main premise's order: (main literal, side
+    # clause id, literals of the renamed side clause in the clause's own
+    # order, renamed side literal)
     side_assignment: tuple[tuple[Literal, int, tuple[Literal, ...], Literal],
                            ...]
     # per assignment, the renamed literals of the side clause that the side
@@ -423,9 +437,8 @@ def _depth_under(t: Term, sub: Subst) -> int:
     return 1 + max((_depth_under(a, sub) for a in t.args), default=0)
 
 
-# an empty bucket and an empty set of bindings, never written to
+# an empty bucket, never written to
 _NONE: list[_Side] = []
-_NO_BINDINGS: Subst = {}
 
 # what a probe yields: two buckets of candidates, and whether each side
 # literal in the first already unifies with the selected literal under the
@@ -479,15 +492,25 @@ def _probe(sides: _SideList, args: Sequence[Term], sub: Subst,
     return heads.get(symbol, _NONE), free, False
 
 
-def _binds_compound(args: Sequence[Term], sub: Subst) -> bool:
-    """Whether the triangular unifier ``sub`` binds some argument of
-    ``args`` to a compound term."""
+def _closing_constants(args: Sequence[Term], sub: Subst) -> Optional[bool]:
+    """Which side literals over constants only unify with a selected
+    literal over ``args`` under the triangular unifier ``sub``: none
+    (``None``) when ``sub`` binds an argument to a compound term; every
+    one (``True``) when ``sub`` leaves each argument a variable, no two
+    the same; else (``False``) those that :func:`_constant_leaf`
+    matches."""
+    free = True
+    names: set[str] = set()
     for a in args:
         while isinstance(a, Var) and a.name in sub:
             a = sub[a.name]
         if isinstance(a, App):
-            return True
-    return False
+            return None
+        if isinstance(a, Var) and a.name not in names:
+            names.add(a.name)
+        else:
+            free = False
+    return free
 
 
 def _constant_leaf(args: Sequence[Term], consts: Sequence[Term],
@@ -509,11 +532,20 @@ def _constant_leaf(args: Sequence[Term], consts: Sequence[Term],
     return leaf
 
 
-# a join tuple: one side literal per selected literal, a triangular
-# unifier of their level copies with the selected literals, and the
-# bindings of variables to constants that complete it at the last level;
-# tuples that part only at the last level may share the unifier object
-_JoinTuple = tuple[tuple[_Side, ...], Subst, Subst]
+# the top variables of a main premise under a join's unifier, and the
+# positions of the selected literals that hold one
+_Top = tuple[frozenset[str], tuple[int, ...]]
+
+# a join row: the sides of its first tuple, one per selected literal; the
+# triangular unifier of their level copies with the selected literals;
+# the closing level, the last one the join extended; the closing sides of
+# the row's other tuples, in key order, each of which completes the
+# unifier by binding variables to constants or not at all, so leaves every
+# depth as it is; and the top variables under the unifier.  A row has
+# other tuples only when its closing literal holds no top variable: they
+# then all have its first tuple's key (top variables, sides of the top
+# literals).
+_JoinRow = tuple[tuple[_Side, ...], Subst, int, list[_Side], _Top]
 
 
 # what the join reads at one level: the selected literal's arguments, its
@@ -524,21 +556,22 @@ _Level = tuple[tuple[Term, ...], _SideList, Optional[list[_Side]],
 
 
 def _extend(open_: list[int], sub: Subst, levels: list[_Level],
-            chosen: list, found: list[_JoinTuple]) -> None:
+            chosen: list, top: Callable[[Subst], _Top],
+            found: list[_JoinRow]) -> None:
     """Extend the tuple ``chosen``, unified by ``sub``, by a side literal
     at each level of ``open_``.  The next level is the most constrained:
     the open level whose probe (:func:`_probe`) under ``sub`` holds the
     fewest candidates, the first in ``open_`` on a tie, and the scan stops
-    at a level with at most one.  At the last open level, a candidate
-    from the closing-level lookup is taken as it is, and one over
-    constants only is matched against ``sub`` (:func:`_constant_leaf`),
-    unless ``sub`` binds an argument to a compound term, which no such
-    candidate unifies with; every other candidate is unified with a copy
-    of ``sub``.  The candidates are tried out of key order; the caller
-    sorts what is found."""
-    if not open_:
-        found.append((tuple(chosen), sub, _NO_BINDINGS))
-        return
+    at a level with at most one.
+
+    At the last open level, a candidate from the closing-level lookup is
+    taken as it is, and one over constants only is matched against
+    ``sub`` (:func:`_closing_constants`, :func:`_constant_leaf`).  Those
+    candidates share ``sub``; they make one row if the closing literal
+    holds no top variable under it (``top``), else one row each.  Every
+    other candidate is unified with a copy of ``sub`` and makes a row of
+    its own.  The candidates are tried out of key order; the caller sorts
+    what is found."""
     closing = len(open_) == 1
     best = best_size = -1
     best_probe: _Probe = _NONE, _NONE, False
@@ -555,38 +588,57 @@ def _extend(open_: list[int], sub: Subst, levels: list[_Level],
         return
     args, _, _, skip = levels[best]
     first, second, matched = best_probe
+    if not closing:
+        rest = [i for i in open_ if i != best]
+        for bucket in (first, second):
+            for side in bucket:
+                if side.cid == skip:
+                    continue
+                lit = side.lit if side.copies is None else side.at(best)
+                sub2 = dict(sub)
+                if unify_into(zip(lit.args, args), sub2):
+                    chosen[best] = side
+                    _extend(rest, sub2, levels, chosen, top, found)
+        return
+    shared = []
     if matched:
-        for side in first:
-            if side.cid != skip:
-                chosen[best] = side
-                found.append((tuple(chosen), sub, _NO_BINDINGS))
+        shared = [side for side in first if side.cid != skip]
         first = _NONE
-    rest = [i for i in open_ if i != best]
-    # no side over constants unifies with an argument bound to a compound
-    leaves = closing and not _binds_compound(args, sub)
+    constants = _closing_constants(args, sub)
     for bucket in (first, second):
         for side in bucket:
             if side.cid == skip:
                 continue
-            if closing and side.constants:
-                leaf = _constant_leaf(args, side.lit.args, sub) \
-                    if leaves else None
-                if leaf is not None:
-                    chosen[best] = side
-                    found.append((tuple(chosen), sub, leaf))
+            if side.constants:
+                if constants or constants is not None and \
+                        _constant_leaf(args, side.lit.args, sub) is not None:
+                    shared.append(side)
                 continue
             lit = side.lit if side.copies is None else side.at(best)
             sub2 = dict(sub)
             if unify_into(zip(lit.args, args), sub2):
                 chosen[best] = side
-                _extend(rest, sub2, levels, chosen, found)
+                found.append((tuple(chosen), sub2, best, _NONE, top(sub2)))
+    if not shared:
+        return
+    info = top(sub)
+    if best in info[1]:
+        for side in shared:
+            chosen[best] = side
+            found.append((tuple(chosen), sub, best, _NONE, info))
+    else:
+        shared.sort(key=_key)
+        chosen[best] = shared[0]
+        found.append((tuple(chosen), sub, best, shared[1:], info))
 
 
-def _join(negs: Sequence[Literal], n: ClauseIndex,
-          must_include: Optional[int]) -> list[_JoinTuple]:
+def _join(negs: Sequence[Literal], mvars: frozenset[str], n: ClauseIndex,
+          must_include: Optional[int]) -> list[_JoinRow]:
     """All side-premise tuples simultaneously unifiable with the selected
-    literals ``negs``, each with its unifier, in clause-id order
-    (lexicographic by side-literal key, level by level).
+    literals ``negs`` (at least one) of a main premise over the variables
+    ``mvars``, in rows (:data:`_JoinRow`), sorted by their first tuples
+    in clause-id order (lexicographic by side-literal key, level by
+    level).
 
     With ``must_include``, only the tuples that use that clause: the join
     is seeded once at each level ``p`` where it can stand, with that
@@ -600,12 +652,22 @@ def _join(negs: Sequence[Literal], n: ClauseIndex,
         if sides is None or not sides.entries:
             return []
         lists.append(sides)
-    found: list[_JoinTuple] = []
+    neg_vars = [lit_vars(lit) for lit in negs]
+
+    def top(sub: Subst) -> _Top:
+        depths = {v: _depth_under(sub[v], sub) if v in sub else 0
+                  for v in mvars}
+        top_depth = max(depths.values(), default=0)
+        top_vars = frozenset(v for v, d in depths.items() if d == top_depth)
+        return top_vars, tuple(i for i, vs in enumerate(neg_vars)
+                               if vs & top_vars)
+
+    found: list[_JoinRow] = []
     chosen: list = [None] * len(negs)
     if must_include is None:
         _extend(list(range(len(negs))), {},
                 [(lit.args, sides, None, None)
-                 for lit, sides in zip(negs, lists)], chosen, found)
+                 for lit, sides in zip(negs, lists)], chosen, top, found)
     else:
         for p, sides in enumerate(lists):
             entries = sides.entries
@@ -616,9 +678,34 @@ def _join(negs: Sequence[Literal], n: ClauseIndex,
                            must_include if i < p else None)
                           for i, (lit, lst) in enumerate(zip(negs, lists))]
                 _extend([p] + [i for i in range(len(negs)) if i != p], {},
-                        levels, chosen, found)
-    found.sort(key=lambda t: tuple(side.key for side in t[0]))
+                        levels, chosen, top, found)
+    found.sort(key=lambda row: tuple(side.key for side in row[0]))
     return found
+
+
+def _owed_before(pending: list[list], keys: tuple) -> int:
+    """The fresh names owed by the later tuples of the rows in ``pending``
+    that sort before the tuple with the side keys ``keys``, which sorts
+    after each row's first tuple.  Each entry of ``pending`` is a row's
+    side keys before and after its closing level, its other closing
+    sides, the names a tuple of it draws off the closing level, and how
+    many of its other tuples have drawn; those counted are marked drawn,
+    and the rows all drawn are dropped."""
+    owed = 0
+    for entry in pending:
+        head, tail, rest, base, drawn = entry
+        level = len(head)
+        if head != keys[:level]:
+            upto = len(rest)
+        else:
+            upto = bisect_left(rest, keys[level:], lo=drawn,
+                               key=lambda side: (side.key,) + tail)
+        if upto > drawn:
+            owed += base * (upto - drawn) + \
+                sum(side.n_vars for side in rest[drawn:upto])
+            entry[4] = upto
+    pending[:] = [entry for entry in pending if entry[4] < len(entry[2])]
+    return owed
 
 
 def com_t_all(main: Clause, n: ClauseIndex,
@@ -628,61 +715,68 @@ def com_t_all(main: Clause, n: ClauseIndex,
     the side candidate it takes.  Each is the first join tuple of its key
     in clause-id order.
 
-    The top variables are the variables of ``main`` that are deepest under
-    the join's unifier, worked out once per unifier object: the bindings
-    to constants that some tuples add leave every depth as it is.  The
-    sides of a kept tuple are renamed apart from ``main``, so the join's
-    own variable copies never reach a conclusion; a skipped tuple draws as
-    many fresh names and drops them, in one draw with the skipped tuples
-    next to it.
+    The join works out the top variables, once per unifier object: the
+    tuples that share one differ only in bindings to constants, which
+    leave every depth as it is.  A join row stands here for its first
+    tuple, since its other tuples share that key and so are never kept.
+    A kept tuple's top sides are renamed apart from ``main``, so the
+    join's own variable copies never reach a conclusion.  Every other side
+    draws as many fresh names as its renaming would and drops them, as
+    does every side of a tuple not kept; a row's other tuples draw theirs
+    before the first renaming of a kept tuple that sorts after them
+    (:func:`_owed_before`), or at the end.  The names owed between two
+    renamings are drawn at once.
     """
     negs = [l for l in main if not l.pos]
     if not negs:
         return
     mvars = clause_vars(main)
-    neg_vars = [lit_vars(l) for l in negs]
     seen: set[tuple] = set()
-    # top variables and top literal positions by id of the unifier; the
-    # join's list keeps every unifier alive while this runs
-    tops: dict[int, tuple[frozenset[str], list[int]]] = {}
-    skipped = 0
-    for chosen, sub, _ in _join(negs, n, must_include):
-        top_info = tops.get(id(sub))
-        if top_info is None:
-            depths = {v: _depth_under(sub[v], sub) if v in sub else 0
-                      for v in mvars}
-            top_depth = max(depths.values(), default=0)
-            top_vars = frozenset(v for v, d in depths.items()
-                                 if d == top_depth)
-            top_info = tops[id(sub)] = (
-                top_vars,
-                [i for i, vs in enumerate(neg_vars) if vs & top_vars])
-        top_vars, top = top_info
+    owed = 0
+    pending: list[list] = []
+    for chosen, _, level, rest, (top_vars, top) in _join(
+            negs, mvars, n, must_include):
         key = (top_vars, tuple((i, chosen[i].key) for i in top))
         if key in seen:
-            skipped += sum(n.records[side.cid].n_vars for side in chosen)
-            continue
-        seen.add(key)
-        if skipped:
-            skip_names(skipped, mvars, n.fresh)
-            skipped = 0
-        assignment = []
-        rivals = []
-        for lit, side in zip(negs, chosen):
-            # the side clause renamed literal by literal, in its own order,
-            # so its rivals are found by position
-            c = side.clause
-            ren = renaming(c, mvars, n.fresh)
-            side_r = tuple(apply_lit(l, ren) for l in c.literals) if ren \
-                else c.literals
-            assignment.append((lit, side.cid, side_r,
-                               apply_lit(side.lit, ren)))
-            cid, k = side.key
-            rivals.append(tuple(side_r[r] for r in n.records[cid].rivals[k]))
-        yield TopVarResult(top_vars, tuple(negs[i] for i in top),
-                           tuple(assignment), tuple(rivals))
-    if skipped:
-        skip_names(skipped, mvars, n.fresh)
+            owed += sum(side.n_vars for side in chosen)
+        else:
+            seen.add(key)
+            if pending:
+                owed += _owed_before(
+                    pending, tuple(side.key for side in chosen))
+            assignment = []
+            rivals = []
+            for i, side in enumerate(chosen):
+                if i not in top:
+                    owed += side.n_vars
+                    continue
+                if owed:
+                    skip_names(owed, mvars, n.fresh)
+                    owed = 0
+                # the side clause renamed literal by literal, in its own
+                # order, so its side literal and rivals are found by
+                # position
+                c = side.clause
+                ren = renaming(c, mvars, n.fresh)
+                side_r = tuple(apply_lit(l, ren) for l in c.literals) \
+                    if ren else c.literals
+                assignment.append((negs[i], side.cid, side_r,
+                                   side_r[side.pos]))
+                cid, k = side.key
+                rivals.append(tuple(side_r[r]
+                                    for r in n.records[cid].rivals[k]))
+            yield TopVarResult(top_vars, tuple(negs[i] for i in top),
+                               tuple(assignment), tuple(rivals))
+        if rest:
+            keys = [side.key for side in chosen]
+            pending.append([tuple(keys[:level]), tuple(keys[level + 1:]),
+                            rest, sum(side.n_vars for side in chosen)
+                            - chosen[level].n_vars, 0])
+    for _, _, rest, base, drawn in pending:
+        owed += base * (len(rest) - drawn) + \
+            sum(side.n_vars for side in rest[drawn:])
+    if owed:
+        skip_names(owed, mvars, n.fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -758,20 +852,18 @@ def _topvar_resolvent(main_id: int, main: Clause, tv: TopVarResult,
     pairs = []
     parents = [main_id]
     extra: list[Literal] = []
-    top = set(tv.top_literals)
     for (mlit, cid, side_r, pos_r) in tv.side_assignment:
-        if mlit in top:
-            pairs.append((pos_r, mlit))
-            parents.append(cid)
-            extra.extend(_remove_one(side_r, pos_r))
+        pairs.append((pos_r, mlit))
+        parents.append(cid)
+        extra.extend(_remove_one(side_r, pos_r))
     sigma = mgu_lits(pairs)
     if sigma is None:
         return None
     # side condition: the resolved positive literals stay strictly maximal
-    for (mlit, _, _, pos_r), rivals in zip(tv.side_assignment, tv.rivals):
-        if mlit in top and \
-                not stays_strictly_maximal(pos_r, rivals, sigma, lpo):
+    for (_, _, _, pos_r), rivals in zip(tv.side_assignment, tv.rivals):
+        if rivals and not stays_strictly_maximal(pos_r, rivals, sigma, lpo):
             return None
+    top = set(tv.top_literals)
     rest = [l for l in main if l not in top or l.pos]
     # (multiset caveat: `in` over the sorted tuple is fine because query
     # literals are distinct after condensation)

@@ -43,20 +43,41 @@ class QueryAnalysis:
 
 
 def analyze(q: Clause) -> QueryAnalysis:
-    varsets = [(lit, frozenset(lit_vars(lit))) for lit in q]
-    surface = tuple(lit for lit, vs in varsets
-                    if not any(vs < vs2 for _, vs2 in varsets))
-    surf_sets = [frozenset(lit_vars(l)) for l in surface]
+    """The surface literals of ``q`` in clause order, and its chained and
+    isolated variables.
+
+    A variable set can be strictly inside only the sets that hold all of
+    its variables, so each distinct set is tested against the holders of
+    its rarest variable alone; an empty set is strictly inside any other.
+    A variable is chained iff two surface literals with different
+    variable sets hold it.  On a query whose variables each occur in a
+    bounded number of literals, both take time linear in its size."""
+    varsets = [lit_vars(lit) for lit in q]
+    holders: dict[str, list[frozenset[str]]] = {}
+    for vs in dict.fromkeys(varsets):
+        for v in vs:
+            holders.setdefault(v, []).append(vs)
+    inside: dict[frozenset[str], bool] = {}
+    for vs in varsets:
+        if vs in inside:
+            continue
+        if vs:
+            rare = min(vs, key=lambda v: len(holders[v]))
+            inside[vs] = any(vs < other for other in holders[rare])
+        else:
+            inside[vs] = bool(holders)
+    surface = tuple(lit for lit, vs in zip(q, varsets) if not inside[vs])
+    first: dict[str, frozenset[str]] = {}
     chained: set[str] = set()
-    for i, vs1 in enumerate(surf_sets):
-        for vs2 in surf_sets[i + 1:]:
-            if vs1 != vs2:
-                chained |= vs1 & vs2
-    isolated = clause_vars(q) - chained
+    for lit in surface:
+        vs = lit_vars(lit)
+        for v in vs:
+            if first.setdefault(v, vs) != vs:
+                chained.add(v)
     return QueryAnalysis(
         surface=surface,
         chained=frozenset(chained),
-        isolated=frozenset(isolated),
+        isolated=clause_vars(q) - chained,
     )
 
 

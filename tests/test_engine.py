@@ -231,48 +231,81 @@ def _side_literal(n, cid, side_r, pos_r):
     return apply_lit(pos_r, back)
 
 
-def _signature(n, tv):
-    """(main literal, side id, side literal before renaming) per level."""
+def _signature(n, assignment):
+    """(main literal, side id, side literal before renaming) per side of
+    ``assignment``."""
     return tuple((mlit, cid, _side_literal(n, cid, side_r, pos_r))
-                 for mlit, cid, side_r, pos_r in tv.side_assignment)
+                 for mlit, cid, side_r, pos_r in assignment)
+
+
+# the join's constant matching, out of reach of the tests' counters
+_constant_leaf = engine._constant_leaf
+
+
+def _expand(negs, rows):
+    """The join tuples of the join rows ``rows`` in clause-id order, each
+    as (its sides, the row's unifier, the bindings its closing side over
+    constants adds to it)."""
+    out = []
+    for chosen, sub, level, rest, _ in rows:
+        for side in (chosen[level], *rest):
+            leaf = _constant_leaf(negs[level].args, side.lit.args, sub) \
+                if side.constants else {}
+            assert leaf is not None
+            out.append((chosen[:level] + (side,) + chosen[level + 1:],
+                        sub, leaf))
+    out.sort(key=lambda t: [side.key for side in t[0]])
+    return out
 
 
 def _assert_joins_agree(main, n):
     """With and without each indexed clause required:
 
-    * the join finds every tuple of the reference join, in the same order,
-      each with a unifier equivalent to the reference's: its unifier
-      together with its last level's bindings, which bind only variables
-      the unifier leaves free, and only to constants;
+    * the join's rows expand to every tuple of the reference join, in the
+      same order, each with a unifier equivalent to the reference's: its
+      row's unifier together with its closing level's bindings, which
+      bind only variables the unifier leaves free, and only to constants;
+    * a row has other tuples only where its closing literal holds no top
+      variable under the reference's unifier;
     * :func:`com_t_all` yields the reference's first tuple of each key (top
       variables, side of each top literal), and nothing else, with the
-      same top literals and a variant resolvent;
+      same top literals, the same sides of the top literals and a variant
+      resolvent;
     * the fresh-name supply ends where renaming every tuple's sides leaves
       it.
 
-    Returns the number of join tuples and of those skipped as repeats."""
+    Returns the number of join tuples, of those skipped as repeats and of
+    the rows with more than one tuple."""
     negs = [l for l in main if not l.pos]
     mvars = clause_vars(main)
     lpo = n.lpo
-    tuples = skipped = 0
+    tuples = skipped = shared = 0
     for must in [None] + sorted(n.by_id):
         want = list(reference_com_t_all(main, n, must_include=must))
-        found = engine._join(negs, n, must)
+        rows = engine._join(negs, mvars, n, must)
+        found = _expand(negs, rows)
+        ref = list(_iter_assignments(negs, n, mvars, must))
         assert [tuple((neg, c.cid, c.lit) for neg, c in zip(negs, chosen))
                 for chosen, _, _ in found] == \
-            [_signature(n, w) for w in want], (main, must)
-        for (_, sub, leaf), (_, sigma) in zip(
-                found, _iter_assignments(negs, n, mvars, must)):
+            [_signature(n, chosen) for chosen, _ in ref], (main, must)
+        for (_, sub, leaf), (_, sigma) in zip(found, ref):
             assert not leaf.keys() & sub.keys(), (main, must)
             assert all(isinstance(t, Const) for t in leaf.values())
             sub = normalize({**sub, **leaf})
             assert is_variant(Clause([apply_lit(l, sub) for l in negs]),
                               Clause([apply_lit(l, sigma) for l in negs]))
+        tops = {_signature(n, chosen): w.top_literals
+                for (chosen, _), w in zip(ref, want)}
+        for chosen, _, level, rest, _ in rows:
+            if rest:
+                sig = tuple((neg, c.cid, c.lit)
+                            for neg, c in zip(negs, chosen))
+                assert negs[level] not in tops[sig], (main, must)
+                shared += 1
         first = {}
         for w in want:
-            sig = _signature(n, w)
-            key = (w.top_vars, tuple(s for s in sig if s[0] in w.top_literals))
-            first.setdefault(key, w)
+            first.setdefault((w.top_vars, _signature(n, w.side_assignment)),
+                             w)
         fresh = itertools.count(1000)
         for chosen, _, _ in found:
             for c in chosen:
@@ -280,8 +313,9 @@ def _assert_joins_agree(main, n):
         n.fresh = itertools.count(1000)
         got = list(com_t_all(main, n, must_include=must))
         assert next(n.fresh) == next(fresh), (main, must)
-        assert [_signature(n, g) for g in got] == \
-            [_signature(n, w) for w in first.values()], (main, must)
+        assert [_signature(n, g.side_assignment) for g in got] == \
+            [_signature(n, w.side_assignment) for w in first.values()], \
+            (main, must)
         for g, w in zip(got, first.values()):
             assert g.top_vars == w.top_vars
             assert g.top_literals == w.top_literals
@@ -293,7 +327,7 @@ def _assert_joins_agree(main, n):
                 assert is_variant(r_got[2], r_want[2])
         tuples += len(found)
         skipped += len(found) - len(got)
-    return tuples, skipped
+    return tuples, skipped, shared
 
 
 def _ground_compound_args(rng, k, fn):
@@ -396,11 +430,13 @@ def test_join_agrees_with_nested_loop_reference(monkeypatch):
     the join agrees with the nested-loop reference, and every path of
     the join is taken: a probe through the argument index, a closing-level
     lookup that finds ground side literals, a closing-level probe that
-    keeps a non-ground side literal over a constant, and a last level
-    over constants that binds a variable."""
-    probed = looked_up = mixed = leaves = 0
+    keeps a non-ground side literal over a constant, a last level over
+    constants that binds a variable, one whose arguments are distinct
+    free variables, so that every side over constants is taken, and a
+    row of more than one tuple."""
+    probed = looked_up = mixed = leaves = free = 0
     probe = engine._probe
-    constant_leaf = engine._constant_leaf
+    closing_constants = engine._closing_constants
 
     def counting(sides, args, sub, closing):
         nonlocal probed, looked_up, mixed
@@ -413,15 +449,22 @@ def test_join_agrees_with_nested_loop_reference(monkeypatch):
 
     def counting_leaf(args, consts, sub):
         nonlocal leaves
-        leaf = constant_leaf(args, consts, sub)
+        leaf = _constant_leaf(args, consts, sub)
         leaves += bool(leaf)
         return leaf
 
+    def counting_constants(args, sub):
+        nonlocal free
+        taken = closing_constants(args, sub)
+        free += bool(taken)
+        return taken
+
     monkeypatch.setattr(engine, "_probe", counting)
     monkeypatch.setattr(engine, "_constant_leaf", counting_leaf)
+    monkeypatch.setattr(engine, "_closing_constants", counting_constants)
     symbols = make_symbols(n_preds=5, max_arity=3, n_funcs=2,
                            rng=random.Random(7))
-    tuples = skipped = 0
+    tuples = skipped = shared = 0
     for seed in range(40):
         rng = random.Random(seed)
         n = _join_index(symbols, rng)
@@ -429,19 +472,21 @@ def test_join_agrees_with_nested_loop_reference(monkeypatch):
                  if n.records[cid].regime == "topvar"]
         icq, icq_index = _icq_join_index(rng)
         joins.append(_assert_joins_agree(icq, icq_index))
-        tuples += sum(t for t, _ in joins)
-        skipped += sum(k for _, k in joins)
+        tuples += sum(t for t, _, _ in joins)
+        skipped += sum(k for _, k, _ in joins)
+        shared += sum(r for _, _, r in joins)
     assert tuples >= 200 and skipped >= 20, (tuples, skipped)
     # levels extended through the argument index, not the full list
     assert probed > 0
     assert looked_up >= 20 and mixed >= 20 and leaves >= 20, \
         (looked_up, mixed, leaves)
+    assert free >= 20 and shared >= 20, (free, shared)
 
 
 def test_com_t_all_draws_the_names_renaming_every_tuple_would():
     """Over every join tuple in clause-id order, :func:`com_t_all` draws
     from the index's supply what one renaming of each side would draw,
-    kept or skipped, and names the kept sides as
+    kept or skipped, and names the kept top sides as
     :func:`util.reference_kept_sides` does.  The main premises' variables
     are names the supply hands out, so the draws must skip them."""
     symbols = make_symbols(n_preds=5, max_arity=3, n_funcs=2,
@@ -464,10 +509,63 @@ def test_com_t_all_draws_the_names_renaming_every_tuple_would():
                 got = list(com_t_all(main, n, must_include=must))
                 assert next(n.fresh) == next(fresh), (main, must)
                 assert [g.side_assignment for g in got] == want, (main, must)
-                found = len(engine._join(negs, n, must))
+                found = len(_expand(negs, engine._join(
+                    negs, clause_vars(main), n, must)))
                 tuples += found
                 skipped += found - len(got)
     assert tuples >= 500 and skipped >= 20, (tuples, skipped)
+
+
+def _straddle_index():
+    """The facts ``a(c1)``, ``a(c2)``, ``a(c3)`` (ids 1-3), the sides
+    ``p(sk0(U),U) | ~g(U)`` and ``p(sk1(U),U) | ~h(U)`` (ids 4, 5) and the
+    main premise ``~a(Y) | ~p(X,Y)`` (id 6), whose top variable is ``X``
+    under either side of ``~p(X,Y)``."""
+    s = SymbolTable()
+    for c in ("c1", "c2", "c3"):
+        s.declare(c, SymbolKind.CONSTANT, 0, SymbolOrigin.INPUT)
+    for fn in ("sk0", "sk1"):
+        s.declare(fn, SymbolKind.FUNCTION, 1, SymbolOrigin.SKOLEM)
+    for name, k in (("a", 1), ("g", 1), ("h", 1), ("p", 2)):
+        s.declare(name, SymbolKind.PREDICATE, k, SymbolOrigin.INPUT)
+    n = ClauseIndex(LPO(Precedence(s)))
+    u = Var("U")
+    for cid, c in enumerate(("c1", "c2", "c3"), 1):
+        n.add(cid, Clause([_lit(True, "a", Const(c))]))
+    for cid, (fn, guard) in enumerate((("sk0", "g"), ("sk1", "h")), 4):
+        n.add(cid, Clause([_lit(True, "p", App(fn, (u,)), u),
+                           _lit(False, guard, u)]))
+    main = Clause([_lit(False, "p", Var("X"), Var("Y")),
+                   _lit(False, "a", Var("Y"))])
+    n.add(6, main)
+    return n, main
+
+
+def test_com_t_all_draws_a_rows_names_around_a_kept_tuple_inside_it():
+    """The join of ``~a(Y) | ~p(X,Y)`` (:func:`_straddle_index`) gives two
+    rows, one per side of the top literal ``~p(X,Y)``, each closed at
+    ``~a(Y)`` with all three facts.  The second row's first tuple is
+    kept, and it sorts between the first row's first two tuples: the
+    first row's later tuples draw their names after its renaming, and
+    the kept sides and the end of the supply are those of renaming every
+    tuple's sides in clause-id order (:func:`util.reference_kept_sides`).
+    """
+    n, main = _straddle_index()
+    negs = list(main.literals)
+    rows = engine._join(negs, clause_vars(main), n, None)
+    assert [([side.cid for side in chosen], level,
+             [side.cid for side in rest])
+            for chosen, _, level, rest, _ in rows] == \
+        [([1, 4], 0, [2, 3]), ([1, 5], 0, [2, 3])]
+    for must in [None] + sorted(n.by_id):
+        fresh = itertools.count(1000)
+        want = reference_kept_sides(main, n, must, fresh)
+        n.fresh = itertools.count(1000)
+        got = list(com_t_all(main, n, must_include=must))
+        assert next(n.fresh) == next(fresh), must
+        assert [g.side_assignment for g in got] == want, must
+        # a tuple's key is its side of ~p(X,Y)
+        assert len(got) == {4: 1, 5: 1, 6: 0}.get(must, 2), must
 
 
 def test_join_work_on_a_data_instance(monkeypatch):
@@ -477,8 +575,11 @@ def test_join_work_on_a_data_instance(monkeypatch):
     and no side over constants is matched where the unifier binds an
     argument to a compound term (that took 153).  Unifying every
     candidate, with no lookup and no constant probe, took 324
-    unifications.  Each call finds the tuples of the nested-loop
-    reference, in its order."""
+    unifications.  The join's rows expand to the tuples of the
+    nested-loop reference, in its order: 57 tuples in 18 rows over 7
+    calls.  It tests 76 candidates: a closing level whose arguments are
+    distinct free variables takes every side over constants without
+    matching it."""
     attempts = 0
     unify = engine.unify_into
     constant_leaf = engine._constant_leaf
@@ -493,12 +594,13 @@ def test_join_work_on_a_data_instance(monkeypatch):
         attempts += 1
         return constant_leaf(args, consts, sub)
 
-    calls = tuples = 0
+    calls = rows = tuples = 0
     join = engine._join
 
-    def checked(negs, n, must):
-        nonlocal calls, tuples
-        found = join(negs, n, must)
+    def checked(negs, mvars, n, must):
+        nonlocal calls, rows, tuples
+        found = join(negs, mvars, n, must)
+        expanded = _expand(negs, found)
         fresh, n.fresh = n.fresh, itertools.count(10 ** 6)
         want = [tuple((neg, cid, _side_literal(n, cid, side_r, pos_r))
                       for neg, cid, side_r, pos_r in chosen)
@@ -507,9 +609,10 @@ def test_join_work_on_a_data_instance(monkeypatch):
         n.fresh = fresh
         assert [tuple((neg, side.cid, side.lit)
                       for neg, side in zip(negs, chosen))
-                for chosen, _, _ in found] == want
+                for chosen, _, _ in expanded] == want
         calls += 1
-        tuples += len(found)
+        rows += len(found)
+        tuples += len(expanded)
         return found
 
     monkeypatch.setattr(engine, "unify_into", counting)
@@ -517,7 +620,7 @@ def test_join_work_on_a_data_instance(monkeypatch):
     monkeypatch.setattr(engine, "_join", checked)
     inst = data_sweep_instances([40])[0]
     assert answer(parse(inst.text)).verdict == inst.expected == "no"
-    assert (calls, tuples) == (7, 57)
+    assert (calls, rows, tuples) == (7, 18, 57)
     assert attempts <= 116, attempts
 
 
@@ -919,7 +1022,9 @@ def test_rule_2b_unifies_only_the_top_literals():
                      _lit(True, "p", App("sk0", (u,)), u)]))
     main = Clause([_lit(False, "p", xx, yy), _lit(False, "q", yy)])
     n.add(4, main)
-    ((_, sub, leaf),) = engine._join(list(main.literals), n, None)
+    negs = list(main.literals)
+    ((_, sub, leaf),) = _expand(negs, engine._join(negs, {"X", "Y"}, n,
+                                                   None))
     assert apply_term(yy, normalize({**sub, **leaf})) == c
     (tv,) = com_t_all(main, n)
     assert tv.top_vars == {"X"}

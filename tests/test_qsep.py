@@ -9,15 +9,19 @@ from __future__ import annotations
 
 import random
 
+from guardedsat import qsep
+from guardedsat.clausify import trans
+from guardedsat.qans import answer
 from guardedsat.qsep import (
     DefinitionRegistry, analyze, is_icq, q_sep,
 )
+from guardedsat.syntax import parse
 from guardedsat.terms import (
-    Clause, Literal, SymbolKind, SymbolOrigin, SymbolTable, Var,
+    Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable, Var,
     clause_vars, is_decomposable, membership,
 )
 
-from util import make_symbols, preds
+from util import digest_problems, make_symbols, preds, reference_analyze
 
 
 def _neg(p, *vs):
@@ -124,3 +128,56 @@ def test_qsep_random_output_invariants():
         for c in res.guarded + res.icq:
             out_vars |= clause_vars(c)
         assert out_vars <= clause_vars(q)
+
+
+def _random_analyzed_query(rng):
+    """A flat negative clause of 1-9 literals of arity 0-4 over up to six
+    variables and the constant ``c``: literals may repeat a variable set,
+    have none, or repeat outright."""
+    vs = [f"X{i}" for i in range(rng.randint(1, 6))]
+    lits = []
+    for _ in range(rng.randint(1, 9)):
+        k = rng.randint(0, 4)
+        lits.append(Literal(False, f"p{k}_{rng.randint(0, 2)}", tuple(
+            Const("c") if rng.random() < 0.1 else Var(rng.choice(vs))
+            for _ in range(k))))
+    return Clause(lits)
+
+
+def test_analyze_agrees_with_pairwise_reference():
+    """On 3,000 random query clauses, :func:`analyze` finds the surface
+    literals, chained and isolated variables of the pairwise reference."""
+    rng = random.Random(24)
+    chained = isolated = inside = 0
+    for _ in range(3000):
+        q = _random_analyzed_query(rng)
+        an = analyze(q)
+        assert an == reference_analyze(q), q
+        chained += bool(an.chained)
+        isolated += bool(an.isolated)
+        inside += len(an.surface) < len(q)
+    assert min(chained, isolated, inside) > 300, (chained, isolated, inside)
+
+
+def test_analyze_agrees_with_reference_on_every_digested_query(monkeypatch):
+    """The problems of ``scripts/trace_digest.py`` (the sweeps, the
+    fixtures and the benchmark's smoke problems): each query clause, and
+    every clause that separation analyzes while the problem is answered,
+    gets the reference's analysis."""
+    calls = 0
+
+    def checked(q):
+        nonlocal calls
+        an = analyze(q)
+        assert an == reference_analyze(q), q
+        calls += 1
+        return an
+
+    queries = 0
+    monkeypatch.setattr(qsep, "analyze", checked)
+    for _, text in digest_problems():
+        for q in trans(parse(text)).query_clauses:
+            checked(q)
+            queries += 1
+        answer(parse(text))
+    assert queries > 80 and calls > queries + 15, (queries, calls)

@@ -54,6 +54,10 @@ rebuild every clause (upper-casing, abstraction, :func:`partition_closed`,
 :func:`reference_skolemize` is the Skolemisation that prenexed a
 conjunct in one walk and substituted the Skolem terms in a second;
 ``clausify.skolemize`` must give the same matrix, symbols and map.
+:func:`reference_analyze` is the query analysis by pairwise scans of
+the literals' variable sets; ``qsep.analyze`` must give the same
+surface, chained and isolated variables.  :func:`digest_problems` lists
+the problems of ``scripts/trace_digest.py``.
 :func:`reference_literal_key` is the literal sort key as first written,
 with ``isinstance`` tests and generators; ``Clause`` must sort by it.
 :func:`reference_lit_vars`, :func:`reference_clause_vars`,
@@ -98,6 +102,7 @@ from guardedsat.engine import (
 from guardedsat.oracle import FiniteModel, dpll
 from guardedsat.orders import Cmp, LPO
 from guardedsat.qans import SaturationState, clause_weight, inferences
+from guardedsat.qsep import QueryAnalysis
 from guardedsat.qrew import (
     RewriteError, RewriteResult, _fresh_var, _replace_const, _uppercase_vars,
     abstract,
@@ -397,8 +402,9 @@ def reference_com_t_all(main: Clause, n: ClauseIndex,
                         must_include: Optional[int] = None
                         ) -> Iterator[TopVarResult]:
     """The top-variable join as a nested loop that renames every candidate
-    and re-solves the whole unifier at every level.  Every other literal
-    of a side clause is a rival of its side literal (the full side
+    and re-solves the whole unifier at every level, one result per join
+    tuple with the sides of its top literals.  Every other literal of a
+    side clause is a rival of its side literal (the full side
     condition)."""
     negs = [l for l in main if not l.pos]
     if not negs:
@@ -411,9 +417,10 @@ def reference_com_t_all(main: Clause, n: ClauseIndex,
         top_vars = frozenset(v for v, d in depths.items()
                              if d == top_depth)
         top_literals = tuple(l for l in negs if lit_vars(l) & top_vars)
+        sides = tuple(s for s in chosen if s[0] in top_literals)
         rivals = tuple(tuple(l for l in side_r if l != pos_r)
-                       for _, _, side_r, pos_r in chosen)
-        yield TopVarResult(top_vars, top_literals, tuple(chosen), rivals)
+                       for _, _, side_r, pos_r in sides)
+        yield TopVarResult(top_vars, top_literals, sides, rivals)
 
 
 def reference_kept_sides(main: Clause, n: ClauseIndex,
@@ -422,13 +429,14 @@ def reference_kept_sides(main: Clause, n: ClauseIndex,
                                                tuple[Literal, ...],
                                                Literal], ...]]:
     """The side assignments :func:`~guardedsat.engine.com_t_all` keeps,
-    with the names it gives them.  Nested loops enumerate the join tuples
-    in clause-id order.  Each tuple renames each of its side clauses apart
-    from ``main`` with one :func:`renaming` call drawing from ``fresh``,
-    level by level, whether it is kept or not; the first tuple of each key
-    (top variables, side literal of each top literal) is kept with those
-    names, each side clause's literals in the clause's own order.  The
-    unifiability tests draw their names elsewhere."""
+    with the names it gives them: the sides of the top literals.  Nested
+    loops enumerate the join tuples in clause-id order.  Each tuple
+    renames each of its side clauses apart from ``main`` with one
+    :func:`renaming` call drawing from ``fresh``, level by level, whether
+    it is kept or not; the first tuple of each key (top variables, side
+    literal of each top literal) is kept with those names, each side
+    clause's literals in the clause's own order.  The unifiability tests
+    draw their names elsewhere."""
     negs = [l for l in main if not l.pos]
     mvars = clause_vars(main)
     trial = itertools.count(10 ** 6)
@@ -454,7 +462,8 @@ def reference_kept_sides(main: Clause, n: ClauseIndex,
                 kept[key] = tuple(
                     (neg, cid, tuple(apply_lit(l, ren) for l in side),
                      apply_lit(pos, ren))
-                    for neg, (cid, side, pos), ren in zip(negs, chosen, rens))
+                    for neg, (cid, side, pos), ren in zip(negs, chosen, rens)
+                    if lit_vars(neg) & top_vars)
             return
         neg = negs[i]
         for cid, side, pos in n.side_candidates(neg.pred):
@@ -489,17 +498,28 @@ class Inference:
     conclusion: Clause
 
 
+def _first_assignment(main: Clause, n: ClauseIndex
+                      ) -> Optional[list[tuple[Literal, int,
+                                               tuple[Literal, ...], Literal]]]:
+    """The sides of the first join tuple for every selected literal of
+    ``main``, renamed apart, or ``None`` when there is no tuple."""
+    negs = [l for l in main if not l.pos]
+    for chosen, _ in _iter_assignments(negs, n, set(clause_vars(main)),
+                                       None):
+        return chosen
+    return None
+
+
 def s_res(main_id: int, main: Clause, n: ClauseIndex) -> list[Inference]:
     """Full simultaneous resolution: resolve *all* selected literals."""
-    tvr = com_t(main, n)
-    if tvr is None:
+    chosen = _first_assignment(main, n)
+    if chosen is None:
         return []
-    sigma = mgu_lits([(pos_r, mlit)
-                      for mlit, _, _, pos_r in tvr.side_assignment])
+    sigma = mgu_lits([(pos_r, mlit) for mlit, _, _, pos_r in chosen])
     assert sigma is not None
     lits = [l for l in main if l.pos]
     side_ids = []
-    for (mlit, cid, side_r, pos_r) in tvr.side_assignment:
+    for (mlit, cid, side_r, pos_r) in chosen:
         side_ids.append(cid)
         lits.extend(_remove_one(side_r, pos_r))
     concl = Clause(dict.fromkeys(apply_lit(l, sigma) for l in lits))
@@ -511,14 +531,14 @@ def p_res(main_id: int, main: Clause, n: ClauseIndex,
           subset: Sequence[Literal]) -> list[Inference]:
     """Partial resolution: resolve a chosen subset of the selected
     literals, provided the full simultaneous unifier exists."""
-    tvr = com_t(main, n)
-    if tvr is None:
+    assignment = _first_assignment(main, n)
+    if assignment is None:
         return []
     pairs = []
     side_ids = []
     extra: list[Literal] = []
     chosen = set(subset)
-    for (mlit, cid, side_r, pos_r) in tvr.side_assignment:
+    for (mlit, cid, side_r, pos_r) in assignment:
         if mlit in chosen:
             pairs.append((pos_r, mlit))
             side_ids.append(cid)
@@ -642,6 +662,43 @@ def reference_is_ground_lit(lit: Literal) -> bool:
 
 def reference_is_ground(c: Clause) -> bool:
     return all(reference_is_ground_lit(lit) for lit in c)
+
+
+# ---------------------------------------------------------------------------
+# reference query analysis
+
+
+def reference_analyze(q: Clause) -> QueryAnalysis:
+    """The query analysis by pairwise scans: a literal is on the surface
+    when no other literal's variable set strictly contains its own, and
+    the chained variables are those two surface sets that differ
+    share."""
+    varsets = [(lit, frozenset(lit_vars(lit))) for lit in q]
+    surface = tuple(lit for lit, vs in varsets
+                    if not any(vs < vs2 for _, vs2 in varsets))
+    surf_sets = [frozenset(lit_vars(l)) for l in surface]
+    chained: set[str] = set()
+    for i, vs1 in enumerate(surf_sets):
+        for vs2 in surf_sets[i + 1:]:
+            if vs1 != vs2:
+                chained |= vs1 & vs2
+    isolated = clause_vars(q) - chained
+    return QueryAnalysis(
+        surface=surface,
+        chained=frozenset(chained),
+        isolated=frozenset(isolated),
+    )
+
+
+def digest_problems() -> list[tuple[str, str]]:
+    """(name, problem text) of every problem ``scripts/trace_digest.py``
+    digests: the sweeps' problems, the fixtures and the benchmark's smoke
+    problems."""
+    scripts = str(Path(__file__).resolve().parent.parent / "scripts")
+    if scripts not in sys.path:
+        sys.path.insert(0, scripts)
+    import trace_digest
+    return list(trace_digest.problems())
 
 
 # ---------------------------------------------------------------------------
