@@ -56,17 +56,19 @@ def analyze(q: Clause) -> QueryAnalysis:
     holders: dict[str, list[frozenset[str]]] = {}
     for vs in dict.fromkeys(varsets):
         for v in vs:
-            holders.setdefault(v, []).append(vs)
+            held = holders.get(v)
+            if held is None:
+                holders[v] = [vs]
+            else:
+                held.append(vs)
     inside: dict[frozenset[str], bool] = {}
-    for vs in varsets:
-        if vs in inside:
-            continue
-        if vs:
-            rare = min(vs, key=lambda v: len(holders[v]))
-            inside[vs] = any(vs < other for other in holders[rare])
-        else:
-            inside[vs] = bool(holders)
-    surface = tuple(lit for lit, vs in zip(q, varsets) if not inside[vs])
+    surface = []
+    for lit, vs in zip(q.literals, varsets):
+        strict = inside.get(vs)
+        if strict is None:
+            strict = inside[vs] = _strictly_inside(vs, holders)
+        if not strict:
+            surface.append(lit)
     first: dict[str, frozenset[str]] = {}
     chained: set[str] = set()
     for lit in surface:
@@ -75,10 +77,27 @@ def analyze(q: Clause) -> QueryAnalysis:
             if first.setdefault(v, vs) != vs:
                 chained.add(v)
     return QueryAnalysis(
-        surface=surface,
+        surface=tuple(surface),
         chained=frozenset(chained),
         isolated=clause_vars(q) - chained,
     )
+
+
+def _strictly_inside(vs: frozenset[str],
+                     holders: dict[str, list[frozenset[str]]]) -> bool:
+    """Whether the variable set ``vs`` is strictly inside one of the sets
+    in ``holders``, the distinct sets of a clause by variable."""
+    if not vs:
+        return bool(holders)
+    rare = None
+    for v in vs:
+        held = holders[v]
+        if rare is None or len(held) < len(rare):
+            rare = held
+    for other in rare:
+        if vs < other:
+            return True
+    return False
 
 
 class DefinitionRegistry:
