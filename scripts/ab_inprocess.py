@@ -92,7 +92,8 @@ def main() -> int:
     wl = workloads.make(args.workload, args.seed, ROOT, args.smoke)
     samples: list[list[list[float]]] = [[[] for _ in wl.instances]
                                         for _ in trees]
-    wrong = differ = 0
+    wrong = 0
+    differ: set[str] = set()  # problems, over all their namings
     for p in range(args.passes):
         gc.collect()
         for i, inst in enumerate(wl.instances):
@@ -106,8 +107,9 @@ def main() -> int:
                     wrong += 1
                     print(f"{inst.name}: {('old', 'new')[k]} says {o[0]}, "
                           f"known answer {inst.expected}", file=sys.stderr)
-            differ += p == 0 and (out[0][:4] != out[1][:4] or
-                                  out[0][4].trace != out[1][4].trace)
+            if p == 0 and (out[0][:4] != out[1][:4] or
+                           out[0][4].trace != out[1][4].trace):
+                differ.add(inst.key)
 
     size = {inst.key: inst.size for inst in wl.instances}
     pers = []
@@ -117,7 +119,7 @@ def main() -> int:
             grouped.setdefault(inst.key, []).extend(s)
         pers.append({k: statistics.median(s) for k, s in grouped.items()})
     print(f"{args.workload}: {len(pers[0])} problems, {args.passes} passes, "
-          f"{differ} with other steps, clauses, Σ_q or trace")
+          f"{len(differ)} with other steps, clauses, Σ_q or trace")
     old, new = (summary(per) for per in pers)
     for label, o, n in zip(("sum of medians", "p50", "tail"), old, new):
         print(f"{label:15s} old {o:.6f} s  new {n:.6f} s  "

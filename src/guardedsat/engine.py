@@ -588,28 +588,18 @@ def _extend(open_: list[int], sub: Subst, levels: list[_Level],
         return
     args, _, _, skip = levels[best]
     first, second, matched = best_probe
-    if not closing:
-        rest = [i for i in open_ if i != best]
-        for bucket in (first, second):
-            for side in bucket:
-                if side.cid == skip:
-                    continue
-                lit = side.lit if side.copies is None else side.at(best)
-                sub2 = dict(sub)
-                if unify_into(zip(lit.args, args), sub2):
-                    chosen[best] = side
-                    _extend(rest, sub2, levels, chosen, top, found)
-        return
+    # the closing candidates that share sub
     shared = []
     if matched:
         shared = [side for side in first if side.cid != skip]
         first = _NONE
-    constants = _closing_constants(args, sub)
+    rest = [i for i in open_ if i != best]
+    constants = closing and _closing_constants(args, sub)
     for bucket in (first, second):
         for side in bucket:
             if side.cid == skip:
                 continue
-            if side.constants:
+            if closing and side.constants:
                 if constants or constants is not None and \
                         _constant_leaf(args, side.lit.args, sub) is not None:
                     shared.append(side)
@@ -618,7 +608,11 @@ def _extend(open_: list[int], sub: Subst, levels: list[_Level],
             sub2 = dict(sub)
             if unify_into(zip(lit.args, args), sub2):
                 chosen[best] = side
-                found.append((tuple(chosen), sub2, best, _NONE, top(sub2)))
+                if closing:
+                    found.append((tuple(chosen), sub2, best, _NONE,
+                                  top(sub2)))
+                else:
+                    _extend(rest, sub2, levels, chosen, top, found)
     if not shared:
         return
     info = top(sub)
@@ -683,19 +677,20 @@ def _join(negs: Sequence[Literal], mvars: frozenset[str], n: ClauseIndex,
     return found
 
 
-def _owed_before(pending: list[list], keys: tuple) -> int:
+def _owed_before(pending: list[list], keys: Optional[tuple]) -> int:
     """The fresh names owed by the later tuples of the rows in ``pending``
     that sort before the tuple with the side keys ``keys``, which sorts
-    after each row's first tuple.  Each entry of ``pending`` is a row's
-    side keys before and after its closing level, its other closing
-    sides, the names a tuple of it draws off the closing level, and how
-    many of its other tuples have drawn; those counted are marked drawn,
-    and the rows all drawn are dropped."""
+    after each row's first tuple, or by all of them when ``keys`` is
+    ``None``.  Each entry of ``pending`` is a row's side keys before and
+    after its closing level, its other closing sides, the names a tuple
+    of it draws off the closing level, and how many of its other tuples
+    have drawn; those counted are marked drawn, and the rows all drawn
+    are dropped."""
     owed = 0
     for entry in pending:
         head, tail, rest, base, drawn = entry
         level = len(head)
-        if head != keys[:level]:
+        if keys is None or head != keys[:level]:
             upto = len(rest)
         else:
             upto = bisect_left(rest, keys[level:], lo=drawn,
@@ -772,9 +767,7 @@ def com_t_all(main: Clause, n: ClauseIndex,
             pending.append([tuple(keys[:level]), tuple(keys[level + 1:]),
                             rest, sum(side.n_vars for side in chosen)
                             - chosen[level].n_vars, 0])
-    for _, _, rest, base, drawn in pending:
-        owed += base * (len(rest) - drawn) + \
-            sum(side.n_vars for side in rest[drawn:])
+    owed += _owed_before(pending, None)
     if owed:
         skip_names(owed, mvars, n.fresh)
 
