@@ -741,8 +741,9 @@ def com_t_all(main: Clause, n: ClauseIndex,
                     pending, tuple(side.key for side in chosen))
             assignment = []
             rivals = []
+            top_levels = set(top)
             for i, side in enumerate(chosen):
-                if i not in top:
+                if i not in top_levels:
                     owed += side.n_vars
                     continue
                 if owed:
