@@ -56,11 +56,7 @@ def analyze(q: Clause) -> QueryAnalysis:
     holders: dict[str, list[frozenset[str]]] = {}
     for vs in dict.fromkeys(varsets):
         for v in vs:
-            held = holders.get(v)
-            if held is None:
-                holders[v] = [vs]
-            else:
-                held.append(vs)
+            holders.setdefault(v, []).append(vs)
     inside: dict[frozenset[str], bool] = {}
     surface = []
     for lit, vs in zip(q.literals, varsets):

@@ -238,7 +238,8 @@ def _signature(n, assignment):
                  for mlit, cid, side_r, pos_r in assignment)
 
 
-# the join's constant matching, out of reach of the tests' counters
+# the constant matching as defined, which the tests that count the join's
+# own calls to it patch
 _constant_leaf = engine._constant_leaf
 
 
