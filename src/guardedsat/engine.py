@@ -49,25 +49,23 @@ candidate is unified with a copy of the unifier.  The candidates taken
 as they are or matched share the unifier object and leave every depth
 as it is, so the top variables are worked out once for all of them.
 When the closing literal holds none, the tuples they complete differ
-only in a side of a non-top literal, and the join emits them as one
-row: the tuple of the first in key order and the other closing sides.
-Every other tuple is a row of its own.  A non-ground side literal is
+only in a side of a non-top literal, so they share a key and only the
+first in key order can be kept: the join emits that one alone.  Every
+other tuple is a row of its own.  A non-ground side literal is
 copied onto a level's variables when the level first tries it, and the
 copy is kept.  When a new clause must take part, the search is seeded
 once at each literal where it can stand with that clause's own side
 literals (semi-naive evaluation).  The rows found are sorted into
-clause-id order of their first tuples.
+clause-id order of their tuples.
 
 A conclusion of rule 2b depends only on the top variables and the sides
 of the top literals, so :func:`com_t_all` keeps the first tuple of each
-such key, and a row stands there for its first tuple.  A kept tuple has
-its top sides renamed apart and becomes a :class:`TopVarResult`.  Every
-name a renaming of the other sides, or of the tuples not kept, would
-draw is still drawn, so the names of every later conclusion stay as
-they were: the names owed are drawn at once before the next renaming,
-a row's other tuples owing theirs before the first kept tuple that
-sorts after them, the rest at the end.
-:func:`~guardedsat.terms.skip_names` works out how far the draws go.
+such key.  A kept tuple has its top sides renamed apart and becomes a
+:class:`TopVarResult`.  Fresh names are drawn from
+:attr:`ClauseIndex.fresh` only for a clause that is renamed: the top
+sides of a kept tuple, level by level, tuple after tuple, and each side
+of rule 2a.  Clauses are equal up to renaming, so no name is drawn for
+a side or a tuple that no conclusion carries.
 
 A :class:`TopVarResult` holds the top variables and literals and, for
 each top literal, its side: the clause id, the side clause's literals
@@ -98,7 +96,7 @@ from .qsep import is_icq
 from .terms import (
     App, Clause, Const, Literal, Subst, Term, Var, apply_lit,
     clause_vars, is_ground, is_ground_lit, is_ground_term, lit_vars,
-    mgu_lits, renaming, skip_names, unify_into,
+    mgu_lits, renaming, unify_into,
 )
 
 
@@ -138,14 +136,12 @@ class ClauseRecord:
     side premise.  ``rivals`` holds, for each side literal, the positions
     in the clause of the other literals it does not strictly dominate a
     priori: the ordering is stable under substitution, so only those can
-    outgrow it after unification.  ``n_vars`` counts the clause's
-    variables, the names a renaming of it draws.
+    outgrow it after unification.
     """
     regime: str  # "max" | "select" | "topvar" | "icq"
     main_literals: tuple[Literal, ...]
     side_literals: tuple[Literal, ...]
     rivals: tuple[tuple[int, ...], ...]
-    n_vars: int
 
 
 def clause_record(c: Clause, lpo: LPO) -> ClauseRecord:
@@ -165,18 +161,16 @@ def clause_record(c: Clause, lpo: LPO) -> ClauseRecord:
     if len(c) == 1 and is_ground(c):
         (lit,) = c
         if lit.pos:
-            return ClauseRecord("max", (), (lit,), ((),), 0)
-        return ClauseRecord("max", (lit,), (), (), 0)
+            return ClauseRecord("max", (), (lit,), ((),))
+        return ClauseRecord("max", (lit,), (), ())
     d = dispatch(c)
-    n_vars = len(clause_vars(c))
     if d == "select":
         sel = select_nc(c)
-        return ClauseRecord(d, (sel,) if sel is not None else (), (), (),
-                            n_vars)
+        return ClauseRecord(d, (sel,) if sel is not None else (), (), ())
     if d == "topvar":
         main = tuple(l for l in c if not l.pos)
         icq = len(main) == len(c) and is_icq(c)
-        return ClauseRecord("icq" if icq else d, main, (), (), n_vars)
+        return ClauseRecord("icq" if icq else d, main, (), ())
     mains, sides, rivals = [], [], []
     for i, (lit, row) in enumerate(
             zip(c.literals, comparisons(lpo, c.literals))):
@@ -188,8 +182,7 @@ def clause_record(c: Clause, lpo: LPO) -> ClauseRecord:
         elif all(r is not Cmp.EQ for _, r in others):
             sides.append(lit)
             rivals.append(tuple(k for k, r in others if r is not Cmp.GT))
-    return ClauseRecord(d, tuple(mains), tuple(sides), tuple(rivals),
-                        n_vars)
+    return ClauseRecord(d, tuple(mains), tuple(sides), tuple(rivals))
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +197,11 @@ class _Side:
     levels of a join share no variable with each other or with the main
     premise.  ``copies`` is ``None`` for a ground literal, its own copy.
     ``constants`` says whether every argument is a constant.  ``pos`` is
-    the literal's position in the clause, and ``n_vars`` the number of
-    the clause's variables, the names a renaming of it draws."""
+    the literal's position in the clause."""
     __slots__ = ("key", "cid", "clause", "lit", "copies", "constants",
-                 "pos", "n_vars")
+                 "pos")
 
-    def __init__(self, cid: int, k: int, clause: Clause, lit: Literal,
-                 n_vars: int):
+    def __init__(self, cid: int, k: int, clause: Clause, lit: Literal):
         self.key = (cid, k)
         self.cid = cid
         self.clause = clause
@@ -219,7 +210,6 @@ class _Side:
             None if is_ground_lit(lit) else {}
         self.constants = all(isinstance(a, Const) for a in lit.args)
         self.pos = clause.literals.index(lit)
-        self.n_vars = n_vars
 
     def at(self, level: int) -> Literal:
         """The side literal on the variables of join level ``level``."""
@@ -350,7 +340,7 @@ class ClauseIndex:
             sides = self._sides.get(lit.pred)
             if sides is None:
                 sides = self._sides[lit.pred] = _SideList()
-            sides.add(_Side(cid, k, c, lit, rec.n_vars))
+            sides.add(_Side(cid, k, c, lit))
         for pred in {l.pred for l in rec.main_literals}:
             insort(self._main_index.setdefault(pred, []), cid)
 
@@ -536,16 +526,12 @@ def _constant_leaf(args: Sequence[Term], consts: Sequence[Term],
 # positions of the selected literals that hold one
 _Top = tuple[frozenset[str], tuple[int, ...]]
 
-# a join row: the sides of its first tuple, one per selected literal; the
-# triangular unifier of their level copies with the selected literals;
-# the closing level, the last one the join extended; the closing sides of
-# the row's other tuples, in key order, each of which completes the
-# unifier by binding variables to constants or not at all, so leaves every
-# depth as it is; and the top variables under the unifier.  A row has
-# other tuples only when its closing literal holds no top variable: they
-# then all have its first tuple's key (top variables, sides of the top
-# literals).
-_JoinRow = tuple[tuple[_Side, ...], Subst, int, list[_Side], _Top]
+# a join row: a tuple's sides, one per selected literal; the triangular
+# unifier of their level copies with the selected literals, less the
+# bindings of a closing side over constants, which bind variables to
+# constants only and so leave every depth as it is; and the top variables
+# under the unifier
+_JoinRow = tuple[tuple[_Side, ...], Subst, _Top]
 
 
 # what the join reads at one level: the selected literal's arguments, its
@@ -567,11 +553,12 @@ def _extend(open_: list[int], sub: Subst, levels: list[_Level],
     At the last open level, a candidate from the closing-level lookup is
     taken as it is, and one over constants only is matched against
     ``sub`` (:func:`_closing_constants`, :func:`_constant_leaf`).  Those
-    candidates share ``sub``; they make one row if the closing literal
-    holds no top variable under it (``top``), else one row each.  Every
-    other candidate is unified with a copy of ``sub`` and makes a row of
-    its own.  The candidates are tried out of key order; the caller sorts
-    what is found."""
+    candidates share ``sub`` and make one row each, except that when the
+    closing literal holds no top variable under ``sub`` (``top``) their
+    tuples share a key, and only the first in key order, which alone can
+    be kept, makes a row.  Every other candidate is unified with a copy
+    of ``sub`` and makes a row of its own.  The candidates are tried out
+    of key order; the caller sorts what is found."""
     closing = len(open_) == 1
     best = best_size = -1
     best_probe: _Probe = _NONE, _NONE, False
@@ -609,29 +596,25 @@ def _extend(open_: list[int], sub: Subst, levels: list[_Level],
             if unify_into(zip(lit.args, args), sub2):
                 chosen[best] = side
                 if closing:
-                    found.append((tuple(chosen), sub2, best, _NONE,
-                                  top(sub2)))
+                    found.append((tuple(chosen), sub2, top(sub2)))
                 else:
                     _extend(rest, sub2, levels, chosen, top, found)
     if not shared:
         return
     info = top(sub)
-    if best in info[1]:
-        for side in shared:
-            chosen[best] = side
-            found.append((tuple(chosen), sub, best, _NONE, info))
-    else:
-        shared.sort(key=_key)
-        chosen[best] = shared[0]
-        found.append((tuple(chosen), sub, best, shared[1:], info))
+    if best not in info[1]:
+        shared = [min(shared, key=_key)]
+    for side in shared:
+        chosen[best] = side
+        found.append((tuple(chosen), sub, info))
 
 
 def _join(negs: Sequence[Literal], mvars: frozenset[str], n: ClauseIndex,
           must_include: Optional[int]) -> list[_JoinRow]:
     """All side-premise tuples simultaneously unifiable with the selected
     literals ``negs`` (at least one) of a main premise over the variables
-    ``mvars``, in rows (:data:`_JoinRow`), sorted by their first tuples
-    in clause-id order (lexicographic by side-literal key, level by
+    ``mvars``, in rows (:data:`_JoinRow`), sorted by their tuples in
+    clause-id order (lexicographic by side-literal key, level by
     level).
 
     With ``must_include``, only the tuples that use that clause: the join
@@ -677,32 +660,6 @@ def _join(negs: Sequence[Literal], mvars: frozenset[str], n: ClauseIndex,
     return found
 
 
-def _owed_before(pending: list[list], keys: Optional[tuple]) -> int:
-    """The fresh names owed by the later tuples of the rows in ``pending``
-    that sort before the tuple with the side keys ``keys``, which sorts
-    after each row's first tuple, or by all of them when ``keys`` is
-    ``None``.  Each entry of ``pending`` is a row's side keys before and
-    after its closing level, its other closing sides, the names a tuple
-    of it draws off the closing level, and how many of its other tuples
-    have drawn; those counted are marked drawn, and the rows all drawn
-    are dropped."""
-    owed = 0
-    for entry in pending:
-        head, tail, rest, base, drawn = entry
-        level = len(head)
-        if keys is None or head != keys[:level]:
-            upto = len(rest)
-        else:
-            upto = bisect_left(rest, keys[level:], lo=drawn,
-                               key=lambda side: (side.key,) + tail)
-        if upto > drawn:
-            owed += base * (upto - drawn) + \
-                sum(side.n_vars for side in rest[drawn:upto])
-            entry[4] = upto
-    pending[:] = [entry for entry in pending if entry[4] < len(entry[2])]
-    return owed
-
-
 def com_t_all(main: Clause, n: ClauseIndex,
               must_include: Optional[int] = None) -> Iterator[TopVarResult]:
     """The side-premise assignments for the selected literals of ``main``,
@@ -712,65 +669,36 @@ def com_t_all(main: Clause, n: ClauseIndex,
 
     The join works out the top variables, once per unifier object: the
     tuples that share one differ only in bindings to constants, which
-    leave every depth as it is.  A join row stands here for its first
-    tuple, since its other tuples share that key and so are never kept.
-    A kept tuple's top sides are renamed apart from ``main``, so the
-    join's own variable copies never reach a conclusion.  Every other side
-    draws as many fresh names as its renaming would and drops them, as
-    does every side of a tuple not kept; a row's other tuples draw theirs
-    before the first renaming of a kept tuple that sorts after them
-    (:func:`_owed_before`), or at the end.  The names owed between two
-    renamings are drawn at once.
+    leave every depth as it is.  A kept tuple's top sides, and nothing
+    else, are renamed apart from ``main``, level by level, each drawing
+    its names from ``n.fresh``; the join's own variable copies never
+    reach a conclusion.
     """
     negs = [l for l in main if not l.pos]
     if not negs:
         return
     mvars = clause_vars(main)
     seen: set[tuple] = set()
-    owed = 0
-    pending: list[list] = []
-    for chosen, _, level, rest, (top_vars, top) in _join(
-            negs, mvars, n, must_include):
+    for chosen, _, (top_vars, top) in _join(negs, mvars, n, must_include):
         key = (top_vars, tuple((i, chosen[i].key) for i in top))
         if key in seen:
-            owed += sum(side.n_vars for side in chosen)
-        else:
-            seen.add(key)
-            if pending:
-                owed += _owed_before(
-                    pending, tuple(side.key for side in chosen))
-            assignment = []
-            rivals = []
-            top_levels = set(top)
-            for i, side in enumerate(chosen):
-                if i not in top_levels:
-                    owed += side.n_vars
-                    continue
-                if owed:
-                    skip_names(owed, mvars, n.fresh)
-                    owed = 0
-                # the side clause renamed literal by literal, in its own
-                # order, so its side literal and rivals are found by
-                # position
-                c = side.clause
-                ren = renaming(c, mvars, n.fresh)
-                side_r = tuple(apply_lit(l, ren) for l in c.literals) \
-                    if ren else c.literals
-                assignment.append((negs[i], side.cid, side_r,
-                                   side_r[side.pos]))
-                cid, k = side.key
-                rivals.append(tuple(side_r[r]
-                                    for r in n.records[cid].rivals[k]))
-            yield TopVarResult(top_vars, tuple(negs[i] for i in top),
-                               tuple(assignment), tuple(rivals))
-        if rest:
-            keys = [side.key for side in chosen]
-            pending.append([tuple(keys[:level]), tuple(keys[level + 1:]),
-                            rest, sum(side.n_vars for side in chosen)
-                            - chosen[level].n_vars, 0])
-    owed += _owed_before(pending, None)
-    if owed:
-        skip_names(owed, mvars, n.fresh)
+            continue
+        seen.add(key)
+        assignment = []
+        rivals = []
+        for i in top:
+            # the side clause renamed literal by literal, in its own
+            # order, so its side literal and rivals are found by position
+            side = chosen[i]
+            c = side.clause
+            ren = renaming(c, mvars, n.fresh)
+            side_r = tuple(apply_lit(l, ren) for l in c.literals) \
+                if ren else c.literals
+            assignment.append((negs[i], side.cid, side_r, side_r[side.pos]))
+            cid, k = side.key
+            rivals.append(tuple(side_r[r] for r in n.records[cid].rivals[k]))
+        yield TopVarResult(top_vars, tuple(negs[i] for i in top),
+                           tuple(assignment), tuple(rivals))
 
 
 # ---------------------------------------------------------------------------

@@ -622,10 +622,11 @@ def renaming(c: Clause, avoid: set[str], fresh: Iterator[int]) -> Subst:
     ``_v<n>``, drawing ``n`` from ``fresh`` and skipping names in
     ``avoid``.
 
-    Apply it to a literal of ``c`` to find that literal's image: the
-    renamed clause is re-sorted, and the sort breaks ties between
-    structurally equal literals by variable name, so positions in ``c``
-    do not carry over.
+    The engine's rules apply it literal by literal, in ``c``'s own
+    order, so each image stands at its literal's position in ``c``.  A
+    clause built from the images would be re-sorted, and the sort breaks
+    ties between structurally equal literals by variable name, so
+    positions in it need not match those in ``c``.
     """
     sub: Subst = {}
     for v in sorted(clause_vars(c)):
@@ -635,27 +636,6 @@ def renaming(c: Clause, avoid: set[str], fresh: Iterator[int]) -> Subst:
                 break
         sub[v] = Var(name)
     return sub
-
-
-def skip_names(count: int, avoid: set[str], fresh: Iterator[int]) -> None:
-    """Draw from ``fresh`` the numbers :func:`renaming` draws for a clause
-    of ``count`` variables, without building the renaming.  ``fresh``
-    hands out consecutive numbers, as :func:`itertools.count` does, so
-    after the first draw the last one is worked out from the ``_v<n>``
-    names in ``avoid``: each such ``n`` up to it pushes it one further."""
-    if not count:
-        return
-    first = next(fresh)
-    last = first + count - 1
-    for k in sorted(int(v[2:]) for v in avoid if v.startswith("_v")
-                    and v[2:].removeprefix("-").isdecimal()
-                    and f"_v{int(v[2:])}" == v):
-        if k > last:
-            break
-        if k >= first:
-            last += 1
-    # advance by last - first numbers (the consume recipe of itertools)
-    next(itertools.islice(fresh, last - first, last - first), None)
 
 
 def rename_apart(c: Clause, avoid: set[str]) -> Clause:

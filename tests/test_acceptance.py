@@ -55,7 +55,7 @@ def test_criterion_01_golden_derivation():
         "[10] TRes2b(1,4,2) ~A2(z,z) | B(f(z),z,b) | D(g(z))"
         " | ~G1(z) | ~G3(z)",
         "[11] TRes2b(5,10) ~A2(y,y) | D(g(y)) | ~G1(y) | ~G3(y)",
-        "[12] TRes2b(6,11) ~A2(_v4,_v4) | ~G1(_v4) | ~G3(_v4)",
+        "[12] TRes2b(6,11) ~A2(_v3,_v3) | ~G1(_v3) | ~G3(_v3)",
         "[13] TRes2b(12,3,7,8) ~G2(a)",
         "[14] TRes2a(13,9) []",
     ):

@@ -28,7 +28,7 @@ from guardedsat.syntax import parse
 from guardedsat.terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
     Var, apply_clause, apply_lit, apply_term, clause_vars, lit_vars,
-    membership, normalize, renaming, unify_into,
+    membership, normalize, unify_into,
 )
 
 import test_qsep
@@ -118,7 +118,6 @@ def _check_record(c, lpo):
         tuple(k for k, other in enumerate(c.literals)
               if other is not s and lpo.compare_lits(s, other) is not Cmp.GT)
         for s in sides), c
-    assert rec.n_vars == len(clause_vars(c)), c
     return rec
 
 
@@ -243,77 +242,77 @@ def _signature(n, assignment):
 _constant_leaf = engine._constant_leaf
 
 
-def _expand(negs, rows):
-    """The join tuples of the join rows ``rows`` in clause-id order, each
-    as (its sides, the row's unifier, the bindings its closing side over
-    constants adds to it)."""
-    out = []
-    for chosen, sub, level, rest, _ in rows:
-        for side in (chosen[level], *rest):
-            leaf = _constant_leaf(negs[level].args, side.lit.args, sub) \
-                if side.constants else {}
-            assert leaf is not None
-            out.append((chosen[:level] + (side,) + chosen[level + 1:],
-                        sub, leaf))
-    out.sort(key=lambda t: [side.key for side in t[0]])
-    return out
+def _row_signature(negs, sides):
+    """(main literal, side id, side literal) per level of a join row with
+    the sides ``sides``."""
+    return tuple((neg, side.cid, side.lit) for neg, side in zip(negs, sides))
+
+
+def _is_subsequence(xs, ys):
+    it = iter(ys)
+    return all(x in it for x in xs)
+
+
+def _row_unifier(negs, sides, sub):
+    """The unifier of a join row with the sides ``sides`` and the unifier
+    ``sub``, with the bindings of a closing side over constants added,
+    which the row leaves out; asserts that they bind only variables
+    ``sub`` leaves free, and only to constants."""
+    full = dict(sub)
+    for i, (neg, side) in enumerate(zip(negs, sides)):
+        assert unify_into(zip(side.at(i).args, neg.args), full)
+    assert all(isinstance(t, Const) for v, t in full.items() if v not in sub)
+    return normalize(full)
 
 
 def _assert_joins_agree(main, n):
     """With and without each indexed clause required:
 
-    * the join's rows expand to every tuple of the reference join, in the
-      same order, each with a unifier equivalent to the reference's: its
-      row's unifier together with its closing level's bindings, which
-      bind only variables the unifier leaves free, and only to constants;
-    * a row has other tuples only where its closing literal holds no top
-      variable under the reference's unifier;
-    * :func:`com_t_all` yields the reference's first tuple of each key (top
-      variables, side of each top literal), and nothing else, with the
-      same top literals, the same sides of the top literals and a variant
-      resolvent;
-    * the fresh-name supply ends where renaming every tuple's sides leaves
-      it.
+    * the join's rows are a subsequence of the reference join's tuples,
+      in the same order, each with the reference's top variables and top
+      literals and a unifier equivalent to the reference's once the
+      bindings of its sides over constants are added
+      (:func:`_row_unifier`);
+    * every reference tuple the join leaves out has the key (top
+      variables, side of each top literal) of an earlier row, so it could
+      not be kept;
+    * :func:`com_t_all` yields the reference's first tuple of each key,
+      and nothing else, with the same top literals, the same sides of the
+      top literals and a variant resolvent.
 
-    Returns the number of join tuples, of those skipped as repeats and of
-    the rows with more than one tuple."""
+    Returns the number of reference tuples, of those :func:`com_t_all`
+    does not keep, and of those the join leaves out."""
     negs = [l for l in main if not l.pos]
     mvars = clause_vars(main)
     lpo = n.lpo
-    tuples = skipped = shared = 0
+    tuples = skipped = left_out = 0
     for must in [None] + sorted(n.by_id):
         want = list(reference_com_t_all(main, n, must_include=must))
         rows = engine._join(negs, mvars, n, must)
-        found = _expand(negs, rows)
         ref = list(_iter_assignments(negs, n, mvars, must))
-        assert [tuple((neg, c.cid, c.lit) for neg, c in zip(negs, chosen))
-                for chosen, _, _ in found] == \
-            [_signature(n, chosen) for chosen, _ in ref], (main, must)
-        for (_, sub, leaf), (_, sigma) in zip(found, ref):
-            assert not leaf.keys() & sub.keys(), (main, must)
-            assert all(isinstance(t, Const) for t in leaf.values())
-            sub = normalize({**sub, **leaf})
-            assert is_variant(Clause([apply_lit(l, sub) for l in negs]),
-                              Clause([apply_lit(l, sigma) for l in negs]))
-        tops = {_signature(n, chosen): w.top_literals
-                for (chosen, _), w in zip(ref, want)}
-        for chosen, _, level, rest, _ in rows:
-            if rest:
-                sig = tuple((neg, c.cid, c.lit)
-                            for neg, c in zip(negs, chosen))
-                assert negs[level] not in tops[sig], (main, must)
-                shared += 1
+        row_keys = set()
+        j = 0
+        for (chosen, sigma), w in zip(ref, want):
+            key = (w.top_vars, _signature(n, w.side_assignment))
+            if j < len(rows) and \
+                    _row_signature(negs, rows[j][0]) == _signature(n, chosen):
+                sides, sub, (top_vars, top) = rows[j]
+                assert (top_vars, tuple(negs[i] for i in top)) == \
+                    (w.top_vars, w.top_literals), (main, must)
+                sub = _row_unifier(negs, sides, sub)
+                assert is_variant(Clause([apply_lit(l, sub) for l in negs]),
+                                  Clause([apply_lit(l, sigma) for l in negs]))
+                row_keys.add(key)
+                j += 1
+            else:
+                assert key in row_keys, (main, must)
+                left_out += 1
+        assert j == len(rows), (main, must)
         first = {}
         for w in want:
             first.setdefault((w.top_vars, _signature(n, w.side_assignment)),
                              w)
-        fresh = itertools.count(1000)
-        for chosen, _, _ in found:
-            for c in chosen:
-                renaming(c.clause, mvars, fresh)
-        n.fresh = itertools.count(1000)
         got = list(com_t_all(main, n, must_include=must))
-        assert next(n.fresh) == next(fresh), (main, must)
         assert [_signature(n, g.side_assignment) for g in got] == \
             [_signature(n, w.side_assignment) for w in first.values()], \
             (main, must)
@@ -326,9 +325,9 @@ def _assert_joins_agree(main, n):
             if r_got is not None:
                 assert r_got[0] == r_want[0], (main, must)
                 assert is_variant(r_got[2], r_want[2])
-        tuples += len(found)
-        skipped += len(found) - len(got)
-    return tuples, skipped, shared
+        tuples += len(ref)
+        skipped += len(ref) - len(got)
+    return tuples, skipped, left_out
 
 
 def _ground_compound_args(rng, k, fn):
@@ -433,8 +432,8 @@ def test_join_agrees_with_nested_loop_reference(monkeypatch):
     lookup that finds ground side literals, a closing-level probe that
     keeps a non-ground side literal over a constant, a last level over
     constants that binds a variable, one whose arguments are distinct
-    free variables, so that every side over constants is taken, and a
-    row of more than one tuple."""
+    free variables, so that every side over constants is taken, and
+    tuples the join leaves out because an earlier row has their key."""
     probed = looked_up = mixed = leaves = free = 0
     probe = engine._probe
     closing_constants = engine._closing_constants
@@ -465,7 +464,7 @@ def test_join_agrees_with_nested_loop_reference(monkeypatch):
     monkeypatch.setattr(engine, "_closing_constants", counting_constants)
     symbols = make_symbols(n_preds=5, max_arity=3, n_funcs=2,
                            rng=random.Random(7))
-    tuples = skipped = shared = 0
+    tuples = skipped = left_out = 0
     for seed in range(40):
         rng = random.Random(seed)
         n = _join_index(symbols, rng)
@@ -475,19 +474,19 @@ def test_join_agrees_with_nested_loop_reference(monkeypatch):
         joins.append(_assert_joins_agree(icq, icq_index))
         tuples += sum(t for t, _, _ in joins)
         skipped += sum(k for _, k, _ in joins)
-        shared += sum(r for _, _, r in joins)
+        left_out += sum(r for _, _, r in joins)
     assert tuples >= 200 and skipped >= 20, (tuples, skipped)
     # levels extended through the argument index, not the full list
     assert probed > 0
     assert looked_up >= 20 and mixed >= 20 and leaves >= 20, \
         (looked_up, mixed, leaves)
-    assert free >= 20 and shared >= 20, (free, shared)
+    assert free >= 20 and left_out >= 20, (free, left_out)
 
 
-def test_com_t_all_draws_the_names_renaming_every_tuple_would():
-    """Over every join tuple in clause-id order, :func:`com_t_all` draws
-    from the index's supply what one renaming of each side would draw,
-    kept or skipped, and names the kept top sides as
+def test_com_t_all_draws_names_only_for_the_kept_top_sides():
+    """:func:`com_t_all` draws from the index's supply only what one
+    renaming of each top side of each kept tuple draws, in the order
+    kept, and names the kept top sides as
     :func:`util.reference_kept_sides` does.  The main premises' variables
     are names the supply hands out, so the draws must skip them."""
     symbols = make_symbols(n_preds=5, max_arity=3, n_funcs=2,
@@ -510,63 +509,73 @@ def test_com_t_all_draws_the_names_renaming_every_tuple_would():
                 got = list(com_t_all(main, n, must_include=must))
                 assert next(n.fresh) == next(fresh), (main, must)
                 assert [g.side_assignment for g in got] == want, (main, must)
-                found = len(_expand(negs, engine._join(
-                    negs, clause_vars(main), n, must)))
+                found = sum(1 for _ in _iter_assignments(
+                    negs, n, clause_vars(main), must))
                 tuples += found
                 skipped += found - len(got)
     assert tuples >= 500 and skipped >= 20, (tuples, skipped)
 
 
-def _straddle_index():
-    """The facts ``a(c1)``, ``a(c2)``, ``a(c3)`` (ids 1-3), the sides
-    ``p(sk0(U),U) | ~g(U)`` and ``p(sk1(U),U) | ~h(U)`` (ids 4, 5) and the
-    main premise ``~a(Y) | ~p(X,Y)`` (id 6), whose top variable is ``X``
-    under either side of ``~p(X,Y)``."""
+def _fact_join_index(fact_pred, n_facts):
+    """The facts ``<fact_pred>(c1)`` to ``<fact_pred>(c<n_facts>)`` (ids 1
+    to ``n_facts``), the sides ``p(sk0(U),U) | ~g(U)`` and
+    ``p(sk1(U),U) | ~h(U)`` (ids 11, 12) and the main premise
+    ``~p(X,Y) | ~<fact_pred>(Y)`` (id 13), whose top variable is ``X``
+    under either side of ``~p(X,Y)``.  The literal on ``fact_pred``
+    sorts before ``~p(X,Y)`` if ``fact_pred`` is ``a``, after it if it is
+    ``q``."""
     s = SymbolTable()
-    for c in ("c1", "c2", "c3"):
-        s.declare(c, SymbolKind.CONSTANT, 0, SymbolOrigin.INPUT)
+    for k in range(1, n_facts + 1):
+        s.declare(f"c{k}", SymbolKind.CONSTANT, 0, SymbolOrigin.INPUT)
     for fn in ("sk0", "sk1"):
         s.declare(fn, SymbolKind.FUNCTION, 1, SymbolOrigin.SKOLEM)
-    for name, k in (("a", 1), ("g", 1), ("h", 1), ("p", 2)):
+    for name, k in ((fact_pred, 1), ("g", 1), ("h", 1), ("p", 2)):
         s.declare(name, SymbolKind.PREDICATE, k, SymbolOrigin.INPUT)
     n = ClauseIndex(LPO(Precedence(s)))
     u = Var("U")
-    for cid, c in enumerate(("c1", "c2", "c3"), 1):
-        n.add(cid, Clause([_lit(True, "a", Const(c))]))
-    for cid, (fn, guard) in enumerate((("sk0", "g"), ("sk1", "h")), 4):
+    for k in range(1, n_facts + 1):
+        n.add(k, Clause([_lit(True, fact_pred, Const(f"c{k}"))]))
+    for cid, (fn, guard) in enumerate((("sk0", "g"), ("sk1", "h")), 11):
         n.add(cid, Clause([_lit(True, "p", App(fn, (u,)), u),
                            _lit(False, guard, u)]))
     main = Clause([_lit(False, "p", Var("X"), Var("Y")),
-                   _lit(False, "a", Var("Y"))])
-    n.add(6, main)
+                   _lit(False, fact_pred, Var("Y"))])
+    n.add(13, main)
     return n, main
 
 
-def test_com_t_all_draws_a_rows_names_around_a_kept_tuple_inside_it():
-    """The join of ``~a(Y) | ~p(X,Y)`` (:func:`_straddle_index`) gives two
-    rows, one per side of the top literal ``~p(X,Y)``, each closed at
-    ``~a(Y)`` with all three facts.  The second row's first tuple is
-    kept, and it sorts between the first row's first two tuples: the
-    first row's later tuples draw their names after its renaming, and
-    the kept sides and the end of the supply are those of renaming every
-    tuple's sides in clause-id order (:func:`util.reference_kept_sides`).
-    """
-    n, main = _straddle_index()
-    negs = list(main.literals)
-    rows = engine._join(negs, clause_vars(main), n, None)
-    assert [([side.cid for side in chosen], level,
-             [side.cid for side in rest])
-            for chosen, _, level, rest, _ in rows] == \
-        [([1, 4], 0, [2, 3]), ([1, 5], 0, [2, 3])]
-    for must in [None] + sorted(n.by_id):
-        fresh = itertools.count(1000)
-        want = reference_kept_sides(main, n, must, fresh)
-        n.fresh = itertools.count(1000)
-        got = list(com_t_all(main, n, must_include=must))
-        assert next(n.fresh) == next(fresh), must
-        assert [g.side_assignment for g in got] == want, must
-        # a tuple's key is its side of ~p(X,Y)
-        assert len(got) == {4: 1, 5: 1, 6: 0}.get(must, 2), must
+def test_com_t_all_names_no_tuple_it_does_not_keep():
+    """The join of ``~p(X,Y) | ~q(Y)`` (:func:`_fact_join_index`) keeps
+    one tuple per side of the top literal ``~p(X,Y)``, each closed at
+    ``~q(Y)`` with the first fact.  The tuples with the other facts are
+    never kept, and those of the first side sort between the two kept
+    tuples; in ``~a(Y) | ~p(X,Y)`` they all sort after them.  The join
+    emits only the kept tuples.  The kept sides and the end of the supply
+    are those of renaming only the kept top sides
+    (:func:`util.reference_kept_sides`), so one more fact leaves every
+    kept side's names as they were."""
+    for pred, rows in (("q", [[11, 1], [12, 1]]), ("a", [[1, 11], [1, 12]])):
+        named = []
+        for n_facts in (3, 4):
+            n, main = _fact_join_index(pred, n_facts)
+            negs = list(main.literals)
+            assert [[side.cid for side in sides] for sides, _, _ in
+                    engine._join(negs, clause_vars(main), n, None)] == rows
+            got = {}
+            for must in [None] + sorted(n.by_id):
+                fresh = itertools.count(1000)
+                want = reference_kept_sides(main, n, must, fresh)
+                n.fresh = itertools.count(1000)
+                got[must] = [g.side_assignment
+                             for g in com_t_all(main, n, must_include=must)]
+                assert next(n.fresh) == next(fresh), (pred, must)
+                assert got[must] == want, (pred, must)
+                # a tuple's key is its side of ~p(X,Y)
+                assert len(got[must]) == \
+                    {11: 1, 12: 1, 13: 0}.get(must, 2), (pred, must)
+            named.append(got)
+        three, four = named
+        assert all(four[must] == kept for must, kept in three.items()), pred
 
 
 def test_join_work_on_a_data_instance(monkeypatch):
@@ -576,11 +585,11 @@ def test_join_work_on_a_data_instance(monkeypatch):
     and no side over constants is matched where the unifier binds an
     argument to a compound term (that took 153).  Unifying every
     candidate, with no lookup and no constant probe, took 324
-    unifications.  The join's rows expand to the tuples of the
-    nested-loop reference, in its order: 57 tuples in 18 rows over 7
-    calls.  It tests 76 candidates: a closing level whose arguments are
-    distinct free variables takes every side over constants without
-    matching it."""
+    unifications.  The join's rows are a subsequence of the tuples of the
+    nested-loop reference, in its order: 18 rows over 7 calls, where the
+    reference has 57 tuples.  It tests 76 candidates: a closing level
+    whose arguments are distinct free variables takes every side over
+    constants without matching it."""
     attempts = 0
     unify = engine.unify_into
     constant_leaf = engine._constant_leaf
@@ -595,25 +604,22 @@ def test_join_work_on_a_data_instance(monkeypatch):
         attempts += 1
         return constant_leaf(args, consts, sub)
 
-    calls = rows = tuples = 0
+    calls = rows = 0
     join = engine._join
 
     def checked(negs, mvars, n, must):
-        nonlocal calls, rows, tuples
+        nonlocal calls, rows
         found = join(negs, mvars, n, must)
-        expanded = _expand(negs, found)
         fresh, n.fresh = n.fresh, itertools.count(10 ** 6)
         want = [tuple((neg, cid, _side_literal(n, cid, side_r, pos_r))
                       for neg, cid, side_r, pos_r in chosen)
                 for chosen, _ in _iter_assignments(
                     negs, n, clause_vars(Clause(negs)), must)]
         n.fresh = fresh
-        assert [tuple((neg, side.cid, side.lit)
-                      for neg, side in zip(negs, chosen))
-                for chosen, _, _ in expanded] == want
+        assert _is_subsequence(
+            [_row_signature(negs, sides) for sides, _, _ in found], want)
         calls += 1
         rows += len(found)
-        tuples += len(expanded)
         return found
 
     monkeypatch.setattr(engine, "unify_into", counting)
@@ -621,7 +627,7 @@ def test_join_work_on_a_data_instance(monkeypatch):
     monkeypatch.setattr(engine, "_join", checked)
     inst = data_sweep_instances([40])[0]
     assert answer(parse(inst.text)).verdict == inst.expected == "no"
-    assert (calls, rows, tuples) == (7, 18, 57)
+    assert (calls, rows) == (7, 18)
     assert attempts <= 116, attempts
 
 
@@ -1024,8 +1030,9 @@ def test_rule_2b_unifies_only_the_top_literals():
     main = Clause([_lit(False, "p", xx, yy), _lit(False, "q", yy)])
     n.add(4, main)
     negs = list(main.literals)
-    ((_, sub, leaf),) = _expand(negs, engine._join(negs, {"X", "Y"}, n,
-                                                   None))
+    ((sides, sub, _),) = engine._join(negs, {"X", "Y"}, n, None)
+    assert [side.cid for side in sides] == [2, 1]
+    leaf = _constant_leaf(negs[1].args, sides[1].lit.args, sub)
     assert apply_term(yy, normalize({**sub, **leaf})) == c
     (tv,) = com_t_all(main, n)
     assert tv.top_vars == {"X"}

@@ -100,7 +100,8 @@ def record_kept(state: SaturationState) -> dict[int, Clause]:
 def golden_12_as_v11() -> Clause:
     """Conclusion [12] of the golden derivation with its fresh variable
     named ``_v11``.  The number of a fresh variable depends on how many
-    renames came before it; the clause must stay this one up to
+    names the renamings before it drew, one per variable of each side
+    clause a conclusion renames; the clause must stay this one up to
     renaming."""
     v = Var("_v11")
     return Clause([Literal(False, "A2", (v, v)), Literal(False, "G1", (v,)),
@@ -121,7 +122,7 @@ def test_golden_derivation():
     assert "[10] TRes2b(1,4,2) ~A2(z,z) | B(f(z),z,b) | D(g(z))" \
            " | ~G1(z) | ~G3(z)" in text
     assert "[11] TRes2b(5,10) ~A2(y,y) | D(g(y)) | ~G1(y) | ~G3(y)" in text
-    assert "[12] TRes2b(6,11) ~A2(_v4,_v4) | ~G1(_v4) | ~G3(_v4)" in text
+    assert "[12] TRes2b(6,11) ~A2(_v3,_v3) | ~G1(_v3) | ~G3(_v3)" in text
     assert is_variant(kept[12], golden_12_as_v11())
     assert "[13] TRes2b(12,3,7,8) ~G2(a)" in text
     assert "[14] TRes2a(13,9) []" in text

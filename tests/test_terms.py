@@ -11,7 +11,7 @@ from guardedsat.terms import (
     App, Clause, Const, Literal, Var, apply_clause, apply_lit, apply_term,
     canonical, clause_vars, compound_terms, condense, is_decomposable, is_ground, is_ground_lit, lit_vars, literal_key,
     membership, mgu, mgu_lits, normalize, rename_apart, renaming,
-    skip_names, subsumes, unify_into,
+    subsumes, unify_into,
 )
 from util import (
     depth, is_variant, loose_guards, reference_clause_vars,
@@ -338,24 +338,6 @@ def test_rename_apart_is_variant(c):
     r = rename_apart(c, clause_vars(c))
     assert is_variant(c, r)
     assert subsumes(c, r) and subsumes(r, c)
-
-
-@settings(max_examples=100, deadline=None)
-@given(clauses, st.integers(0, 4), st.sets(st.integers(0, 12)),
-       st.lists(st.integers(0, 4), max_size=4))
-def test_skip_names_draws_what_renaming_draws(c, start, taken, counts):
-    avoid = {f"_v{k}" for k in taken} | clause_vars(c)
-    drawn, skipped = itertools.count(start), itertools.count(start)
-    renaming(c, avoid, drawn)
-    skip_names(len(clause_vars(c)), avoid, skipped)
-    assert next(drawn) == next(skipped)
-    # the draws are sequential: one call for a summed count is as many
-    # consecutive calls
-    one, many = itertools.count(start), itertools.count(start)
-    skip_names(sum(counts), avoid, one)
-    for k in counts:
-        skip_names(k, avoid, many)
-    assert next(one) == next(many)
 
 
 @settings(max_examples=100, deadline=None)

@@ -64,9 +64,10 @@ with ``isinstance`` tests and generators; ``Clause`` must sort by it.
 :func:`reference_is_ground_lit` and :func:`reference_is_ground` walk the
 terms on every call; the facts ``terms`` caches on literals and clauses
 must equal them.  :func:`reference_kept_sides` names the side premises
-of the top-variable join as renaming every join tuple's sides in
-clause-id order would; :func:`~guardedsat.engine.com_t_all` must give
-its kept tuples those names.  :func:`reference_saturate` is the loop
+of the top-variable join by renaming only the top sides of the kept
+tuples, kept tuple after kept tuple in clause-id order;
+:func:`~guardedsat.engine.com_t_all` must give its kept tuples those
+names.  :func:`reference_saturate` is the loop
 that inserted the empty clause, sweeping the state with it, before it
 stopped.
 
@@ -430,13 +431,13 @@ def reference_kept_sides(main: Clause, n: ClauseIndex,
                                                Literal], ...]]:
     """The side assignments :func:`~guardedsat.engine.com_t_all` keeps,
     with the names it gives them: the sides of the top literals.  Nested
-    loops enumerate the join tuples in clause-id order.  Each tuple
-    renames each of its side clauses apart from ``main`` with one
-    :func:`renaming` call drawing from ``fresh``, level by level, whether
-    it is kept or not; the first tuple of each key (top variables, side
-    literal of each top literal) is kept with those names, each side
-    clause's literals in the clause's own order.  The unifiability tests
-    draw their names elsewhere."""
+    loops enumerate the join tuples in clause-id order, and the first
+    tuple of each key (top variables, side literal of each top literal)
+    is kept.  A kept tuple renames each of its top sides apart from
+    ``main`` with one :func:`renaming` call drawing from ``fresh``, level
+    by level, each side clause's literals in the clause's own order.  No
+    other side and no tuple not kept draws a name; the unifiability tests
+    draw theirs elsewhere."""
     negs = [l for l in main if not l.pos]
     mvars = clause_vars(main)
     trial = itertools.count(10 ** 6)
@@ -457,13 +458,16 @@ def reference_kept_sides(main: Clause, n: ClauseIndex,
             key = (top_vars, tuple((k, cid, pos) for k, (neg, (cid, _, pos))
                                    in enumerate(zip(negs, chosen))
                                    if lit_vars(neg) & top_vars))
-            rens = [renaming(side, mvars, fresh) for _, side, _ in chosen]
-            if key not in kept:
-                kept[key] = tuple(
-                    (neg, cid, tuple(apply_lit(l, ren) for l in side),
-                     apply_lit(pos, ren))
-                    for neg, (cid, side, pos), ren in zip(negs, chosen, rens)
-                    if lit_vars(neg) & top_vars)
+            if key in kept:
+                return
+            sides = []
+            for neg, (cid, side, pos) in zip(negs, chosen):
+                if lit_vars(neg) & top_vars:
+                    ren = renaming(side, mvars, fresh)
+                    sides.append((neg, cid,
+                                  tuple(apply_lit(l, ren) for l in side),
+                                  apply_lit(pos, ren)))
+            kept[key] = tuple(sides)
             return
         neg = negs[i]
         for cid, side, pos in n.side_candidates(neg.pred):
