@@ -10,14 +10,18 @@ are the dataset sweep's instances at N = 40, 80, 160, 320 and 640
 have many automorphisms (the union of the directed cycles C3 and C6, that
 of two 4-cycles, the directed cliques K4 and K5, and the 12-cycle with the
 chord ``r(X1,X4)``), the 20 rule sets of 20 rules
-(``scripts/rules_sweep.py``), every problem in ``fixtures/``, and the
-benchmark's smoke problems of the ``data``, ``cycle`` and ``rewrite``
-workloads at naming seed 1 (``perfbench/workloads.py``), their
-fact-free problems included.
+(``scripts/rules_sweep.py``), every problem in ``fixtures/``, a problem
+whose saturation keeps a constant and a repeated variable among a Skolem
+term's arguments (``abstraction``, so that its Σ_q needs disequations),
+and the benchmark's smoke problems of the ``data``, ``cycle`` and
+``rewrite`` workloads at naming seed 1 (``perfbench/workloads.py``),
+their fact-free problems included.  A problem with no facts that is
+answered No gets one more column: the sha256 of its printed Σ_q
+(``qrew.q_rew`` of the saturation), or the ``RewriteError`` text.
 
-Two versions of the prover that take the same inferences print the same
-lines, so comparing the output of two source trees checks that a change
-keeps every trace byte:
+Two versions of the prover that take the same inferences and rewrite
+alike print the same lines, so comparing the output of two source trees
+checks that a change keeps every trace and Σ_q byte:
 
     PYTHONPATH=<old>/src python scripts/trace_digest.py > old.txt
     PYTHONPATH=src python scripts/trace_digest.py > new.txt
@@ -39,10 +43,20 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from chain_sweep import chain_problem  # noqa: E402
 from cycle_sweep import cycle_problem  # noqa: E402
-from guardedsat.qans import answer  # noqa: E402
-from guardedsat.syntax import parse  # noqa: E402
+from guardedsat.qans import run  # noqa: E402
+from guardedsat.qrew import RewriteError, q_rew  # noqa: E402
+from guardedsat.syntax import parse, print_formula  # noqa: E402
 from rules_sweep import SETS, rule_set  # noqa: E402
 from workloads import WORKLOADS, data_instance, make  # noqa: E402
+
+
+ABSTRACTION = """\
+rule: ! [X] : (p(X) => ? [Y] : q(X,Y)).
+rule: ! [Y] : (q(c,Y) => s(Y)).
+rule: ! [X,Y] : (r(X,Y) => ? [Z] : g(X,Y,Z)).
+rule: ! [X,Z] : (g(X,X,Z) => t(Z)).
+query: ? [X] : (s(X) & t(X)).
+"""
 
 
 def graph_problem(edges: list[tuple[int, int]]) -> str:
@@ -84,6 +98,7 @@ def problems() -> Iterator[tuple[str, str]]:
         yield f"rules n=20 set {k}", rule_set(20, k)
     for path in sorted((ROOT / "fixtures").glob("*.p")):
         yield path.name, path.read_text()
+    yield "abstraction", ABSTRACTION
     for name in WORKLOADS:
         wl = make(name, 1, ROOT, smoke=True)
         for inst in wl.instances + wl.fact_free:
@@ -92,10 +107,21 @@ def problems() -> Iterator[tuple[str, str]]:
 
 def main() -> int:
     for name, text in problems():
-        result = answer(parse(text))
+        problem = parse(text)
+        result, state = run(problem)
         digest = hashlib.sha256("\n".join(result.trace).encode()).hexdigest()
-        print(f"{name:20s} verdict={result.verdict:7s} "
-              f"steps={result.steps:5d} trace={digest}", flush=True)
+        line = f"{name:20s} verdict={result.verdict:7s} " \
+            f"steps={result.steps:5d} trace={digest}"
+        if not problem.facts and result.verdict == "no":
+            try:
+                rewrite = q_rew([c for _, c in state.worked_off.clauses()],
+                                problem.symbols)
+            except RewriteError as e:
+                line += f" sigma_q=RewriteError: {e}"
+            else:
+                sigma_q = print_formula(rewrite.sigma_q).encode()
+                line += f" sigma_q={hashlib.sha256(sigma_q).hexdigest()}"
+        print(line, flush=True)
     return 0
 
 

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from typing import Optional
 
@@ -349,7 +349,9 @@ def run(problem: Problem, step_budget: int = 10 ** 6,
         seed: int = 0) -> tuple[AnswerResult, SaturationState]:
     """Like answer(), but also hands back the final saturation state (the
     worked-off set is the saturated clausal set when the verdict is
-    "no")."""
+    "no").  The caller's ``problem`` is left as it was: the Skolem and
+    definer symbols are declared into a copy of its symbol table."""
+    problem = replace(problem, symbols=problem.symbols.copy())
     symbols = problem.symbols
     out: TransOutput = trans(problem)
     registry = DefinitionRegistry(symbols)

@@ -13,14 +13,16 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import replace
+from pathlib import Path
 
 from guardedsat import qans, terms
 from guardedsat.oracle import sat_enumerate
 from guardedsat.clausify import trans
 from guardedsat.qans import SaturationState, answer, run, saturate
+from guardedsat.qrew import q_rew
 from guardedsat.qsep import DefinitionRegistry
 from guardedsat.orders import LPO, Precedence
-from guardedsat.syntax import parse
+from guardedsat.syntax import parse, print_formula
 from guardedsat.terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
     Var, is_ground,
@@ -31,6 +33,8 @@ from util import (
     make_symbols, preds, random_ground_atom, random_lg_set, random_problem,
     reference_saturate,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 x, y, z = Var("x"), Var("y"), Var("z")
 a, b = Const("a"), Const("b")
@@ -171,6 +175,23 @@ def test_run_returns_saturated_state_on_no():
     result, state = run(prob)
     assert result.verdict == "no"
     assert state.worked_off.clauses()  # saturated set is available
+
+
+def test_run_leaves_the_problem_as_it_was():
+    """Two runs on one parsed problem give the same events and the same
+    Σ_q, and the problem's symbol table holds the same symbols after
+    them: the Skolem and definer symbols go into a copy."""
+    problem = parse((FIXTURES / "thm13_08.p").read_text())
+    before = list(problem.symbols)
+    outs = []
+    for _ in range(2):
+        result, state = run(problem)
+        assert result.verdict == "no"
+        sigma_q = q_rew([c for _, c in state.worked_off.clauses()],
+                        problem.symbols).sigma_q
+        outs.append((result.events, print_formula(sigma_q)))
+        assert list(problem.symbols) == before
+    assert outs[0] == outs[1]
 
 
 def test_facts_added_to_a_saturated_state_answer_as_from_scratch():

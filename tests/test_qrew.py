@@ -1,6 +1,8 @@
 """Rewriting a saturated clausal set into a Skolem-free first-order
 formula: constant/variable abstraction, closed-set partition, argument
-renaming and unskolemisation.
+renaming and unskolemisation.  The abstraction tests check the fixpoint
+abstraction of the reference in ``util``; ``q_rew`` abstracts while it
+names the argument tuple, and is checked against that reference.
 
 The golden fixture is a five-clause saturation with two Skolem functions
 sharing argument lists, a Skolem constant linking into the same closed
@@ -17,19 +19,17 @@ import random
 
 import pytest
 
-from guardedsat.qrew import (
-    RewriteError, _scan, _unsko, _uppercase_vars, abstract, con_abs, q_rew,
-    var_abs,
-)
-from guardedsat.syntax import Exists, Forall, Not, print_formula
+from guardedsat.qans import run
+from guardedsat.qrew import RewriteError, q_rew
+from guardedsat.syntax import Exists, Forall, Not, parse, print_formula
 from guardedsat.terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
     Var, membership,
 )
 
 from util import (
-    ClosedSet, clause_funcs, parse_formula, partition_closed, property_gate,
-    reference_q_rew, unsko,
+    abstract, clause_funcs, con_abs, digest_problems, parse_formula,
+    partition_closed, property_gate, reference_q_rew,
 )
 
 GOLDEN_SHA256 = \
@@ -211,6 +211,8 @@ def _random_saturation(rng: random.Random):
         args = [rng.choice(vs) if rng.random() < 0.1 else
                 rng.choice(consts) if rng.random() < 0.1 else v
                 for v in (vs * 3)[:m]]
+        if m > 1 and rng.random() < 0.05:  # a constant twice
+            args[0] = args[-1] = rng.choice(consts)
         tuples = [tuple(args)]
         r = rng.random()
         if r < 0.03:  # a second argument tuple
@@ -231,15 +233,41 @@ def _random_saturation(rng: random.Random):
     return clauses, s
 
 
+def _tuple_shapes(c: Clause) -> set[str]:
+    """What abstraction has to handle in the one argument tuple of the
+    compound terms of ``c``: a constant, that constant also as a flat
+    argument, a repeated variable, a repeated constant."""
+    tuples = {t.args for lit in c for t in lit.args if isinstance(t, App)}
+    if len(tuples) != 1:
+        return set()
+    args = tuples.pop()
+    flat = {t for lit in c for t in lit.args if not isinstance(t, App)}
+    shapes = set()
+    for i, a in enumerate(args):
+        if isinstance(a, Const):
+            shapes.add("constant")
+            if a in flat:
+                shapes.add("constant outside")
+        if a in args[:i]:
+            shapes.add("repeated constant" if isinstance(a, Const)
+                       else "repeated variable")
+    return shapes
+
+
 def test_one_scan_rewriting_agrees_with_the_reference():
-    """``q_rew`` scans each clause once and builds it once; on the golden
-    and on random saturations it gives the printed Σ_q, conjuncts,
-    internalised constants, equality flag and errors of the chain of
-    passes, the same twice over, and leaves the symbol table as it was."""
+    """``q_rew`` scans each clause once and builds it once, naming the
+    argument tuple with one disequation per constant or repeated term; on
+    the golden and on random saturations it gives the printed Σ_q,
+    conjuncts, internalised constants, equality flag and errors of the
+    chain of passes and the fixpoint abstraction, the same twice over,
+    and leaves the symbol table as it was.  The rewritten clauses of each
+    tuple shape are counted."""
     rng = random.Random(17)
     cases = [_golden(), ([], _golden()[1])]
     cases += [_random_saturation(rng) for _ in range(2000)]
     seen = {"equality": 0, "linked": 0, "error": 0, "empty": 0}
+    shapes = dict.fromkeys(("constant", "constant outside",
+                            "repeated variable", "repeated constant"), 0)
     for clauses, symbols in cases:
         before = [(s.name, s.kind, s.arity, s.origin) for s in symbols]
         got = _outcome(q_rew, clauses, symbols)
@@ -256,26 +284,62 @@ def test_one_scan_rewriting_agrees_with_the_reference():
         seen["linked"] += any(cs.skolem_consts and len(cs.clauses) > 1
                               for cs in partition_closed(clauses, symbols))
         seen["empty"] += not clauses
+        for c in clauses:
+            for shape in _tuple_shapes(c):
+                shapes[shape] += 1
     assert seen["equality"] > 500 and seen["linked"] > 300 and \
         seen["error"] > 200 and seen["empty"] > 150, seen
+    assert shapes["constant"] > 300 and shapes["constant outside"] > 70 \
+        and shapes["repeated variable"] > 450 \
+        and shapes["repeated constant"] >= 50, shapes
 
 
-def _set(symbols, *clauses):
-    """``clauses`` as one closed set, unabstracted: the scans for the
-    one-scan rewriting and the uppercased set for the reference."""
-    scans = [_scan(c, symbols, {}) for c in clauses]
-    upper = [_uppercase_vars(c) for c in clauses]
-    fns = set().union(*(s.funcs for s in scans))
-    consts = set().union(*(s.skolem_consts for s in scans))
-    return (scans, fns, consts), ClosedSet(upper, frozenset(fns),
-                                           frozenset(consts))
+def test_two_argument_tuples_are_rejected():
+    """A clause whose compound terms have two argument tuples,
+    ``q2(h(X,X,Z), h(X,Y,Z))``, is not strongly compatible, and the
+    rewriting rejects it.  The reference's fixpoint abstraction presumes
+    one tuple: ``var_abs`` replaces the repeated ``X`` at the second
+    position of every compound term, which merges the tuples and drops
+    the clause's ``Y``.  No loosely guarded clause has two tuples."""
+    _, s = _golden()
+    s.declare("q2", SymbolKind.PREDICATE, 2, SymbolOrigin.INPUT)
+    x, y, z = Var("X"), Var("Y"), Var("Z")
+    clause = Clause([Literal(True, "q2", (App("h", (x, x, z)),
+                                          App("h", (x, y, z))))])
+    with pytest.raises(RewriteError, match="clause is not strongly "
+                       "compatible"):
+        q_rew([clause], s)
+    assert print_formula(reference_q_rew([clause], s).sigma_q) == \
+        "~(! [X1,X2,X3] : (? [Y1] : (X2 != X1 | q2(Y1,Y1))))"
+
+
+def test_abstraction_end_to_end():
+    """The ``abstraction`` problem of ``scripts/trace_digest.py``: its
+    saturation keeps a constant and a repeated variable among a Skolem
+    term's arguments, ``~p(c) | s(sk0(c))`` and ``~r(X,X) |
+    t(sk1(X,X))``.  Each is rewritten with its disequation, and the
+    reference gives the same Σ_q."""
+    problem = parse(dict(digest_problems())["abstraction"])
+    result, state = run(problem)
+    assert result.verdict == "no"
+    saturation = [c for _, c in state.worked_off.clauses()]
+    assert {str(c) for c in saturation} >= {"~p(c) | s(sk0(c))",
+                                            "~r(X,X) | t(sk1(X,X))"}
+    res = q_rew(saturation, problem.symbols)
+    assert print_formula(res.sigma_q) == (
+        "~((! [X1] : (? [Y1] : ((~p(X1) | q(X1,Y1)) & "
+        "(X1 != c | ~p(X1) | s(Y1))))) & "
+        "(! [X1,X2] : (? [Y1] : ((g(X2,X1,Y1) | ~r(X2,X1)) & "
+        "(X2 != X1 | ~r(X1,X1) | t(Y1))))) & "
+        "(! [U1,U2] : ((~q(c,U1) | s(U1)) & (~g(U1,U1,U2) | t(U2)) & "
+        "(~s(U1) | ~t(U1)))))")
+    assert res.equality_used and res.skolem_constants_internalized == []
+    assert _outcome(reference_q_rew, saturation, problem.symbols) == \
+        _outcome(q_rew, saturation, problem.symbols)
 
 
 def test_rewriting_errors_agree_with_the_reference():
-    """Each error the rewriting raises, with the reference's message.
-    Abstraction leaves no constant and no repeated variable among a
-    compound term's arguments, so the checks for those are exercised on
-    closed sets that skip it."""
+    """Each error the rewriting raises, with the reference's message."""
     _, s = _golden()
     x, y = Var("x"), Var("y")
 
@@ -298,14 +362,3 @@ def test_rewriting_errors_agree_with_the_reference():
         got = _outcome(q_rew, clauses, s)
         assert got.startswith(f"RewriteError: {message}"), got
         assert got == _outcome(reference_q_rew, clauses, s)
-    for clause, message in [
-        (Clause([lit(App("f", (x, Const("a"))))]),
-         "compound-term arguments are not variables"),
-        (Clause([lit(App("f", (x, x)), y)]),
-         "closed set violates property: unique"),
-    ]:
-        new, old = _set(s, clause)
-        for rewrite in (lambda: _unsko(*new), lambda: unsko(old)):
-            with pytest.raises(RewriteError) as e:
-                rewrite()
-            assert str(e.value) == message

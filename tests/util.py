@@ -47,10 +47,14 @@ clausifier with those passes and a CNF that distributed into formula
 lists (:func:`reference_to_clauses`); ``clausify.clausify_formula`` must
 give the same clauses in order, definitions, Skolem map and symbols.
 :func:`reference_q_rew` is the rewriting as a chain of passes that each
-rebuild every clause (upper-casing, abstraction, :func:`partition_closed`,
-:func:`var_re`, the internalisation of Skolem constants,
-:func:`property_gate`, the replacement of Skolem terms);
-``qrew.q_rew`` must give the same Σ_q, conjuncts and errors.
+rebuild every clause (upper-casing, the fixpoint abstraction
+:func:`abstract`, which pulls out one constant (:func:`con_abs`) or one
+repeated argument variable (:func:`var_abs`) at a time behind a fresh
+guarded variable, :func:`partition_closed`, :func:`var_re`, the
+internalisation of Skolem constants, :func:`property_gate`, the
+replacement of Skolem terms); ``qrew.q_rew``, which names the shared
+argument tuple once and writes one disequation per constant or repeated
+argument, must give the same Σ_q, conjuncts and errors.
 :func:`reference_skolemize` is the Skolemisation that prenexed a
 conjunct in one walk and substituted the Skolem terms in a second;
 ``clausify.skolemize`` must give the same matrix, symbols and map.
@@ -104,10 +108,7 @@ from guardedsat.oracle import FiniteModel, dpll
 from guardedsat.orders import Cmp, LPO
 from guardedsat.qans import SaturationState, clause_weight, inferences
 from guardedsat.qsep import QueryAnalysis
-from guardedsat.qrew import (
-    RewriteError, RewriteResult, _fresh_var, _replace_const, _uppercase_vars,
-    abstract,
-)
+from guardedsat.qrew import RewriteError, RewriteResult
 from guardedsat.syntax import (
     EQ_PRED, MAX_NESTING, And, AtomF, Bottom, Exists, Forall, Formula,
     FragmentResult, Iff, Implies, Not, Or, ParseError, Problem, Top, _END,
@@ -115,7 +116,7 @@ from guardedsat.syntax import (
     expand_iff, free_vars, print_formula,
 )
 from guardedsat.terms import (
-    App, Clause, Const, Literal, Subst, SymbolKind, SymbolOrigin,
+    EQ, App, Clause, Const, Literal, Subst, SymbolKind, SymbolOrigin,
     SymbolTable, Term, Var, _is_flat_term, apply_clause, apply_lit,
     apply_term, classify, clause_vars, compound_terms,
     condense, connected_groups, is_ground, lit_vars, match_lit, membership,
@@ -1601,6 +1602,126 @@ def _check_quantified(f: Forall | Exists, frag: str) -> Optional[Formula]:
 # reference rewriting: the chain of whole-clause passes
 
 
+@dataclass
+class AbstractedClause:
+    clause: Clause
+    disequations: int = 0  # how many guards abstraction added
+
+
+def _fresh_var(base: str, counter: list[int], avoid: set[str]) -> Var:
+    while True:
+        name = f"{base}{counter[0]}"
+        counter[0] += 1
+        if name not in avoid:
+            avoid.add(name)
+            return Var(name)
+
+
+def con_abs(c: Clause) -> AbstractedClause:
+    """Replace constants occurring inside compound terms by guarded fresh
+    variables, to a fixpoint."""
+    avoid: Optional[set[str]] = None  # the clause's variables, on demand
+    counter = [0]
+    added = 0
+    while True:
+        target: Optional[Const] = None
+        for t in compound_terms(c):
+            for a in t.args:
+                if isinstance(a, Const):
+                    target = a
+                    break
+            if target:
+                break
+        if target is None:
+            return AbstractedClause(c, added)
+        if avoid is None:
+            avoid = set(clause_vars(c))
+        y = _fresh_var("Yc", counter, avoid)
+        lits = [_replace_const(l, target, y) for l in c]
+        lits.append(Literal(False, EQ, (y, target)))
+        c = Clause(lits)
+        added += 1
+
+
+def _replace_const(lit: Literal, a: Const, y: Var) -> Literal:
+    return Literal(lit.pos, lit.pred,
+                   tuple(_const_to_var(t, a, y) for t in lit.args))
+
+
+def _const_to_var(t: Term, a: Const, y: Var) -> Term:
+    if t == a:
+        return y
+    if isinstance(t, App):
+        return App(t.fn, tuple(_const_to_var(x, a, y) for x in t.args))
+    return t
+
+
+def var_abs(c: Clause) -> AbstractedClause:
+    """Replace duplicated compound-term argument variables by guarded fresh
+    variables, to a fixpoint.
+
+    The replacement happens at the same position in every compound term,
+    which presumes they share one argument tuple (a strongly compatible
+    clause); flat occurrences of the duplicated variable are left alone
+    (the clause stays covering either way, and the two forms are
+    equivalent thanks to the added disequation).
+    """
+    avoid: Optional[set[str]] = None  # the clause's variables, on demand
+    counter = [0]
+    added = 0
+    while True:
+        comps = compound_terms(c)
+        pos_dup: Optional[tuple[int, Var]] = None
+        for t in comps:
+            seen: dict[Term, int] = {}
+            for i, a in enumerate(t.args):
+                if a in seen and isinstance(a, Var):
+                    pos_dup = (i, a)
+                    break
+                seen.setdefault(a, i)
+            if pos_dup:
+                break
+        if pos_dup is None:
+            return AbstractedClause(c, added)
+        i, x = pos_dup
+        if avoid is None:
+            avoid = set(clause_vars(c))
+        y = _fresh_var("Yd", counter, avoid)
+        lits = [_replace_arg_pos(l, i, y) for l in c]
+        lits.append(Literal(False, EQ, (y, x)))
+        c = Clause(lits)
+        added += 1
+
+
+def _replace_arg_pos(lit: Literal, i: int, y: Var) -> Literal:
+    return Literal(lit.pos, lit.pred,
+                   tuple(_arg_pos_to_var(t, i, y) for t in lit.args))
+
+
+def _arg_pos_to_var(t: Term, i: int, y: Var) -> Term:
+    if isinstance(t, App):
+        return App(t.fn, tuple(y if j == i else _arg_pos_to_var(a, i, y)
+                               for j, a in enumerate(t.args)))
+    return t
+
+
+def abstract(c: Clause) -> AbstractedClause:
+    """``con_abs`` then ``var_abs``."""
+    a1 = con_abs(c)
+    a2 = var_abs(a1.clause)
+    return AbstractedClause(a2.clause, a1.disequations + a2.disequations)
+
+
+def uppercase_vars(c: Clause) -> Clause:
+    """``c`` with its variables renamed ``U1, U2, ...`` in sorted order."""
+    sub: Subst = {}
+    for i, v in enumerate(sorted(clause_vars(c))):
+        name = f"U{i + 1}"
+        if v != name:
+            sub[v] = Var(name)
+    return apply_clause(c, sub) if sub else c
+
+
 def term_funcs(t: Term, acc: Optional[set[str]] = None) -> set[str]:
     if acc is None:
         acc = set()
@@ -1826,14 +1947,14 @@ def _apps_to_vars(t: Term, fn_vars: dict[str, str]) -> Term:
 
 def reference_q_rew(saturation: list[Clause],
                     symbols: SymbolTable) -> RewriteResult:
-    """``qrew.q_rew`` as it was, as a chain of passes that each rebuild
-    every clause; the one-scan rewriting must give equal results and
-    errors."""
+    """``qrew.q_rew`` as a chain of passes that each rebuild every clause,
+    abstracting to a fixpoint first; the one-scan rewriting must give
+    equal results and errors."""
     if any(c.is_empty() for c in saturation):
         raise RewriteError(
             "the saturation contains the empty clause: the query holds in "
             "every dataset, there is nothing to rewrite")
-    abstracted = [abstract(_uppercase_vars(c)) for c in saturation]
+    abstracted = [abstract(uppercase_vars(c)) for c in saturation]
     equality_used = any(a.disequations for a in abstracted)
     sets = partition_closed([a.clause for a in abstracted], symbols)
     conjuncts: list[Formula] = []
