@@ -36,14 +36,14 @@ import hashlib
 import pathlib
 import random
 import sys
-from typing import Iterator
+from typing import Iterator, Optional
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from chain_sweep import chain_problem  # noqa: E402
 from cycle_sweep import cycle_problem  # noqa: E402
-from guardedsat.qans import run  # noqa: E402
+from guardedsat.qans import AnswerResult, run  # noqa: E402
 from guardedsat.qrew import RewriteError, q_rew  # noqa: E402
 from guardedsat.syntax import parse, print_formula  # noqa: E402
 from rules_sweep import SETS, rule_set  # noqa: E402
@@ -105,22 +105,33 @@ def problems() -> Iterator[tuple[str, str]]:
             yield f"{name} {inst.name}", inst.text
 
 
+def solve(text: str) -> tuple[AnswerResult,
+                              Optional[str | RewriteError]]:
+    """Answer the problem ``text``; for a problem with no facts answered
+    No, also print its Σ_q (``qrew.q_rew`` of the saturation), or give
+    the ``RewriteError``."""
+    problem = parse(text)
+    result, state = run(problem)
+    if problem.facts or result.verdict != "no":
+        return result, None
+    try:
+        rewrite = q_rew([c for _, c in state.worked_off.clauses()],
+                        problem.symbols)
+    except RewriteError as e:
+        return result, e
+    return result, print_formula(rewrite.sigma_q)
+
+
 def main() -> int:
     for name, text in problems():
-        problem = parse(text)
-        result, state = run(problem)
+        result, sigma_q = solve(text)
         digest = hashlib.sha256("\n".join(result.trace).encode()).hexdigest()
         line = f"{name:20s} verdict={result.verdict:7s} " \
             f"steps={result.steps:5d} trace={digest}"
-        if not problem.facts and result.verdict == "no":
-            try:
-                rewrite = q_rew([c for _, c in state.worked_off.clauses()],
-                                problem.symbols)
-            except RewriteError as e:
-                line += f" sigma_q=RewriteError: {e}"
-            else:
-                sigma_q = print_formula(rewrite.sigma_q).encode()
-                line += f" sigma_q={hashlib.sha256(sigma_q).hexdigest()}"
+        if isinstance(sigma_q, RewriteError):
+            line += f" sigma_q=RewriteError: {sigma_q}"
+        elif sigma_q is not None:
+            line += f" sigma_q={hashlib.sha256(sigma_q.encode()).hexdigest()}"
         print(line, flush=True)
     return 0
 

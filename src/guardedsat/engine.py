@@ -554,10 +554,12 @@ def _extend(open_: list[int], sub: Subst, levels: list[_Level],
     taken as it is, and one over constants only is matched against
     ``sub`` (:func:`_closing_constants`, :func:`_constant_leaf`).  Those
     candidates share ``sub`` and make one row each, except that when the
-    closing literal holds no top variable under ``sub`` (``top``) their
-    tuples share a key, and only the first in key order, which alone can
-    be kept, makes a row.  Every other candidate is unified with a copy
-    of ``sub`` and makes a row of its own.  The candidates are tried out
+    closing literal holds no top variable under ``sub`` (``top``, read at
+    the first such candidate) their tuples share a key, and only the
+    first in key order, which alone can be kept, makes a row: the scan
+    takes only the first such candidate of each bucket, the buckets
+    being in key order.  Every other candidate is unified with a copy of
+    ``sub`` and makes a row of its own.  The candidates are tried out
     of key order; the caller sorts what is found."""
     closing = len(open_) == 1
     best = best_size = -1
@@ -575,21 +577,31 @@ def _extend(open_: list[int], sub: Subst, levels: list[_Level],
         return
     args, _, _, skip = levels[best]
     first, second, matched = best_probe
-    # the closing candidates that share sub
-    shared = []
+    # the closing candidates that share sub, and top(sub)
+    shared: list[_Side] = []
+    info: Optional[_Top] = None
     if matched:
-        shared = [side for side in first if side.cid != skip]
+        for side in first:
+            if side.cid != skip:
+                shared.append(side)
+                info = info or top(sub)
+                if best not in info[1]:
+                    break
         first = _NONE
     rest = [i for i in open_ if i != best]
     constants = closing and _closing_constants(args, sub)
     for bucket in (first, second):
+        done = False  # the bucket's one side that can be kept is shared
         for side in bucket:
             if side.cid == skip:
                 continue
             if closing and side.constants:
-                if constants or constants is not None and \
-                        _constant_leaf(args, side.lit.args, sub) is not None:
+                if not done and (constants or constants is not None and
+                                 _constant_leaf(args, side.lit.args, sub)
+                                 is not None):
                     shared.append(side)
+                    info = info or top(sub)
+                    done = best not in info[1]
                 continue
             lit = side.lit if side.copies is None else side.at(best)
             sub2 = dict(sub)
@@ -599,9 +611,8 @@ def _extend(open_: list[int], sub: Subst, levels: list[_Level],
                     found.append((tuple(chosen), sub2, top(sub2)))
                 else:
                     _extend(rest, sub2, levels, chosen, top, found)
-    if not shared:
+    if info is None:
         return
-    info = top(sub)
     if best not in info[1]:
         shared = [min(shared, key=_key)]
     for side in shared:

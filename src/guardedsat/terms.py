@@ -23,29 +23,30 @@ processes.
 Substitutions are plain ``dict[str, Term]`` mapping variable names to terms.
 ``mgu`` keeps them idempotent, so applying a substitution once is enough.
 
-The clause-redundancy kernels stay polynomial on cyclic queries.  The
-subsumption search (behind ``subsumes``) visits the pattern literals in
-connected order: the first literal, then each time the one sharing the
-most variables with those already placed, ties by clause order.  It
-looks its candidates up instead of scanning the target: a clause keeps
-its literal positions by sign, predicate and arity, and where several
-share one, a pattern argument that is a constant or an already bound
-variable is probed in a lazily built map from the terms at that argument
-to positions, so only literals holding that very term are tried.  When
-a cycle is condensed, each literal after the first finds its one image
-by a single probe.  A clause is condensed iff every map of it into
-itself is onto (Gottlob & Fermüller, "Removing redundancy from a
-clause", 1993).  ``condense`` first asks that with one search over those
-maps, which stops as soon as a map leaves a literal out; only a clause
-that can shrink runs a step of the pairwise scan.  The search walks one
-image of the first literal per orbit of the clause's automorphisms, so
-a k-cycle costs about log2(k) walks instead of k.  ``condense`` flags
-its result, which it cannot shrink further, so condensing it again costs
-nothing.  ``membership`` decides "LG" and "guarded" directly: covering
-only grows with the literal set, so a loose guard exists iff all
-negative flat literals together cover every variable and pair, and a
-guard of at most one literal exists iff one of them holds every
-variable.
+The clause-redundancy kernels stay polynomial on cyclic queries.  One
+search with its own stack, ``_find_map``, maps clauses for subsumption,
+condensation and automorphisms alike, so no clause length makes it
+recurse.  It visits the pattern literals in connected order: the first
+literal, then each time the one sharing the most variables with those
+already placed, ties by clause order.  It looks its candidates up
+instead of scanning the target: a clause keeps its literal positions by
+sign, predicate and arity, and where several share one, a pattern
+argument that is a constant or an already bound variable is probed in a
+lazily built map from the terms at that argument to positions, so only
+literals holding that very term are tried.  When a cycle is condensed,
+each literal after the first finds its one image by a single probe.  A
+clause is condensed iff every map of it into itself is onto (Gottlob &
+Fermüller, "Removing redundancy from a clause", 1993).  ``condense``
+first asks that with one search over those maps, which stops as soon as
+a map leaves a literal out; only a clause that can shrink runs a step of
+the pairwise scan.  The search walks one image of the first literal per
+orbit of the clause's automorphisms, so a k-cycle costs about log2(k)
+walks instead of k.  ``condense`` flags its result, which it cannot
+shrink further, so condensing it again costs nothing.  ``membership``
+decides "LG" and "guarded" directly: covering only grows with the
+literal set, so a loose guard exists iff all negative flat literals
+together cover every variable and pair, and a guard of at most one
+literal exists iff one of them holds every variable.
 """
 
 from __future__ import annotations
@@ -316,15 +317,16 @@ class Clause:
         self.literals: tuple[Literal, ...] = lits
         self._hash: Optional[int] = None
         self._vars: Optional[frozenset[str]] = None  # see clause_vars
-        self._order: Optional[Sequence[Literal]] = None
+        self._order: Optional[Sequence[int]] = None
         self._buckets: Optional[dict[tuple, list[int]]] = None
         self._probes: Optional[dict[tuple, dict[Term, list[int]]]] = None
         # set on a clause that :func:`condense` returned
         self._condensed = False
 
-    def search_order(self) -> Sequence[Literal]:
-        """The literals in the order the subsumption search visits them
-        (see :func:`_search_order`), worked out once per clause."""
+    def search_order(self) -> Sequence[int]:
+        """The positions of the literals in the order the subsumption
+        search visits them (see :func:`_search_order`), worked out once
+        per clause."""
         if self._order is None:
             self._order = _search_order(self.literals)
         return self._order
@@ -648,19 +650,19 @@ def rename_apart(c: Clause, avoid: set[str]) -> Clause:
 # variants, subsumption, condensation
 
 
-def _search_order(lits: Sequence[Literal]) -> Sequence[Literal]:
-    """Pattern literals in connected order: the first literal, then each
-    time the one sharing the most variables with those already placed
-    (ties by clause order).  On a cycle every literal after the first
-    meets a bound variable, so the search follows the cycle instead of
-    guessing each literal afresh.
+def _search_order(lits: Sequence[Literal]) -> Sequence[int]:
+    """The positions of the pattern literals in connected order: the
+    first literal, then each time the one sharing the most variables with
+    those already placed (ties by clause order).  On a cycle every
+    literal after the first meets a bound variable, so the search follows
+    the cycle instead of guessing each literal afresh.
 
     Each unplaced literal keeps a count of its variables already placed,
     raised when a literal placed brings one of them in; a heap of
     (minus the count, position), with entries left behind by a raise
     skipped when they surface, yields the next literal."""
     if len(lits) <= 2:
-        return lits
+        return range(len(lits))
     holders: dict[str, list[int]] = {}
     for i, lit in enumerate(lits):
         for v in lit_vars(lit):
@@ -672,7 +674,7 @@ def _search_order(lits: Sequence[Literal]) -> Sequence[Literal]:
     i = 0
     while True:
         placed[i] = True
-        order.append(lits[i])
+        order.append(i)
         if len(order) == len(lits):
             return order
         for v in lit_vars(lits[i]):
@@ -689,17 +691,61 @@ def _search_order(lits: Sequence[Literal]) -> Sequence[Literal]:
                 break
 
 
-def _subsume_search(pat: Sequence[Literal], target: Clause, sub: Subst,
-                    i: int) -> bool:
-    """Whether ``sub`` extends to map ``pat[i:]`` into ``target``."""
-    if i == len(pat):
-        return True
-    lits = target.literals
-    for j in target.candidates(pat[i], sub):
-        nxt = match_lit(pat[i], lits[j], sub)
-        if nxt is not None and _subsume_search(pat, target, nxt, i + 1):
-            return True
-    return False
+def _find_map(pat: Clause, target: Clause, sub: Subst, img: list[int],
+              hits: Optional[list[int]] = None,
+              unhit: int = 0) -> Optional[list[int]]:
+    """The positions in ``target`` onto which the first map found sends
+    the literals of ``pat``, in ``pat``'s search order, or ``None``.
+
+    ``sub`` maps the first ``len(img)`` pattern literals onto the
+    positions ``img``; the search extends it over the rest, trying each
+    literal's candidates (:meth:`Clause.candidates`) in clause order.
+    With ``hits``, a count for each position of ``target`` of the
+    pattern literals sent there so far, the search accepts only one to
+    one maps when ``unhit`` is 0, else only maps that leave unhit one of
+    the ``unhit`` positions whose count is 0.  A search that finds none
+    leaves ``img`` and ``hits`` as they were.
+
+    The search keeps its own stack, one candidate iterator and one
+    substitution per pattern literal, so a long clause costs no
+    recursion."""
+    order = pat.search_order()
+    plits, lits = pat.literals, target.literals
+    if len(img) == len(order):
+        return img
+    stack = [(iter(target.candidates(plits[order[len(img)]], sub)), sub)]
+    while stack:
+        it, sub = stack[-1]
+        lit = plits[order[len(img)]]
+        for j in it:
+            if hits is not None:
+                # one to one: never hit a position twice; else never hit
+                # the last unhit one
+                h = hits[j]
+                if h and not unhit or not h and unhit == 1:
+                    continue
+            nxt = match_lit(lit, lits[j], sub)
+            if nxt is None:
+                continue
+            if hits is not None:
+                hits[j] = h + 1
+                if unhit and not h:
+                    unhit -= 1
+            img.append(j)
+            if len(img) == len(order):
+                return img
+            stack.append((iter(target.candidates(plits[order[len(img)]],
+                                                 nxt)), nxt))
+            break
+        else:
+            stack.pop()
+            if stack:  # undo the choice of the level below
+                j = img.pop()
+                if hits is not None:
+                    hits[j] -= 1
+                    if unhit and not hits[j]:
+                        unhit += 1
+    return None
 
 
 def subsumes(c: Clause, d: Clause) -> bool:
@@ -710,18 +756,19 @@ def subsumes(c: Clause, d: Clause) -> bool:
         return False
     # one-way matching never applies its substitution to d, so c and d
     # may share variable names
-    return _subsume_search(c.search_order(), d, {}, 0)
+    return _find_map(c, d, {}, []) is not None
 
 
 def _is_condensed(c: Clause) -> bool:
     """True if every ``theta`` mapping the clause into itself is onto.
 
-    One search runs over the maps of ``c`` into itself and counts, for
-    each position, the literals mapped onto it.  A literal that matches
-    no other literal is its own only image, so its position counts as hit
-    from the start; only the other positions can be left out.  A branch
-    that would hit the last of those still unhit is cut, so a map the
-    search completes leaves one out, and ``c`` is not condensed.
+    One search (:func:`_find_map`) runs over the maps of ``c`` into
+    itself and counts, for each position, the literals mapped onto it.  A
+    literal that matches no other literal is its own only image, so its
+    position counts as hit from the start; only the other positions can
+    be left out.  A branch that would hit the last of those still unhit is
+    cut, so a map the search completes leaves one out, and ``c`` is not
+    condensed.
 
     The images of the first literal ``lits[0]`` are visited one orbit of
     the clause's automorphisms at a time.  An onto map of a finite clause
@@ -732,11 +779,11 @@ def _is_condensed(c: Clause) -> bool:
     and sent ``lits[0]`` to ``lits[0] tau``, then ``theta tau^-1`` would
     leave one out too and send ``lits[0]`` back to ``lits[0]``.  So the
     image of a cleared position under an automorphism is cleared.  Before
-    searching another image ``lits[j]``, a search for an automorphism
-    taking ``lits[0]`` there runs first (:func:`_automorphism`); if one
-    is found, every position in the orbit of the cleared ones under the
-    automorphisms found so far is skipped.  On a k-cycle this leaves
-    about log2(k) walks of the cycle instead of k.
+    searching another image ``lits[j]``, a one-to-one search for a map
+    taking ``lits[0]`` there runs first; if one is found, every position
+    in the orbit of the cleared ones under the automorphisms found so far
+    is skipped.  On a k-cycle this leaves about log2(k) walks of the
+    cycle instead of k.
     """
     lits = c.literals
     hits = [1] * len(lits)
@@ -749,11 +796,9 @@ def _is_condensed(c: Clause) -> bool:
                 break
     if not unhit:
         return True
-    pat = c.search_order()
-    first = pat[0]
+    first = lits[0]  # the first in search order
     gens: list[list[int]] = []  # automorphisms, as maps of positions
     cleared: set[int] = set()
-    at: Optional[list[int]] = None  # position in c of each pattern literal
     for j in c.candidates(first, {}):
         if j in cleared:
             continue
@@ -764,59 +809,22 @@ def _is_condensed(c: Clause) -> bool:
         if sub is None:
             continue
         if cleared:
-            if at is None:
-                at = _pattern_positions(lits, pat)
-            img = [j]
-            used = [False] * len(lits)
-            used[j] = True
-            if _automorphism(c, pat, sub, img, used, 1):
-                tau = [0] * len(lits)
-                for p, q in zip(at, img):
-                    tau[p] = q
-                gens.append(tau)
+            used = [0] * len(lits)
+            used[j] = 1
+            img = _find_map(c, c, sub, [j], used)
+            if img is not None:
+                tau = sorted(zip(c.search_order(), img))  # by position
+                gens.append([q for _, q in tau])
                 _close_orbit(cleared, list(cleared), gens)
                 continue
         hits[j] = h + 1
-        found = _map_leaving_one_out(c, pat, hits, unhit - (not h), sub, 1)
+        found = _find_map(c, c, sub, [j], hits, unhit - (not h))
         hits[j] = h
-        if found:
+        if found is not None:
             return False
         cleared.add(j)
         _close_orbit(cleared, [j], gens)
     return True
-
-
-def _pattern_positions(lits: Sequence[Literal],
-                       pat: Sequence[Literal]) -> list[int]:
-    """The position in ``lits`` of each literal of ``pat``, a reordering
-    of ``lits``; equal literals take their positions in turn."""
-    where: dict[Literal, list[int]] = {}
-    for p in range(len(lits) - 1, -1, -1):
-        where.setdefault(lits[p], []).append(p)
-    return [where[lit].pop() for lit in pat]
-
-
-def _automorphism(c: Clause, pat: Sequence[Literal], sub: Subst,
-                  img: list[int], used: list[bool], i: int) -> bool:
-    """Can ``sub``, a one-to-one map of ``pat[:i]`` into ``c`` onto the
-    positions ``img`` (flagged in ``used``), be extended one to one over
-    the rest of ``pat``?  On success ``img`` holds every image."""
-    if i == len(pat):
-        return True
-    lits = c.literals
-    for j in c.candidates(pat[i], sub):
-        if used[j]:
-            continue
-        nxt = match_lit(pat[i], lits[j], sub)
-        if nxt is None:
-            continue
-        used[j] = True
-        img.append(j)
-        if _automorphism(c, pat, nxt, img, used, i + 1):
-            return True
-        img.pop()
-        used[j] = False
-    return False
 
 
 def _close_orbit(positions: set[int], todo: list[int],
@@ -830,29 +838,6 @@ def _close_orbit(positions: set[int], todo: list[int],
             if q not in positions:
                 positions.add(q)
                 todo.append(q)
-
-
-def _map_leaving_one_out(c: Clause, pat: Sequence[Literal], hits: list[int],
-                         unhit: int, sub: Subst, i: int) -> bool:
-    """Can ``sub``, a map of ``pat[:i]`` into ``c`` hitting the positions
-    counted in ``hits`` (``unhit`` of them still zero), be extended over
-    the rest of ``pat`` while some position stays unhit?"""
-    if i == len(pat):
-        return True
-    lits = c.literals
-    for j in c.candidates(pat[i], sub):
-        h = hits[j]
-        if not h and unhit == 1:
-            continue
-        nxt = match_lit(pat[i], lits[j], sub)
-        if nxt is None:
-            continue
-        hits[j] = h + 1
-        found = _map_leaving_one_out(c, pat, hits, unhit - (not h), nxt, i + 1)
-        hits[j] = h
-        if found:
-            return True
-    return False
 
 
 def _condense_step(lits: list[Literal],

@@ -11,7 +11,9 @@ the first literal that an automorphism reaches, and with the closed
 form on unions of two directed cycles.  Condensing a k-cycle must stay
 within k(3 + ceil(log2 k)) literal matches whatever its variable names,
 the directed 6-clique within 5,000, and condensing a clause a second
-time must cost nothing.
+time must cost nothing.  The one search behind all of them keeps its own
+stack, so condensing a 2,000-literal cycle, subsumption between it and
+a long chain, and separating a 1,000-literal cycle query all finish.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ import math
 import random
 
 from guardedsat import terms
+from guardedsat.qsep import DefinitionRegistry, q_sep
 from guardedsat.terms import (
-    App, Clause, Const, Literal, Var, apply_clause, clause_vars, condense,
-    membership, subsumes,
+    App, Clause, Const, Literal, SymbolTable, Var, apply_clause, clause_vars,
+    condense, membership, subsumes,
 )
 
 from util import (
@@ -248,22 +251,24 @@ def test_search_order_agrees_with_the_scan():
     long = 0
     for c in clauses:
         want = reference_search_order(c.literals)
-        assert list(terms._search_order(c.literals)) == list(want), str(c)
+        got = [c.literals[i] for i in terms._search_order(c.literals)]
+        assert got == list(want), str(c)
         long += len(c) > 2
     assert long >= 400, long
 
 
 def test_symmetric_clauses_agree_with_reference(monkeypatch):
-    # how often the search found an automorphism and skipped its orbit
+    # how often a one-to-one search found an automorphism, whose orbit
+    # the search then skipped
     found = [0]
-    automorphism = terms._automorphism
+    find_map = terms._find_map
 
-    def spying(c, pat, sub, img, used, i):
-        ok = automorphism(c, pat, sub, img, used, i)
-        found[0] += i == 1 and ok
-        return ok
+    def spying(pat, target, sub, img, hits=None, unhit=0):
+        got = find_map(pat, target, sub, img, hits, unhit)
+        found[0] += hits is not None and not unhit and got is not None
+        return got
 
-    monkeypatch.setattr(terms, "_automorphism", spying)
+    monkeypatch.setattr(terms, "_find_map", spying)
     rng = random.Random(5)
     shrank = 0
     for _ in range(300):
@@ -346,3 +351,32 @@ def test_condensing_a_cycle_takes_polynomial_work(monkeypatch):
     calls[0] = 0
     assert condense(c).literals == c.literals
     assert calls[0] <= 5000, calls[0]
+
+
+def _long_cycle(k: int) -> Clause:
+    return Clause(_cycle([Var(f"V{i}") for i in range(k)]))
+
+
+def _long_chain(k: int) -> Clause:
+    """The directed path ``~r(W0,W1) | ... | ~r(W(k-1),Wk)``."""
+    vs = [Var(f"W{i}") for i in range(k + 1)]
+    return Clause(Literal(False, "r", e) for e in zip(vs, vs[1:]))
+
+
+def test_condensing_a_long_cycle_needs_no_recursion():
+    c = _long_cycle(2000)
+    assert condense(c).literals == c.literals
+
+
+def test_subsumption_between_a_long_chain_and_cycle_needs_no_recursion():
+    assert subsumes(_long_chain(1999), _long_cycle(2000))
+    # a failing search tries every image of the first literal and walks
+    # the cycle from each to an end of the chain, k*k/2 literal matches
+    # in all, so this direction runs at k=1000
+    assert not subsumes(_long_cycle(1000), _long_chain(999))
+
+
+def test_separating_a_long_cycle_query_needs_no_recursion():
+    c = _long_cycle(1000)
+    res = q_sep(c, DefinitionRegistry(SymbolTable()))
+    assert res.icq == [c] and not res.guarded

@@ -789,8 +789,8 @@ def _variant(c: Clause, d: Clause, connected: bool) -> bool:
         return False
     return all(
         _reference_subsume_search(
-            p.search_order() if connected else p.literals, q.literals, {},
-            0, True) is not None
+            [p.literals[i] for i in p.search_order()] if connected
+            else p.literals, q.literals, {}, 0, True) is not None
         for p, q in ((c, d), (d, c)))
 
 
