@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Print how often the prover's hot kernels run on a fixed set of problems.
 
-For each problem of ``scripts/trace_digest.py``, in its order, one line:
-the problem's name and, for each kernel in ``KERNELS``, the number of its
-primitive calls (cProfile's count of the calls that do not come from the
-kernel itself, so a recursive kernel counts its outermost calls) while
-``trace_digest.solve`` answers the problem and, when it has no facts and
-is answered No, rewrites it.  A kernel that a source tree does not define
-counts 0.
+For each problem of ``scripts/trace_digest.py``, in its order, and then
+each of ``EXTRA``, one line: the problem's name and, for each kernel in
+``KERNELS``, the number of its primitive calls (cProfile's count of the
+calls that do not come from the kernel itself, so a recursive kernel
+counts its outermost calls) while ``trace_digest.solve`` answers the
+problem and, when it has no facts and is answered No, rewrites it.  A
+kernel that a source tree does not define counts 0.
 
 Counts do not drift with the host's load or the string hash seed, so
 diffing the output of two source trees shows a change in work that
@@ -29,6 +29,7 @@ import cProfile
 import pathlib
 import pstats
 
+from rules_sweep import rule_set
 from trace_digest import problems, solve
 
 # (module of guardedsat, function name)
@@ -44,6 +45,12 @@ KERNELS = (
     ("terms", "unify_into"),
     ("terms", "mgu_lits"),
     ("terms", "renaming"),
+)
+
+# (name, problem text): problems too slow for the trace digest whose counts
+# show the cost of admitting clauses against many kept ones
+EXTRA = (
+    ("rules n=160 set 1", rule_set(160, 1)),
 )
 
 
@@ -63,7 +70,7 @@ def counts(text: str) -> dict[tuple[str, str], int]:
 
 
 def main() -> int:
-    for name, text in problems():
+    for name, text in (*problems(), *EXTRA):
         got = counts(text)
         print(f"{name:20s} " + " ".join(
             f"{fn}={got[module, fn]}" for module, fn in KERNELS), flush=True)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
-    Term, Var, is_ground, literal_key, term_vars,
+    Term, Var, _occurs, is_ground, literal_key,
 )
 
 
@@ -41,17 +41,27 @@ _ORIGIN_RANK = {
 
 
 class Precedence:
-    """Total precedence on the symbols of a :class:`SymbolTable`."""
+    """Total precedence on the symbols of a :class:`SymbolTable`.
+
+    A name's key is built the first time it is asked for and kept: a
+    declared symbol never changes, and one declared after the precedence
+    was built (a Skolem function or a definer) is keyed when first met.
+    """
 
     def __init__(self, symbols: SymbolTable) -> None:
         self.symbols = symbols
+        self._keys: dict[str, tuple] = {}
 
     def key(self, name: str) -> tuple:
-        sym = self.symbols.get(name)
-        if sym is None:
-            raise KeyError(f"symbol {name!r} not declared")
-        return (_KIND_RANK[sym.kind], _ORIGIN_RANK[sym.origin], sym.arity,
+        key = self._keys.get(name)
+        if key is None:
+            sym = self.symbols.get(name)
+            if sym is None:
+                raise KeyError(f"symbol {name!r} not declared")
+            key = self._keys[name] = (
+                _KIND_RANK[sym.kind], _ORIGIN_RANK[sym.origin], sym.arity,
                 sym.name_key)
+        return key
 
     def gt(self, a: str, b: str) -> bool:
         return self.key(a) > self.key(b)
@@ -69,31 +79,41 @@ class LPO:
 
     # -- terms ------------------------------------------------------------
 
-    def _args(self, t: Term) -> tuple[Term, ...]:
-        return t.args if isinstance(t, App) else ()
-
-    def _head(self, t: Term) -> str:
-        return t.fn if isinstance(t, App) else t.name  # type: ignore[union-attr]
-
     def gt(self, s: Term, t: Term) -> bool:
-        if s == t:
-            return False
-        if isinstance(s, Var):
+        if s == t or isinstance(s, Var):
             return False
         if isinstance(t, Var):
-            return t.name in term_vars(s)
-        sargs, targs = self._args(s), self._args(t)
-        if any(si == t or self.gt(si, t) for si in sargs):
-            return True
-        f, g = self._head(s), self._head(t)
+            return _occurs(t.name, s, {})
+        if isinstance(s, App):
+            # a constant argument is tried too: constants rank above
+            # predicates, so one can be greater than an atom
+            for si in s.args:
+                if si == t or self.gt(si, t):
+                    return True
+            f, sargs = s.fn, s.args
+        else:
+            f, sargs = s.name, ()
+        if isinstance(t, App):
+            g, targs = t.fn, t.args
+        else:
+            g, targs = t.name, ()
         if f != g:
-            return self.prec.gt(f, g) and all(self.gt(s, tj) for tj in targs)
-        # same head: lexicographic on arguments
-        for si, ti in zip(sargs, targs):
-            if si == ti:
-                continue
-            return self.gt(si, ti) and all(self.gt(s, tj) for tj in targs)
-        return False
+            key = self.prec.key
+            if key(f) <= key(g):
+                return False
+        else:
+            # same head: lexicographic on the arguments
+            for si, ti in zip(sargs, targs):
+                if si != ti:
+                    break
+            else:
+                return False
+            if not self.gt(si, ti):
+                return False
+        for tj in targs:
+            if not self.gt(s, tj):
+                return False
+        return True
 
     def compare(self, s: Term, t: Term) -> Cmp:
         if s == t:

@@ -21,17 +21,25 @@ Forward and backward subsumption look up the ground unit clauses of
 usable and worked-off by their literal: a ground unit subsumes exactly
 the clauses that contain its literal, and only a non-ground unit or the
 empty clause can subsume it (an equal unit is caught going forward).
-Every other clause is tested one by one.
+Every other kept clause is posted under the (sign, predicate) of each of
+its literals, the empty clause under a key of its own.  A clause maps
+into the clauses it subsumes literal by literal, keeping sign and
+predicate, so only the empty clause and the kept clauses whose keys all
+occur in a new clause are tested as its subsumers, and only the kept
+clauses in the intersection of its keys' sets as clauses it subsumes.
+Forward subsumption records nothing and a dropped clause no event, so
+the order of those tests cannot be observed.
 
 A ground unit being inserted, every fact and every derived ground fact,
 takes a lane decided by its shape, one literal and no variable.  It is
 condensed and no tautology as it stands.  It is redundant if its literal
 is among the ground units, or if a non-ground unit matches it, or if the
 empty clause is kept; otherwise it drops the other clauses that contain
-its literal.  One scan of the clauses that are not ground units decides
-both, by matching and tuple membership, with no subsumption test.  Its
-record comes from its sign (:func:`~guardedsat.engine.clause_record`),
-and as a given clause it has no main literal and nothing to factor.
+its literal.  One scan of the clauses posted under its literal's key
+decides both, by matching and tuple membership, with no subsumption
+test.  Its record comes from its sign
+(:func:`~guardedsat.engine.clause_record`), and as a given clause it has
+no main literal and nothing to factor.
 
 The loop records its trace as events, not text: one per kept clause
 and one for the derived empty clause, each the clause's id, the rule
@@ -56,7 +64,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
-from typing import Optional
+from typing import Collection, Optional
 
 from .clausify import TransOutput, trans
 from .engine import (
@@ -70,6 +78,18 @@ from .syntax import Problem
 from .terms import (
     App, Clause, Literal, Term, condense, is_ground, match_lit, subsumes,
 )
+
+
+# the key of the empty clause, which holds no literal
+_EMPTY = ()
+
+
+def _keys(c: Clause) -> Collection[tuple]:
+    """The keys under which ``others`` posts ``c``: the (sign, predicate,
+    arity) of its literals, as :meth:`~guardedsat.terms.Clause.buckets`
+    has them, that is their (sign, predicate), since a predicate has one
+    arity; the empty clause's is :data:`_EMPTY`."""
+    return c.buckets().keys() or (_EMPTY,)
 
 
 def _term_weight(t: Term) -> int:
@@ -117,6 +137,9 @@ class SaturationState:
     units_by_sig: dict[tuple[bool, str], dict[Literal, int]] = field(
         default_factory=dict, init=False)
     others: dict[int, Clause] = field(default_factory=dict, init=False)
+    # the posting sets of ``others``: the ids of the clauses holding a
+    # literal of each key of :func:`_keys`
+    postings: dict[tuple, set[int]] = field(default_factory=dict, init=False)
     # the usable ids by weight, each list in id order, and a heap of the
     # weights; a weight whose list has emptied leaves the heap lazily
     by_weight: dict[int, list[int]] = field(default_factory=dict, init=False)
@@ -144,12 +167,32 @@ class SaturationState:
             return None
         if any(l in self.units_by_sig.get((l.pos, l.pred), ()) for l in c):
             return None
-        for d in self.others.values():
-            if len(d) <= len(c) and subsumes(d, c):
+        others, postings = self.others, self.postings
+        keys = _keys(c)
+        size = len(c.literals)
+        posted = [postings.get(key, ()) for key in keys] if size else []
+        # forward: only the empty clause and the clauses whose keys all
+        # occur among the new clause's can subsume it
+        hits: dict[int, int] = {}
+        for ids in (postings.get(_EMPTY, ()), *posted):
+            for cid in ids:
+                hits[cid] = hits.get(cid, 0) + 1
+        for cid, n in hits.items():
+            d = others[cid]
+            if (n == len(_keys(d)) and len(d.literals) <= size
+                    and subsumes(d, c)):
                 return None
-        # backward simplification: drop clauses the new one subsumes
-        for cid, d in list(self.others.items()):
-            if len(c) <= len(d) and subsumes(c, d):
+        # backward simplification: drop the clauses the new one subsumes,
+        # which hold every key of it, in id order
+        if not size:
+            cands = list(others)
+        elif all(posted):
+            cands = sorted(set.intersection(*posted))
+        else:
+            cands = []
+        for cid in cands:
+            d = others[cid]
+            if size <= len(d.literals) and subsumes(c, d):
                 self._drop(cid)
         if c.is_empty():  # subsumes every ground unit
             units = [cid for us in self.units_by_sig.values()
@@ -165,29 +208,32 @@ class SaturationState:
         for cid in units:
             self._drop(cid)
         cid = self._add(c, rule, parents)
-        self.others[cid] = c
+        others[cid] = c
+        for key in keys:
+            postings.setdefault(key, set()).add(cid)
         return cid
 
     def _insert_ground_unit(self, c: Clause, rule: str,
                             parents: tuple[int, ...]) -> Optional[int]:
         """:meth:`insert` for a clause of one ground literal, decided by
-        lookup and one scan of ``others``: it is condensed and no
-        tautology; an equal unit, a non-ground unit matching it or the
-        empty clause subsumes it, and it subsumes exactly the clauses that
-        contain its literal, never a unit."""
+        lookup and one scan of the clauses posted under its key: it is
+        condensed and no tautology; an equal unit, a non-ground unit
+        matching it or the empty clause subsumes it, and it subsumes
+        exactly the clauses that contain its literal, never a unit."""
         (lit,) = c
         units = self.units_by_sig.get((lit.pos, lit.pred))
-        if units is not None and lit in units:
+        if (units is not None and lit in units) or _EMPTY in self.postings:
             return None
         dropped = []
-        for cid, d in self.others.items():
-            lits = d.literals
+        (key,) = _keys(c)
+        for cid in self.postings.get(key, ()):
+            lits = self.others[cid].literals
             if len(lits) > 1:
                 if lit in lits:
                     dropped.append(cid)
-            elif not lits or match_lit(lits[0], lit, {}) is not None:
+            elif match_lit(lits[0], lit, {}) is not None:
                 return None
-        for cid in dropped:
+        for cid in sorted(dropped):
             self._drop(cid)
         cid = self._add(c, rule, parents)
         if units is None:
@@ -212,12 +258,23 @@ class SaturationState:
         else:
             c = self.worked_off.by_id[cid]
             self.worked_off.remove(cid)
-        if self.others.pop(cid, None) is None:
+        if cid in self.others:
+            self._forget(cid)
+        else:
             (lit,) = c
             units = self.units_by_sig[(lit.pos, lit.pred)]
             del units[lit]
             if not units:
                 del self.units_by_sig[(lit.pos, lit.pred)]
+
+    def _forget(self, cid: int) -> None:
+        """Remove the clause with id ``cid`` from ``others`` and its
+        posting sets."""
+        for key in _keys(self.others.pop(cid)):
+            ids = self.postings[key]
+            ids.remove(cid)
+            if not ids:
+                del self.postings[key]
 
     # -- usable ------------------------------------------------------------
 
@@ -276,7 +333,7 @@ def saturate(state: SaturationState) -> str:
         state.steps += 1
         given_id, given = state.pick()
         if given.is_empty():
-            del state.others[given_id]
+            state._forget(given_id)
             return "yes"
         state.worked_off.add(given_id, given)
         for rule, parents, conclusions in inferences(

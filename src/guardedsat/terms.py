@@ -12,8 +12,9 @@ fields, a hash worked out on first use and kept in a slot, since every
 term and literal is hashed over and over as a dict or set key.  A
 literal also keeps its variable names (:func:`lit_vars`) and its sort key
 (:func:`literal_key`), and a clause its variable names
-(:func:`clause_vars`, the union of its literals'), each worked out on
-first use; a literal or clause is ground iff that set is empty.  These
+(:func:`clause_vars`, the union of its literals') and its clausal
+classes (:func:`membership`), each worked out on first use; a literal or
+clause is ground iff its set of variable names is empty.  These
 caches are only sound because the objects stay immutable, and the sets
 are frozensets, so a caller cannot change them either.  A pickled object
 is rebuilt from its fields, so its caches start empty, and the cached
@@ -308,7 +309,7 @@ class Clause:
     """
 
     __slots__ = ("literals", "_hash", "_vars", "_order", "_buckets",
-                 "_probes", "_condensed")
+                 "_probes", "_condensed", "_membership")
 
     def __init__(self, literals: Iterable[Literal]) -> None:
         lits = tuple(literals)
@@ -322,6 +323,7 @@ class Clause:
         self._probes: Optional[dict[tuple, dict[Term, list[int]]]] = None
         # set on a clause that :func:`condense` returned
         self._condensed = False
+        self._membership: Optional[frozenset[str]] = None  # see membership
 
     def search_order(self) -> Sequence[int]:
         """The positions of the literals in the order the subsumption
@@ -507,7 +509,9 @@ def _occurs(name: str, t: Term, sub: Subst) -> bool:
     if isinstance(t, Var):
         return t.name == name
     if isinstance(t, App):
-        return any(_occurs(name, a, sub) for a in t.args)
+        for a in t.args:
+            if _occurs(name, a, sub):
+                return True
     return False
 
 
@@ -1012,12 +1016,20 @@ def _guards(c: Clause) -> tuple[bool, bool]:
     return covered == cvars and len(pairs) == n * (n - 1) // 2, single
 
 
-def membership(c: Clause) -> set[str]:
-    """Which clausal classes the clause belongs to.
+def membership(c: Clause) -> frozenset[str]:
+    """Which clausal classes the clause belongs to, worked out once per
+    clause.
 
     Returns a subset of ``{"query", "LG", "guarded", "horn_guarded"}``;
     the empty set means neither.
     """
+    m = c._membership
+    if m is None:
+        m = c._membership = frozenset(_classes(c))
+    return m
+
+
+def _classes(c: Clause) -> set[str]:
     out: set[str] = set()
     flags = classify(c)
     if flags.flat and all(not lit.pos and not lit.is_eq for lit in c):

@@ -14,7 +14,8 @@ from guardedsat.terms import (
 )
 
 from util import (
-    CONSTS, clause_gt, funcs, make_symbols, random_ground_atom, random_lg_set,
+    CONSTS, clause_gt, funcs, make_symbols, preds, random_ground_atom,
+    random_lg_set, reference_lpo_gt,
 )
 
 x, y = Var("x"), Var("y")
@@ -230,3 +231,92 @@ def test_precedence_orders_random_names_as_before():
         assert prec.gt(a, b) == want, (a, b)
         prefixes += ra == rb and (a.startswith(b) or b.startswith(a))
     assert prefixes >= 20, prefixes
+
+
+def _reference_compare(prec, s, t):
+    if s == t:
+        return Cmp.EQ
+    if reference_lpo_gt(prec, s, t):
+        return Cmp.GT
+    if reference_lpo_gt(prec, t, s):
+        return Cmp.LT
+    return Cmp.NC
+
+
+def test_lpo_agrees_with_the_reference():
+    """``gt``, ``compare`` and ``compare_lits`` give the answers of the
+    order as first written (:func:`util.reference_lpo_gt`) on random
+    terms and atoms, each pair also swapped and against an equal copy of
+    itself.  The terms hold nested Skolem functions and meet atoms and
+    propositional atoms; a function, a constant and two predicates are
+    declared after the precedence was built.  A constant ranks above
+    every predicate, so an atom with a constant argument can beat an
+    atom of a higher predicate through the subterm case."""
+    symbols = make_symbols(n_preds=4, max_arity=2, n_funcs=2,
+                           rng=random.Random(11))
+    symbols.declare("P0", SymbolKind.PROPOSITIONAL, 0, SymbolOrigin.INPUT)
+    prec = Precedence(symbols)
+    lpo = LPO(prec)
+    symbols.declare("sk9", SymbolKind.FUNCTION, 2, SymbolOrigin.SKOLEM)
+    symbols.declare("c9", SymbolKind.CONSTANT, 0, SymbolOrigin.INPUT)
+    symbols.declare("q9", SymbolKind.PREDICATE, 2, SymbolOrigin.DEFINER)
+    symbols.declare("Q9", SymbolKind.PROPOSITIONAL, 0, SymbolOrigin.DEFINER)
+    late = {"sk9", "c9", "q9", "Q9"}
+    fns = funcs(symbols)
+    consts = list(CONSTS) + ["c9"]
+    atoms = preds(symbols) + [("P0", 0), ("q9", 2), ("Q9", 0)]
+
+    def term(rng, nesting):
+        r = rng.random()
+        if nesting and r < 0.4:
+            f, k = rng.choice(fns)
+            return App(f, tuple(term(rng, nesting - 1) for _ in range(k)))
+        if r < 0.7:
+            return Const(rng.choice(consts))
+        return Var(rng.choice(("x1", "x2", "x3")))
+
+    def copy(t):
+        if isinstance(t, App):
+            return App(t.fn, tuple(map(copy, t.args)))
+        return t.__class__(t.name)
+
+    def head(t):
+        return t.fn if isinstance(t, App) else t.name
+
+    seen = {r: 0 for r in Cmp}
+    lit_seen = {r: 0 for r in Cmp}
+    with_late = by_argument = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        lits = []
+        for _ in range(12):
+            p, k = rng.choice(atoms)
+            lits.append(Literal(rng.random() < 0.5, p, tuple(
+                term(rng, 2) for _ in range(k))))
+        pool = [term(rng, 3) for _ in range(12)] + \
+            [lpo.atom_term(l) for l in lits]
+        for s in pool:
+            for t in pool + [copy(s)]:
+                want = _reference_compare(prec, s, t)
+                assert lpo.gt(s, t) == (want is Cmp.GT), (s, t)
+                assert lpo.compare(s, t) is want, (s, t)
+                seen[want] += 1
+                if isinstance(s, Var) or isinstance(t, Var):
+                    continue
+                with_late += bool({head(s), head(t)} & late)
+                by_argument += want is Cmp.GT and \
+                    symbols.get(head(s)).kind is SymbolKind.PREDICATE and \
+                    prec.gt(head(t), head(s))
+        for l1 in lits:
+            for l2 in lits + [l1.negate(),
+                              Literal(l1.pos, l1.pred, tuple(map(copy,
+                                                                 l1.args)))]:
+                want = _reference_compare(
+                    prec, lpo.atom_term(l1), lpo.atom_term(l2))
+                if want is Cmp.EQ and l1.pos != l2.pos:
+                    want = Cmp.LT if l1.pos else Cmp.GT
+                assert lpo.compare_lits(l1, l2) is want, (l1, l2)
+                lit_seen[want] += 1
+    assert all(n > 200 for n in seen.values()), seen
+    assert all(n > 100 for n in lit_seen.values()), lit_seen
+    assert with_late > 5000 and by_argument > 1000, (with_late, by_argument)

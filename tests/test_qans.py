@@ -25,7 +25,7 @@ from guardedsat.orders import LPO, Precedence
 from guardedsat.syntax import parse, print_formula
 from guardedsat.terms import (
     App, Clause, Const, Literal, SymbolKind, SymbolOrigin, SymbolTable,
-    Var, is_ground,
+    Var, apply_clause, clause_vars, is_ground, is_ground_lit,
 )
 
 from util import (
@@ -255,12 +255,26 @@ def test_the_trace_is_rendered_from_the_events():
 
 
 def _assert_maps_hold_kept_clauses(state):
-    """Every id the subsumption maps hold is in usable or worked-off, and
-    no per-signature unit map is left empty."""
+    """Every id the subsumption maps hold is in usable or worked-off, no
+    per-signature unit map is left empty, and the posting sets are those
+    of ``others``."""
     for cid in list(state.others) + [
             cid for us in state.units_by_sig.values() for cid in us.values()]:
         assert cid in state.usable or cid in state.worked_off.by_id, cid
     assert all(state.units_by_sig.values()), state.units_by_sig
+    _assert_postings(state)
+
+
+def _assert_postings(state):
+    """The posting sets equal those built afresh from ``others``: each
+    id under the (sign, predicate, arity) of each of its literals, the
+    empty clause under ``()``, and no set empty."""
+    postings: dict = {}
+    for cid, c in state.others.items():
+        keys = {(l.pos, l.pred, len(l.args)) for l in c} or {()}
+        for key in keys:
+            postings.setdefault(key, set()).add(cid)
+    assert state.postings == postings
 
 
 def test_a_picked_empty_input_clause_leaves_the_maps():
@@ -272,7 +286,7 @@ def test_a_picked_empty_input_clause_leaves_the_maps():
     result, state = run(_parse(
         "fact: p(a).\nformula: $false.\nquery: ? [X] : q(X).\n"))
     assert result.verdict == "yes"
-    assert (state.others, state.units_by_sig) == ({}, {})
+    assert (state.others, state.units_by_sig, state.postings) == ({}, {}, {})
     rng = random.Random(3)
     for _ in range(150):
         _, state = run(random_problem(rng), step_budget=20000)
@@ -340,7 +354,8 @@ def _random_clause(symbols, rng):
 
 def test_indexed_insert_agrees_with_linear_scan():
     """The same kept/rejected decisions and the same surviving clauses as
-    the linear scan, with clauses moving to worked-off along the way.
+    the linear scan, with clauses moving to worked-off along the way, and
+    posting sets that match ``others`` after every insert and pick.
     The empty clause comes last in every other sequence and mid-stream
     in every third, followed by ground units of both signs, some with a
     compound argument."""
@@ -363,6 +378,7 @@ def test_indexed_insert_agrees_with_linear_scan():
                 for st in (new, ref):
                     cid, c = st.pick()
                     st.worked_off.add(cid, c)
+                _assert_postings(new)
                 continue
             if step == empty_at:
                 c = Clause(())
@@ -378,6 +394,7 @@ def test_indexed_insert_agrees_with_linear_scan():
             assert got == want, (seed, c)
             assert set(new.usable) == set(ref.usable)
             assert set(new.worked_off.by_id) == set(ref.worked_off.by_id)
+            _assert_postings(new)
             after = len(ref.usable) + len(ref.worked_off.by_id)
             kept += want is not None
             rejected += want is None
@@ -387,6 +404,83 @@ def test_indexed_insert_agrees_with_linear_scan():
     assert kept > 300 and rejected > 300 and dropped > 50, \
         (kept, rejected, dropped)
     assert min(late.values()) >= 30 and compound >= 80, (late, compound)
+
+
+def _stream_clause(symbols, rng, seen):
+    """The next clause of a stream rich in what the posting sets decide:
+    a variant of an earlier clause, an earlier non-unit clause less one
+    literal, a ground literal of an earlier non-unit clause as a unit, a
+    loosely guarded clause with a ground literal of either sign added, or
+    a loosely guarded clause; few predicates, so non-unit clauses share
+    them."""
+    r = rng.random()
+    nonunit = [c for c in seen if len(c) > 1]
+    if r < 0.25 and seen:
+        c = rng.choice(seen)
+        return apply_clause(c, {v: Var(v + "'") for v in clause_vars(c)})
+    if r < 0.35 and nonunit:
+        lits = list(rng.choice(nonunit))
+        del lits[rng.randrange(len(lits))]
+        return Clause(lits)
+    ground = [l for c in nonunit for l in c if is_ground_lit(l)]
+    if r < 0.5 and ground:
+        return Clause([rng.choice(ground)])
+    c = random_lg_set(symbols, rng, 1)[0]
+    if r < 0.8:
+        lit = random_ground_atom(symbols, rng)
+        return Clause(c.literals + (lit if rng.random() < 0.5
+                                    else lit.negate(),))
+    return c
+
+
+def test_posting_sets_agree_with_linear_scan(monkeypatch):
+    """On streams of variants, clauses sharing predicates, and clauses
+    holding a ground literal followed by that literal as a unit, the
+    posting sets give the kept/rejected decisions, surviving clauses and
+    events of the linear scan, and equal the sets rebuilt from
+    ``others`` after every insert, pick and drop."""
+    symbols = make_symbols(n_preds=3, max_arity=2, n_funcs=1,
+                           rng=random.Random(4))
+    lpo = LPO(Precedence(symbols))
+    drop = SaturationState._drop
+
+    def checked_drop(self, cid):
+        drop(self, cid)
+        _assert_postings(self)
+
+    monkeypatch.setattr(SaturationState, "_drop", checked_drop)
+    variants = unit_drops = backward = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        new, ref = (cls(lpo=lpo, registry=DefinitionRegistry(symbols))
+                    for cls in (SaturationState, ReferenceSaturationState))
+        seen: list[Clause] = []
+        for step in range(80):
+            if step == 70 and seed % 3 == 0:
+                c = Clause(())
+            elif rng.random() < 0.15 and ref.usable:
+                for st in (new, ref):
+                    cid, c = st.pick()
+                    st.worked_off.add(cid, c)
+                _assert_postings(new)
+                continue
+            else:
+                c = _stream_clause(symbols, rng, seen)
+            before = set(new.others)
+            got, want = new.insert(c, "input"), ref.insert(c, "input")
+            assert got == want, (seed, c)
+            assert set(new.usable) == set(ref.usable)
+            assert set(new.worked_off.by_id) == set(ref.worked_off.by_id)
+            _assert_postings(new)
+            gone = len(before - set(new.others))
+            variants += want is None and any(
+                is_variant(c, d) for d in new.others.values())
+            unit_drops += len(c) == 1 and is_ground(c) and gone > 0
+            backward += len(c) > 1 and gone
+            seen.append(c)
+        assert new.events == ref.events
+    assert variants > 150 and unit_drops > 50 and backward > 50, \
+        (variants, unit_drops, backward)
 
 
 def test_pick_agrees_with_the_weight_scan():

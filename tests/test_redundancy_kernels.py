@@ -177,6 +177,8 @@ def test_kernels_agree_with_references(monkeypatch):
         shrank += len(got) < len(d)
         m = membership(c)
         assert m == reference_membership(c), str(c)
+        # worked out once per clause, and read again from there
+        assert isinstance(m, frozenset) and membership(c) is m
         lg += "LG" in m
         for d in _partners(c, clauses, rng):
             for p, q in ((c, d), (d, c)):

@@ -11,7 +11,9 @@ simultaneous resolution (:func:`s_res`, :func:`p_res`, each giving an
 :class:`Inference`), which the redundancy tests compare, factoring on
 the maximal literals that the clause record held for a ``"max"`` clause
 (:func:`reference_factor`), the multiset extension of the literal order
-to clauses (:func:`clause_gt`), and the resolution of a triangular
+to clauses (:func:`clause_gt`), the lexicographic path order as first
+written (:func:`reference_lpo_gt`, which ``LPO.gt`` must agree with),
+and the resolution of a triangular
 unifier by applying it until nothing changes
 (:func:`reference_normalize`).
 
@@ -105,7 +107,7 @@ from guardedsat.engine import (
     is_tautology,
 )
 from guardedsat.oracle import FiniteModel, dpll
-from guardedsat.orders import Cmp, LPO
+from guardedsat.orders import _KIND_RANK, _ORIGIN_RANK, Cmp, LPO, Precedence
 from guardedsat.qans import SaturationState, clause_weight, inferences
 from guardedsat.qsep import QueryAnalysis
 from guardedsat.qrew import RewriteError, RewriteResult
@@ -613,6 +615,44 @@ def clause_gt(lpo: LPO, c: Clause, d: Clause) -> bool:
         return bool(cs)
     return all(
         any(lpo.compare_lits(lc, ld) is Cmp.GT for lc in cs) for ld in ds)
+
+
+def reference_lpo_gt(prec: Precedence, s: Term, t: Term) -> bool:
+    """:meth:`guardedsat.orders.LPO.gt` as first written: it collects the
+    variables of ``s`` in a set, tests the arguments with ``any`` and
+    ``all``, and builds both heads' precedence keys from the symbol table
+    at each comparison."""
+
+    def key(name: str) -> tuple:
+        sym = prec.symbols.get(name)
+        if sym is None:
+            raise KeyError(f"symbol {name!r} not declared")
+        return (_KIND_RANK[sym.kind], _ORIGIN_RANK[sym.origin], sym.arity,
+                sym.name_key)
+
+    def gt(s: Term, t: Term) -> bool:
+        if s == t:
+            return False
+        if isinstance(s, Var):
+            return False
+        if isinstance(t, Var):
+            return t.name in term_vars(s)
+        sargs = s.args if isinstance(s, App) else ()
+        targs = t.args if isinstance(t, App) else ()
+        if any(si == t or gt(si, t) for si in sargs):
+            return True
+        f = s.fn if isinstance(s, App) else s.name
+        g = t.fn if isinstance(t, App) else t.name
+        if f != g:
+            return key(f) > key(g) and all(gt(s, tj) for tj in targs)
+        # same head: lexicographic on arguments
+        for si, ti in zip(sargs, targs):
+            if si == ti:
+                continue
+            return gt(si, ti) and all(gt(s, tj) for tj in targs)
+        return False
+
+    return gt(s, t)
 
 
 # ---------------------------------------------------------------------------
