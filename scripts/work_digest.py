@@ -28,9 +28,11 @@ from __future__ import annotations
 import cProfile
 import pathlib
 import pstats
+import random
 
 from rules_sweep import rule_set
 from trace_digest import problems, solve
+from workloads import data_instance  # trace_digest puts perfbench on the path
 
 # (module of guardedsat, function name)
 KERNELS = (
@@ -45,12 +47,18 @@ KERNELS = (
     ("terms", "unify_into"),
     ("terms", "mgu_lits"),
     ("terms", "renaming"),
+    ("qans", "_insert_ground_unit"),
+    ("engine", "clause_record"),
 )
 
 # (name, problem text): problems too slow for the trace digest whose counts
-# show the cost of admitting clauses against many kept ones
+# show the cost of admitting clauses against many kept ones, and of each
+# fact of a large data set (the No instance ``scripts/data_sweep.py
+# --sizes 2560`` answers)
 EXTRA = (
     ("rules n=160 set 1", rule_set(160, 1)),
+    ("data No N=2560", data_instance(random.Random(1), 2560, False,
+                                     "N2560").text),
 )
 
 

@@ -411,7 +411,7 @@ def trans(problem: Problem) -> TransOutput:
         if kind == "rule":
             out.n_rule_clauses = len(out.lg_clauses)
     for fact in problem.facts:
-        out.lg_clauses.append(Clause([Literal(True, fact.pred, fact.args)]))
+        out.lg_clauses.append(Clause((Literal(True, fact.pred, fact.args),)))
     for q in problem.queries:
         out.query_clauses.append(negate_query(q))
     return out

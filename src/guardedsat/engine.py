@@ -27,7 +27,9 @@ rejects a second); the ground ones also by their argument tuple,
 the non-ground ones apart, and of those the ones with no compound
 argument.  Per argument position it indexes them by ground term,
 non-ground term, head symbol and variable; a position's index is built
-on its first probe and kept up by ``add`` and ``remove``.  The
+on its first probe and kept up by ``add`` and ``remove``.  ``add``
+appends a side literal to a list where it sorts last, as one of a clause
+picked after every clause there does, and insorts it otherwise.  The
 top-variable join is a backtracking search over it that extends one
 triangular unifier level by level, always at the most constrained level
 under the current unifier: the open level whose probe holds the fewest
@@ -124,9 +126,10 @@ def dispatch(c: Clause) -> str:
     return "topvar"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ClauseRecord:
-    """What inference needs to know about a clause, computed once.
+    """What inference needs to know about a clause, computed once; not
+    frozen, so that building one costs plain attribute stores.
 
     ``regime`` is the :func:`dispatch` regime, or ``"icq"`` for an
     inseparable chained-only query clause.  ``main_literals`` are the
@@ -264,39 +267,39 @@ class _SideList:
         self.flat: list[_Side] = []
         self.positions: dict[int, _PositionIndex] = {}
 
-    def _shapes(self, side: _Side) -> list[list[_Side]]:
-        """The lists of ``ground``, ``nonground`` and ``flat`` that hold
-        ``side``, made if missing."""
+    def _lists(self, side: _Side) -> list[list[_Side]]:
+        """The lists that hold ``side``, made if missing."""
+        args = side.lit.args
         if side.copies is None:
-            return [self.ground.setdefault(side.lit.args, [])]
-        if any(isinstance(a, App) for a in side.lit.args):
-            return [self.nonground]
-        return [self.nonground, self.flat]
+            lists = [self.entries, self.ground.setdefault(args, [])]
+        elif App in map(type, args):
+            lists = [self.entries, self.nonground]
+        else:
+            lists = [self.entries, self.nonground, self.flat]
+        for j, index in self.positions.items():
+            lists += _buckets(index, args[j])
+        return lists
 
     def add(self, side: _Side) -> None:
-        insort(self.entries, side, key=_key)
-        for lst in self._shapes(side):
-            insort(lst, side, key=_key)
-        for j, index in self.positions.items():
-            for bucket in _buckets(index, side.lit.args[j]):
-                insort(bucket, side, key=_key)
+        """Put ``side`` into each list that holds it, appending it where
+        it sorts last."""
+        for lst in self._lists(side):
+            if lst and lst[-1].key > side.key:
+                insort(lst, side, key=_key)
+            else:
+                lst.append(side)
 
     def remove(self, cid: int) -> None:
-        lo = bisect_left(self.entries, cid, key=_cid)
-        hi = bisect_right(self.entries, cid, key=_cid)
-        gone = self.entries[lo:hi]
-        del self.entries[lo:hi]
-        for side in gone:
-            for lst in self._shapes(side):
+        entries = self.entries
+        for side in entries[bisect_left(entries, cid, key=_cid):
+                            bisect_right(entries, cid, key=_cid)]:
+            for lst in self._lists(side):
                 del lst[bisect_left(lst, side.key, key=_key)]
-            if side.copies is None and not self.ground[side.lit.args]:
-                del self.ground[side.lit.args]
-        for j, index in self.positions.items():
-            exact, _, heads, _ = index
-            for side in gone:
-                t = side.lit.args[j]
-                for bucket in _buckets(index, t):
-                    del bucket[bisect_left(bucket, side.key, key=_key)]
+            args = side.lit.args
+            if side.copies is None and not self.ground[args]:
+                del self.ground[args]
+            for j, (exact, _, heads, _) in self.positions.items():
+                t = args[j]
                 if is_ground_term(t) and not exact[t]:
                     del exact[t]
                 if isinstance(t, App) and not heads[t.fn, len(t.args)]:
@@ -341,8 +344,9 @@ class ClauseIndex:
             if sides is None:
                 sides = self._sides[lit.pred] = _SideList()
             sides.add(_Side(cid, k, c, lit))
-        for pred in {l.pred for l in rec.main_literals}:
-            insort(self._main_index.setdefault(pred, []), cid)
+        if rec.main_literals:
+            for pred in {l.pred for l in rec.main_literals}:
+                insort(self._main_index.setdefault(pred, []), cid)
 
     def remove(self, cid: int) -> None:
         if self.by_id.pop(cid, None) is None:
@@ -354,13 +358,15 @@ class ClauseIndex:
             ids = self._main_index[pred]
             del ids[bisect_left(ids, cid)]
 
-    def mains_on(self, preds: set[str]) -> list[int]:
-        """The ids, in id order, of the clauses with a main literal on one
-        of ``preds``: no other clause can resolve against a side premise
-        whose side literals use only ``preds``."""
+    def mains_on(self, sides: Sequence[Literal]) -> Sequence[int]:
+        """The ids, in id order, of the clauses with a main literal on the
+        predicate of one of ``sides``, the only ones that can resolve with
+        a side premise whose side literals these are."""
+        if len(sides) == 1:
+            return tuple(self._main_index.get(sides[0].pred, ()))
         ids: set[int] = set()
-        for pred in preds:
-            ids.update(self._main_index.get(pred, ()))
+        for lit in sides:
+            ids.update(self._main_index.get(lit.pred, ()))
         return sorted(ids)
 
     def side_list(self, lit: Literal) -> Optional[_SideList]:

@@ -37,9 +37,11 @@ is among the ground units, or if a non-ground unit matches it, or if the
 empty clause is kept; otherwise it drops the other clauses that contain
 its literal.  One scan of the clauses posted under its literal's key
 decides both, by matching and tuple membership, with no subsumption
-test.  Its record comes from its sign
-(:func:`~guardedsat.engine.clause_record`), and as a given clause it has
-no main literal and nothing to factor.
+test; the key is its literal's :func:`~guardedsat.terms.lit_key`, read
+without building the clause's buckets.  Its record comes from its sign
+(:func:`~guardedsat.engine.clause_record`); as a given clause it has no
+main literal and nothing to factor, and meets only the mains on its
+predicate.
 
 The loop records its trace as events, not text: one per kept clause
 and one for the derived empty clause, each the clause's id, the rule
@@ -76,7 +78,8 @@ from .qic import q_ic_all
 from .qsep import DefinitionRegistry, q_sep
 from .syntax import Problem
 from .terms import (
-    App, Clause, Literal, Term, condense, is_ground, match_lit, subsumes,
+    App, Clause, Literal, Term, condense, is_ground, lit_key, match_lit,
+    subsumes,
 )
 
 
@@ -100,8 +103,14 @@ def _term_weight(t: Term) -> int:
 
 def clause_weight(c: Clause) -> int:
     """Number of symbol occurrences (predicates, functions, constants,
-    variables)."""
-    return sum(1 + sum(_term_weight(a) for a in lit.args) for lit in c)
+    variables); a literal with no compound argument, every fact, weighs
+    its arity plus one."""
+    w = 0
+    for lit in c.literals:
+        args = lit.args
+        w += 1 + (sum(map(_term_weight, args)) if App in map(type, args)
+                  else len(args))
+    return w
 
 
 # one trace line: the clause id, the rule that made the clause, the ids of
@@ -225,8 +234,7 @@ class SaturationState:
         if (units is not None and lit in units) or _EMPTY in self.postings:
             return None
         dropped = []
-        (key,) = _keys(c)
-        for cid in self.postings.get(key, ()):
+        for cid in self.postings.get(lit_key(lit), ()):
             lits = self.others[cid].literals
             if len(lits) > 1:
                 if lit in lits:
@@ -366,10 +374,10 @@ def inferences(n: ClauseIndex, registry: DefinitionRegistry,
     rec = n.records[given_id]
     out = _as_main(n, registry, given_id, None) if rec.main_literals else []
     c = n.by_id[given_id]
-    if rec.regime == "max" and sum(l.pos for l in c) > 1:
+    if len(c) > 1 and rec.regime == "max" and sum(l.pos for l in c) > 1:
         out.extend(factor(given_id, c, n.lpo))
     if rec.side_literals:
-        for cid in n.mains_on({l.pred for l in rec.side_literals}):
+        for cid in n.mains_on(rec.side_literals):
             if cid != given_id:
                 out.extend(_as_main(n, registry, cid, given_id))
     return out

@@ -18,7 +18,9 @@ The parser reads token texts, not token objects: one compiled regex's
 ``findall`` turns the text into a list of strings, and a recursive
 descent walks that list by index, reading a token's kind off its first
 character.  It declares each symbol where it reads it, so a symbol used
-with two kinds or arities is a ``ParseError`` at its second use.  Line
+with two kinds or arities is a ``ParseError`` at its second use, and it
+interns constants: a parse makes one :class:`Const` per name, declared
+where the name is first read, and the table dies with the parse.  Line
 and column are worked out only when a ``ParseError`` is raised, by
 scanning the text again up to the offending token.  A statement
 ``fact: p(c1,...,cn).`` is read by its shape, declaring what the descent
@@ -243,7 +245,7 @@ class _Parser:
     the name's token.
     """
 
-    __slots__ = ("text", "toks", "i", "depth", "symbols")
+    __slots__ = ("text", "toks", "i", "depth", "symbols", "consts")
 
     def __init__(self, text: str, symbols: SymbolTable) -> None:
         self.text = text
@@ -252,6 +254,7 @@ class _Parser:
         self.i = 0
         self.depth = 0
         self.symbols = symbols
+        self.consts: dict[str, Const] = {}
 
     def error(self, msg: str, i: Optional[int]) -> ParseError:
         """``msg`` at token ``i``, or at line 0, column 0 when ``i`` is None.
@@ -296,6 +299,15 @@ class _Parser:
             self.symbols.declare(self.toks[i], kind, arity)
         except ValueError as e:
             raise self.error(str(e), i) from None
+
+    def constant(self, i: int) -> Const:
+        """The constant named at token ``i``: the parse's one object of
+        that name, declared and made where the name is first read."""
+        c = self.consts.get(self.toks[i])
+        if c is None:
+            self.declare(SymbolKind.CONSTANT, 0, i)
+            c = self.consts[self.toks[i]] = Const(self.toks[i])
+        return c
 
     def deeper(self, i: int) -> None:
         """Enter one nesting level at token ``i``; the caller leaves it."""
@@ -404,8 +416,7 @@ class _Parser:
                 self.declare(SymbolKind.FUNCTION, len(args), i)
                 t = App(tok, args)
             else:
-                self.declare(SymbolKind.CONSTANT, 0, i)
-                t = Const(tok)
+                t = self.constant(i)
         else:
             t = self.term()
             op = toks[self.i]
@@ -426,8 +437,7 @@ class _Parser:
             raise self.unexpected("expected a term", i)
         if toks[i + 1] != "(":
             self.i = i + 1
-            self.declare(SymbolKind.CONSTANT, 0, i)
-            return Const(tok)
+            return self.constant(i)
         self.deeper(i + 1)
         args = self.arguments(i + 2)
         self.declare(SymbolKind.FUNCTION, len(args), i)
@@ -448,12 +458,10 @@ class _Parser:
         if toks[j][0] not in _NAME or toks[j + 1] != ")" or \
                 toks[j + 2] != ".":
             return None
-        args = range(i + 4, j + 1, 2)
-        for k in args:
-            self.declare(SymbolKind.CONSTANT, 0, k)
+        args = tuple([self.constant(k) for k in range(i + 4, j + 1, 2)])
         self.declare(SymbolKind.PREDICATE, len(args), i + 2)
         self.i = j + 3
-        return AtomF(toks[i + 2], tuple(Const(toks[k]) for k in args))
+        return AtomF(toks[i + 2], args)
 
     def arguments(self, i: int) -> tuple[Term, ...]:
         """The terms from token ``i`` to the ``)`` that leaves the level

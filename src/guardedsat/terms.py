@@ -302,6 +302,12 @@ def literal_key(lit: Literal) -> tuple:
     return key
 
 
+def lit_key(lit: Literal) -> tuple[bool, str, int]:
+    """The (sign, predicate, arity) of ``lit``: the bucket of
+    :meth:`Clause.buckets` that holds it."""
+    return lit.pos, lit.pred, len(lit.args)
+
+
 class Clause:
     """A multiset of literals kept in sorted order.
 
@@ -339,8 +345,7 @@ class Clause:
         if self._buckets is None:
             self._buckets = {}
             for j, lit in enumerate(self.literals):
-                self._buckets.setdefault(
-                    (lit.pos, lit.pred, len(lit.args)), []).append(j)
+                self._buckets.setdefault(lit_key(lit), []).append(j)
         return self._buckets
 
     def candidates(self, pat: Literal, sub: Subst) -> Sequence[int]:

@@ -925,6 +925,67 @@ def test_remove_agrees_with_a_rebuilt_index():
         (removed, shared, kept_up)
 
 
+def test_sides_added_out_of_order_sit_as_if_added_in_id_order():
+    """Facts and other side premises indexed in shuffled order, as picks
+    add them, with joins that build argument indexes in between and with
+    removals, of the clause just added too: after each step every side
+    list holds what an index built by adding the live clauses one at a
+    time in id order holds, argument indexes built so far included, and
+    each join finds the same tuples in both."""
+    symbols = make_symbols(n_preds=3, max_arity=2, rng=random.Random(3))
+    symbols.declare("q", SymbolKind.PREDICATE, 2, SymbolOrigin.INPUT)
+    symbols.declare("h", SymbolKind.FUNCTION, 1, SymbolOrigin.SKOLEM)
+    lpo = LPO(Precedence(symbols))
+    hx = App("h", (x,))
+    joins = last_removed = out_of_order = kept_up = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        clauses = list(dict.fromkeys(
+            Clause([random_ground_atom(symbols, rng, compound=0.2)])
+            for _ in range(30)))
+        clauses += [Clause([_lit(True, "q", x, hx),
+                            _lit(True, "q", rng.choice((y, z)), hx)]),
+                    Clause([_lit(True, "q", Const(rng.choice(CONSTS)), y),
+                            _lit(True, "q", hx, hx)])]
+        picks = list(zip(rng.sample(range(100), len(clauses)), clauses))
+        n = ClauseIndex(lpo)
+        live = {}
+        for cid, c in picks:
+            lists = [n._sides[l.pred]
+                     for l in clause_record(c, lpo).side_literals
+                     if l.pred in n._sides]
+            out_of_order += any(lst.entries and lst.entries[-1].cid > cid
+                                for lst in lists)
+            kept_up += any(lst.positions for lst in lists)
+            n.add(cid, c)
+            live[cid] = c
+            rebuilt = ClauseIndex(lpo)
+            for k in sorted(live):
+                rebuilt.add(k, live[k])
+            if rng.random() < 0.4:
+                negs = [_lit(False, p, *(rng.choice((x, y, z, a))
+                                         for _ in range(k)))
+                        for p, k in rng.sample(preds(symbols), 2)]
+                mvars = frozenset().union(*map(lit_vars, negs))
+                joins += 1
+                assert [[side.key for side in row[0]] for row in
+                        engine._join(negs, mvars, n, None)] == \
+                    [[side.key for side in row[0]] for row in
+                     engine._join(negs, mvars, rebuilt, None)]
+            elif rng.random() < 0.3:
+                gone = cid if rng.random() < 0.5 else rng.choice(sorted(live))
+                last_removed += gone == cid
+                n.remove(gone)
+                del live[gone]
+                rebuilt = ClauseIndex(lpo)
+                for k in sorted(live):
+                    rebuilt.add(k, live[k])
+            built = {p: set(lst.positions) for p, lst in n._sides.items()}
+            assert _index_contents(n) == _index_contents(rebuilt, built)
+    assert joins > 180 and last_removed > 60 and out_of_order > 250 \
+        and kept_up > 180, (joins, last_removed, out_of_order, kept_up)
+
+
 def test_mains_on_keeps_every_main_that_can_take_a_side():
     """A clause left out of :meth:`ClauseIndex.mains_on` for a side
     premise's predicates has no inference with that side premise."""
@@ -943,8 +1004,8 @@ def test_mains_on_keeps_every_main_that_can_take_a_side():
         for gid, rec in n.records.items():
             if not rec.side_literals:
                 continue
-            mains = n.mains_on({l.pred for l in rec.side_literals})
-            assert mains == sorted(mains)
+            mains = n.mains_on(rec.side_literals)
+            assert list(mains) == sorted(mains)
             for cid in sorted(n.by_id):
                 if cid == gid or cid in mains:
                     kept += cid != gid

@@ -208,6 +208,59 @@ def test_well_formed_facts_skip_the_descent(monkeypatch):
     assert [s.name for s in prob.symbols] == ["c1", "c2", "p", "q"]
 
 
+def _constants(f, out):
+    """Append the constant objects of the formula ``f`` to ``out``."""
+    if isinstance(f, AtomF):
+        out.extend(t for t in f.args if isinstance(t, Const))
+    elif isinstance(f, Not):
+        _constants(f.body, out)
+    elif isinstance(f, (And, Or)):
+        for g in f.items:
+            _constants(g, out)
+    elif isinstance(f, (Implies, Iff)):
+        _constants(f.left, out)
+        _constants(f.right, out)
+    elif isinstance(f, (Forall, Exists)):
+        _constants(f.body, out)
+    return out
+
+
+def test_one_constant_object_per_name_per_parse(monkeypatch):
+    """Within one parse, every occurrence of a constant name, in a fact
+    read by its shape or by the descent, a rule, a query or an equality,
+    is one :class:`Const` object, declared once.  Two parses of the same
+    text share no constant object, so no table outlives a parse."""
+    from guardedsat.terms import SymbolKind, SymbolTable
+    declared = []
+    declare = SymbolTable.declare
+
+    def counting(self, name, kind, arity, *rest):
+        declared.append((name, kind))
+        return declare(self, name, kind, arity, *rest)
+
+    monkeypatch.setattr(SymbolTable, "declare", counting)
+    text = ("fact: p(c1,c2).\n"
+            "rule: ! [X] : (p(X,c1) => q(X)).\n"
+            "fact: (p(c2,c1)).\n"
+            "query: ? [X] : (p(c1,X) & q(X)).\n"
+            "formula: c1 != c2.\n")
+
+    def constants(prob):
+        out = []
+        for f in prob.facts + prob.rules + prob.queries + prob.formulas:
+            _constants(f, out)
+        return out
+
+    first = constants(parse(text))
+    assert sorted(c.name for c in first) == ["c1"] * 5 + ["c2"] * 3
+    assert len({id(c) for c in first}) == 2
+    assert [name for name, kind in declared
+            if kind is SymbolKind.CONSTANT] == ["c1", "c2"]
+    second = constants(parse(text))
+    assert second == first
+    assert not {id(c) for c in first} & {id(c) for c in second}
+
+
 class TestFragments:
     def test_plain_universal_not_guarded(self):
         f = parse_formula("! [X] : a(X)")
